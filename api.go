@@ -6,7 +6,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/aggregate"
 	"repro/internal/boot"
 	"repro/internal/core"
 	"repro/internal/em"
@@ -302,12 +301,13 @@ func (c *Client) Bandwidth() float64 { return c.inner.Bandwidth() }
 //
 // An Aggregator built with Options.Epoch set is windowed: reports land in a
 // live epoch, Advance/Rotate seal it on schedule, and EstimateWindow
-// reconstructs any retained epoch range — see Options.Epoch.
+// reconstructs any retained epoch range — see Options.Epoch. A plain
+// Aggregator's histogram is the same epoch ring with one epoch that never
+// seals.
 type Aggregator struct {
-	inner  *core.Aggregator   // immutable channel + mechanism parameters
-	counts *aggregate.Striped // cumulative histogram; nil when windowed
-	ring   *window.Ring       // epoch-rotated histogram; nil when not windowed
-	opts   Options
+	inner *core.Aggregator // immutable channel + mechanism parameters
+	ring  *window.Ring     // report histogram (plain: epoch 0 never seals)
+	opts  Options
 }
 
 // NewAggregator builds an aggregator with the same Options as the clients.
@@ -326,14 +326,9 @@ func NewAggregator(opts Options) (*Aggregator, error) {
 		EM:        em.Options{Workers: opts.Workers},
 	}
 	inner := core.NewAggregator(cfg)
-	a := &Aggregator{inner: inner, opts: opts}
-	if opts.Epoch > 0 {
-		a.ring = window.New(inner.OutputBuckets(), opts.Shards,
-			window.Config{Epoch: opts.Epoch, Retain: opts.Retain}, time.Now())
-	} else {
-		a.counts = aggregate.New(inner.OutputBuckets(), opts.Shards)
-	}
-	return a, nil
+	ring := window.New(inner.OutputBuckets(), opts.Shards,
+		window.Config{Epoch: opts.Epoch, Retain: opts.Retain}, time.Now())
+	return &Aggregator{inner: inner, ring: ring, opts: opts}, nil
 }
 
 // Ingest adds one scalar client report (sw, sw-discrete, grr). Safe to call
@@ -341,11 +336,7 @@ func NewAggregator(opts Options) (*Aggregator, error) {
 // mechanism can produce; collectors ingesting untrusted wire reports use
 // IngestReport, which returns an error instead.
 func (a *Aggregator) Ingest(report float64) {
-	if a.ring != nil {
-		a.ring.Add(a.inner.Bucket(report))
-		return
-	}
-	a.counts.Add(a.inner.Bucket(report))
+	a.ring.Add(a.inner.Bucket(report))
 }
 
 // IngestReport adds one wire report of any mechanism (the vector form
@@ -356,11 +347,7 @@ func (a *Aggregator) IngestReport(report []float64) error {
 	if err != nil {
 		return err
 	}
-	if a.ring != nil {
-		a.ring.AddBatch(cells)
-		return nil
-	}
-	a.counts.AddBatch(cells)
+	a.ring.AddBatch(cells)
 	return nil
 }
 
@@ -378,11 +365,7 @@ func (a *Aggregator) IngestBatch(reports []float64) {
 	for i, r := range reports {
 		buckets[i] = a.inner.Bucket(r)
 	}
-	if a.ring != nil {
-		a.ring.AddBatch(buckets)
-		return
-	}
-	a.counts.AddBatch(buckets)
+	a.ring.AddBatch(buckets)
 }
 
 // N returns the number of reports visible to estimates: everything ingested
@@ -390,28 +373,11 @@ func (a *Aggregator) IngestBatch(reports []float64) {
 // Fan-out mechanisms (oue/sue, olh) track the report count in their marker
 // cell (the last output cell), read directly; every path is O(shards).
 func (a *Aggregator) N() int {
-	var raw int
-	if a.ring != nil {
-		raw = a.ring.N()
-	} else {
-		raw = a.counts.N()
-	}
+	raw := a.ring.N()
 	if raw == 0 || !a.inner.Mechanism().FanOut() {
 		return raw
 	}
-	marker := a.inner.OutputBuckets() - 1
-	if a.ring != nil {
-		return a.ring.Cell(marker)
-	}
-	return a.counts.Cell(marker)
-}
-
-// snapshotCounts reads the aggregator's visible report histogram.
-func (a *Aggregator) snapshotCounts() ([]float64, int) {
-	if a.ring != nil {
-		return a.ring.MergeAll(nil)
-	}
-	return a.counts.Snapshot(nil)
+	return a.ring.Cell(a.inner.OutputBuckets() - 1)
 }
 
 // method is the Result.Method label of streaming reconstructions: the
@@ -429,7 +395,7 @@ func (a *Aggregator) method() Method {
 // before the call are always included. On a windowed aggregator this covers
 // every retained epoch plus the live one.
 func (a *Aggregator) Estimate() (*Result, error) {
-	counts, n := a.snapshotCounts()
+	counts, n := a.ring.MergeAll(nil)
 	if n == 0 {
 		return nil, ErrNoValues
 	}
@@ -440,12 +406,15 @@ func (a *Aggregator) Estimate() (*Result, error) {
 // ErrNotWindowed is returned by window methods of a plain aggregator.
 var ErrNotWindowed = errors.New("repro: aggregator is not windowed (set Options.Epoch)")
 
+// windowed reports whether the aggregator was declared with an epoch.
+func (a *Aggregator) windowed() bool { return a.opts.Epoch > 0 }
+
 // Advance rotates a windowed aggregator forward to now, sealing one epoch
 // per elapsed period (periods that passed unobserved seal empty). It
 // returns how many epochs were sealed. Production collectors call this
 // periodically with time.Now(); tests pass a mock clock's now.
 func (a *Aggregator) Advance(now time.Time) (int, error) {
-	if a.ring == nil {
+	if !a.windowed() {
 		return 0, ErrNotWindowed
 	}
 	return a.ring.Advance(now), nil
@@ -454,7 +423,7 @@ func (a *Aggregator) Advance(now time.Time) (int, error) {
 // Rotate forces exactly one epoch rotation regardless of the clock, for
 // callers who drive epochs on their own cadence.
 func (a *Aggregator) Rotate() error {
-	if a.ring == nil {
+	if !a.windowed() {
 		return ErrNotWindowed
 	}
 	a.ring.Rotate()
@@ -464,7 +433,7 @@ func (a *Aggregator) Rotate() error {
 // CurrentEpoch returns the live epoch's index of a windowed aggregator, or
 // -1 for a plain one.
 func (a *Aggregator) CurrentEpoch() int {
-	if a.ring == nil {
+	if !a.windowed() {
 		return -1
 	}
 	cur, _ := a.ring.Current()
@@ -477,7 +446,7 @@ func (a *Aggregator) CurrentEpoch() int {
 // retention) or "epochs:i..j" (absolute inclusive bounds; aged-out or
 // future epochs are an error).
 func (a *Aggregator) EstimateWindow(selector string) (*Result, error) {
-	if a.ring == nil {
+	if !a.windowed() {
 		return nil, ErrNotWindowed
 	}
 	sel, err := window.ParseSelector(selector)
@@ -533,7 +502,7 @@ type ConfidenceInterval struct {
 // percentile interval at the given level (e.g. 0.9). Replicas ≤ 0 selects
 // 100. This is expensive — one EMS reconstruction per replica.
 func (a *Aggregator) ConfidenceInterval(stat Statistic, level float64, replicas int) (ConfidenceInterval, error) {
-	counts, n := a.snapshotCounts()
+	counts, n := a.ring.MergeAll(nil)
 	if n == 0 {
 		return ConfidenceInterval{}, ErrNoValues
 	}

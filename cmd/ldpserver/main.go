@@ -64,8 +64,7 @@
 // -debug-addr binds a separate diagnostics listener serving
 // net/http/pprof under /debug/pprof/ and the flight recorder on
 // GET /v1/debug/traces (filters: stream, trace, route, min_duration,
-// limit), keeping both surfaces off the public port; -pprof alone keeps
-// the historical public-port pprof mounting but is deprecated.
+// limit), keeping both surfaces off the public port.
 //
 // Endpoints: the versioned v1 tree (POST/GET /v1/streams,
 // GET/DELETE /v1/streams/{name}, POST .../report, POST .../batch,
@@ -182,7 +181,6 @@ type serverConfig struct {
 	pushInterval time.Duration
 	pushBinary   bool
 	edgeID       string
-	pprof        bool
 	debugAddr    string
 }
 
@@ -239,7 +237,6 @@ func parseArgs(args []string) (serverConfig, error) {
 		rateLimit = fs.String("rate-limit", "", "global admission rate as rps[:burst]: shed requests beyond it with 429 + Retry-After (\"\" = unlimited)")
 		edgeRate  = fs.String("edge-rate-limit", "", "per-edge federation push rate as rps[:burst] (\"\" = unlimited)")
 		logFormat = fs.String("log-format", "", "structured access log to stderr: kv or json (\"\" = off)")
-		pprofFlag = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the public port (deprecated: use -debug-addr)")
 		debugAddr = fs.String("debug-addr", "", "separate diagnostics listener serving net/http/pprof under /debug/pprof/ and the trace flight recorder on GET /v1/debug/traces (\"\" = off; never exposed on the public port)")
 
 		noTrace     = fs.Bool("no-trace", false, "disable request tracing and the flight recorder entirely")
@@ -382,7 +379,6 @@ func parseArgs(args []string) (serverConfig, error) {
 		pushInterval: *pushInterval,
 		pushBinary:   *pushFormat == "binary",
 		edgeID:       edge,
-		pprof:        *pprofFlag,
 		debugAddr:    *debugAddr,
 	}, nil
 }
@@ -460,9 +456,7 @@ func main() {
 
 	// Diagnostics surfaces. -debug-addr binds pprof and the trace flight
 	// recorder on their own listener so they are never reachable through the
-	// public port; -pprof alone keeps the historical public-port mounting
-	// (deprecated) and is redundant once -debug-addr is given.
-	handler := srv.Handler()
+	// public port.
 	var debugSrv *http.Server
 	if conf.debugAddr != "" {
 		dmux := http.NewServeMux()
@@ -480,21 +474,11 @@ func main() {
 			}
 		}()
 		fmt.Printf("debug listener on %s: /debug/pprof/ and GET /v1/debug/traces\n", conf.debugAddr)
-		if conf.pprof {
-			fmt.Println("note: -pprof is redundant with -debug-addr; pprof stays off the public port")
-		}
-	} else if conf.pprof {
-		outer := http.NewServeMux()
-		mountPprof(outer)
-		outer.Handle("/", handler)
-		handler = outer
-		fmt.Println("pprof: profiling endpoints mounted under /debug/pprof/ on the public port")
-		fmt.Println("note: -pprof on the public port is deprecated; prefer -debug-addr for an isolated diagnostics listener")
 	}
 
 	httpSrv := &http.Server{
 		Addr:         conf.addr,
-		Handler:      handler,
+		Handler:      srv.Handler(),
 		ReadTimeout:  10 * time.Second,
 		WriteTimeout: 30 * time.Second, // /estimate and /query serve caches and never block on EM
 	}

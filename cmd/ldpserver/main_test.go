@@ -124,6 +124,7 @@ func TestParseArgsErrors(t *testing.T) {
 		"stream retain w/o epoch": {"-stream", "age:1:256:retain=2"},
 		"unknown mechanism":       {"-mechanism", "rappor"},
 		"bad stream mechanism":    {"-stream", "age:1:256:mech=nope"},
+		"removed -pprof flag":     {"-pprof"},
 	}
 	for name, args := range cases {
 		if _, err := parseArgs(args); err == nil {
@@ -202,8 +203,8 @@ func TestParseArgsOps(t *testing.T) {
 	}
 	ops := conf.cfg.Ops
 	if ops.MaxBodyBytes != 1<<20 || ops.RateLimit != 0 || ops.EdgeRateLimit != 0 ||
-		ops.AccessLog != nil || ops.AwaitRestore || conf.pprof {
-		t.Errorf("default ops config %+v (pprof %v)", ops, conf.pprof)
+		ops.AccessLog != nil || ops.AwaitRestore {
+		t.Errorf("default ops config %+v", ops)
 	}
 
 	conf, err = parseArgs([]string{
@@ -211,7 +212,6 @@ func TestParseArgsOps(t *testing.T) {
 		"-rate-limit", "100:250",
 		"-edge-rate-limit", "5",
 		"-log-format", "json",
-		"-pprof",
 		"-snapshot", "/tmp/x.snap",
 	})
 	if err != nil {
@@ -232,9 +232,6 @@ func TestParseArgsOps(t *testing.T) {
 	}
 	if !ops.AwaitRestore {
 		t.Error("-snapshot did not set AwaitRestore")
-	}
-	if !conf.pprof {
-		t.Error("-pprof not parsed")
 	}
 
 	// kv logging is structured but not JSON.

@@ -77,16 +77,22 @@
 // The same queries are available on any Result via Result.Query (plus the
 // Quantiles and TopK shorthands). Streams.Save and Streams.Load persist
 // every stream's report histogram to a checksummed snapshot file (written
-// atomically), interoperable with the HTTP collector's -snapshot files;
-// Streams.Drop retires a stream without restarting anything.
+// atomically), interoperable with the HTTP collector's -snapshot files and
+// restored under the same rule: an existing stream must match the record's
+// mechanism, ε, buckets and effective bandwidth (a declared 0 equals the
+// explicit optimum), and a record with a name Declare would refuse fails
+// the whole Load. Streams.Drop retires a stream without restarting anything.
 //
 // # Windowed collection
 //
-// An Aggregator built with Options.Epoch set is epoch-rotated: reports land
+// Every Aggregator keeps its reports in an epoch ring. A plain Aggregator's
+// ring has one epoch that never seals, so it accumulates forever. An
+// Aggregator built with Options.Epoch set is epoch-rotated: reports land
 // in a live epoch whose histogram seals every Epoch (drive rotation with
 // Advance(now) on your clock, or force it with Rotate), the last
 // Options.Retain sealed epochs are kept, and EstimateWindow reconstructs
-// any retained range with the collector's selector syntax:
+// any retained range with the collector's selector syntax (on a plain
+// Aggregator the window methods return ErrNotWindowed):
 //
 //	agg, _ := repro.NewAggregator(repro.Options{Epsilon: 1, Epoch: time.Hour, Retain: 24})
 //	... ingest, and periodically: agg.Advance(time.Now()) ...
@@ -104,11 +110,11 @@
 //
 // # Collection at scale
 //
-// The Aggregator is built for heavy concurrent ingestion: reports land in a
-// striped histogram of atomic counters (one stripe per CPU, Options.Shards
-// overrides), so Ingest and IngestBatch take no lock and may be called from
-// any number of goroutines; Estimate works from a non-blocking snapshot and
-// never stalls writers. Options.Workers additionally partitions the EM
+// The Aggregator is built for heavy concurrent ingestion: the ring's live
+// epoch is a striped histogram of atomic counters (one stripe per CPU,
+// Options.Shards overrides), so Ingest and IngestBatch only share the
+// ring's read lock and may be called from any number of goroutines;
+// Estimate works from a non-blocking merge and never stalls writers. Options.Workers additionally partitions the EM
 // reconstruction's matrix products across a reusable worker pool — the
 // parallel estimate is bit-identical to the serial one, so it is purely a
 // latency knob.
@@ -206,8 +212,8 @@
 // (the flight recorder, -trace-buffer spans), inspectable at GET
 // /v1/debug/traces with stream=, route=, trace=, min_duration= and limit=
 // filters — served on the public port, or on a separate diagnostics
-// listener with -debug-addr (which also mounts net/http/pprof; the old
-// -pprof flag still mounts pprof on the public port but is deprecated).
+// listener with -debug-addr, which also mounts net/http/pprof (pprof is
+// never served on the public port).
 // Requests at least -slow-request slow emit a slow_request access-log
 // line, and the duration histograms keep an exemplar trace ID per
 // endpoint, so a latency spike links directly to a recorded trace.

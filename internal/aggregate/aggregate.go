@@ -71,9 +71,6 @@ func New(buckets, shards int) *Striped {
 	return s
 }
 
-// Buckets returns the histogram granularity.
-func (s *Striped) Buckets() int { return s.buckets }
-
 // Shards returns the stripe count.
 func (s *Striped) Shards() int { return len(s.shards) }
 
@@ -84,18 +81,6 @@ func (s *Striped) Add(bucket int) {
 	sh := &s.shards[*id]
 	sh.counts[bucket].Add(1)
 	sh.n.Add(1)
-	s.hint.Put(id)
-}
-
-// AddN records n reports in the given bucket (merges, replays).
-func (s *Striped) AddN(bucket int, n uint64) {
-	if n == 0 {
-		return
-	}
-	id := s.hint.Get().(*uint32)
-	sh := &s.shards[*id]
-	sh.counts[bucket].Add(n)
-	sh.n.Add(n)
 	s.hint.Put(id)
 }
 
@@ -151,6 +136,16 @@ func (s *Striped) Snapshot(dst []float64) ([]float64, int) {
 			dst[i] = 0
 		}
 	}
+	return dst, s.AddTo(dst)
+}
+
+// AddTo adds the stripes into dst, which must hold the bucket count, and
+// returns the total it added: Snapshot without the clear, for callers that
+// sum several histograms into one buffer (epoch merges). Every count is an
+// integer below 2^53, so the float64 sums are exact and the result does not
+// depend on the order histograms are added in. AddTo never blocks writers.
+func (s *Striped) AddTo(dst []float64) int {
+	dst = dst[:s.buckets]
 	var n uint64
 	for i := range s.shards {
 		counts := s.shards[i].counts
@@ -162,7 +157,7 @@ func (s *Striped) Snapshot(dst []float64) ([]float64, int) {
 			}
 		}
 	}
-	return dst, int(n)
+	return int(n)
 }
 
 // AddCounts folds a dense histogram into s in one pass (federation deltas,
@@ -181,30 +176,6 @@ func (s *Striped) AddCounts(counts []uint64) error {
 		if c != 0 {
 			sh.counts[b].Add(c)
 			n += c
-		}
-	}
-	sh.n.Add(n)
-	s.hint.Put(id)
-	return nil
-}
-
-// Merge folds a snapshot of other into s (e.g. per-datacenter stripes
-// merging before reconstruction). The bucket counts must match.
-func (s *Striped) Merge(other *Striped) error {
-	if other.buckets != s.buckets {
-		return fmt.Errorf("aggregate: merge granularity mismatch (%d vs %d buckets)",
-			other.buckets, s.buckets)
-	}
-	id := s.hint.Get().(*uint32)
-	sh := &s.shards[*id]
-	var n uint64
-	for i := range other.shards {
-		counts := other.shards[i].counts
-		for b := range counts {
-			if c := counts[b].Load(); c != 0 {
-				sh.counts[b].Add(c)
-				n += c
-			}
 		}
 	}
 	sh.n.Add(n)

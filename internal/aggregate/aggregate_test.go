@@ -10,7 +10,9 @@ func TestAddSnapshotRoundTrip(t *testing.T) {
 	s.Add(0)
 	s.Add(0)
 	s.Add(7)
-	s.AddN(3, 5)
+	if err := s.AddCounts([]uint64{0, 0, 0, 5, 0, 0, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
 	s.AddBatch([]int{1, 1, 2})
 	counts, n := s.Snapshot(nil)
 	if n != 11 || s.N() != 11 {
@@ -103,19 +105,14 @@ func TestMergeAndReset(t *testing.T) {
 	b := New(4, 3)
 	a.Add(0)
 	b.Add(1)
-	b.AddN(2, 3)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	counts, n := a.Snapshot(nil)
-	if n != 5 {
+	b.AddBatch([]int{2, 2, 2})
+	// AddTo merges several histograms into one buffer without clearing it.
+	merged := []float64{10, 0, 0, 0}
+	if n := a.AddTo(merged) + b.AddTo(merged); n != 5 {
 		t.Fatalf("merged n = %d, want 5", n)
 	}
-	if counts[0] != 1 || counts[1] != 1 || counts[2] != 3 {
-		t.Errorf("merged counts = %v", counts)
-	}
-	if err := a.Merge(New(8, 1)); err == nil {
-		t.Error("granularity mismatch accepted")
+	if merged[0] != 11 || merged[1] != 1 || merged[2] != 3 || merged[3] != 0 {
+		t.Errorf("merged counts = %v", merged)
 	}
 	a.Reset()
 	if a.N() != 0 {
@@ -131,8 +128,8 @@ func TestDefaults(t *testing.T) {
 	if s.Shards() < 1 || s.Shards()&(s.Shards()-1) != 0 {
 		t.Errorf("default shard count %d is not a power of two", s.Shards())
 	}
-	if s.Buckets() != 16 {
-		t.Errorf("buckets = %d", s.Buckets())
+	if hist, _ := s.Snapshot(nil); len(hist) != 16 {
+		t.Errorf("buckets = %d", len(hist))
 	}
 }
 

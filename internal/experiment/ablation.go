@@ -18,7 +18,6 @@ import (
 //   - population-split vs budget-split hierarchies (Section 4.2)
 //   - EMS smoothing kernel width (Section 5.5)
 //   - wave profile shapes beyond the trapezoid family (cosine, parabolic)
-//   - local SW+EMS vs a centralized-DP Laplace histogram at equal ε
 func Ablations(cfg Config) []Row {
 	cfg = cfg.filled()
 	base := randx.New(cfg.Seed)

@@ -28,7 +28,7 @@ func BenchmarkRefreshWithDiagnostics(b *testing.B) {
 	defer s.Close()
 	st := s.lookup(DefaultStream)
 	for r := 0; r < 2000; r++ {
-		st.add((r * 37) % 256)
+		st.ring.Add((r * 37) % 256)
 	}
 	st.mustRefresh.Store(true)
 	s.refreshStream(st) // cold reconstruction outside the timer
@@ -68,7 +68,7 @@ func BenchmarkScrapeMetrics64Streams(b *testing.B) {
 	}
 	for _, st := range s.streamList() {
 		for r := 0; r < 100; r++ {
-			st.add(r % 64)
+			st.ring.Add(r % 64)
 		}
 	}
 	ts := httptest.NewServer(s.Handler())

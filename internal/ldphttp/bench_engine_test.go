@@ -31,12 +31,12 @@ func BenchmarkEngineSweep(b *testing.B) {
 			list := s.streamList()
 			for _, st := range list {
 				for r := 0; r < 2000; r++ {
-					st.add((r * 37) % 256)
+					st.ring.Add((r * 37) % 256)
 				}
 			}
 			waitSweep := func() {
 				for _, st := range list {
-					for int(st.published.Load()) != st.reports() {
+					for int(st.published.Load()) != st.ring.N() {
 						time.Sleep(20 * time.Microsecond)
 					}
 				}
@@ -46,7 +46,7 @@ func BenchmarkEngineSweep(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, st := range list {
-					st.add(i % 256)
+					st.ring.Add(i % 256)
 				}
 				s.wake()
 				waitSweep()

@@ -45,7 +45,7 @@ type FleetDiagnostics struct {
 // streamDiagnostics assembles one stream's diagnostics row.
 func (s *Server) streamDiagnostics(st *stream) StreamDiagnostics {
 	users := st.users()
-	pending := st.reports() - int(st.published.Load())
+	pending := st.ring.N() - int(st.published.Load())
 	if pending < 0 {
 		pending = 0
 	}
@@ -66,9 +66,9 @@ func (s *Server) streamDiagnostics(st *stream) StreamDiagnostics {
 	}
 }
 
-// windowInfo snapshots the epoch-rotation state, nil for unwindowed streams.
+// windowInfo snapshots the epoch-rotation state, nil for plain streams.
 func (st *stream) windowInfo() *WindowInfo {
-	if st.ring == nil {
+	if !st.cfg.windowed() {
 		return nil
 	}
 	cur, _ := st.ring.Current()

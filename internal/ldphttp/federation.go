@@ -288,12 +288,12 @@ func (s *Server) applyPushLocked(push federate.Push) (federate.PushResponse, int
 		}
 		dense[i] = make([][]uint64, len(sd.Epochs))
 		for j, d := range sd.Epochs {
-			counts, err := d.Dense(st.histBuckets())
+			counts, err := d.Dense(st.ring.Buckets())
 			if err != nil {
 				resp.Error = fmt.Sprintf("stream %q: %v", sd.Stream, err)
 				return resp, http.StatusBadRequest
 			}
-			if st.ring == nil && d.Epoch != 0 {
+			if !st.cfg.windowed() && d.Epoch != 0 {
 				resp.Error = fmt.Sprintf("stream %q is not windowed but the delta addresses epoch %d",
 					sd.Stream, d.Epoch)
 				return resp, http.StatusBadRequest
@@ -308,18 +308,18 @@ func (s *Server) applyPushLocked(push federate.Push) (federate.PushResponse, int
 	// has reached but the engine has not yet sealed still lands correctly.
 	for i, sd := range push.Streams {
 		st := targets[i]
-		if st.ring != nil {
-			s.mu.RLock()
-			rotated := st.ring.Advance(s.now())
-			s.mu.RUnlock()
-			if rotated > 0 {
-				st.evictAgedWindows()
-				st.mustRefresh.Store(true)
-			}
+		s.mu.RLock()
+		rotated := st.ring.Advance(s.now())
+		s.mu.RUnlock()
+		if rotated > 0 {
+			st.evictAgedWindows()
+			st.mustRefresh.Store(true)
 		}
 		result := federate.StreamResult{Stream: sd.Stream}
 		for j, d := range sd.Epochs {
-			if applied := st.applyEpochCounts(d.Epoch, dense[i][j]); !applied {
+			// An epoch outside the root's window (aged out, or not started
+			// on the root's clock) is dropped and reported, never rejected.
+			if err := st.ring.AddEpochCounts(d.Epoch, dense[i][j]); err != nil {
 				result.DroppedEpochs = append(result.DroppedEpochs, d.Epoch)
 				result.DroppedN += d.N
 				peer.dropped += d.N
@@ -348,17 +348,6 @@ func (s *Server) applyPushLocked(push federate.Push) (federate.PushResponse, int
 	return resp, http.StatusOK
 }
 
-// applyEpochCounts merges one dense epoch delta into the stream's histogram:
-// the matching live or sealed epoch of a windowed stream, the single
-// histogram of a plain one. It reports false when the epoch is outside the
-// root's window (aged out, or not started on the root's clock).
-func (st *stream) applyEpochCounts(epoch int, counts []uint64) bool {
-	if st.ring != nil {
-		return st.ring.AddEpochCounts(epoch, counts) == nil
-	}
-	return st.counts.AddCounts(counts) == nil
-}
-
 // autoDeclareStream creates a stream from a pushed fingerprint. A windowed
 // stream adopts the edge's epoch origin, so the root's epoch indexes mean
 // the same wall-clock intervals as the pushing edge's — the alignment the
@@ -379,7 +368,7 @@ func (s *Server) autoDeclareStream(name string, fp federate.Fingerprint) (*strea
 	if st == nil {
 		return nil, fmt.Errorf("ldphttp: stream %q vanished during auto-declaration", name)
 	}
-	if st.ring != nil && fp.EpochNanos > 0 {
+	if fp.EpochNanos > 0 {
 		// Re-anchor the pristine ring on the edge's origin, fast-forwarded
 		// to the epoch the root's clock is in now (the gap epochs never
 		// existed here, so there is nothing to seal).
@@ -418,7 +407,7 @@ func (s *Server) fingerprintOf(st *stream) federate.Fingerprint {
 		EpochNanos:    int64(time.Duration(st.cfg.Epoch)),
 		Retain:        st.cfg.Retain,
 	}
-	if st.ring != nil {
+	if st.cfg.windowed() {
 		cur, start := st.ring.Current()
 		fp.EpochOriginNanos = start.UnixNano() - int64(cur)*fp.EpochNanos
 	}
@@ -426,42 +415,28 @@ func (s *Server) fingerprintOf(st *stream) federate.Fingerprint {
 }
 
 // federationStates gathers every stream's per-epoch histogram for the edge
-// pusher: plain streams present a single epoch 0; windowed streams present
-// every retained sealed epoch plus the live one, keyed by global index.
+// pusher: every retained sealed epoch plus the live one, keyed by global
+// index — for a plain stream, the single epoch 0 (nil counts when empty).
 func (s *Server) federationStates() []federate.StreamState {
 	list := s.streamList()
 	out := make([]federate.StreamState, 0, len(list))
 	for _, st := range list {
 		state := federate.StreamState{Name: st.name, Fingerprint: s.fingerprintOf(st)}
-		if st.ring != nil {
-			rs := st.ring.State()
-			for _, ep := range rs.Sealed {
-				state.Epochs = append(state.Epochs, federate.EpochCounts{Epoch: ep.Index, Counts: ep.Counts})
-			}
-			state.Epochs = append(state.Epochs, federate.EpochCounts{Epoch: rs.Current, Counts: rs.Live})
-		} else {
-			counts, n := st.counts.Snapshot(nil)
-			ep := federate.EpochCounts{Epoch: 0}
-			if n > 0 {
-				ep.Counts = make([]uint64, len(counts))
-				for b, c := range counts {
-					ep.Counts[b] = uint64(c)
-				}
-			}
-			state.Epochs = append(state.Epochs, ep)
+		rs := st.ring.State()
+		for _, ep := range rs.Sealed {
+			state.Epochs = append(state.Epochs, federate.EpochCounts{Epoch: ep.Index, Counts: ep.Counts})
 		}
+		state.Epochs = append(state.Epochs, federate.EpochCounts{Epoch: rs.Current, Counts: rs.Live})
 		out = append(out, state)
 	}
 	return out
 }
 
 // pruneWatermarksLocked drops absorbed-count entries for epochs that aged
-// out of a windowed stream's retention — they can never be pushed again, so
-// the audit map stays bounded by the ring size. Caller holds fedMu.
+// out of the stream's retention — they can never be pushed again, so the
+// audit map stays bounded by the ring size (a plain stream's epoch 0 never
+// ages out). Caller holds fedMu.
 func (s *Server) pruneWatermarksLocked(st *stream) {
-	if st.ring == nil {
-		return
-	}
 	oldest := st.ring.Oldest()
 	for _, peer := range s.peers {
 		for epoch := range peer.absorbed[st.name] {

@@ -74,14 +74,22 @@
 //
 // A server hosts any number of named attribute streams, each with its own
 // domain, privacy budget and granularity — one survey server can collect
-// ages, incomes and session lengths at once. Ingestion and estimation are
-// decoupled so neither blocks the other: each stream's reports land in its
-// own striped atomic histogram (package aggregate) — no lock on the request
-// path — while a pool of refresh workers (Config.RefreshWorkers, default
-// GOMAXPROCS) drains a staleness-ordered dirty queue: every tick the
-// scheduler enqueues the streams whose histograms have grown, rotation-due
-// and forced refreshes jump the queue, and otherwise the stream with the
-// most unpublished reports goes first. Each worker re-runs the EMS
+// ages, incomes and session lengths at once. Every stream's report
+// histogram is an epoch ring (package window) whose live epoch is a striped
+// atomic histogram (package aggregate). A plain stream is a ring whose one
+// epoch never seals; a windowed stream's ring rotates (see Windowed
+// collection). Ingest, refresh, federation absorb and push, and snapshots
+// all run the same ring code for both; plain and windowed differ only where
+// epochs are visible outside — window selectors, /config and stream info,
+// snapshot records and federation fingerprints — and there the declared
+// epoch decides. Ingestion and estimation are decoupled so neither blocks
+// the other: reports land in the live epoch under the ring's shared lock,
+// with no contended counter on the request path, while a pool of refresh
+// workers (Config.RefreshWorkers, default GOMAXPROCS) drains a
+// staleness-ordered dirty queue: every tick the scheduler enqueues every
+// stream, rotation-due and forced refreshes jump the queue (a plain ring
+// is never rotation-due), and otherwise the stream with the most
+// unpublished reports goes first. Each worker re-runs the EMS
 // reconstruction warm-started from that stream's previous estimate into a
 // per-stream reusable workspace (zero allocations once warm); a per-stream
 // busy flag keeps refreshes of one stream serialized, so results are
@@ -92,11 +100,12 @@
 //
 // # Windowed collection
 //
-// A stream declared with an epoch duration becomes a time-series: the live
-// histogram rotates into a sealed epoch every period (package window, driven
-// by the engine's clock), the last Retain sealed epochs are kept, and any
+// A stream declared with an epoch duration becomes a time-series: its ring's
+// live histogram rotates into a sealed epoch every period (driven by the
+// engine's clock), the last Retain sealed epochs are kept, and any
 // contiguous retained range is addressable with window=last:K or
-// window=epochs:i..j on /estimate and /query. Window reconstructions are
+// window=epochs:i..j on /estimate and /query. A plain stream answers such
+// selectors with 400 not_windowed. Window reconstructions are
 // also engine-computed and cached — the first request for a range answers
 // 503 and wakes the engine, which merges the range's epochs and runs EMS
 // warm-started from that window's previous estimate (or its one-epoch-back
@@ -107,8 +116,10 @@
 // estimate through package snapshot (atomic temp-file rename, checksummed),
 // so a restarted collector resumes warm; windowed streams additionally
 // persist rotation clock, sealed epochs and window estimates, so restarts
-// resume mid-epoch with bit-identical window answers; cmd/ldpserver wires
-// this to the -snapshot flag.
+// resume mid-epoch with bit-identical window answers. The ring ↔ record
+// conversion and the restore rule live in package snapshot, shared with
+// the library's Streams registry; cmd/ldpserver wires this to the
+// -snapshot flag.
 //
 // # Ops
 //
@@ -144,7 +155,6 @@ import (
 	"repro/internal/mechanism"
 	"repro/internal/ratelimit"
 	"repro/internal/snapshot"
-	"repro/internal/sw"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/window"
@@ -284,22 +294,22 @@ type StreamConfig struct {
 // windowed reports whether the configuration asks for epoch rotation.
 func (c StreamConfig) windowed() bool { return c.Epoch > 0 }
 
-// stream is one named attribute: immutable mechanism state, a striped
-// ingestion histogram (plain or epoch-rotated), and the engine's cached
-// reconstructions. Whether a stream is windowed is fixed at construction, so
-// request handlers read counts/ring without synchronization.
+// stream is one named attribute: immutable mechanism state, its report
+// histogram, and the engine's cached reconstructions. The histogram is
+// always an epoch ring; a plain stream's ring has one epoch that never
+// seals. The ring is fixed at construction, so request handlers read it
+// without synchronization.
 type stream struct {
-	name   string
-	cfg    StreamConfig
-	agg    *core.Aggregator   // immutable channel + EM config; counts unused
-	counts *aggregate.Striped // plain ingestion histogram; nil when windowed
-	ring   *window.Ring       // epoch-rotated state; nil when not windowed
+	name string
+	cfg  StreamConfig
+	agg  *core.Aggregator // immutable channel + EM config; counts unused
+	ring *window.Ring     // report histogram (plain: epoch 0 never seals)
 
 	est       atomic.Pointer[EstimateResponse]
 	published atomic.Int64 // reports covered by est
 
 	// Window estimate cache: requests register resolved epoch ranges, the
-	// engine reconstructs them (windowed streams only).
+	// engine reconstructs them (empty on plain streams).
 	winMu sync.Mutex
 	wins  map[window.Range]*windowCache
 
@@ -357,49 +367,6 @@ type stream struct {
 	// pusher to forward (X-LDP-Trace-Link), so a Reporter-stamped trace
 	// stays findable at the root after aggregation.
 	links traceLinkRing
-}
-
-// add, addBatch, addN and reports dispatch ingestion and counting to the
-// plain histogram or the live epoch of the ring.
-func (st *stream) add(bucket int) {
-	if st.ring != nil {
-		st.ring.Add(bucket)
-		return
-	}
-	st.counts.Add(bucket)
-}
-
-func (st *stream) addBatch(buckets []int) {
-	if st.ring != nil {
-		st.ring.AddBatch(buckets)
-		return
-	}
-	st.counts.AddBatch(buckets)
-}
-
-func (st *stream) addN(bucket int, n uint64) {
-	if st.ring != nil {
-		st.ring.AddN(bucket, n)
-		return
-	}
-	st.counts.AddN(bucket, n)
-}
-
-// reports is the population still visible to estimates: everything for a
-// plain stream, the live plus retained epochs for a windowed one.
-func (st *stream) reports() int {
-	if st.ring != nil {
-		return st.ring.N()
-	}
-	return st.counts.N()
-}
-
-// histBuckets is the report-histogram granularity.
-func (st *stream) histBuckets() int {
-	if st.ring != nil {
-		return st.ring.Buckets()
-	}
-	return st.counts.Buckets()
 }
 
 // histShards is the effective ingestion stripe count.
@@ -535,10 +502,11 @@ func NewServer(cfg Config) *Server {
 	return s
 }
 
-// newStream builds the immutable per-stream machinery. For windowed
-// configurations the ingestion histogram is an epoch ring born in epoch 0
-// at the server clock's now; Retain is filled to its default here so the
-// stored cfg always carries the effective retention.
+// newStream builds the immutable per-stream machinery. The histogram is an
+// epoch ring born in epoch 0 at the server clock's now — rotating for a
+// windowed configuration, never sealing for a plain one. Retain is filled
+// to its default here so the stored cfg always carries the effective
+// retention.
 func (s *Server) newStream(name string, cfg StreamConfig) *stream {
 	agg := core.NewAggregator(core.Config{
 		Epsilon:   cfg.Epsilon,
@@ -548,19 +516,11 @@ func (s *Server) newStream(name string, cfg StreamConfig) *stream {
 		Smoothing: true,
 		EM:        em.Options{Workers: s.workers},
 	})
-	st := &stream{name: name, agg: agg}
-	if cfg.windowed() {
-		wcfg, err := window.Config{Epoch: time.Duration(cfg.Epoch), Retain: cfg.Retain}.Validate()
-		if err != nil {
-			panic(err) // unreachable: fillStreamDefaults validated the window options
-		}
-		cfg.Retain = wcfg.Retain
-		st.ring = window.New(agg.OutputBuckets(), cfg.Shards, wcfg, s.now())
-		st.wins = make(map[window.Range]*windowCache)
-	} else {
-		st.counts = aggregate.New(agg.OutputBuckets(), cfg.Shards)
-	}
-	st.cfg = cfg
+	// fillStreamDefaults validated the window options, so New cannot panic.
+	ring := window.New(agg.OutputBuckets(), cfg.Shards,
+		window.Config{Epoch: time.Duration(cfg.Epoch), Retain: cfg.Retain}, s.now())
+	cfg.Retain = ring.Config().Retain
+	st := &stream{name: name, cfg: cfg, agg: agg, ring: ring, wins: make(map[window.Range]*windowCache)}
 	st.diag = diagnose.NewTracker(diagnose.TrackerConfig{
 		Mechanism: cfg.Mechanism,
 		Epsilon:   cfg.Epsilon,
@@ -652,25 +612,9 @@ func (s *Server) fillStreamDefaults(cfg StreamConfig) (StreamConfig, error) {
 // exists with different parameters.
 var ErrStreamConfigMismatch = fmt.Errorf("stream exists with different configuration")
 
-// effectiveBandwidth resolves a declared wave half-width the way the
-// mechanism layer does: for the sw family, 0 means the mutual-information
-// optimum for the stream's ε; other mechanisms have no bandwidth. Stream
-// compatibility is judged on this resolved value, so "declare the default"
-// and "declare the optimum explicitly" (e.g. a stream auto-declared from a
-// federation fingerprint, which always carries resolved values) are the
-// same configuration.
-func effectiveBandwidth(mech string, epsilon, bandwidth float64) float64 {
-	if mech != mechanism.SW && mech != mechanism.SWDiscrete {
-		return 0
-	}
-	if bandwidth != 0 {
-		return bandwidth
-	}
-	return sw.BOpt(epsilon)
-}
-
 // CreateStream declares a named stream. Declaring an existing stream with
-// the same mechanism parameters (mechanism, ε, buckets, bandwidth) is a
+// the same mechanism parameters (mechanism, ε, buckets, and bandwidth
+// compared by its effective value — mechanism.EffectiveBandwidth) is a
 // no-op — Shards
 // is a pure ingestion-performance knob and is deliberately ignored, so a
 // restart with a different -shards value still accepts matching -stream
@@ -690,15 +634,15 @@ func (s *Server) CreateStream(name string, cfg StreamConfig) error {
 	if existing, ok := s.streams[name]; ok {
 		if existing.cfg.Epsilon != cfg.Epsilon || existing.cfg.Buckets != cfg.Buckets ||
 			existing.cfg.Mechanism != cfg.Mechanism ||
-			effectiveBandwidth(existing.cfg.Mechanism, existing.cfg.Epsilon, existing.cfg.Bandwidth) !=
-				effectiveBandwidth(cfg.Mechanism, cfg.Epsilon, cfg.Bandwidth) {
+			mechanism.EffectiveBandwidth(existing.cfg.Mechanism, existing.cfg.Epsilon, existing.cfg.Bandwidth) !=
+				mechanism.EffectiveBandwidth(cfg.Mechanism, cfg.Epsilon, cfg.Bandwidth) {
 			return fmt.Errorf("ldphttp: %w: %q has %+v, requested %+v",
 				ErrStreamConfigMismatch, name, existing.cfg, cfg)
 		}
 		// Windowing is fixed at stream creation: zero Epoch/Retain inherit
 		// whatever the stream has, non-zero values must match it exactly.
 		if cfg.windowed() {
-			if existing.ring == nil {
+			if !existing.cfg.windowed() {
 				return fmt.Errorf("ldphttp: %w: %q is not windowed; drop and redeclare it to enable epochs",
 					ErrStreamConfigMismatch, name)
 			}
@@ -810,15 +754,11 @@ func streamLinks(name string) StreamLinks {
 // histogram, so this is safe on the ingest-acknowledgement hot path;
 // everything else counts increments, also O(shards).
 func (st *stream) users() int {
-	n := st.reports()
+	n := st.ring.N()
 	if n == 0 || !st.agg.Mechanism().FanOut() {
 		return n
 	}
-	marker := st.histBuckets() - 1
-	if st.ring != nil {
-		return st.ring.Cell(marker)
-	}
-	return st.counts.Cell(marker)
+	return st.ring.Cell(st.ring.Buckets() - 1)
 }
 
 // streamInfo assembles one stream's info row.
@@ -966,15 +906,8 @@ func (q *refreshQueue) pop(s *Server) (*stream, bool) {
 // epoch rotation is due, or something forced the next refresh) and the
 // staleness in histogram increments.
 func (s *Server) refreshPriority(st *stream) (boost bool, staleness int64) {
-	if st.mustRefresh.Load() {
-		boost = true
-	} else if st.ring != nil {
-		_, start := st.ring.Current()
-		if !s.now().Before(start.Add(time.Duration(st.cfg.Epoch))) {
-			boost = true // rotation due: the pass will seal an epoch
-		}
-	}
-	return boost, int64(st.reports()) - st.published.Load()
+	boost = st.mustRefresh.Load() || st.ring.RotationDue(s.now())
+	return boost, int64(st.ring.N()) - st.published.Load()
 }
 
 // scheduler is the refresh pacemaker: on every tick (or wake) it stamps the
@@ -1022,43 +955,37 @@ func (s *Server) refreshWorker() {
 	}
 }
 
-// refreshStream advances a windowed stream's rotation clock, re-estimates
-// the stream if its visible histogram changed since the last published
-// estimate (growth, or epochs aging out), and refreshes any requested
-// window estimates. Refresh workers only, one per stream at a time (the
-// busy flag): the stream's scratch buffers and EM workspace are theirs for
-// the duration.
+// refreshStream advances the stream's rotation clock (a no-op on a plain
+// stream), re-estimates the stream if its visible histogram changed since
+// the last published estimate (growth, or epochs aging out), and refreshes
+// any requested window estimates. Refresh workers only, one per stream at a
+// time (the busy flag): the stream's scratch buffers and EM workspace are
+// theirs for the duration.
 func (s *Server) refreshStream(st *stream) {
 	reason := refreshGrowth
-	if st.ring != nil {
-		// Rotation holds the registry read-lock: LoadSnapshot (exclusive
-		// lock) can therefore never observe a ring rotating between its
-		// validation and its adopt, which keeps restores all-or-nothing.
-		s.mu.RLock()
-		rotated := st.ring.Advance(s.now())
-		s.mu.RUnlock()
-		if rotated > 0 {
-			reason = refreshRotation
-			st.evictAgedWindows()
-			st.mustRefresh.Store(true)
-			if st.mRotations != nil {
-				st.mRotations.Add(uint64(rotated))
-			}
-			epoch, _ := st.ring.Current()
-			rsp := s.tracer.NewTrace("epoch/rotate")
-			rsp.SetStream(st.name)
-			rsp.Attr("rotated", fmt.Sprintf("%d", rotated)).
-				Attr("epoch", fmt.Sprintf("%d", epoch)).End()
-			s.scoreSealedEpoch(st, rotated)
+	// Rotation holds the registry read-lock: LoadSnapshot (exclusive lock)
+	// can therefore never observe a ring rotating between its validation and
+	// its adopt, which keeps restores all-or-nothing.
+	s.mu.RLock()
+	rotated := st.ring.Advance(s.now())
+	s.mu.RUnlock()
+	if rotated > 0 {
+		reason = refreshRotation
+		st.evictAgedWindows()
+		st.mustRefresh.Store(true)
+		if st.mRotations != nil {
+			st.mRotations.Add(uint64(rotated))
 		}
-		defer s.refreshWindows(st)
+		epoch, _ := st.ring.Current()
+		rsp := s.tracer.NewTrace("epoch/rotate")
+		rsp.SetStream(st.name)
+		rsp.Attr("rotated", fmt.Sprintf("%d", rotated)).
+			Attr("epoch", fmt.Sprintf("%d", epoch)).End()
+		s.scoreSealedEpoch(st, rotated)
 	}
+	defer s.refreshWindows(st)
 	var n int
-	if st.ring != nil {
-		st.scratch, n = st.ring.MergeAll(st.scratch)
-	} else {
-		st.scratch, n = st.counts.Snapshot(st.scratch)
-	}
+	st.scratch, n = st.ring.MergeAll(st.scratch)
 	forced := st.mustRefresh.Load()
 	if n == 0 || (int64(n) == st.published.Load() && !forced) {
 		return
@@ -1254,9 +1181,9 @@ func (s *Server) serveReport(w http.ResponseWriter, name string, rep WireReport)
 	}
 	isp := sp.Child("ingest")
 	if len(cells) == 1 {
-		st.add(cells[0])
+		st.ring.Add(cells[0])
 	} else {
-		st.addBatch(cells)
+		st.ring.AddBatch(cells)
 	}
 	isp.End()
 	cellPool.Put(bufp)
@@ -1323,7 +1250,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, name string, reports []WireRe
 	}
 	bsp.End()
 	isp := sp.Child("ingest")
-	st.addBatch(buckets)
+	st.ring.AddBatch(buckets)
 	isp.End()
 	if st.mReports != nil {
 		st.mReports.Add(uint64(len(reports)))
@@ -1362,7 +1289,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // after the cached estimate, clamped at zero — the engine can publish an
 // estimate covering more reports than the count read here.
 func (s *Server) loadEstimate(w http.ResponseWriter, st *stream) (cached *EstimateResponse, pending int, ok bool) {
-	n := st.reports()
+	n := st.ring.N()
 	if n == 0 {
 		errorJSON(w, http.StatusConflict, CodeNoReports, "no reports yet on stream %q", st.name)
 		return nil, 0, false

@@ -268,7 +268,7 @@ func histogramOf(t *testing.T, s *Server, name string) ([]float64, int) {
 	if st == nil {
 		t.Fatalf("stream %q missing", name)
 	}
-	counts, n := st.counts.Snapshot(nil)
+	counts, n := st.ring.MergeAll(nil)
 	return counts, n
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -263,6 +264,26 @@ func TestLoadSnapshotErrors(t *testing.T) {
 		}
 		if len(srv.Streams()) != 1 {
 			t.Errorf("partial restore registered %d streams, want 1", len(srv.Streams()))
+		}
+	})
+
+	t.Run("invalid stream name", func(t *testing.T) {
+		// The file is outside input: a name CreateStream refuses must not
+		// enter the registry through a restore either.
+		for _, name := range []string{"bad\nname", strings.Repeat("n", 65)} {
+			p := filepath.Join(dir, "badname.snap")
+			if err := snapshot.Save(p, []snapshot.Stream{
+				{Name: name, Epsilon: 1, Buckets: 32, Counts: make([]uint64, 32)},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			srv := fresh(t)
+			if err := srv.LoadSnapshot(p); err == nil {
+				t.Errorf("restored stream name %q", name)
+			}
+			if len(srv.Streams()) != 1 {
+				t.Errorf("name %q: failed restore registered %d streams, want 1", name, len(srv.Streams()))
+			}
 		}
 	})
 

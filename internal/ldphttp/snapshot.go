@@ -54,27 +54,10 @@ func (s *Server) saveSnapshot(path string) error {
 	list := s.streamList()
 	records := make([]snapshot.Stream, 0, len(list))
 	for _, st := range list {
-		rec := snapshot.Stream{
-			Name:      st.name,
-			Epsilon:   st.cfg.Epsilon,
-			Buckets:   st.cfg.Buckets,
-			Mechanism: st.cfg.Mechanism,
-			Bandwidth: st.cfg.Bandwidth,
-			Shards:    st.cfg.Shards,
-		}
-		if st.ring != nil {
-			state := st.ring.State()
-			rec.Counts = state.Live
-			if rec.Counts == nil {
-				rec.Counts = make([]uint64, st.ring.Buckets())
-			}
-			rec.Window = windowRecord(st, state)
-		} else {
-			counts, _ := st.counts.Snapshot(nil)
-			rec.Counts = make([]uint64, len(counts))
-			for i, c := range counts {
-				rec.Counts[i] = uint64(c)
-			}
+		rec := st.record()
+		state := rec.Capture(st.ring)
+		if rec.Window != nil {
+			rec.Window.Estimates = windowEstimates(st, state)
 		}
 		if est := st.est.Load(); est != nil {
 			rec.Estimate = est.Distribution
@@ -88,38 +71,38 @@ func (s *Server) saveSnapshot(path string) error {
 	return snapshot.SaveFile(path, &snapshot.File{Streams: records, Federation: fed})
 }
 
-// windowRecord converts a ring state plus the stream's cached window
-// estimates into the persisted window block.
-func windowRecord(st *stream, state window.State) *snapshot.Window {
-	win := snapshot.NewWindow(state)
+// record is the stream's declaration as a snapshot record, histogram not
+// yet captured; restores compare records against it.
+func (st *stream) record() snapshot.Stream {
+	return snapshot.Stream{
+		Name:      st.name,
+		Epsilon:   st.cfg.Epsilon,
+		Buckets:   st.cfg.Buckets,
+		Mechanism: st.cfg.Mechanism,
+		Bandwidth: st.cfg.Bandwidth,
+		Shards:    st.cfg.Shards,
+	}
+}
+
+// windowEstimates collects the stream's cached window estimates whose range
+// is still resolvable against the captured ring state — a cache can briefly
+// outlive its epochs between a rotation and the next eviction.
+func windowEstimates(st *stream, state window.State) []snapshot.WindowEstimate {
+	oldest := state.Current
+	if len(state.Sealed) > 0 {
+		oldest = state.Sealed[0].Index
+	}
+	var out []snapshot.WindowEstimate
 	for _, wc := range st.windowCaches() {
 		est := wc.est.Load()
-		// Only persist estimates whose range is still resolvable against
-		// the captured state — a cache can briefly outlive its epochs
-		// between a rotation and the next eviction.
-		if est == nil || wc.rng.Hi > state.Current {
+		if est == nil || wc.rng.Hi > state.Current || wc.rng.Lo < oldest {
 			continue
 		}
-		if oldest := oldestOf(state); wc.rng.Lo < oldest {
-			continue
-		}
-		win.Estimates = append(win.Estimates, snapshot.WindowEstimate{
+		out = append(out, snapshot.WindowEstimate{
 			Lo: wc.rng.Lo, Hi: wc.rng.Hi, N: est.N, Raw: est.raw, Estimate: est.Distribution,
 		})
 	}
-	return win
-}
-
-func oldestOf(state window.State) int {
-	if len(state.Sealed) == 0 {
-		return state.Current
-	}
-	return state.Sealed[0].Index
-}
-
-// windowState converts a persisted window block back into a ring state.
-func windowState(rec snapshot.Stream) window.State {
-	return rec.Window.State(rec.Counts)
+	return out
 }
 
 // LoadSnapshot restores streams from a snapshot file. Streams that do not
@@ -176,34 +159,7 @@ func (s *Server) loadSnapshot(path string) error {
 	fresh := make([]bool, len(records))
 	for i, rec := range records {
 		st, ok := s.streams[rec.Name]
-		if ok {
-			if st.cfg.Epsilon != rec.Epsilon || st.cfg.Buckets != rec.Buckets ||
-				effectiveBandwidth(st.cfg.Mechanism, st.cfg.Epsilon, st.cfg.Bandwidth) !=
-					effectiveBandwidth(rec.MechanismName(), rec.Epsilon, rec.Bandwidth) {
-				return fmt.Errorf("ldphttp: snapshot stream %q has (ε=%v, buckets=%d, b=%v) but the live stream has (ε=%v, buckets=%d, b=%v)",
-					rec.Name, rec.Epsilon, rec.Buckets, rec.Bandwidth,
-					st.cfg.Epsilon, st.cfg.Buckets, st.cfg.Bandwidth)
-			}
-			if st.cfg.Mechanism != rec.MechanismName() {
-				return fmt.Errorf("ldphttp: snapshot stream %q uses mechanism %q but the live stream uses %q",
-					rec.Name, rec.MechanismName(), st.cfg.Mechanism)
-			}
-			if rec.Window != nil {
-				if st.ring == nil {
-					return fmt.Errorf("ldphttp: snapshot stream %q is windowed (epoch %v) but the live stream is not; declare it with an epoch before restoring",
-						rec.Name, time.Duration(rec.Window.EpochNanos))
-				}
-				if int64(time.Duration(st.cfg.Epoch)) != rec.Window.EpochNanos ||
-					st.cfg.Retain != rec.Window.Retain {
-					return fmt.Errorf("ldphttp: snapshot stream %q rotates every %v retaining %d but the live stream rotates every %v retaining %d",
-						rec.Name, time.Duration(rec.Window.EpochNanos), rec.Window.Retain,
-						time.Duration(st.cfg.Epoch), st.cfg.Retain)
-				}
-				if err := st.ring.CanAdopt(windowState(rec)); err != nil {
-					return fmt.Errorf("ldphttp: restore stream %q: %w", rec.Name, err)
-				}
-			}
-		} else {
+		if !ok {
 			cfg := StreamConfig{
 				Epsilon:   rec.Epsilon,
 				Buckets:   rec.Buckets,
@@ -220,19 +176,10 @@ func (s *Server) loadSnapshot(path string) error {
 				return fmt.Errorf("ldphttp: restore stream %q: %w", rec.Name, err)
 			}
 			st = s.newStream(rec.Name, cfg)
-			if rec.Window != nil {
-				// The fresh ring is pristine and unregistered; adopting the
-				// persisted clock and sealed history cannot race anything.
-				if err := st.ring.Adopt(windowState(rec)); err != nil {
-					return fmt.Errorf("ldphttp: restore stream %q: %w", rec.Name, err)
-				}
-			}
 			fresh[i] = true
 		}
-		if st.histBuckets() != len(rec.Counts) {
-			return fmt.Errorf("ldphttp: snapshot stream %q has %d histogram buckets, the %s stream has %d",
-				rec.Name, len(rec.Counts), map[bool]string{true: "restored", false: "live"}[fresh[i]],
-				st.histBuckets())
+		if err := rec.CheckRestore(st.record(), st.ring); err != nil {
+			return fmt.Errorf("ldphttp: restore: %w", err)
 		}
 		targets[i] = st
 	}
@@ -251,23 +198,13 @@ func (s *Server) loadSnapshot(path string) error {
 	// still adoptable here.
 	for i, rec := range records {
 		st := targets[i]
-		// fresh streams were empty by construction (the phase-1 adopt of a
-		// fresh windowed ring already carried the persisted reports in).
-		wasEmpty := fresh[i] || st.reports() == 0
+		wasEmpty := st.ring.N() == 0
 		if fresh[i] {
 			s.streams[st.name] = st
 			s.order = append(s.order, st)
 		}
-		if rec.Window != nil {
-			if !fresh[i] {
-				if err := st.ring.Adopt(windowState(rec)); err != nil {
-					return fmt.Errorf("ldphttp: restore stream %q: %w", rec.Name, err)
-				}
-			}
-		} else {
-			for bucket, c := range rec.Counts {
-				st.addN(bucket, c)
-			}
+		if err := rec.Restore(st.ring); err != nil {
+			return fmt.Errorf("ldphttp: restore stream %q: %w", rec.Name, err)
 		}
 		if wasEmpty && len(rec.Estimate) > 0 {
 			dist := append([]float64(nil), rec.Estimate...)

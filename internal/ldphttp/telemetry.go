@@ -188,7 +188,7 @@ func (s *Server) scrapeRefresh(m *serverMetrics) {
 	m.streams.With().Set(float64(len(list)))
 	m.queueDepth.With().Set(float64(s.rq.depth()))
 	for _, st := range list {
-		n := st.reports()
+		n := st.ring.N()
 		pub := int(st.published.Load())
 		pending := n - pub
 		if pending < 0 {

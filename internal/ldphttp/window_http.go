@@ -107,10 +107,14 @@ func (st *stream) evictAgedWindows() {
 	}
 }
 
-// windowCaches snapshots the cache entries in deterministic (Lo, Hi) order.
+// windowCaches snapshots the cache entries in deterministic (Lo, Hi) order,
+// nil when there are none (every plain stream), without allocating.
 func (st *stream) windowCaches() []*windowCache {
 	st.winMu.Lock()
 	defer st.winMu.Unlock()
+	if len(st.wins) == 0 {
+		return nil
+	}
 	out := make([]*windowCache, 0, len(st.wins))
 	for _, wc := range st.wins {
 		out = append(out, wc)
@@ -138,8 +142,8 @@ func (st *stream) neighborInit(g window.Range) []float64 {
 	return nil
 }
 
-// refreshWindows re-estimates every stale requested window of one windowed
-// stream. Refresh workers only, under the stream's busy flag. Fully-sealed
+// refreshWindows re-estimates every stale requested window of one stream
+// (plain streams never have any). Refresh workers only, under the stream's busy flag. Fully-sealed
 // ranges compute once and are then skipped forever (published matches and
 // sealed counts are frozen); live-inclusive ranges recompute whenever their
 // report count moves.
@@ -211,7 +215,7 @@ func (s *Server) windowEstimateResponse(st *stream, g window.Range, n int, dist 
 // of retention, 409 for windows with no reports, 503 (with Retry-After)
 // while the engine computes the first estimate for the range.
 func (s *Server) loadWindowEstimate(w http.ResponseWriter, st *stream, rawSel string) (*EstimateResponse, int, bool) {
-	if st.ring == nil {
+	if !st.cfg.windowed() {
 		errorJSON(w, http.StatusBadRequest, CodeNotWindowed,
 			"stream %q is not windowed; declare it with an epoch to enable window queries", st.name)
 		return nil, 0, false

@@ -47,6 +47,7 @@ import (
 	"repro/internal/histogram"
 	"repro/internal/matrixx"
 	"repro/internal/randx"
+	"repro/internal/sw"
 )
 
 // Report is one wire report: a vector of float64 components whose
@@ -200,6 +201,22 @@ func Valid(name string) bool {
 		return true
 	}
 	return false
+}
+
+// EffectiveBandwidth resolves a declared wave half-width the way the sw
+// family's constructors do: 0 means the mutual-information optimum BOpt(ε),
+// and mechanisms outside the sw family have no bandwidth. Stream
+// compatibility is judged on this value, so "declare the default" and
+// "declare the optimum explicitly" are the same configuration. eps must be
+// positive.
+func EffectiveBandwidth(name string, eps, bandwidth float64) float64 {
+	if name != SW && name != SWDiscrete {
+		return 0
+	}
+	if bandwidth != 0 {
+		return bandwidth
+	}
+	return sw.BOpt(eps)
 }
 
 func (p Params) check() error {

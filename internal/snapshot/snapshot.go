@@ -140,11 +140,11 @@ type Window struct {
 	Estimates []WindowEstimate `json:"estimates,omitempty"`
 }
 
-// NewWindow converts a ring state (the live epoch's histogram travels in
+// newWindow converts a ring state (the live epoch's histogram travels in
 // the enclosing Stream.Counts) into the persisted window block. Cached
 // window estimates, which live outside the ring, are appended by the
 // caller.
-func NewWindow(st window.State) *Window {
+func newWindow(st window.State) *Window {
 	w := &Window{
 		EpochNanos:     int64(st.Epoch),
 		Retain:         st.Retain,
@@ -157,9 +157,9 @@ func NewWindow(st window.State) *Window {
 	return w
 }
 
-// State converts the persisted block back into a ring state. live is the
+// state converts the persisted block back into a ring state. live is the
 // enclosing Stream.Counts — the live epoch's histogram.
-func (w *Window) State(live []uint64) window.State {
+func (w *Window) state(live []uint64) window.State {
 	st := window.State{
 		Epoch:   time.Duration(w.EpochNanos),
 		Retain:  w.Retain,
@@ -327,8 +327,8 @@ func Load(path string) ([]Stream, error) {
 }
 
 // LoadFile reads and verifies a snapshot. Truncated, corrupt, or
-// version-incompatible files return a descriptive error; LoadFile never
-// panics on hostile input.
+// version-incompatible files, and records with invalid stream names, return
+// a descriptive error; LoadFile never panics on hostile input.
 func LoadFile(path string) (*File, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -377,8 +377,11 @@ func LoadFile(path string) (*File, error) {
 	seen := make(map[string]bool, len(file.Streams))
 	for i := range file.Streams {
 		st := &file.Streams[i]
-		if st.Name == "" {
-			return nil, fmt.Errorf("snapshot: %s: stream %d has no name", path, i)
+		// The file is outside input: a name CreateStream or Declare would
+		// refuse must not enter a registry through a restore either.
+		if !ValidStreamName(st.Name) {
+			return nil, fmt.Errorf("snapshot: %s: stream %d has invalid name %q (want 1-64 bytes with no control characters)",
+				path, i, st.Name)
 		}
 		if seen[st.Name] {
 			return nil, fmt.Errorf("snapshot: %s: duplicate stream %q", path, st.Name)

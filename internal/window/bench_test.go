@@ -14,8 +14,8 @@ func BenchmarkRotate(b *testing.B) {
 	for _, buckets := range []int{256, 1024, 4096} {
 		b.Run(fmt.Sprintf("B=%d", buckets), func(b *testing.B) {
 			r := New(buckets, 0, Config{Epoch: time.Minute, Retain: 8}, t0)
-			for i := 0; i < buckets; i++ {
-				r.AddN(i, 3)
+			if err := r.AddCounts(uniform(buckets, 3)); err != nil {
+				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -33,8 +33,8 @@ func BenchmarkMerge(b *testing.B) {
 			b.Run(fmt.Sprintf("B=%d/K=%d", buckets, k), func(b *testing.B) {
 				r := New(buckets, 0, Config{Epoch: time.Minute, Retain: 8}, t0)
 				for e := 0; e < 8; e++ {
-					for i := 0; i < buckets; i++ {
-						r.AddN(i, 2)
+					if err := r.AddCounts(uniform(buckets, 2)); err != nil {
+						b.Fatal(err)
 					}
 					r.Advance(t0.Add(time.Duration(e+1) * time.Minute))
 				}
@@ -50,4 +50,13 @@ func BenchmarkMerge(b *testing.B) {
 			})
 		}
 	}
+}
+
+// uniform is a dense histogram with n reports in each of buckets cells.
+func uniform(buckets int, n uint64) []uint64 {
+	counts := make([]uint64, buckets)
+	for i := range counts {
+		counts[i] = n
+	}
+	return counts
 }

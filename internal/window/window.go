@@ -1,9 +1,10 @@
-// Package window turns the collector's one-shot report streams into a
-// time-series: an epoch Ring rotates the live striped histogram (package
-// aggregate) on a fixed epoch duration, retains the last Retain sealed
-// epochs, and merges any contiguous epoch range back into a single report
-// histogram so the EMS reconstruction can answer "what did the distribution
-// look like over the last hour/day" while old cohorts age out.
+// Package window holds every stream's report histogram. An epoch Ring
+// rotates the live striped histogram (package aggregate) on a fixed epoch
+// duration, retains the last Retain sealed epochs, and merges any contiguous
+// epoch range back into a single report histogram so the EMS reconstruction
+// can answer "what did the distribution look like over the last hour/day"
+// while old cohorts age out. A ring built from the zero Config is a plain
+// cumulative histogram: its one live epoch never seals.
 //
 // # Epoch model
 //
@@ -18,7 +19,7 @@
 //
 // # Concurrency
 //
-// Ingestion (Add/AddBatch/AddN) takes a shared read-lock around the live
+// Ingestion (Add/AddBatch/AddCounts) takes a shared read-lock around the live
 // striped histogram, so concurrent writers still scale across stripes;
 // Advance takes the write-lock for the O(buckets) seal, during which the
 // histogram is quiescent — the sealed counts are exact, no report is ever
@@ -44,19 +45,23 @@ import (
 	"repro/internal/aggregate"
 )
 
-// Config parameterizes a Ring.
+// Config parameterizes a Ring. The zero Config is a plain ring: epoch 0 is
+// live forever, Advance and Rotate seal nothing, and the ring is a
+// cumulative histogram.
 type Config struct {
-	// Epoch is the rotation period. Required, must be positive.
+	// Epoch is the rotation period: positive on a rotating ring, 0 on a
+	// plain one.
 	Epoch time.Duration
 	// Retain is how many sealed epochs are kept (the live epoch is always
-	// additionally available). Defaults to 8.
+	// additionally available). Defaults to 8 on a rotating ring.
 	Retain int
 }
 
 // DefaultRetain is the sealed-epoch retention used when Config.Retain is 0.
 const DefaultRetain = 8
 
-// Validate fills defaults and rejects unusable configurations.
+// Validate fills defaults and rejects unusable configurations of a rotating
+// ring. It rejects the zero Config too, which New takes as a plain ring.
 func (c Config) Validate() (Config, error) {
 	if c.Epoch <= 0 {
 		return c, fmt.Errorf("window: epoch duration must be positive, got %v", c.Epoch)
@@ -96,12 +101,15 @@ type Ring struct {
 	sealed []Epoch   // ascending Index, len ≤ cfg.Retain
 }
 
-// New builds a ring whose live epoch 0 starts at now. Config must already be
-// valid (see Config.Validate); buckets/shards follow aggregate.New.
+// New builds a ring whose live epoch 0 starts at now. Config must be the
+// zero Config (a plain ring) or valid (see Config.Validate); buckets/shards
+// follow aggregate.New.
 func New(buckets, shards int, cfg Config, now time.Time) *Ring {
-	cfg, err := cfg.Validate()
-	if err != nil {
-		panic(err.Error()) // programmer error: callers validate at the API boundary
+	if cfg != (Config{}) {
+		var err error
+		if cfg, err = cfg.Validate(); err != nil {
+			panic(err.Error()) // programmer error: callers validate at the API boundary
+		}
 	}
 	return &Ring{
 		cfg:     cfg,
@@ -125,18 +133,19 @@ func (r *Ring) Add(bucket int) {
 	r.mu.RUnlock()
 }
 
-// AddN records n reports in one bucket of the live epoch (merges, replays).
-func (r *Ring) AddN(bucket int, n uint64) {
-	r.mu.RLock()
-	r.live.AddN(bucket, n)
-	r.mu.RUnlock()
-}
-
 // AddBatch records one report per bucket index in the live epoch.
 func (r *Ring) AddBatch(buckets []int) {
 	r.mu.RLock()
 	r.live.AddBatch(buckets)
 	r.mu.RUnlock()
+}
+
+// AddCounts folds a dense histogram into the live epoch, resolving the
+// ingestion stripe once (snapshot restores).
+func (r *Ring) AddCounts(counts []uint64) error {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.live.AddCounts(counts)
 }
 
 // N returns the total reports across the live epoch and every retained
@@ -207,12 +216,9 @@ func (r *Ring) SealedLen() int {
 // has not elapsed, one per elapsed period otherwise (late periods seal as
 // empty epochs). It returns the number of epochs sealed. Advance with a now
 // before the live epoch's start is a no-op — the clock never runs backward
-// from the ring's point of view.
+// from the ring's point of view — and so is every Advance of a plain ring.
 func (r *Ring) Advance(now time.Time) int {
-	r.mu.RLock()
-	elapsed := now.Sub(r.start)
-	r.mu.RUnlock()
-	if elapsed < r.cfg.Epoch {
+	if !r.RotationDue(now) {
 		return 0
 	}
 	r.mu.Lock()
@@ -220,7 +226,22 @@ func (r *Ring) Advance(now time.Time) int {
 	return r.advanceLocked(now)
 }
 
+// RotationDue reports whether the live epoch has elapsed at now, i.e.
+// whether Advance(now) would seal an epoch. Always false on a plain ring.
+func (r *Ring) RotationDue(now time.Time) bool {
+	if r.cfg.Epoch == 0 {
+		return false
+	}
+	r.mu.RLock()
+	elapsed := now.Sub(r.start)
+	r.mu.RUnlock()
+	return elapsed >= r.cfg.Epoch
+}
+
 func (r *Ring) advanceLocked(now time.Time) int {
+	if r.cfg.Epoch == 0 {
+		return 0 // a plain ring never seals
+	}
 	rotations := int(now.Sub(r.start) / r.cfg.Epoch)
 	if rotations <= 0 {
 		return 0
@@ -274,25 +295,29 @@ var (
 
 // AddEpochCounts merges a dense histogram into one retained epoch by global
 // index — the live epoch, or any retained sealed epoch (a federated edge
-// shipping increments for an epoch the root has already sealed). The whole
-// merge happens under the write lock, so it is atomic with respect to
-// rotation: an increment lands entirely in the epoch it was addressed to.
+// shipping increments for an epoch the root has already sealed). Either way
+// the merge is atomic with respect to rotation, so an increment lands
+// entirely in the epoch it was addressed to: a sealed-epoch merge holds the
+// write lock, and a live-epoch merge holds the shared lock that rotation
+// excludes — so it never stalls ingestion — and resolves the ingestion
+// stripe once for the whole histogram.
 func (r *Ring) AddEpochCounts(idx int, counts []uint64) error {
 	if len(counts) != r.buckets {
 		return fmt.Errorf("window: epoch %d merge has %d buckets, want %d", idx, len(counts), r.buckets)
 	}
+	r.mu.RLock()
+	if idx == r.cur {
+		defer r.mu.RUnlock()
+		return r.live.AddCounts(counts)
+	}
+	r.mu.RUnlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if idx > r.cur {
 		return fmt.Errorf("%w: epoch %d (current is %d)", ErrEpochNotStarted, idx, r.cur)
 	}
-	if idx == r.cur {
-		for b, c := range counts {
-			if c != 0 {
-				r.live.AddN(b, c)
-			}
-		}
-		return nil
+	if idx == r.cur { // a rotation reached idx since the shared-lock check
+		return r.live.AddCounts(counts)
 	}
 	if idx < r.oldestLocked() {
 		return fmt.Errorf("%w: epoch %d (oldest retained is %d)", ErrEpochAgedOut, idx, r.oldestLocked())
@@ -322,7 +347,7 @@ func (r *Ring) AddEpochCounts(idx int, counts []uint64) error {
 // Library users who drive epochs by their own cadence (instead of a wall
 // clock) rotate with this. The read of the schedule and the rotation happen
 // under one lock, so Rotate always seals exactly one epoch even when racing
-// an Advance.
+// an Advance. On a plain ring Rotate seals nothing.
 func (r *Ring) Rotate() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -409,10 +434,11 @@ func (r *Ring) Resolve(sel Selector) (Range, error) {
 
 // Merge sums the report histograms of the inclusive epoch range into a dense
 // float64 histogram (the shape the EM reconstruction consumes) and returns
-// it with its report total. dst is reused when it has the right length. A
-// range that includes the live epoch reads a non-blocking snapshot of it;
-// sealed epochs are frozen, so a fully-sealed range merges identically
-// forever. Ranges outside retention return an error.
+// it with its report total. dst is reused when it has the right length, so
+// a warm Merge allocates nothing. A range that includes the live epoch sums
+// its stripes straight into dst without blocking writers; sealed epochs are
+// frozen, so a fully-sealed range merges identically forever. Ranges
+// outside retention return an error.
 func (r *Ring) Merge(g Range, dst []float64) ([]float64, int, error) {
 	dst = r.clearDst(dst)
 	r.mu.RLock()
@@ -420,8 +446,8 @@ func (r *Ring) Merge(g Range, dst []float64) ([]float64, int, error) {
 	return r.mergeLocked(g, dst)
 }
 
-// MergeAll merges every retained epoch plus the live one — the windowed
-// stream's "current" population.
+// MergeAll merges every retained epoch plus the live one — the stream's
+// current population (everything ingested, on a plain ring).
 func (r *Ring) MergeAll(dst []float64) ([]float64, int) {
 	dst = r.clearDst(dst)
 	r.mu.RLock()
@@ -457,11 +483,7 @@ func (r *Ring) mergeLocked(g Range, dst []float64) ([]float64, int, error) {
 		n += ep.N
 	}
 	if g.Hi == r.cur {
-		live, ln := r.live.Snapshot(nil)
-		for b, c := range live {
-			dst[b] += c
-		}
-		n += ln
+		n += r.live.AddTo(dst)
 	}
 	return dst, n, nil
 }
@@ -555,15 +577,22 @@ func (st State) validate(buckets int) error {
 }
 
 // CanAdopt reports (as an error) why a State could not be adopted by this
-// ring: a malformed state, or a ring that already rotated or sealed history.
-// A clean CanAdopt does not reserve anything — Adopt rechecks under the
-// ring's lock.
+// ring: a malformed state, epoch history offered to a plain ring, or a ring
+// that already rotated or sealed history. A clean CanAdopt does not reserve
+// anything — Adopt rechecks under the ring's lock.
 func (r *Ring) CanAdopt(st State) error {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.canAdoptLocked(st)
+}
+
+func (r *Ring) canAdoptLocked(st State) error {
 	if err := st.validate(r.buckets); err != nil {
 		return err
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	if r.cfg.Epoch == 0 && (st.Current != 0 || len(st.Sealed) != 0) {
+		return fmt.Errorf("window: a plain ring cannot adopt epoch history (current epoch %d)", st.Current)
+	}
 	if r.cur != 0 || len(r.sealed) != 0 {
 		return fmt.Errorf("window: ring already rotated (epoch %d); cannot adopt persisted state", r.cur)
 	}
@@ -577,13 +606,10 @@ func (r *Ring) CanAdopt(st State) error {
 // non-windowed restore uses. The ring's own Epoch/Retain configuration is
 // kept; callers verify it matches the persisted one.
 func (r *Ring) Adopt(st State) error {
-	if err := st.validate(r.buckets); err != nil {
-		return err
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.cur != 0 || len(r.sealed) != 0 {
-		return fmt.Errorf("window: ring already rotated (epoch %d); cannot adopt persisted state", r.cur)
+	if err := r.canAdoptLocked(st); err != nil {
+		return err
 	}
 	r.cur = st.Current
 	r.start = st.Start
@@ -598,22 +624,8 @@ func (r *Ring) Adopt(st State) error {
 	if drop := len(r.sealed) - r.cfg.Retain; drop > 0 {
 		r.sealed = append(r.sealed[:0], r.sealed[drop:]...)
 	}
-	for b, c := range st.Live {
-		r.live.AddN(b, c)
+	if st.Live != nil {
+		return r.live.AddCounts(st.Live) // length checked by validate
 	}
 	return nil
-}
-
-// Restore rebuilds a ring from a persisted State, so a restarted collector
-// resumes mid-epoch with the identical rotation clock and sealed history.
-func Restore(buckets, shards int, st State) (*Ring, error) {
-	cfg, err := Config{Epoch: st.Epoch, Retain: st.Retain}.Validate()
-	if err != nil {
-		return nil, err
-	}
-	r := New(buckets, shards, cfg, st.Start)
-	if err := r.Adopt(st); err != nil {
-		return nil, err
-	}
-	return r, nil
 }

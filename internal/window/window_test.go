@@ -15,6 +15,16 @@ func newRing(t *testing.T, buckets, retain int) *Ring {
 	return New(buckets, 2, Config{Epoch: time.Minute, Retain: retain}, t0)
 }
 
+// addN records n reports in one bucket of the live epoch.
+func addN(t testing.TB, r *Ring, bucket int, n uint64) {
+	t.Helper()
+	counts := make([]uint64, r.Buckets())
+	counts[bucket] = n
+	if err := r.AddCounts(counts); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	if _, err := (Config{}).Validate(); err == nil {
 		t.Error("zero epoch accepted")
@@ -37,7 +47,7 @@ func TestRotationSealsAndRetains(t *testing.T) {
 		t.Fatalf("born in epoch %d at %v", cur, start)
 	}
 	// Epoch 0: 5 reports in bucket 1.
-	r.AddN(1, 5)
+	addN(t, r, 1, 5)
 	if got := r.Advance(t0.Add(30 * time.Second)); got != 0 {
 		t.Fatalf("rotated %d epochs before the period elapsed", got)
 	}
@@ -130,10 +140,10 @@ func TestMergeRanges(t *testing.T) {
 	r := newRing(t, 4, 8)
 	// Epoch e gets e+1 reports in bucket e.
 	for e := 0; e < 3; e++ {
-		r.AddN(e, uint64(e+1))
+		addN(t, r, e, uint64(e+1))
 		r.Advance(t0.Add(time.Duration(e+1) * time.Minute))
 	}
-	r.AddN(3, 10) // live epoch 3
+	addN(t, r, 3, 10) // live epoch 3
 
 	counts, n, err := r.Merge(Range{Lo: 0, Hi: 2}, nil)
 	if err != nil {
@@ -234,14 +244,17 @@ func TestResolve(t *testing.T) {
 func TestStateRestoreRoundTrip(t *testing.T) {
 	r := newRing(t, 8, 4)
 	for e := 0; e < 6; e++ {
-		r.AddN(e%8, uint64(10*(e+1)))
+		addN(t, r, e%8, uint64(10*(e+1)))
 		r.Advance(t0.Add(time.Duration(e+1) * time.Minute))
 	}
-	r.AddN(7, 3) // mid-epoch live reports
+	addN(t, r, 7, 3) // mid-epoch live reports
 
 	st := r.State()
-	r2, err := Restore(8, 2, st)
-	if err != nil {
+	r2 := New(8, 2, r.Config(), t0.Add(time.Hour)) // born on another clock
+	if err := r2.CanAdopt(st); err != nil {
+		t.Fatal(err)
+	}
+	if err := r2.Adopt(st); err != nil {
 		t.Fatal(err)
 	}
 	if c1, s1 := r.Current(); true {
@@ -271,9 +284,9 @@ func TestStateRestoreRoundTrip(t *testing.T) {
 }
 
 func TestRestoreRejectsBadState(t *testing.T) {
-	good := New(4, 1, Config{Epoch: time.Minute, Retain: 2}, t0).State()
+	cfg := Config{Epoch: time.Minute, Retain: 2}
+	good := New(4, 1, cfg, t0).State()
 	cases := map[string]func(State) State{
-		"zero epoch":       func(s State) State { s.Epoch = 0; return s },
 		"negative current": func(s State) State { s.Current = -1; return s },
 		"sealed >= current": func(s State) State {
 			s.Current = 1
@@ -293,8 +306,99 @@ func TestRestoreRejectsBadState(t *testing.T) {
 		"live wrong buckets": func(s State) State { s.Live = []uint64{1, 2}; return s },
 	}
 	for name, mutate := range cases {
-		if _, err := Restore(4, 1, mutate(good)); err == nil {
-			t.Errorf("%s accepted", name)
+		r := New(4, 1, cfg, t0)
+		if err := r.CanAdopt(mutate(good)); err == nil {
+			t.Errorf("%s: CanAdopt accepted", name)
+		}
+		if err := r.Adopt(mutate(good)); err == nil {
+			t.Errorf("%s: Adopt accepted", name)
+		}
+		if r.N() != 0 || r.SealedLen() != 0 {
+			t.Errorf("%s: rejected Adopt changed the ring", name)
+		}
+	}
+	// A ring that already rotated adopts nothing.
+	r := New(4, 1, cfg, t0)
+	r.Rotate()
+	if err := r.Adopt(good); err == nil {
+		t.Error("rotated ring adopted a persisted state")
+	}
+}
+
+// TestPlainRing pins the never-sealing mode a zero Config selects: the one
+// live epoch holds everything, nothing rotates however far the clock runs,
+// and epoch history cannot be adopted into it.
+func TestPlainRing(t *testing.T) {
+	r := New(4, 2, Config{}, t0)
+	r.Add(1)
+	r.AddBatch([]int{0, 1, 3})
+	if err := r.AddCounts([]uint64{2, 0, 0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddEpochCounts(0, []uint64{0, 0, 5, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddEpochCounts(1, []uint64{0, 0, 5, 0}); !errors.Is(err, ErrEpochNotStarted) {
+		t.Errorf("epoch-1 delta on a plain ring: %v, want ErrEpochNotStarted", err)
+	}
+	far := t0.Add(1000 * time.Hour)
+	if r.RotationDue(far) {
+		t.Error("plain ring reports a rotation due")
+	}
+	if got := r.Advance(far); got != 0 {
+		t.Errorf("Advance sealed %d epochs", got)
+	}
+	r.Rotate()
+	if cur, _ := r.Current(); cur != 0 || r.SealedLen() != 0 || r.Oldest() != 0 {
+		t.Errorf("plain ring moved: epoch %d, %d sealed, oldest %d", cur, r.SealedLen(), r.Oldest())
+	}
+	hist, n := r.MergeAll(nil)
+	if n != 12 || r.N() != 12 || r.LiveN() != 12 {
+		t.Fatalf("totals: merge %d, N %d, live %d; want 12", n, r.N(), r.LiveN())
+	}
+	for b, want := range []float64{3, 2, 5, 2} {
+		if hist[b] != want {
+			t.Errorf("bucket %d = %v, want %v", b, hist[b], want)
+		}
+	}
+	if cfg := r.Config(); cfg != (Config{}) {
+		t.Errorf("plain config filled to %+v", cfg)
+	}
+	st := r.State()
+	if st.Epoch != 0 || st.Current != 0 || len(st.Sealed) != 0 || st.LiveN != 12 {
+		t.Errorf("plain state = %+v", st)
+	}
+	windowed := newRing(t, 4, 2)
+	windowed.Add(0)
+	windowed.Rotate()
+	if err := New(4, 1, Config{}, t0).CanAdopt(windowed.State()); err == nil {
+		t.Error("plain ring accepted epoch history")
+	}
+	fresh := New(4, 1, Config{}, t0)
+	if err := fresh.Adopt(st); err != nil || fresh.N() != 12 {
+		t.Errorf("plain adopt: N %d, err %v", fresh.N(), err)
+	}
+}
+
+// TestMergeDoesNotAllocate: a warm Merge and MergeAll sum the live stripes
+// straight into the caller's buffer, so refreshes stay allocation-free.
+func TestMergeDoesNotAllocate(t *testing.T) {
+	for _, cfg := range []Config{{}, {Epoch: time.Minute, Retain: 4}} {
+		r := New(256, 4, cfg, t0)
+		for e := 0; e < 3; e++ {
+			for b := 0; b < 256; b++ {
+				addN(t, r, b, uint64(b+e))
+			}
+			r.Advance(t0.Add(time.Duration(e+1) * time.Minute))
+		}
+		cur, _ := r.Current()
+		g := Range{Lo: r.Oldest(), Hi: cur}
+		dst := make([]float64, 256)
+		if a := testing.AllocsPerRun(50, func() { dst, _, _ = r.Merge(g, dst) }); a != 0 {
+			t.Errorf("epoch %v: warm Merge allocates %v times", cfg.Epoch, a)
+		}
+		if a := testing.AllocsPerRun(50, func() { dst, _ = r.MergeAll(dst) }); a != 0 {
+			t.Errorf("epoch %v: warm MergeAll allocates %v times", cfg.Epoch, a)
 		}
 	}
 }

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/query"
 	"repro/internal/snapshot"
-	"repro/internal/window"
 )
 
 // QueryType selects an analytics query kind. The values match the HTTP
@@ -245,31 +244,10 @@ func (s *Streams) Save(path string) error {
 	records := make([]snapshot.Stream, 0, len(names))
 	for _, name := range names {
 		e := s.m[name]
-		rec := snapshot.Stream{
-			Name:      name,
-			Epsilon:   e.opts.Epsilon,
-			Buckets:   e.opts.Buckets,
-			Mechanism: e.opts.Mechanism,
-			Bandwidth: e.opts.Bandwidth,
-			Shards:    e.opts.Shards,
-		}
-		if e.agg.ring != nil {
-			// Windowed stream: the live epoch's histogram goes in Counts,
-			// the rotation clock and sealed epochs in the window block —
-			// the same version-2 shape the HTTP collector writes.
-			state := e.agg.ring.State()
-			rec.Counts = state.Live
-			if rec.Counts == nil {
-				rec.Counts = make([]uint64, e.agg.ring.Buckets())
-			}
-			rec.Window = snapshot.NewWindow(state)
-		} else {
-			counts, _ := e.agg.counts.Snapshot(nil)
-			rec.Counts = make([]uint64, len(counts))
-			for i, c := range counts {
-				rec.Counts[i] = uint64(c)
-			}
-		}
+		rec := e.record(name)
+		// The same record shape the HTTP collector writes: the live epoch
+		// in Counts, plus the window block for a windowed stream.
+		rec.Capture(e.agg.ring)
 		records = append(records, rec)
 	}
 	s.mu.RUnlock()
@@ -278,7 +256,9 @@ func (s *Streams) Save(path string) error {
 
 // Load restores streams from a snapshot file, creating missing streams with
 // their persisted options (including epoch-rotation state) and merging
-// histograms into streams that already exist (options must match). A
+// histograms into streams that already exist. An existing stream must match
+// the record's mechanism, ε and buckets, and its bandwidth once a declared 0
+// resolves to the optimum — the HTTP collector's restore rule. A
 // windowed record restoring into a declared windowed stream requires
 // matching epoch/retain and a stream that has not rotated yet (and no
 // concurrent Advance/Rotate on that aggregator during the Load — the
@@ -302,34 +282,7 @@ func (s *Streams) Load(path string) error {
 	fresh := make([]bool, len(records))
 	for i, rec := range records {
 		e, ok := s.m[rec.Name]
-		if ok {
-			if e.opts.Epsilon != rec.Epsilon || e.opts.Buckets != rec.Buckets ||
-				e.opts.Bandwidth != rec.Bandwidth {
-				return fmt.Errorf("repro: snapshot stream %q has (ε=%v, buckets=%d, b=%v) but the declared stream differs",
-					rec.Name, rec.Epsilon, rec.Buckets, rec.Bandwidth)
-			}
-			if e.opts.Mechanism != rec.MechanismName() {
-				return fmt.Errorf("repro: snapshot stream %q uses mechanism %q but the declared stream uses %q",
-					rec.Name, rec.MechanismName(), e.opts.Mechanism)
-			}
-			if rec.Window != nil {
-				if e.agg.ring == nil {
-					return fmt.Errorf("repro: snapshot stream %q is windowed but the declared stream is not; declare it with Options.Epoch",
-						rec.Name)
-				}
-				if int64(e.opts.Epoch) != rec.Window.EpochNanos || e.opts.Retain != rec.Window.Retain {
-					return fmt.Errorf("repro: snapshot stream %q rotates every %v retaining %d but the declared stream rotates every %v retaining %d",
-						rec.Name, time.Duration(rec.Window.EpochNanos), rec.Window.Retain,
-						e.opts.Epoch, e.opts.Retain)
-				}
-				if err := e.agg.ring.CanAdopt(streamWindowState(rec)); err != nil {
-					return fmt.Errorf("repro: restore stream %q: %w", rec.Name, err)
-				}
-			}
-		} else {
-			if !snapshot.ValidStreamName(rec.Name) {
-				return fmt.Errorf("repro: restore stream: invalid name %q", rec.Name)
-			}
+		if !ok {
 			opts := Options{
 				Epsilon:   rec.Epsilon,
 				Buckets:   rec.Buckets,
@@ -349,19 +302,11 @@ func (s *Streams) Load(path string) error {
 			if err != nil {
 				return fmt.Errorf("repro: restore stream %q: %w", rec.Name, err)
 			}
-			if rec.Window != nil {
-				// The fresh ring is pristine and unregistered; adopting the
-				// persisted clock and history cannot race anything.
-				if err := agg.ring.Adopt(streamWindowState(rec)); err != nil {
-					return fmt.Errorf("repro: restore stream %q: %w", rec.Name, err)
-				}
-			}
 			e = &streamEntry{agg: agg, opts: opts}
 			fresh[i] = true
 		}
-		if got := e.agg.histBuckets(); got != len(rec.Counts) {
-			return fmt.Errorf("repro: snapshot stream %q has %d histogram buckets, the stream has %d",
-				rec.Name, len(rec.Counts), got)
+		if err := rec.CheckRestore(e.record(rec.Name), e.agg.ring); err != nil {
+			return fmt.Errorf("repro: restore: %w", err)
 		}
 		entries[i] = e
 	}
@@ -371,35 +316,23 @@ func (s *Streams) Load(path string) error {
 		e := entries[i]
 		if fresh[i] {
 			s.m[rec.Name] = e
-			if rec.Window != nil {
-				continue // counts arrived via the phase-1 Adopt
-			}
-		} else if rec.Window != nil {
-			if err := e.agg.ring.Adopt(streamWindowState(rec)); err != nil {
-				return fmt.Errorf("repro: restore stream %q: %w", rec.Name, err)
-			}
-			continue
 		}
-		for bucket, c := range rec.Counts {
-			if e.agg.ring != nil {
-				e.agg.ring.AddN(bucket, c)
-			} else {
-				e.agg.counts.AddN(bucket, c)
-			}
+		if err := rec.Restore(e.agg.ring); err != nil {
+			return fmt.Errorf("repro: restore stream %q: %w", rec.Name, err)
 		}
 	}
 	return nil
 }
 
-// streamWindowState converts a persisted window block into a ring state.
-func streamWindowState(rec snapshot.Stream) window.State {
-	return rec.Window.State(rec.Counts)
-}
-
-// histBuckets is the report-histogram granularity of the aggregator.
-func (a *Aggregator) histBuckets() int {
-	if a.ring != nil {
-		return a.ring.Buckets()
+// record is the stream's declaration as a snapshot record, histogram not
+// yet captured; restores compare records against it.
+func (e *streamEntry) record(name string) snapshot.Stream {
+	return snapshot.Stream{
+		Name:      name,
+		Epsilon:   e.opts.Epsilon,
+		Buckets:   e.opts.Buckets,
+		Mechanism: e.opts.Mechanism,
+		Bandwidth: e.opts.Bandwidth,
+		Shards:    e.opts.Shards,
 	}
-	return a.counts.Buckets()
 }

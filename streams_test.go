@@ -3,9 +3,11 @@ package repro_test
 import (
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro"
+	"repro/internal/snapshot"
 )
 
 // ingestStream runs n client reports of a fixed value-generator through a
@@ -152,6 +154,45 @@ func TestStreamsSaveLoad(t *testing.T) {
 	}
 	if agg3, _ := s3.Get("age"); agg3.N() != 0 {
 		t.Error("rejected load still merged counts")
+	}
+
+	// Bandwidth is compared by its effective value, as the HTTP collector
+	// does: the record's declared 0 (the optimum) loads into a stream that
+	// declared the optimum explicitly.
+	client, err := repro.NewClient(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit := opts
+	explicit.Bandwidth = client.Bandwidth()
+	s4 := repro.NewStreams()
+	agg4, err := s4.Declare("age", explicit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s4.Load(path); err != nil {
+		t.Errorf("load into a stream declaring the optimum bandwidth explicitly: %v", err)
+	}
+	if agg4.N() != 3000 {
+		t.Errorf("explicit-bandwidth stream N = %d after load, want 3000", agg4.N())
+	}
+
+	// A record whose name Declare would refuse is rejected, and nothing
+	// is registered.
+	for _, name := range []string{"bad\nname", strings.Repeat("n", 65)} {
+		bad := filepath.Join(t.TempDir(), "badname.snap")
+		if err := snapshot.Save(bad, []snapshot.Stream{
+			{Name: name, Epsilon: 1, Buckets: 32, Counts: make([]uint64, 32)},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		s6 := repro.NewStreams()
+		if err := s6.Load(bad); err == nil {
+			t.Errorf("restored stream name %q", name)
+		}
+		if got := s6.Names(); len(got) != 0 {
+			t.Errorf("name %q: failed load registered %v", name, got)
+		}
 	}
 }
 
