@@ -62,10 +62,13 @@ type Options struct {
 	// fixed default seed (LDP noise must be random in production; expose
 	// the seed only for experiments and tests).
 	Seed uint64
-	// Workers sets the reconstruction's EM parallelism: 0 or 1 run
-	// serially, n > 1 partitions the E-step matrix products across n
+	// Workers sets the EM parallelism of dense transition channels: 0 or
+	// 1 run serially, n > 1 partitions the E-step matrix products across n
 	// workers, negative uses every CPU. Parallel reconstructions are
-	// bit-identical to serial ones, so this is purely a latency knob.
+	// bit-identical to serial ones, so this is purely a latency knob. The
+	// mechanisms offered here reconstruct through linear-time channels
+	// (sw and sw-discrete through matrixx.Plateau, grr through its
+	// flat+diagonal channel), which always run serially.
 	Workers int
 	// Shards overrides the Aggregator's ingestion stripe count
 	// (0 = one per CPU, rounded up to a power of two).
@@ -106,6 +109,9 @@ func (o Options) validate() (Options, error) {
 	}
 	if o.Buckets < 2 {
 		return o, fmt.Errorf("repro: need at least 2 buckets, got %d", o.Buckets)
+	}
+	if o.Buckets > mechanism.MaxBuckets {
+		return o, fmt.Errorf("repro: at most %d buckets, got %d", mechanism.MaxBuckets, o.Buckets)
 	}
 	if o.Bandwidth < 0 || o.Bandwidth > 2 {
 		return o, fmt.Errorf("repro: bandwidth %v out of range [0, 2]", o.Bandwidth)

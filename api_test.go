@@ -68,6 +68,9 @@ func TestEstimateValidation(t *testing.T) {
 		{"one bucket", func() (*repro.Result, error) {
 			return repro.EstimateDistribution(values, repro.Options{Epsilon: 1, Buckets: 1})
 		}},
+		{"buckets over the cap", func() (*repro.Result, error) {
+			return repro.EstimateDistribution(values, repro.Options{Epsilon: 1, Buckets: 1<<16 + 1})
+		}},
 	}
 	for _, tc := range cases {
 		if _, err := tc.fn(); err == nil {

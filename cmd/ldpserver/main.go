@@ -267,8 +267,8 @@ func parseArgs(args []string) (serverConfig, error) {
 	if !mechanism.Valid(*mech) {
 		return serverConfig{}, fmt.Errorf("-mechanism %q unknown (want one of %v, or auto)", *mech, mechanism.Names())
 	}
-	if *buckets < 2 {
-		return serverConfig{}, fmt.Errorf("-buckets must be at least 2, got %d", *buckets)
+	if *buckets < 2 || *buckets > mechanism.MaxBuckets {
+		return serverConfig{}, fmt.Errorf("-buckets must be in [2, %d], got %d", mechanism.MaxBuckets, *buckets)
 	}
 	if *epoch < 0 {
 		return serverConfig{}, fmt.Errorf("-epoch must not be negative, got %v", *epoch)

@@ -114,6 +114,7 @@ func TestParseArgsErrors(t *testing.T) {
 		"non-positive eps":        {"-eps", "0"},
 		"negative eps":            {"-eps", "-1"},
 		"single bucket":           {"-buckets", "1"},
+		"buckets over the cap":    {"-buckets", "65537"},
 		"negative epoch":          {"-epoch", "-1m"},
 		"retain without epoch":    {"-retain", "5"},
 		"bad snapshot interval":   {"-snapshot-interval", "0s"},

@@ -114,10 +114,15 @@
 // epoch is a striped histogram of atomic counters (one stripe per CPU,
 // Options.Shards overrides), so Ingest and IngestBatch only share the
 // ring's read lock and may be called from any number of goroutines;
-// Estimate works from a non-blocking merge and never stalls writers. Options.Workers additionally partitions the EM
-// reconstruction's matrix products across a reusable worker pool — the
-// parallel estimate is bit-identical to the serial one, so it is purely a
-// latency knob.
+// Estimate works from a non-blocking merge and never stalls writers. The
+// Square Wave channel is stored in its structured form (a floor, one plateau
+// run and a few ramp cells per column), so declaring an sw stream and every
+// EM product cost time linear in the granularity; Options.Buckets is capped
+// at 65536. Those products add in a different order than the dense
+// transition matrix, and estimates agree with a dense reconstruction within
+// a tested bound (1e-12), not bit for bit. Options.Workers partitions the
+// products of dense channels across a reusable worker pool (bit-identical
+// to serial); the linear-time channels run serially.
 //
 // The same substrate backs the HTTP collector (internal/ldphttp, run with
 // cmd/ldpserver), which serves named streams over POST /streams, GET

@@ -171,10 +171,10 @@ type Aggregator struct {
 }
 
 // NewAggregator builds an aggregator from cfg (must match the clients').
-// For channel-based mechanisms the transition matrix is precomputed once
-// and, where its structure allows (the square wave's constant floor plus
-// contiguous band, GRR's flat-plus-diagonal), stored compressed so each EM
-// iteration costs far less than O(d·d̃).
+// For channel-based mechanisms the transition channel is built once, in
+// structured form where the mechanism allows (the square wave's floor,
+// plateau run and ramp cells, GRR's flat-plus-diagonal): building it and
+// each EM product then cost O(d + d̃) instead of O(d·d̃).
 func NewAggregator(cfg Config) *Aggregator {
 	cfg.fillDefaults()
 	mech := mechanism.MustNew(cfg.mechParams())
@@ -430,7 +430,7 @@ func (s swDiscreteEstimator) Estimate(values []float64, d int, eps float64, rng 
 	if !s.smoothing {
 		opts = em.EMOptions(eps)
 	}
-	return em.Reconstruct(mech.TransitionMatrix(), counts, opts).Estimate
+	return em.Reconstruct(mech.Channel(), counts, opts).Estimate
 }
 
 // hierarchyEstimator covers HH, HH-ADMM and HaarHRR.

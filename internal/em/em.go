@@ -53,13 +53,15 @@ type Options struct {
 	// as tracking estimation error against likelihood (the paper's EM
 	// overfitting observation, Section 5.5).
 	OnIteration func(iter int, estimate []float64, ll float64)
-	// Workers partitions the E-step matrix–vector products across the
-	// shared worker pool: 0 or 1 run serially, n > 1 uses n partitions,
-	// negative selects runtime.NumCPU(). Channels whose per-product work
-	// is under the measured fan-out threshold run serially regardless (see
-	// matrixx.Parallelize). Both dense and banded channels accumulate every
-	// output element in the same order under any partition, so parallel
-	// reconstructions are bit-identical to serial ones.
+	// Workers partitions the E-step matrix–vector products of a dense
+	// channel (*matrixx.Matrix) across the shared worker pool: 0 or 1 run
+	// serially, n > 1 uses n partitions, negative selects
+	// runtime.NumCPU(). Dense channels under the measured fan-out
+	// threshold run serially regardless (see matrixx.Parallelize), and a
+	// partitioned product accumulates every output element in the serial
+	// order, so parallel reconstructions are bit-identical to serial ones.
+	// Linear-time channels — the Square Wave's matrixx.Plateau, grr's
+	// flat+diagonal channel — always run serially.
 	Workers int
 }
 
@@ -161,9 +163,9 @@ func (o *Options) fillDefaults() {
 }
 
 // Reconstruct runs EM (or EMS) on the aggregated counts. m is the dt×d
-// transition channel of the reporting mechanism (a dense *matrixx.Matrix or
-// the banded compression of one) and counts the length-dt vector of observed
-// report counts. It panics on dimension mismatches or negative counts. The
+// transition channel of the reporting mechanism (a dense *matrixx.Matrix, a
+// Square Wave *matrixx.Plateau, or any other matrixx.Channel) and counts the
+// length-dt vector of observed report counts. It panics on dimension mismatches or negative counts. The
 // returned estimate is freshly allocated; hot paths that reconstruct
 // repeatedly should hold a Workspace and call its Reconstruct method
 // instead.
@@ -217,10 +219,10 @@ func (w *Workspace) Reconstruct(m matrixx.Channel, counts []float64, opts Option
 	w.scratch = grow(w.scratch, d)
 	denom, ratio, llv, back, scratch := w.denom, w.ratio, w.llv, w.back, w.scratch
 
-	// The concrete channels (and their parallel wrapper) fuse the E-step
-	// into the forward product: one sweep computes denom, ratio and the
-	// per-row log-likelihood terms. Foreign channels run the unfused
-	// two-pass form; both produce identical bits (see matrixx.RatioChannel).
+	// The matrixx channels (and the parallel wrapper) fuse the E-step into
+	// the forward product: one sweep computes denom, ratio and the per-row
+	// log-likelihood terms. Other channels run the unfused two-pass form;
+	// both produce identical bits (see matrixx.RatioChannel).
 	fused, hasFused := m.(matrixx.RatioChannel)
 
 	prevLL := math.Inf(-1)

@@ -11,15 +11,19 @@ import (
 	"repro/internal/sw"
 )
 
+// The Square Wave channel is banded — a floor plus one plateau band per
+// column — and is stored as a matrixx.Plateau; these tests run the
+// reconstruction on it end to end.
+
 func TestReconstructBandedMatchesDense(t *testing.T) {
-	// The banded compression of the SW channel must produce numerically
+	// The plateau form of the SW channel must produce numerically
 	// near-identical reconstructions at a fraction of the cost.
 	w := sw.NewSquare(2)
 	const d = 128
 	dense := w.TransitionMatrix(d, d)
-	banded := matrixx.CompressBanded(dense, 1e-15)
-	if banded.Bandwidth() >= d {
-		t.Fatalf("band covers the whole matrix (%d rows)", banded.Bandwidth())
+	banded := w.Channel(d, d).(*matrixx.Plateau)
+	if banded.MaxEdges() > 4 {
+		t.Fatalf("a column stores %d edge cells", banded.MaxEdges())
 	}
 
 	rng := randx.New(1)
@@ -75,13 +79,12 @@ func TestSmoothWidthEvenPanics(t *testing.T) {
 }
 
 func TestBandedEndToEndAccuracy(t *testing.T) {
-	// Banded pipeline must retain reconstruction quality at ε = 4 (where
-	// the band is narrowest and the speedup largest).
+	// The plateau pipeline must retain reconstruction quality at ε = 4
+	// (where the band is narrow).
 	const d = 256
 	const eps = 4.0
 	w := sw.NewSquare(eps)
-	dense := w.TransitionMatrix(d, d)
-	banded := matrixx.CompressBanded(dense, 1e-15)
+	banded := w.Channel(d, d)
 	rng := randx.New(3)
 	values := make([]float64, 50000)
 	truth := make([]float64, d)
@@ -117,10 +120,10 @@ func BenchmarkReconstructDense1024Eps4(b *testing.B) {
 	}
 }
 
-func BenchmarkReconstructBanded1024Eps4(b *testing.B) {
+func BenchmarkReconstructPlateau1024Eps4(b *testing.B) {
 	w := sw.NewSquare(4)
 	const d = 1024
-	m := matrixx.CompressBanded(w.TransitionMatrix(d, d), 1e-15)
+	m := w.Channel(d, d)
 	rng := randx.New(1)
 	values := make([]float64, 20000)
 	for i := range values {

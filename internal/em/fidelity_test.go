@@ -8,13 +8,18 @@ import (
 	"repro/internal/matrixx"
 	"repro/internal/mechanism"
 	"repro/internal/randx"
+	"repro/internal/sw"
 )
 
 // The fidelity matrix: the optimized reconstruction — blocked kernels, fused
 // E-step, reusable workspaces, parallel partitioning — must reproduce the
-// pre-optimization serial EM loop bit for bit, across every channel shape the
-// mechanisms produce (dense sw, banded sw-discrete, the matrix-free-ish
-// flat+diagonal grr channel) and every benched granularity.
+// pre-optimization serial EM loop over every channel shape the mechanisms
+// produce and every benched granularity. On the dense channel and the
+// flat+diagonal grr channel it must do so bit for bit. The linear-time
+// plateau channels of sw and sw-discrete sum in a different order than the
+// dense transition matrix they replace, so there the reference loop runs on
+// that dense matrix and the contract is a tested bound: the same iteration
+// count and convergence, estimates within 1e-12.
 
 // naiveMulVec is the textbook one-accumulator dense product the original
 // implementation ran.
@@ -150,22 +155,52 @@ func mechChannel(t *testing.T, name string, d int, seed uint64) (matrixx.Channel
 
 func resultsBitEqual(t *testing.T, label string, got, want Result) {
 	t.Helper()
+	resultsClose(t, label, got, want, 0)
+}
+
+// resultsClose checks identical iterations and convergence, and the
+// log-likelihood (relative) and every estimate (absolute) within tol; tol 0
+// demands identical bits.
+func resultsClose(t *testing.T, label string, got, want Result, tol float64) {
+	t.Helper()
 	if got.Iterations != want.Iterations || got.Converged != want.Converged {
 		t.Fatalf("%s: iterations %d/%v vs reference %d/%v",
 			label, got.Iterations, got.Converged, want.Iterations, want.Converged)
 	}
-	if math.Float64bits(got.LogLikelihood) != math.Float64bits(want.LogLikelihood) {
+	near := func(a, b, scale float64) bool {
+		if tol == 0 {
+			return math.Float64bits(a) == math.Float64bits(b)
+		}
+		return math.Abs(a-b) <= tol*scale
+	}
+	if !near(got.LogLikelihood, want.LogLikelihood, math.Abs(want.LogLikelihood)) {
 		t.Fatalf("%s: log-likelihood %v vs reference %v", label, got.LogLikelihood, want.LogLikelihood)
 	}
 	if len(got.Estimate) != len(want.Estimate) {
 		t.Fatalf("%s: estimate length %d vs %d", label, len(got.Estimate), len(want.Estimate))
 	}
 	for i := range want.Estimate {
-		if math.Float64bits(got.Estimate[i]) != math.Float64bits(want.Estimate[i]) {
+		if !near(got.Estimate[i], want.Estimate[i], 1) {
 			t.Fatalf("%s: estimate[%d] = %v vs reference %v (Δ=%g)",
 				label, i, got.Estimate[i], want.Estimate[i], got.Estimate[i]-want.Estimate[i])
 		}
 	}
+}
+
+// fidelityReference returns the channel the reference loop runs on for a
+// mechanism's channel, and the tolerance the optimized run is held to: the
+// dense transition matrix (1e-12) for the sw family, the channel itself
+// (bit for bit) otherwise. The "dense" row runs on the dense sw matrix.
+func fidelityReference(name string, ch matrixx.Channel, denseSW *matrixx.Matrix) (matrixx.Channel, float64) {
+	switch name {
+	case "sw":
+		return denseSW, 1e-12
+	case "sw-discrete":
+		return sw.NewDiscrete(ch.Cols(), 1.0).TransitionMatrix(), 1e-12
+	case "dense":
+		return denseSW, 0
+	}
+	return ch, 0
 }
 
 func TestReconstructFidelityMatrix(t *testing.T) {
@@ -175,27 +210,36 @@ func TestReconstructFidelityMatrix(t *testing.T) {
 	}
 	opts := Options{MaxIters: 8, MinIters: 8, Smoothing: true}
 	opts.fillDefaults()
-	for _, name := range []string{"sw", "sw-discrete", "grr"} {
-		for _, d := range sizes {
-			ch, counts := mechChannel(t, name, d, uint64(d)*31+7)
-			want := referenceReconstruct(ch, counts, opts)
+	for _, d := range sizes {
+		denseSW := sw.NewSquare(1.0).TransitionMatrix(d, d)
+		for _, name := range []string{"sw", "sw-discrete", "grr", "dense"} {
+			mech := name
+			if name == "dense" {
+				mech = "sw"
+			}
+			ch, counts := mechChannel(t, mech, d, uint64(d)*31+7)
+			ref, tol := fidelityReference(name, ch, denseSW)
+			if name == "dense" {
+				ch = ref
+			}
+			want := referenceReconstruct(ref, counts, opts)
 
 			label := name + "/" + itoa(d)
-			resultsBitEqual(t, label+" serial", Reconstruct(ch, counts, opts), want)
+			resultsClose(t, label+" serial", Reconstruct(ch, counts, opts), want, tol)
 
-			// A reused workspace must stay bit-identical when warm, and a
-			// warm start through it must match a warm start without it.
+			// A reused workspace must stay within the contract when warm,
+			// and a warm start through it must match a warm start without.
 			w := new(Workspace)
-			resultsBitEqual(t, label+" workspace cold", w.Reconstruct(ch, counts, opts), want)
-			resultsBitEqual(t, label+" workspace warm", w.Reconstruct(ch, counts, opts), want)
+			resultsClose(t, label+" workspace cold", w.Reconstruct(ch, counts, opts), want, tol)
+			resultsClose(t, label+" workspace warm", w.Reconstruct(ch, counts, opts), want, tol)
 			wopts := opts
 			wopts.Init = want.Estimate
-			wantWarm := referenceReconstruct(ch, counts, wopts)
-			resultsBitEqual(t, label+" workspace warm-start", w.Reconstruct(ch, counts, wopts), wantWarm)
+			wantWarm := referenceReconstruct(ref, counts, wopts)
+			resultsClose(t, label+" workspace warm-start", w.Reconstruct(ch, counts, wopts), wantWarm, tol)
 
 			popts := opts
 			popts.Workers = -1
-			resultsBitEqual(t, label+" parallel", Reconstruct(ch, counts, popts), want)
+			resultsClose(t, label+" parallel", Reconstruct(ch, counts, popts), want, tol)
 		}
 	}
 }
@@ -214,21 +258,30 @@ func itoa(d int) string {
 	return string(buf[i:])
 }
 
-// TestWorkspaceReconstructZeroAlloc pins the tentpole's allocation contract:
-// once a workspace is warm for a channel's shape, a full reconstruction
-// allocates nothing.
+// TestWorkspaceReconstructZeroAlloc pins the allocation contract: once a
+// workspace is warm for a channel's shape, a full reconstruction allocates
+// nothing — on the dense channel and on the sw and sw-discrete plateaus.
 func TestWorkspaceReconstructZeroAlloc(t *testing.T) {
-	m, counts := swChannel(256, 1.0, 41)
-	banded := matrixx.CompressBanded(m, 1e-15)
+	w, counts := swCounts(256, 1.0, 41)
+	disc := sw.NewDiscrete(256, 1.0)
+	dcounts := make([]float64, disc.Dt())
+	for j := range dcounts {
+		dcounts[j] = float64(j % 7)
+	}
 	opts := Options{MaxIters: 5, MinIters: 5, Smoothing: true}
 	for _, tc := range []struct {
-		name string
-		ch   matrixx.Channel
-	}{{"dense", m}, {"banded", banded}} {
-		w := new(Workspace)
-		w.Reconstruct(tc.ch, counts, opts) // warm the buffers
+		name   string
+		ch     matrixx.Channel
+		counts []float64
+	}{
+		{"dense", w.TransitionMatrix(256, 256), counts},
+		{"sw", w.Channel(256, 256), counts},
+		{"sw-discrete", disc.Channel(), dcounts},
+	} {
+		ws := new(Workspace)
+		ws.Reconstruct(tc.ch, tc.counts, opts) // warm the buffers
 		allocs := testing.AllocsPerRun(10, func() {
-			w.Reconstruct(tc.ch, counts, opts)
+			ws.Reconstruct(tc.ch, tc.counts, opts)
 		})
 		if allocs != 0 {
 			t.Errorf("%s: warm Workspace.Reconstruct allocates %v objects/op, want 0", tc.name, allocs)

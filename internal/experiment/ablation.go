@@ -54,7 +54,7 @@ func Ablations(cfg Config) []Row {
 
 	// Smoothing kernel width.
 	w := sw.NewSquare(eps)
-	ch := w.TransitionMatrix(d, d)
+	ch := w.Channel(d, d)
 	for wi, width := range []int{1, 3, 5, 7} {
 		var w1s []float64
 		for rep := 0; rep < cfg.Reps; rep++ {

@@ -577,6 +577,9 @@ func (s *Server) fillStreamDefaults(cfg StreamConfig) (StreamConfig, error) {
 	if cfg.Buckets < 2 {
 		return cfg, fmt.Errorf("ldphttp: stream needs at least 2 buckets, got %d", cfg.Buckets)
 	}
+	if cfg.Buckets > mechanism.MaxBuckets {
+		return cfg, fmt.Errorf("ldphttp: stream allows at most %d buckets, got %d", mechanism.MaxBuckets, cfg.Buckets)
+	}
 	if !mechanism.Valid(cfg.Mechanism) {
 		return cfg, fmt.Errorf("ldphttp: unknown stream mechanism %q (want one of %v, or auto)",
 			cfg.Mechanism, mechanism.Names())

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/mechanism"
 	"repro/internal/randx"
 )
 
@@ -318,6 +319,7 @@ func TestStreamLifecycle(t *testing.T) {
 		{"name": strings.Repeat("x", 65), "epsilon": 1.0},
 		{"name": "x", "epsilon": -1.0},
 		{"name": "x", "epsilon": 1.0, "buckets": 1},
+		{"name": "x", "epsilon": 1.0, "buckets": mechanism.MaxBuckets + 1},
 	} {
 		resp = postJSON(t, ts.URL+"/streams", bad)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/ldptest"
+	"repro/internal/mechanism"
 	"repro/internal/metrics"
 	"repro/internal/randx"
 	"repro/internal/snapshot"
@@ -284,6 +285,24 @@ func TestLoadSnapshotErrors(t *testing.T) {
 			if len(srv.Streams()) != 1 {
 				t.Errorf("name %q: failed restore registered %d streams, want 1", name, len(srv.Streams()))
 			}
+		}
+	})
+
+	t.Run("buckets over the cap", func(t *testing.T) {
+		// A checksummed record may declare any granularity; the restore
+		// must refuse one over mechanism.MaxBuckets before it allocates
+		// the stream's counters, and register nothing.
+		p := filepath.Join(dir, "huge.snap")
+		if err := snapshot.Save(p, []snapshot.Stream{{Name: "huge", Epsilon: 1, Buckets: mechanism.MaxBuckets + 1,
+			Mechanism: mechanism.GRR, Counts: make([]uint64, mechanism.MaxBuckets+1)}}); err != nil {
+			t.Fatal(err)
+		}
+		srv := fresh(t)
+		if err := srv.LoadSnapshot(p); err == nil || !strings.Contains(err.Error(), "at most") {
+			t.Errorf("restore of a record over the bucket cap: %v", err)
+		}
+		if len(srv.Streams()) != 1 {
+			t.Errorf("failed restore registered %d streams, want 1", len(srv.Streams()))
 		}
 	})
 

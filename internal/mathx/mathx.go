@@ -22,15 +22,18 @@ var ErrEmpty = errors.New("mathx: empty input")
 func Sum(xs []float64) float64 {
 	var sum, comp float64
 	for _, x := range xs {
-		t := sum + x
-		if math.Abs(sum) >= math.Abs(x) {
-			comp += (sum - t) + x
-		} else {
-			comp += (x - t) + sum
-		}
-		sum = t
+		sum, comp = AddCompensated(sum, comp, x)
 	}
 	return sum + comp
+}
+
+// AddCompensated adds x to the Neumaier sum (sum, comp), whose value is
+// sum + comp: comp collects the exact rounding error of every addition,
+// taken branch-free by Knuth's TwoSum.
+func AddCompensated(sum, comp, x float64) (float64, float64) {
+	t := sum + x
+	z := t - sum
+	return t, comp + ((sum - (t - z)) + (x - z))
 }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.

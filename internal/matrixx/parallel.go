@@ -8,10 +8,11 @@ import (
 
 // RangeChannel is a Channel whose products can be computed over contiguous
 // output sub-ranges: rows of M·x (plain or fused with the EM ratio/ll
-// epilogue), columns of Mᵀ·x. Both *Matrix and *Banded satisfy it, and both
-// guarantee that a partitioned product accumulates each output element in
-// the same order as the serial one — partitioning changes wall-clock time,
-// never bits.
+// epilogue), columns of Mᵀ·x. *Matrix satisfies it, and guarantees that a
+// partitioned product accumulates each output element in the same order as
+// the serial one — partitioning changes wall-clock time, never bits. A
+// *Plateau does not: its products are linear-time sweeps, far below the
+// fan-out threshold at any size the collector serves.
 type RangeChannel interface {
 	Channel
 	MulVecRows(dst, x []float64, lo, hi int)
@@ -19,27 +20,12 @@ type RangeChannel interface {
 	MulVecRatioRows(ratio, ll, x, counts []float64, lo, hi int)
 }
 
-// MulVecWork estimates the flops of one forward product — the quantity the
-// fan-out decision must be made on. rows·cols for the dense layout.
-func (m *Matrix) MulVecWork() int { return m.rows * m.cols }
-
-// MulVecWork estimates the flops of one forward banded product: the stored
-// excess entries plus the constant-floor pass — NOT rows·cols, which for a
-// narrow band overstates the work by orders of magnitude (the bug behind
-// the historical banded B=1024 parallel regression).
-func (b *Banded) MulVecWork() int { return len(b.tval) + b.rows + b.cols }
-
-// workEstimator is satisfied by channels that can report their per-product
-// flops; channels without an estimate are assumed dense.
-type workEstimator interface{ MulVecWork() int }
-
-// parallelMinWork is the per-product flops floor below which fan-out
-// overhead exceeds the compute being split, measured on the recorded
-// BENCH_em.json baselines: the banded B=1024 channel (≈0.35 Mflops per
-// product) regressed 12% under the old wrapper while dense B=1024
-// (≈1 Mflop) broke even, so the threshold sits between the two. Parallelize
-// returns the channel unwrapped below it — the serial kernel IS the fast
-// path there.
+// parallelMinWork is the per-product flops floor (rows·cols) below which
+// fan-out overhead exceeds the compute being split: measured on the
+// recorded BENCH_em.json baselines, a ≈0.35 Mflop product regressed 12%
+// under the wrapper while dense B=1024 (≈1 Mflop) broke even, so the
+// threshold sits between the two. Parallelize returns the channel unwrapped
+// below it — the serial kernel IS the fast path there.
 const parallelMinWork = 1 << 19
 
 // ParallelChannel wraps a RangeChannel so MulVec (and its fused E-step
@@ -53,11 +39,10 @@ type ParallelChannel struct {
 }
 
 // Parallelize wraps c for parallel products over `workers` partitions.
-// workers == 0 or 1 (or a channel without range kernels) returns c
-// unchanged; workers < 0 selects runtime.NumCPU(). Channels whose
-// per-product work is under the measured fan-out threshold are also
-// returned unchanged — for a banded channel that decision is made on the
-// band's true flops, not the dense rows·cols.
+// workers == 0 or 1 (or a channel without range kernels, such as a
+// *Plateau) returns c unchanged; workers < 0 selects runtime.NumCPU().
+// Dense channels under the measured fan-out threshold are also returned
+// unchanged.
 func Parallelize(c Channel, workers int) Channel {
 	if workers == 0 || workers == 1 {
 		return c
@@ -66,11 +51,7 @@ func Parallelize(c Channel, workers int) Channel {
 	if !ok {
 		return c
 	}
-	work := c.Rows() * c.Cols()
-	if we, ok := c.(workEstimator); ok {
-		work = we.MulVecWork()
-	}
-	if work < parallelMinWork {
+	if c.Rows()*c.Cols() < parallelMinWork {
 		return c
 	}
 	if workers < 0 {
@@ -129,13 +110,11 @@ func (p *ParallelChannel) MulVecRatio(ratio, ll, x, counts []float64) {
 	})
 }
 
-// Compile-time checks: the concrete channels support range partitioning and
+// Compile-time checks: the dense channel supports range partitioning and
 // the wrapper speaks both the plain and the fused product surfaces.
 var (
 	_ RangeChannel = (*Matrix)(nil)
-	_ RangeChannel = (*Banded)(nil)
 	_ Channel      = (*ParallelChannel)(nil)
 	_ RatioChannel = (*Matrix)(nil)
-	_ RatioChannel = (*Banded)(nil)
 	_ RatioChannel = (*ParallelChannel)(nil)
 )

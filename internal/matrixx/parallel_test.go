@@ -7,8 +7,8 @@ import (
 	"repro/internal/randx"
 )
 
-// waveMatrix builds a column-stochastic wave-shaped matrix (constant floor
-// plus a contiguous per-column band) of the kind CompressBanded expects.
+// waveMatrix builds a column-stochastic wave-shaped dense matrix (constant
+// floor plus a contiguous per-column band).
 func waveMatrix(rows, cols, band int) *Matrix {
 	m := New(rows, cols)
 	base := 0.2 / float64(rows)
@@ -84,37 +84,10 @@ func TestRangeKernelsMatchSerialDense(t *testing.T) {
 	}
 }
 
-func TestRangeKernelsMatchSerialBanded(t *testing.T) {
-	rng := randx.New(8)
-	for _, shape := range [][2]int{{64, 64}, {200, 128}, {300, 300}} {
-		rows, cols := shape[0], shape[1]
-		b := CompressBanded(waveMatrix(rows, cols, maxInt(rows/5, 1)), 1e-15)
-		x := randVec(cols, rng)
-		y := randVec(rows, rng)
-
-		want := b.MulVec(make([]float64, rows), x)
-		got := make([]float64, rows)
-		for p := 0; p < 4; p++ {
-			lo, hi := rows*p/4, rows*(p+1)/4
-			b.MulVecRows(got, x, lo, hi)
-		}
-		bitsEqual(t, "banded MulVecRows", got, want)
-
-		wantT := b.MulVecT(make([]float64, cols), y)
-		gotT := make([]float64, cols)
-		for p := 0; p < 4; p++ {
-			lo, hi := cols*p/4, cols*(p+1)/4
-			b.MulVecTCols(gotT, y, lo, hi)
-		}
-		bitsEqual(t, "banded MulVecTCols", gotT, wantT)
-	}
-}
-
 func TestParallelizeBitIdentical(t *testing.T) {
 	rng := randx.New(9)
-	rows, cols := 1024, 1024 // dense and banded work both above parallelMinWork
+	rows, cols := 1024, 1024 // above parallelMinWork
 	dense := waveMatrix(rows, cols, 600)
-	banded := CompressBanded(dense, 1e-15)
 	x := randVec(cols, rng)
 	y := randVec(rows, rng)
 	counts := make([]float64, rows)
@@ -125,8 +98,8 @@ func TestParallelizeBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		serial RatioChannel
-	}{{"dense", dense}, {"banded", banded}} {
-		if tc.serial.(workEstimator).MulVecWork() < parallelMinWork {
+	}{{"dense", dense}} {
+		if rows*cols < parallelMinWork {
 			t.Fatalf("%s: test channel under parallelMinWork; grow it", tc.name)
 		}
 		for _, workers := range []int{2, 3, 8, -1} {
@@ -159,7 +132,7 @@ func TestFusedRatioMatchesUnfused(t *testing.T) {
 	for _, shape := range [][2]int{{64, 64}, {200, 128}, {257, 255}} {
 		rows, cols := shape[0], shape[1]
 		dense := waveMatrix(rows, cols, maxInt(rows/4, 1))
-		banded := CompressBanded(dense, 1e-15)
+		plateau, _ := wavePlateau(rows, cols, 0.2/float64(rows), 0.8/float64(rows/4), rows/8, rng)
 		x := randVec(cols, rng)
 		counts := make([]float64, rows)
 		for j := range counts {
@@ -168,7 +141,7 @@ func TestFusedRatioMatchesUnfused(t *testing.T) {
 		for _, tc := range []struct {
 			name string
 			ch   RatioChannel
-		}{{"dense", dense}, {"banded", banded}} {
+		}{{"dense", dense}, {"plateau", plateau}} {
 			// Reference: the unfused E-step exactly as package em ran it.
 			denom := tc.ch.MulVec(make([]float64, rows), x)
 			wantR, wantL := make([]float64, rows), make([]float64, rows)
@@ -189,10 +162,14 @@ func TestFusedRatioMatchesUnfused(t *testing.T) {
 			bitsEqual(t, tc.name+" fused ll", gotL, wantL)
 
 			// Partitioned fused rows reproduce the one-shot fused pass.
+			rc, ok := tc.ch.(RangeChannel)
+			if !ok {
+				continue
+			}
 			gotR2, gotL2 := make([]float64, rows), make([]float64, rows)
 			for p := 0; p < 5; p++ {
 				lo, hi := rows*p/5, rows*(p+1)/5
-				tc.ch.(RangeChannel).MulVecRatioRows(gotR2, gotL2, x, counts, lo, hi)
+				rc.MulVecRatioRows(gotR2, gotL2, x, counts, lo, hi)
 			}
 			bitsEqual(t, tc.name+" fused ratio rows", gotR2, wantR)
 			bitsEqual(t, tc.name+" fused ll rows", gotL2, wantL)
@@ -216,23 +193,19 @@ func TestParallelizeDegenerate(t *testing.T) {
 }
 
 func TestParallelizeWorkThreshold(t *testing.T) {
-	// A big-but-narrow wave: the dense rows·cols estimate clears the
-	// threshold, the banded nnz-based one does not — so the dense channel
-	// wraps and its banded compression of the SAME matrix does not. This is
-	// the fix for the recorded banded B=1024 parallel regression.
+	// The dense channel wraps above the flops threshold; a plateau of the
+	// same shape has no range kernels — its products are linear sweeps — so
+	// it always comes back unwrapped.
 	rows, cols := 1024, 1024
 	dense := waveMatrix(rows, cols, 16)
-	banded := CompressBanded(dense, 1e-15)
-	if dense.MulVecWork() < parallelMinWork {
-		t.Fatalf("dense work %d unexpectedly under threshold", dense.MulVecWork())
-	}
-	if banded.MulVecWork() >= parallelMinWork {
-		t.Fatalf("banded work %d unexpectedly over threshold", banded.MulVecWork())
+	plateau, _ := wavePlateau(rows, cols, 0.0005, 0.02, 8, randx.New(11))
+	if rows*cols < parallelMinWork {
+		t.Fatalf("dense work %d unexpectedly under threshold", rows*cols)
 	}
 	if _, ok := Parallelize(dense, 4).(*ParallelChannel); !ok {
 		t.Error("dense channel above threshold should wrap")
 	}
-	if Parallelize(banded, 4) != Channel(banded) {
-		t.Error("narrow banded channel should be returned unwrapped")
+	if Parallelize(plateau, 4) != Channel(plateau) {
+		t.Error("plateau channel should be returned unwrapped")
 	}
 }

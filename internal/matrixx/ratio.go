@@ -73,38 +73,3 @@ func (m *Matrix) MulVecRatioRows(ratio, ll, x, counts []float64, lo, hi int) {
 		ratioRow(ratio, ll, counts, i, dotRow(m.Row(i), x))
 	}
 }
-
-// MulVecRatio implements RatioChannel. The full-range pass scatters
-// column-by-column like MulVec — independent stores instead of one long
-// accumulator chain per row — using ratio itself as the denominator
-// scratch, then finishes every row in place. For each output row the
-// contributions still arrive in increasing column order after the constant
-// floor, exactly the order the row-gather in MulVecRatioRows accumulates
-// them, so the two forms are bit-identical.
-func (b *Banded) MulVecRatio(ratio, ll, x, counts []float64) {
-	if len(x) != b.cols || len(ratio) != b.rows || len(ll) != b.rows || len(counts) != b.rows {
-		panic("matrixx: Banded.MulVecRatio dimension mismatch")
-	}
-	b.scatterMulVec(ratio, x)
-	for j := range ratio {
-		ratioRow(ratio, ll, counts, j, ratio[j])
-	}
-}
-
-// MulVecRatioRows computes the [lo, hi) rows of the fused E-step via the
-// row-major excess index (see Banded.MulVecRows for why the order matches
-// the serial scatter), leaving the rest of ratio and ll untouched.
-func (b *Banded) MulVecRatioRows(ratio, ll, x, counts []float64, lo, hi int) {
-	if len(x) != b.cols || len(ratio) != b.rows || len(ll) != b.rows ||
-		len(counts) != b.rows || lo < 0 || hi > b.rows || lo > hi {
-		panic("matrixx: Banded.MulVecRatioRows dimension mismatch")
-	}
-	var sum float64
-	for _, v := range x {
-		sum += v
-	}
-	floor := b.base * sum
-	for j := lo; j < hi; j++ {
-		ratioRow(ratio, ll, counts, j, b.gatherRow(x, j, floor))
-	}
-}

@@ -38,7 +38,7 @@ func drawCases() [][2]float64 {
 }
 
 // column extracts column i of a channel by probing with a unit vector —
-// works for dense, banded, and structured channels alike.
+// works for dense, plateau, and structured channels alike.
 func column(ch matrixx.Channel, i int, e, col []float64) []float64 {
 	for j := range e {
 		e[j] = 0

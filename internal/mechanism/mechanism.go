@@ -149,6 +149,13 @@ type Params struct {
 	ExplicitShape bool    `json:"explicit_shape,omitempty"`
 }
 
+// MaxBuckets caps a declared reconstruction granularity d. Declaring a
+// stream costs time and memory linear in d — its channel, report histogram
+// and per-stripe counters — so the cap bounds what one declaration (an
+// unauthenticated POST, a flag, a snapshot record) can make the collector
+// allocate.
+const MaxBuckets = 1 << 16
+
 // Canonical mechanism names.
 const (
 	SW         = "sw"

@@ -12,9 +12,9 @@ import (
 )
 
 // swMech adapts the continuous Square Wave / General Wave mechanism. Wire
-// reports are single continuous values in [−b, 1+b]; bucketization and the
-// transition channel reproduce the pre-mechanism core.Aggregator bit for
-// bit (same wave, same bucket arithmetic, same banded compression).
+// reports are single continuous values in [−b, 1+b]; bucketization
+// reproduces the pre-mechanism core.Aggregator bit for bit (same wave, same
+// bucket arithmetic), and the channel is sw.Wave.Channel.
 type swMech struct {
 	p    Params // resolved: Bandwidth > 0, PlateauRatio set
 	wave sw.Wave
@@ -82,13 +82,7 @@ func (m *swMech) Bucketize(dst []int, rep Report) ([]int, error) {
 func (m *swMech) Users(counts []float64, increments int) int { return increments }
 
 func (m *swMech) Channel() matrixx.Channel {
-	m.chOnce.Do(func() {
-		var ch matrixx.Channel = m.wave.TransitionMatrix(m.p.Buckets, m.dt)
-		if m.p.PlateauRatio >= 1 {
-			ch = matrixx.CompressBanded(ch.(*matrixx.Matrix), 1e-15)
-		}
-		m.ch = ch
-	})
+	m.chOnce.Do(func() { m.ch = m.wave.Channel(m.p.Buckets, m.dt) })
 	return m.ch
 }
 
@@ -146,11 +140,7 @@ func (m *discreteSW) Bucketize(dst []int, rep Report) ([]int, error) {
 func (m *discreteSW) Users(counts []float64, increments int) int { return increments }
 
 func (m *discreteSW) Channel() matrixx.Channel {
-	m.chOnce.Do(func() {
-		// The discrete SW matrix is a constant floor q plus a contiguous
-		// p-band per column — exactly the shape banded compression handles.
-		m.ch = matrixx.CompressBanded(m.mech.TransitionMatrix(), 1e-15)
-	})
+	m.chOnce.Do(func() { m.ch = m.mech.Channel() })
 	return m.ch
 }
 

@@ -265,6 +265,67 @@ func (w Wave) TransitionMatrix(d, dt int) *matrixx.Matrix {
 	return m
 }
 
+// Channel returns the channel TransitionMatrix(d, dt) describes, built in
+// O(d + dt) for the Square Wave: a matrixx.Plateau whose cells are the
+// floor q·outW, the full plateau (p−q)·outW above it, or one of the few
+// cells a ramp of the band crosses — only those are integrated, with the
+// same overlap integral as TransitionMatrix — and whose columns are
+// normalized by their closed-form sums. When the output cells are at least
+// as wide as the input buckets (dt ≤ d·(1+2b), so always for dt = d) each
+// ramp crosses at most two cells. Other wave shapes (ρ < 1) get the dense
+// quadrature matrix.
+func (w Wave) Channel(d, dt int) matrixx.Channel {
+	if w.rho < 1 {
+		return w.TransitionMatrix(d, dt)
+	}
+	if d < 1 || dt < 1 {
+		panic("sw: Channel needs positive bucket counts")
+	}
+	outW := (1 + 2*w.b) / float64(dt)
+	inW := 1 / float64(d)
+	lower := func(j int) float64 { return w.OutLo() + float64(j)*outW } // as TransitionMatrix
+	// cell returns the first j in [0, dt] with lower(j) ≥ t, or with
+	// lower(j)+outW > t when upper is set: cells are monotone in j, so the
+	// answer is within a step or two of the cell t falls in.
+	cell := func(t float64, upper bool) int {
+		above := func(j int) bool {
+			if upper {
+				return lower(j)+outW > t
+			}
+			return lower(j) >= t
+		}
+		j := mathx.ClampInt(int((t-w.OutLo())/outW), 0, dt)
+		for j > 0 && above(j-1) {
+			j--
+		}
+		for j < dt && !above(j) {
+			j++
+		}
+		return j
+	}
+	ch := matrixx.NewPlateau(dt, d, w.q*outW, (w.p-w.q)*outW)
+	var left, right [2]float64
+	for i := 0; i < d; i++ {
+		vlo := float64(i) * inW
+		vhi := vlo + inW
+		// Cells below lo or from hi on miss the band [v−b, v+b] for every
+		// v in the bucket; cells in [a, c) lie inside it for every v; the
+		// rest meet a ramp and are integrated as in TransitionMatrix.
+		lo, a := cell(vlo-w.b, true), cell(vhi-w.b, false)
+		c, hi := max(a, cell(vlo+w.b, true)), cell(vhi+w.b, false)
+		excess := func(e []float64, from, to int) []float64 {
+			for j := from; j < to; j++ {
+				overlap := mathx.BandRectOverlapIntegral(vlo, vhi, lower(j), lower(j)+outW, w.b) / inW
+				e = append(e, (w.p-w.q)*overlap)
+			}
+			return e
+		}
+		ch.AddColumn(a, c, excess(left[:0], lo, a), excess(right[:0], c, hi))
+	}
+	ch.NormalizeCols()
+	return ch
+}
+
 // Collect runs a full collection round: every value in values (each in
 // [0,1]) is perturbed and the reports are bucketized into dt output buckets,
 // returning the report counts n_j that the EM reconstruction consumes.
@@ -373,6 +434,16 @@ func (s Discrete) TransitionMatrix() *matrixx.Matrix {
 		}
 	}
 	return m
+}
+
+// Channel returns TransitionMatrix as a matrixx.Plateau built in O(d): floor
+// q and plateau excess p−q on the 2b+1 outputs centred on each input.
+func (s Discrete) Channel() *matrixx.Plateau {
+	ch := matrixx.NewPlateau(s.Dt(), s.d, s.q, s.p-s.q)
+	for i := 0; i < s.d; i++ {
+		ch.AddColumn(i, i+2*s.b+1, nil, nil)
+	}
+	return ch
 }
 
 // Collect perturbs every discrete value and returns output counts of length

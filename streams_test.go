@@ -177,6 +177,21 @@ func TestStreamsSaveLoad(t *testing.T) {
 		t.Errorf("explicit-bandwidth stream N = %d after load, want 3000", agg4.N())
 	}
 
+	// A record over the bucket cap is rejected before its aggregator is
+	// built, and nothing is registered.
+	huge := filepath.Join(t.TempDir(), "huge.snap")
+	if err := snapshot.Save(huge, []snapshot.Stream{{Name: "huge", Epsilon: 1, Buckets: 1<<16 + 1,
+		Mechanism: "grr", Counts: make([]uint64, 1<<16+1)}}); err != nil {
+		t.Fatal(err)
+	}
+	s5 := repro.NewStreams()
+	if err := s5.Load(huge); err == nil || !strings.Contains(err.Error(), "at most") {
+		t.Errorf("load of a record over the bucket cap: %v", err)
+	}
+	if got := s5.Names(); len(got) != 0 {
+		t.Errorf("failed load registered %v", got)
+	}
+
 	// A record whose name Declare would refuse is rejected, and nothing
 	// is registered.
 	for _, name := range []string{"bad\nname", strings.Repeat("n", 65)} {
