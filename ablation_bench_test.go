@@ -10,8 +10,10 @@ package repro_test
 //   - population split vs budget split in the hierarchy (Section 4.2)
 //   - EMS smoothing kernel width (the (1,2,1) choice of Section 5.5)
 //   - dense vs plateau EM channel (implementation ablation)
-//   - OLH hash range g (Section 2.1 — optimum at ⌊e^ε⌋+1)
 //   - HH branching factor β (Section 4.2 — optimum near 4–5 in LDP)
+//
+// The OLH hash-range ablation (Section 2.1 — optimum at g = ⌊e^ε⌋+1) lives
+// with the oracle, in internal/mechanism.
 
 import (
 	"testing"
@@ -20,9 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/em"
-	"repro/internal/fo"
 	"repro/internal/hierarchy"
-	"repro/internal/mathx"
 	"repro/internal/matrixx"
 	"repro/internal/metrics"
 	"repro/internal/randx"
@@ -137,38 +137,6 @@ func BenchmarkAblationDenseVsPlateau(b *testing.B) {
 				w1 += metrics.Wasserstein(truth, res.Estimate)
 			}
 			b.ReportMetric(w1/float64(b.N), "W1")
-		})
-	}
-}
-
-// BenchmarkAblationOLHRange sweeps the OLH hash range g around the
-// variance-optimal ⌊e^ε⌋+1 (= 3 at ε = 1).
-func BenchmarkAblationOLHRange(b *testing.B) {
-	rng0 := randx.New(1)
-	const d = 64
-	weights := make([]float64, d)
-	for i := range weights {
-		weights[i] = float64(i + 1)
-	}
-	alias := randx.NewAlias(weights)
-	values := make([]int, ablN)
-	truth := make([]float64, d)
-	for i := range values {
-		v := alias.Draw(rng0)
-		values[i] = v
-		truth[v]++
-	}
-	mathx.Normalize(truth)
-	for _, g := range []int{2, 3, 6, 16} {
-		b.Run(map[int]string{2: "g2", 3: "g3-optimal", 6: "g6", 16: "g16"}[g], func(b *testing.B) {
-			var l2 float64
-			for i := 0; i < b.N; i++ {
-				rng := randx.New(uint64(i + 1))
-				o := fo.NewOLHWithG(d, ablEps, g)
-				est := o.Collect(values, rng)
-				l2 += mathx.L2(truth, est)
-			}
-			b.ReportMetric(l2/float64(b.N), "L2err")
 		})
 	}
 }

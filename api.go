@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/boot"
 	"repro/internal/core"
-	"repro/internal/em"
 	"repro/internal/histogram"
 	"repro/internal/mathx"
 	"repro/internal/mechanism"
@@ -62,14 +61,6 @@ type Options struct {
 	// fixed default seed (LDP noise must be random in production; expose
 	// the seed only for experiments and tests).
 	Seed uint64
-	// Workers sets the EM parallelism of dense transition channels: 0 or
-	// 1 run serially, n > 1 partitions the E-step matrix products across n
-	// workers, negative uses every CPU. Parallel reconstructions are
-	// bit-identical to serial ones, so this is purely a latency knob. The
-	// mechanisms offered here reconstruct through linear-time channels
-	// (sw and sw-discrete through matrixx.Plateau, grr through its
-	// flat+diagonal channel), which always run serially.
-	Workers int
 	// Shards overrides the Aggregator's ingestion stripe count
 	// (0 = one per CPU, rounded up to a power of two).
 	Shards int
@@ -329,7 +320,6 @@ func NewAggregator(opts Options) (*Aggregator, error) {
 		Mechanism: opts.Mechanism,
 		Bandwidth: opts.Bandwidth,
 		Smoothing: true,
-		EM:        em.Options{Workers: opts.Workers},
 	}
 	inner := core.NewAggregator(cfg)
 	ring := window.New(inner.OutputBuckets(), opts.Shards,

@@ -217,7 +217,6 @@ func parseArgs(args []string) (serverConfig, error) {
 		mech           = fs.String("mechanism", "", "default stream reporting mechanism (sw, sw-discrete, grr, oue, sue, olh, hrr, or auto; \"\" = sw)")
 		band           = fs.Float64("bandwidth", 0, "wave half-width override (0 = optimal)")
 		shards         = fs.Int("shards", 0, "ingestion stripe count (0 = one per CPU)")
-		workers        = fs.Int("em-workers", 0, "EM parallelism (0 = all CPUs, 1 = serial)")
 		refreshWorkers = fs.Int("refresh-workers", 0, "concurrent background refresh workers (0 = GOMAXPROCS, negative = 1)")
 		refresh        = fs.Duration("refresh", 500*time.Millisecond, "background re-estimation cadence")
 		epoch          = fs.Duration("epoch", 0, "window the default stream: rotate its histogram every epoch (0 = no windowing)")
@@ -361,7 +360,6 @@ func parseArgs(args []string) (serverConfig, error) {
 			Mechanism:       *mech,
 			Bandwidth:       *band,
 			Shards:          *shards,
-			EMWorkers:       *workers,
 			RefreshWorkers:  *refreshWorkers,
 			RefreshInterval: *refresh,
 			Epoch:           *epoch,

@@ -111,21 +111,22 @@ func TestParseArgs(t *testing.T) {
 
 func TestParseArgsErrors(t *testing.T) {
 	cases := map[string][]string{
-		"non-positive eps":        {"-eps", "0"},
-		"negative eps":            {"-eps", "-1"},
-		"single bucket":           {"-buckets", "1"},
-		"buckets over the cap":    {"-buckets", "65537"},
-		"negative epoch":          {"-epoch", "-1m"},
-		"retain without epoch":    {"-retain", "5"},
-		"bad snapshot interval":   {"-snapshot-interval", "0s"},
-		"bad stream spec":         {"-stream", "age:1"},
-		"duplicate stream names":  {"-stream", "age:1:256", "-stream", "age:1:256"},
-		"stream epsilon invalid":  {"-stream", "age:-2:256"},
-		"stream buckets invalid":  {"-stream", "age:1:0"},
-		"stream retain w/o epoch": {"-stream", "age:1:256:retain=2"},
-		"unknown mechanism":       {"-mechanism", "rappor"},
-		"bad stream mechanism":    {"-stream", "age:1:256:mech=nope"},
-		"removed -pprof flag":     {"-pprof"},
+		"non-positive eps":         {"-eps", "0"},
+		"negative eps":             {"-eps", "-1"},
+		"single bucket":            {"-buckets", "1"},
+		"buckets over the cap":     {"-buckets", "65537"},
+		"negative epoch":           {"-epoch", "-1m"},
+		"retain without epoch":     {"-retain", "5"},
+		"bad snapshot interval":    {"-snapshot-interval", "0s"},
+		"bad stream spec":          {"-stream", "age:1"},
+		"duplicate stream names":   {"-stream", "age:1:256", "-stream", "age:1:256"},
+		"stream epsilon invalid":   {"-stream", "age:-2:256"},
+		"stream buckets invalid":   {"-stream", "age:1:0"},
+		"stream retain w/o epoch":  {"-stream", "age:1:256:retain=2"},
+		"unknown mechanism":        {"-mechanism", "rappor"},
+		"bad stream mechanism":     {"-stream", "age:1:256:mech=nope"},
+		"removed -pprof flag":      {"-pprof"},
+		"removed -em-workers flag": {"-em-workers", "4"},
 	}
 	for name, args := range cases {
 		if _, err := parseArgs(args); err == nil {

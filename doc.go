@@ -120,9 +120,7 @@
 // EM product cost time linear in the granularity; Options.Buckets is capped
 // at 65536. Those products add in a different order than the dense
 // transition matrix, and estimates agree with a dense reconstruction within
-// a tested bound (1e-12), not bit for bit. Options.Workers partitions the
-// products of dense channels across a reusable worker pool (bit-identical
-// to serial); the linear-time channels run serially.
+// a tested bound (1e-12), not bit for bit.
 //
 // The same substrate backs the HTTP collector (internal/ldphttp, run with
 // cmd/ldpserver), which serves named streams over POST /streams, GET

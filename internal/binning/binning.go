@@ -13,8 +13,8 @@ package binning
 import (
 	"fmt"
 
-	"repro/internal/fo"
 	"repro/internal/histogram"
+	"repro/internal/mechanism"
 	"repro/internal/postprocess"
 	"repro/internal/randx"
 )
@@ -23,16 +23,18 @@ import (
 type Method struct {
 	c      int
 	eps    float64
-	oracle fo.Oracle
+	oracle mechanism.Mechanism
 }
 
 // New returns the method with c bins. The frequency oracle is chosen
-// adaptively (fo.Best).
+// adaptively (mechanism.Auto).
 func New(c int, eps float64) *Method {
 	if c < 2 {
 		panic(fmt.Sprintf("binning: need at least 2 bins, got %d", c))
 	}
-	return &Method{c: c, eps: eps, oracle: fo.Best(c, eps)}
+	return &Method{c: c, eps: eps, oracle: mechanism.MustNew(mechanism.Params{
+		Name: mechanism.AutoName, Epsilon: eps, Buckets: c,
+	})}
 }
 
 // Bins returns the number of bins c.
@@ -41,7 +43,8 @@ func (m *Method) Bins() int { return m.c }
 // Epsilon returns the privacy budget.
 func (m *Method) Epsilon() float64 { return m.eps }
 
-// OracleName reports which CFO the method selected ("GRR" or "OLH").
+// OracleName reports the wire name of the CFO the method selected ("grr"
+// or "olh").
 func (m *Method) OracleName() string { return m.oracle.Name() }
 
 // Collect runs a full round over private values in [0,1] and returns an
@@ -55,7 +58,7 @@ func (m *Method) Collect(values []float64, d int, rng *randx.Rand) []float64 {
 	for i, v := range values {
 		bins[i] = histogram.BucketOf(v, m.c)
 	}
-	est := m.oracle.Collect(bins, rng)
+	est := mechanism.Collect(m.oracle, bins, rng)
 	dist := postprocess.NormSub(est)
 	return histogram.Upsample(dist, d/m.c)
 }

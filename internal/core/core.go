@@ -9,12 +9,12 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/admm"
 	"repro/internal/binning"
 	"repro/internal/em"
 	"repro/internal/hierarchy"
+	"repro/internal/histogram"
 	"repro/internal/mathx"
 	"repro/internal/matrixx"
 	"repro/internal/mechanism"
@@ -24,24 +24,26 @@ import (
 )
 
 // Config parameterizes a collection round. The zero Mechanism is the
-// continuous Square Wave, for which the SW-specific fields (OutputBuckets,
-// Bandwidth, PlateauRatio, ExplicitShape) keep their historical meaning.
+// continuous Square Wave. The wave fields (OutputBuckets, Bandwidth,
+// PlateauRatio, ExplicitShape) are handed to package mechanism, which
+// resolves their defaults and drops them for mechanisms they do not apply
+// to; read the effective values back through Mechanism().Params().
 type Config struct {
 	// Epsilon is the LDP privacy budget. Required.
 	Epsilon float64
 	// Buckets is the reconstruction granularity d. Defaults to 1024.
 	Buckets int
 	// OutputBuckets is the report-histogram granularity d̃ of the sw
-	// mechanism. Defaults to Buckets (the paper sets d̃ = d); other
-	// mechanisms derive their output granularity.
+	// mechanism. 0 means d̃ = d (the paper's choice); other mechanisms
+	// derive their output granularity.
 	OutputBuckets int
 	// Bandwidth overrides the wave half-width b for the sw family (a
 	// domain fraction; sw-discrete uses ⌊b·d⌋ buckets); 0 means the
 	// mutual-information optimum sw.BOpt(Epsilon).
 	Bandwidth float64
-	// PlateauRatio is the general-wave plateau ratio ρ; SW is ρ = 1
-	// (the default when 0 is interpreted only through ExplicitShape).
-	// Leave ExplicitShape false for the Square Wave.
+	// PlateauRatio is the general-wave plateau ratio ρ of the sw
+	// mechanism, used only with ExplicitShape; without it the wave is the
+	// Square Wave, ρ = 1.
 	PlateauRatio float64
 	// ExplicitShape makes PlateauRatio meaningful (so a triangle wave,
 	// ρ = 0, can be requested).
@@ -63,74 +65,46 @@ func NewConfig(eps float64) Config {
 	return Config{Epsilon: eps, Smoothing: true}
 }
 
-func (c *Config) fillDefaults() {
-	if c.Epsilon <= 0 || math.IsNaN(c.Epsilon) || math.IsInf(c.Epsilon, 0) {
-		panic(fmt.Sprintf("core: epsilon %v must be positive and finite", c.Epsilon))
-	}
+// newMechanism fills the Config's own defaults (granularity, EM options)
+// and builds its mechanism, which resolves and validates the rest. It
+// panics on an invalid configuration.
+func (c *Config) newMechanism() mechanism.Mechanism {
 	if c.Buckets <= 0 {
 		c.Buckets = 1024
 	}
-	name, err := mechanism.Resolve(c.Mechanism, c.Epsilon, c.Buckets)
+	m, err := mechanism.New(mechanism.Params{
+		Name:          c.Mechanism,
+		Epsilon:       c.Epsilon,
+		Buckets:       c.Buckets,
+		OutputBuckets: c.OutputBuckets,
+		Bandwidth:     c.Bandwidth,
+		PlateauRatio:  c.PlateauRatio,
+		ExplicitShape: c.ExplicitShape,
+	})
 	if err != nil {
 		panic(fmt.Sprintf("core: %v", err))
 	}
-	c.Mechanism = name
-	if name == mechanism.SW {
-		// SW-family defaults, resolved here so the Config fingerprint
-		// (merge.go) and accessors carry the effective values.
-		if c.OutputBuckets <= 0 {
-			c.OutputBuckets = c.Buckets
-		}
-		if c.Bandwidth == 0 {
-			c.Bandwidth = sw.BOpt(c.Epsilon)
-		}
-		if !c.ExplicitShape {
-			c.PlateauRatio = 1
-		}
-	}
 	if c.EM.Tau == 0 {
-		workers := c.EM.Workers
 		if c.Smoothing {
 			c.EM = em.EMSOptions()
 		} else {
 			c.EM = em.EMOptions(c.Epsilon)
 		}
-		c.EM.Workers = workers
 	} else {
 		c.EM.Smoothing = c.Smoothing
 	}
-}
-
-// mechParams maps the (default-filled) Config onto the mechanism codec.
-func (c Config) mechParams() mechanism.Params {
-	p := mechanism.Params{
-		Name:    c.Mechanism,
-		Epsilon: c.Epsilon,
-		Buckets: c.Buckets,
-	}
-	switch c.Mechanism {
-	case mechanism.SW:
-		p.OutputBuckets = c.OutputBuckets
-		p.Bandwidth = c.Bandwidth
-		p.PlateauRatio = c.PlateauRatio
-		p.ExplicitShape = c.ExplicitShape
-	case mechanism.SWDiscrete:
-		p.Bandwidth = c.Bandwidth
-	}
-	return p
+	return m
 }
 
 // Client is the user-side half of the pipeline: it holds no state beyond
-// the mechanism parameters and maps one private value to one report.
+// the mechanism and maps one private value to one report.
 type Client struct {
-	cfg  Config
 	mech mechanism.Mechanism
 }
 
 // NewClient builds a client from cfg.
 func NewClient(cfg Config) *Client {
-	cfg.fillDefaults()
-	return &Client{cfg: cfg, mech: mechanism.MustNew(cfg.mechParams())}
+	return &Client{mech: cfg.newMechanism()}
 }
 
 // Report randomizes one private value v ∈ [0,1] into a scalar report (for
@@ -153,10 +127,11 @@ func (c *Client) Perturb(v float64, rng *randx.Rand) mechanism.Report {
 }
 
 // Epsilon returns the client's privacy budget.
-func (c *Client) Epsilon() float64 { return c.cfg.Epsilon }
+func (c *Client) Epsilon() float64 { return c.mech.Epsilon() }
 
-// Bandwidth returns the wave half-width in use (0 for non-SW mechanisms).
-func (c *Client) Bandwidth() float64 { return c.cfg.Bandwidth }
+// Bandwidth returns the wave half-width the mechanism uses, as a domain
+// fraction (0 for mechanisms outside the sw family).
+func (c *Client) Bandwidth() float64 { return c.mech.Params().Bandwidth }
 
 // Mechanism returns the client's reporting mechanism.
 func (c *Client) Mechanism() mechanism.Mechanism { return c.mech }
@@ -164,7 +139,7 @@ func (c *Client) Mechanism() mechanism.Mechanism { return c.mech }
 // Aggregator is the collector-side half: it buckets incoming reports into
 // the report histogram and reconstructs the input distribution on demand.
 type Aggregator struct {
-	cfg    Config
+	em     em.Options
 	mech   mechanism.Mechanism
 	counts []float64
 	n      int
@@ -176,11 +151,10 @@ type Aggregator struct {
 // plateau run and ramp cells, GRR's flat-plus-diagonal): building it and
 // each EM product then cost O(d + d̃) instead of O(d·d̃).
 func NewAggregator(cfg Config) *Aggregator {
-	cfg.fillDefaults()
-	mech := mechanism.MustNew(cfg.mechParams())
+	mech := cfg.newMechanism()
 	mech.Channel() // build (and cache) the channel eagerly, as before
 	return &Aggregator{
-		cfg:    cfg,
+		em:     cfg.EM,
 		mech:   mech,
 		counts: make([]float64, mech.OutputBuckets()),
 	}
@@ -255,24 +229,6 @@ func (a *Aggregator) Counts() []float64 {
 	return append([]float64(nil), a.counts...)
 }
 
-// Decay multiplies the accumulated report histogram by factor ∈ (0, 1],
-// implementing an exponentially-weighted sliding window for long-running
-// collections: calling Decay(γ) once per epoch makes a report from k epochs
-// ago weigh γ^k. The reconstruction is unaffected in expectation because the
-// channel is linear and EM normalizes the counts. Decay(1) is a no-op.
-func (a *Aggregator) Decay(factor float64) {
-	if factor <= 0 || factor > 1 {
-		panic(fmt.Sprintf("core: decay factor %v outside (0, 1]", factor))
-	}
-	if factor == 1 {
-		return
-	}
-	for j := range a.counts {
-		a.counts[j] *= factor
-	}
-	a.n = int(float64(a.n)*factor + 0.5)
-}
-
 // Estimate reconstructs the input distribution from the reports ingested so
 // far (EM/EMS for channel mechanisms, direct debiased estimation for
 // oracles).
@@ -305,7 +261,7 @@ func (a *Aggregator) EstimateInto(w *em.Workspace, counts, init []float64) em.Re
 		w = new(em.Workspace)
 	}
 	if ch := a.mech.Channel(); ch != nil {
-		opts := a.cfg.EM
+		opts := a.em
 		if init != nil {
 			opts.Init = init
 		}
@@ -418,19 +374,22 @@ func (s swDiscreteEstimator) ValidDistribution() bool { return true }
 
 func (s swDiscreteEstimator) Estimate(values []float64, d int, eps float64, rng *randx.Rand) []float64 {
 	mech := sw.NewDiscrete(d, eps)
-	disc := make([]int, len(values))
-	for i, v := range values {
-		disc[i] = int(mathx.Clamp(v, 0, 1) * float64(d))
-		if disc[i] >= d {
-			disc[i] = d - 1
-		}
-	}
-	counts := mech.Collect(disc, rng)
+	counts := mech.Collect(discretize(values, d), rng)
 	opts := em.EMSOptions()
 	if !s.smoothing {
 		opts = em.EMOptions(eps)
 	}
 	return em.Reconstruct(mech.Channel(), counts, opts).Estimate
+}
+
+// discretize maps values ∈ [0,1] (clamped) to their buckets in a d-bucket
+// grid.
+func discretize(values []float64, d int) []int {
+	disc := make([]int, len(values))
+	for i, v := range values {
+		disc[i] = histogram.BucketOf(v, d)
+	}
+	return disc
 }
 
 // hierarchyEstimator covers HH, HH-ADMM and HaarHRR.
@@ -462,14 +421,7 @@ func (h hierarchyEstimator) Name() string            { return h.name }
 func (h hierarchyEstimator) ValidDistribution() bool { return h.mode == "admm" }
 
 func (h hierarchyEstimator) Estimate(values []float64, d int, eps float64, rng *randx.Rand) []float64 {
-	disc := make([]int, len(values))
-	for i, v := range values {
-		j := int(mathx.Clamp(v, 0, 1) * float64(d))
-		if j >= d {
-			j = d - 1
-		}
-		disc[i] = j
-	}
+	disc := discretize(values, d)
 	switch h.mode {
 	case "haar":
 		return hierarchy.NewHaarHRR(d, eps).Collect(disc, rng).Leaves()

@@ -12,18 +12,18 @@ import (
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := NewConfig(1)
-	cfg.fillDefaults()
-	if cfg.Buckets != 1024 || cfg.OutputBuckets != 1024 {
-		t.Errorf("defaults: d=%d, dt=%d", cfg.Buckets, cfg.OutputBuckets)
+	p := NewAggregator(cfg).Mechanism().Params()
+	if p.Buckets != 1024 || p.OutputBuckets != 1024 {
+		t.Errorf("defaults: d=%d, dt=%d", p.Buckets, p.OutputBuckets)
 	}
 	if !cfg.Smoothing {
 		t.Error("NewConfig should enable smoothing")
 	}
-	if math.Abs(cfg.Bandwidth-0.256) > 0.002 {
-		t.Errorf("default bandwidth = %v, want BOpt(1) ≈ 0.256", cfg.Bandwidth)
+	if math.Abs(p.Bandwidth-0.256) > 0.002 {
+		t.Errorf("default bandwidth = %v, want BOpt(1) ≈ 0.256", p.Bandwidth)
 	}
-	if cfg.PlateauRatio != 1 {
-		t.Errorf("default plateau ratio = %v, want 1 (square)", cfg.PlateauRatio)
+	if p.PlateauRatio != 1 {
+		t.Errorf("default plateau ratio = %v, want 1 (square)", p.PlateauRatio)
 	}
 }
 
@@ -155,11 +155,13 @@ func TestAllEstimatorsProduceSaneOutput(t *testing.T) {
 }
 
 func TestSWEMSBeatsBinningOnSmoothData(t *testing.T) {
-	// The paper's central claim, in miniature, averaged over seeds.
+	// The paper's central claim, in miniature, averaged over seeds. At
+	// this budget one binning run's W1 ranges over 0.005–0.025, so the
+	// average needs ten runs to compare expectations rather than draws.
 	const d = 256
 	const eps = 1.0
 	var swW1, binW1 float64
-	const runs = 3
+	const runs = 10
 	for run := 0; run < runs; run++ {
 		ds := dataset.Beta52(30000, uint64(10+run))
 		truth := ds.TrueDistributionAt(d)
@@ -204,66 +206,5 @@ func BenchmarkRunSWEMS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Run(cfg, ds.Values, rng)
-	}
-}
-
-func TestAggregatorDecay(t *testing.T) {
-	cfg := NewConfig(1)
-	cfg.Buckets = 32
-	agg := NewAggregator(cfg)
-	client := NewClient(cfg)
-	rng := randx.New(20)
-	for i := 0; i < 1000; i++ {
-		agg.Ingest(client.Report(0.5, rng))
-	}
-	before := mathx.Sum(agg.Counts())
-	agg.Decay(0.5)
-	after := mathx.Sum(agg.Counts())
-	if !mathx.AlmostEqual(after, before/2, 1e-9) {
-		t.Errorf("decayed mass = %v, want %v", after, before/2)
-	}
-	if agg.N() != 500 {
-		t.Errorf("decayed N = %d, want 500", agg.N())
-	}
-	agg.Decay(1) // no-op
-	if got := mathx.Sum(agg.Counts()); !mathx.AlmostEqual(got, after, 1e-12) {
-		t.Error("Decay(1) changed the histogram")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Decay(0) should panic")
-		}
-	}()
-	agg.Decay(0)
-}
-
-func TestDecaySlidingWindowTracksShift(t *testing.T) {
-	// A distribution shift with decay applied between epochs: the old
-	// regime's reports fade and the estimate tracks the new regime.
-	cfg := NewConfig(2)
-	cfg.Buckets = 64
-	agg := NewAggregator(cfg)
-	client := NewClient(cfg)
-	rng := randx.New(21)
-
-	// Epoch 1: mass near 0.2.
-	for i := 0; i < 30000; i++ {
-		agg.Ingest(client.Report(mathx.Clamp(rng.Normal(0.2, 0.05), 0, 1), rng))
-	}
-	// Several decayed epochs of the new regime near 0.8.
-	for epoch := 0; epoch < 6; epoch++ {
-		agg.Decay(0.3)
-		for i := 0; i < 30000; i++ {
-			agg.Ingest(client.Report(mathx.Clamp(rng.Normal(0.8, 0.05), 0, 1), rng))
-		}
-	}
-	est := agg.Estimate().Estimate
-	// The estimate's mean should sit near the new regime.
-	var mean float64
-	for i, p := range est {
-		mean += p * (float64(i) + 0.5) / 64
-	}
-	if mean < 0.7 {
-		t.Errorf("post-shift mean = %v, want > 0.7", mean)
 	}
 }

@@ -7,9 +7,10 @@
 // between consecutive sealed-epoch estimates) run through a hysteresis-based
 // alert state machine.
 //
-// The paper's variance analysis (Section 4) gives closed forms for every
-// categorical frequency oracle; the EM log-likelihood is the standard
-// quality signal for latent-structure estimation. Together they answer the
+// The paper's variance analysis gives closed forms for every categorical
+// frequency oracle (mechanism.Variance, which this package evaluates at the
+// stream's user count); the EM log-likelihood is the standard quality
+// signal for latent-structure estimation. Together they answer the
 // question metrics and traces cannot: is the published histogram any good,
 // and is the population it describes still the one being sampled?
 //
@@ -25,19 +26,8 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/mechanism"
 	"repro/internal/metrics"
-)
-
-// Mechanism names mirrored from package mechanism, so variance dispatch does
-// not drag the full mechanism layer into this package.
-const (
-	mechSW         = "sw"
-	mechSWDiscrete = "sw-discrete"
-	mechGRR        = "grr"
-	mechOLH        = "olh"
-	mechOUE        = "oue"
-	mechSUE        = "sue"
-	mechHRR        = "hrr"
 )
 
 // CILevel is the confidence level of every half-width this package reports.
@@ -45,40 +35,6 @@ const CILevel = 0.95
 
 // z95 is the standard normal quantile for a two-sided 95% interval.
 const z95 = 1.959963984540054
-
-// Variance returns the analytic per-frequency estimator variance of a
-// mechanism at privacy budget eps, domain size d and user count n — the
-// paper's closed forms, matching the Oracle.Variance implementations in
-// package fo. The sw family has no closed form (its estimator is the EM
-// fixed point); it reports the variance of the better categorical oracle at
-// the same (ε, d) — the Section 4.1 selection rule — as a proxy, flagged
-// approximate. Non-positive n or eps yield (0, false) semantics aside: the
-// caller gets +Inf variance, which correctly renders an unusable interval.
-func Variance(mech string, eps float64, d, n int) (v float64, approximate bool) {
-	if n <= 0 || eps <= 0 || d < 2 {
-		return math.Inf(1), mech == mechSW || mech == mechSWDiscrete
-	}
-	ee := math.Exp(eps)
-	fn := float64(n)
-	switch mech {
-	case mechGRR:
-		return (float64(d) - 2 + ee) / ((ee - 1) * (ee - 1) * fn), false
-	case mechOLH, mechOUE:
-		return 4 * ee / ((ee - 1) * (ee - 1) * fn), false
-	case mechSUE:
-		half := math.Exp(eps / 2)
-		return half / ((half - 1) * (half - 1) * fn), false
-	case mechHRR:
-		r := (ee + 1) / (ee - 1)
-		return r * r / fn, false
-	case mechSW, mechSWDiscrete:
-		grr := (float64(d) - 2 + ee) / ((ee - 1) * (ee - 1) * fn)
-		olh := 4 * ee / ((ee - 1) * (ee - 1) * fn)
-		return math.Min(grr, olh), true
-	default:
-		return math.Inf(1), false
-	}
-}
 
 // HalfWidth converts a per-frequency variance into the half-width of a
 // two-sided 95% confidence interval on one frequency estimate.
@@ -359,7 +315,7 @@ func (t *Tracker) Snapshot(users int) Record {
 	if users <= 0 {
 		users = t.users
 	}
-	v, approx := Variance(t.cfg.Mechanism, t.cfg.Epsilon, t.cfg.Buckets, users)
+	v, approx := mechanism.Variance(t.cfg.Mechanism, t.cfg.Epsilon, t.cfg.Buckets, users)
 	rec := Record{
 		Refreshes:   t.refreshes,
 		EMBased:     t.cfg.EMBased,

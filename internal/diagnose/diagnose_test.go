@@ -236,45 +236,7 @@ func TestHitMaxItersFlag(t *testing.T) {
 	}
 }
 
-func TestVarianceFormulas(t *testing.T) {
-	const eps, d, n = 1.0, 32, 1000
-	ee := math.Exp(eps)
-	cases := []struct {
-		mech   string
-		want   float64
-		approx bool
-	}{
-		{"grr", (float64(d) - 2 + ee) / ((ee - 1) * (ee - 1) * n), false},
-		{"olh", 4 * ee / ((ee - 1) * (ee - 1) * n), false},
-		{"oue", 4 * ee / ((ee - 1) * (ee - 1) * n), false},
-		{"hrr", (ee + 1) * (ee + 1) / ((ee - 1) * (ee - 1) * n), false},
-		{"sue", math.Exp(eps/2) / ((math.Exp(eps/2) - 1) * (math.Exp(eps/2) - 1) * n), false},
-	}
-	for _, c := range cases {
-		got, approx := Variance(c.mech, eps, d, n)
-		if math.Abs(got-c.want) > 1e-15 || approx != c.approx {
-			t.Errorf("Variance(%s) = (%v, %v), want (%v, %v)", c.mech, got, approx, c.want, c.approx)
-		}
-	}
-	// sw proxies the better categorical oracle: at ε=1, d=32, GRR's
-	// d−2+e > 4e so OLH wins.
-	swv, approx := Variance("sw", eps, d, n)
-	olh, _ := Variance("olh", eps, d, n)
-	if swv != olh || !approx {
-		t.Errorf("Variance(sw) = (%v, %v), want OLH proxy (%v, true)", swv, approx, olh)
-	}
-	// Small domains flip the rule to GRR.
-	swv, _ = Variance("sw", 2, 4, n)
-	grr, _ := Variance("grr", 2, 4, n)
-	if swv != grr {
-		t.Errorf("Variance(sw) small domain = %v, want GRR proxy %v", swv, grr)
-	}
-	if v, _ := Variance("grr", eps, d, 0); !math.IsInf(v, 1) {
-		t.Errorf("Variance at n=0 = %v, want +Inf", v)
-	}
-	if v, _ := Variance("nonsense", eps, d, n); !math.IsInf(v, 1) {
-		t.Errorf("Variance of unknown mechanism = %v, want +Inf", v)
-	}
+func TestHalfWidth(t *testing.T) {
 	if hw := HalfWidth(-1); hw != 0 {
 		t.Errorf("HalfWidth(-1) = %v, want 0", hw)
 	}

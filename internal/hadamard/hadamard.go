@@ -1,8 +1,9 @@
 // Package hadamard provides Walsh–Hadamard matrices and the fast
 // Walsh–Hadamard transform (FWHT). The Hadamard randomized response oracle
-// (package fo) and the HaarHRR hierarchy baseline use the rows of the
-// Hadamard matrix as a public family of ±1-valued hash functions, and the
-// aggregator inverts reports with the FWHT.
+// (package mechanism's hrr, which the HaarHRR hierarchy baseline collects
+// through) uses the rows of the Hadamard matrix as a public family of
+// ±1-valued hash functions, and the aggregator inverts reports with the
+// FWHT.
 //
 // The matrix convention is the standard Sylvester construction in natural
 // ordering: H[j][v] = (−1)^popcount(j AND v), so H is symmetric and

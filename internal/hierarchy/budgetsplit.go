@@ -3,7 +3,7 @@ package hierarchy
 import (
 	"fmt"
 
-	"repro/internal/fo"
+	"repro/internal/mechanism"
 	"repro/internal/randx"
 )
 
@@ -36,8 +36,7 @@ func (h *HH) CollectBudgetSplit(values []int, rng *randx.Rand) *Estimate {
 			}
 			reports[i] = t.Ancestor(v, l)
 		}
-		oracle := fo.Best(size, perLevelEps)
-		levels[l] = oracle.Collect(reports, rng)
+		levels[l] = mechanism.Collect(autoOracle(perLevelEps, size), reports, rng)
 	}
 	return &Estimate{Tree: t, Levels: levels}
 }

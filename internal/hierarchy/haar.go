@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/fo"
+	"repro/internal/mechanism"
 	"repro/internal/randx"
 )
 
@@ -19,10 +19,10 @@ import (
 // sign +1 (left subtree) or −1 (right). The population is divided among the
 // h layers; a user assigned the layer of height k encodes
 // (coefficient index, sign) as a value in a domain of size 2·(d/2^k) and
-// reports it through Hadamard randomized response (fo.HRR) with the full
-// budget. The aggregator estimates the signed indicator frequencies, turns
-// them into coefficient estimates, and reconstructs the leaf histogram
-// top-down from the known total.
+// reports it through Hadamard randomized response (mechanism.HRR) with the
+// full budget. The aggregator estimates the signed indicator frequencies,
+// turns them into coefficient estimates, and reconstructs the leaf
+// histogram top-down from the known total.
 type HaarHRR struct {
 	tree Tree
 	eps  float64
@@ -86,8 +86,8 @@ func (hr *HaarHRR) Collect(values []int, rng *randx.Rand) *HaarEstimate {
 			signBit := (v >> (k - 1)) & 1
 			enc[i] = 2*idx + signBit
 		}
-		oracle := fo.NewHRR(2*nodes, hr.eps)
-		freq := oracle.Collect(enc, rng)
+		oracle := mechanism.MustNew(mechanism.Params{Name: mechanism.HRR, Epsilon: hr.eps, Buckets: 2 * nodes})
+		freq := mechanism.Collect(oracle, enc, rng)
 		// c_a = (f_left − f_right)/2^{k/2}; the frequencies estimated on
 		// the layer's sample are unbiased for the whole population since
 		// layer assignment is independent of the value.

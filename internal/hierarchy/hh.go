@@ -3,7 +3,7 @@ package hierarchy
 import (
 	"fmt"
 
-	"repro/internal/fo"
+	"repro/internal/mechanism"
 	"repro/internal/randx"
 )
 
@@ -11,9 +11,9 @@ import (
 // population is divided uniformly among the h non-root levels; a user
 // assigned level ℓ reports the index of their value's ancestor at that level
 // through a categorical frequency oracle over the β^ℓ nodes (GRR or OLH,
-// whichever has lower variance at that domain size — the full budget ε is
-// spent on the single report, which is the right trade-off in the local
-// setting).
+// whichever has lower variance at that domain size — mechanism.Auto; the
+// full budget ε is spent on the single report, which is the right
+// trade-off in the local setting).
 type HH struct {
 	tree Tree
 	eps  float64
@@ -77,10 +77,15 @@ func (h *HH) Collect(values []int, rng *randx.Rand) *Estimate {
 		for i, v := range group {
 			reports[i] = t.Ancestor(v, l)
 		}
-		oracle := fo.Best(size, h.eps)
-		levels[l] = oracle.Collect(reports, rng)
+		levels[l] = mechanism.Collect(autoOracle(h.eps, size), reports, rng)
 	}
 	return &Estimate{Tree: t, Levels: levels}
+}
+
+// autoOracle builds the lower-variance categorical oracle over k values at
+// budget eps (the Section 4.1 rule).
+func autoOracle(eps float64, k int) mechanism.Mechanism {
+	return mechanism.MustNew(mechanism.Params{Name: mechanism.AutoName, Epsilon: eps, Buckets: k})
 }
 
 // Leaves returns the leaf-level estimates (a copy).

@@ -180,12 +180,6 @@ type Config struct {
 	// Shards overrides the ingestion stripe count (0 = one per CPU,
 	// rounded up to a power of two).
 	Shards int `json:"shards,omitempty"`
-	// EMWorkers sets the EM parallelism of the background estimator:
-	// 0 uses every CPU, 1 forces serial, n > 1 uses n partitions. Note
-	// the zero value is "automatic" like every knob in this Config —
-	// unlike em.Options.Workers and repro.Options.Workers, whose zero
-	// value is the library's conservative serial default.
-	EMWorkers int `json:"em_workers,omitempty"`
 	// RefreshWorkers sets how many background refresh workers drain the
 	// staleness-ordered refresh queue concurrently — streams re-estimate
 	// in parallel, each stream still strictly serialized. 0 uses
@@ -382,7 +376,6 @@ func (st *stream) histShards() int {
 type Server struct {
 	cfg     Config
 	refresh time.Duration
-	workers int              // resolved EM parallelism
 	now     func() time.Time // rotation clock (time.Now unless overridden)
 
 	mu      sync.RWMutex
@@ -430,10 +423,6 @@ type Server struct {
 // the background refresh scheduler and its worker pool. Call Close when done
 // with the server to stop them.
 func NewServer(cfg Config) *Server {
-	workers := cfg.EMWorkers
-	if workers == 0 {
-		workers = -1 // em semantics: negative = all CPUs
-	}
 	refreshWorkers := cfg.RefreshWorkers
 	if refreshWorkers == 0 {
 		refreshWorkers = runtime.GOMAXPROCS(0)
@@ -452,7 +441,6 @@ func NewServer(cfg Config) *Server {
 	s := &Server{
 		cfg:            cfg,
 		refresh:        refresh,
-		workers:        workers,
 		refreshWorkers: refreshWorkers,
 		now:            clock,
 		streams:        make(map[string]*stream),
@@ -514,7 +502,6 @@ func (s *Server) newStream(name string, cfg StreamConfig) *stream {
 		Mechanism: cfg.Mechanism,
 		Bandwidth: cfg.Bandwidth,
 		Smoothing: true,
-		EM:        em.Options{Workers: s.workers},
 	})
 	// fillStreamDefaults validated the window options, so New cannot panic.
 	ring := window.New(agg.OutputBuckets(), cfg.Shards,
@@ -1053,7 +1040,7 @@ func (s *Server) refreshStream(st *stream) {
 		st.mLoglik.Set(res.LogLikelihood)
 	}
 	if st.mCIHalf != nil {
-		v, _ := diagnose.Variance(st.cfg.Mechanism, st.cfg.Epsilon, st.cfg.Buckets, users)
+		v, _ := mechanism.Variance(st.cfg.Mechanism, st.cfg.Epsilon, st.cfg.Buckets, users)
 		st.mCIHalf.Set(diagnose.HalfWidth(v))
 	}
 	if st.mConverged != nil {
@@ -1444,9 +1431,6 @@ type ConfigResponse struct {
 	// Epoch and Retain carry the windowing of an epoch-rotated stream.
 	Epoch  Duration `json:"epoch,omitempty"`
 	Retain int      `json:"retain,omitempty"`
-	// EMWorkers is the resolved server-wide EM parallelism (em.Options
-	// semantics: negative = every CPU, 1 = serial, n > 1 = n partitions).
-	EMWorkers int `json:"em_workers"`
 }
 
 // serveConfig is the shared core of GET /config and GET
@@ -1480,7 +1464,6 @@ func (s *Server) configOf(st *stream) ConfigResponse {
 		Shards:        st.histShards(),
 		Epoch:         st.cfg.Epoch,
 		Retain:        st.cfg.Retain,
-		EMWorkers:     s.workers,
 	}
 }
 

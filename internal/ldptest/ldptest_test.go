@@ -4,16 +4,24 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/fo"
+	"repro/internal/histogram"
+	"repro/internal/mechanism"
 	"repro/internal/randx"
 	"repro/internal/sw"
 )
 
-// grrAdapter adapts fo.GRR to DiscreteMechanism.
-type grrAdapter struct{ g *fo.GRR }
+// grrAdapter adapts the grr mechanism to DiscreteMechanism: input bucket v
+// is perturbed through its center, and the report is the output bucket.
+type grrAdapter struct{ m mechanism.Mechanism }
 
-func (a grrAdapter) OutputSize() int                   { return a.g.Domain() }
-func (a grrAdapter) Sample(v int, rng *randx.Rand) int { return a.g.Perturb(v, rng) }
+func newGRR(d int, eps float64) grrAdapter {
+	return grrAdapter{mechanism.MustNew(mechanism.Params{Name: mechanism.GRR, Epsilon: eps, Buckets: d})}
+}
+
+func (a grrAdapter) OutputSize() int { return a.m.OutputBuckets() }
+func (a grrAdapter) Sample(v int, rng *randx.Rand) int {
+	return int(a.m.Perturb(histogram.BucketCenter(v, a.m.Buckets()), rng)[0])
+}
 
 // discreteSWAdapter adapts sw.Discrete.
 type discreteSWAdapter struct{ s sw.Discrete }
@@ -42,8 +50,8 @@ func (b brokenMechanism) Sample(v int, rng *randx.Rand) int {
 }
 
 func TestGRRPasses(t *testing.T) {
-	g := fo.NewGRR(6, 1.0)
-	if err := CheckDiscrete(grrAdapter{g}, 6, 1.0, Options{Samples: 100000}); err != nil {
+	g := newGRR(6, 1.0)
+	if err := CheckDiscrete(g, 6, 1.0, Options{Samples: 100000}); err != nil {
 		t.Errorf("GRR flagged: %v", err)
 	}
 }
@@ -83,8 +91,8 @@ func TestBrokenMechanismCaught(t *testing.T) {
 
 func TestWrongEpsilonCaught(t *testing.T) {
 	// A mechanism calibrated for ε=3 must fail a check against ε=1.
-	g := fo.NewGRR(6, 3.0)
-	if err := CheckDiscrete(grrAdapter{g}, 6, 1.0, Options{Samples: 200000}); err == nil {
+	g := newGRR(6, 3.0)
+	if err := CheckDiscrete(g, 6, 1.0, Options{Samples: 200000}); err == nil {
 		t.Error("ε=3 mechanism passed an ε=1 check")
 	}
 }
@@ -102,8 +110,8 @@ func (badRange) Sample(v float64, r *randx.Rand) float64 { return 0 }
 
 func TestInputSubset(t *testing.T) {
 	// Restricting the input grid is honored (only two inputs sampled).
-	g := fo.NewGRR(64, 1.0)
-	err := CheckDiscrete(grrAdapter{g}, 64, 1.0, Options{
+	g := newGRR(64, 1.0)
+	err := CheckDiscrete(g, 64, 1.0, Options{
 		Samples: 50000,
 		Inputs:  []float64{0, 63},
 	})

@@ -6,12 +6,14 @@ package mechanism
 // and BenchmarkEstimate one direct reconstruction of the matrix-free
 // oracles from an accumulated histogram (channel mechanisms reconstruct
 // through EM — benchmarked in internal/em). Results are recorded in
-// BENCH_mech.json and smoke-run by CI on every PR.
+// BENCH_mech.json and smoke-run by CI on every PR. BenchmarkAblationOLHRange
+// sweeps the OLH hash range g and reports the estimate's error.
 
 import (
 	"fmt"
 	"testing"
 
+	"repro/internal/mathx"
 	"repro/internal/randx"
 )
 
@@ -81,9 +83,27 @@ func BenchmarkEstimate(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					m.Estimate(counts)
+					m.EstimateInto(nil, counts)
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkAblationOLHRange sweeps the OLH hash range g around the
+// variance-optimal ⌊e^ε⌋+1 (= 3 at ε = 1): 20,000 users over a skewed
+// 64-value domain, reporting the L2 error of the batch estimate.
+func BenchmarkAblationOLHRange(b *testing.B) {
+	const d, n = 64, 20000
+	values, truth := genValues(n, d, randx.New(1))
+	for _, g := range []int{2, 3, 6, 16} {
+		b.Run(map[int]string{2: "g2", 3: "g3-optimal", 6: "g6", 16: "g16"}[g], func(b *testing.B) {
+			m := newOLHWithG(Params{Name: OLH, Epsilon: benchEps, Buckets: d}, g)
+			var l2 float64
+			for i := 0; i < b.N; i++ {
+				l2 += mathx.L2(truth, Collect(m, values, randx.New(uint64(i+1))))
+			}
+			b.ReportMetric(l2/float64(b.N), "L2err")
+		})
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/histogram"
 	"repro/internal/matrixx"
 	"repro/internal/randx"
 )
@@ -153,9 +154,50 @@ func TestOracleLDPRatioBound(t *testing.T) {
 	}
 }
 
-// TestOracleEstimatesUnbiased drives each matrix-free oracle end to end —
-// Perturb, Bucketize, histogram, Estimate — over a seeded population and
-// checks the raw (pre-projection) estimate tracks the true frequencies.
+// TestSUESatisfiesLDPBound: symmetric flipping makes the worst-case
+// likelihood ratio of a full bit vector (p/q)², exactly e^ε.
+func TestSUESatisfiesLDPBound(t *testing.T) {
+	for _, eps := range []float64{0.5, 1, 2} {
+		u := MustNew(Params{Name: SUE, Epsilon: eps, Buckets: 8}).(*unaryMech)
+		if ratio := (u.P() / u.Q()) * (u.P() / u.Q()); math.Abs(ratio-math.Exp(eps)) > 1e-9 {
+			t.Errorf("ε=%v: (p/q)² = %v, want e^ε = %v", eps, ratio, math.Exp(eps))
+		}
+	}
+}
+
+// TestGRRSatisfiesLDP estimates Pr[report = y | input v] from 400,000
+// reports per input and requires every ratio across two inputs to stay
+// within e^ε, with 8% sampling slack.
+func TestGRRSatisfiesLDP(t *testing.T) {
+	const eps, d, n = 1.0, 8, 400000
+	m := MustNew(Params{Name: GRR, Epsilon: eps, Buckets: d})
+	rng := randx.New(1)
+	counts := make([][]float64, d)
+	for v := range counts {
+		counts[v] = make([]float64, d)
+		for i := 0; i < n; i++ {
+			counts[v][int(m.Perturb(histogram.BucketCenter(v, d), rng)[0])]++
+		}
+	}
+	limit := math.Exp(eps) * 1.08
+	for v1 := range counts {
+		for v2 := range counts {
+			for y := 0; y < d; y++ {
+				if counts[v2][y] == 0 {
+					t.Fatalf("output %d never produced from input %d", y, v2)
+				}
+				if r := counts[v1][y] / counts[v2][y]; r > limit {
+					t.Errorf("LDP ratio Pr[%d→%d]/Pr[%d→%d] = %v exceeds e^ε", v1, y, v2, y, r)
+				}
+			}
+		}
+	}
+}
+
+// TestOracleEstimatesUnbiased drives each oracle's direct estimate end to
+// end — Perturb, Bucketize, histogram, EstimateInto — over a seeded
+// population and checks the raw (pre-projection) estimate tracks the true
+// frequencies.
 func TestOracleEstimatesUnbiased(t *testing.T) {
 	const (
 		d    = 16
@@ -164,7 +206,7 @@ func TestOracleEstimatesUnbiased(t *testing.T) {
 		seed = 7
 	)
 	truth := make([]float64, d)
-	for _, name := range []string{OUE, SUE, OLH, HRR} {
+	for _, name := range oracleNames {
 		m := MustNew(Params{Name: name, Epsilon: eps, Buckets: d})
 		rng := randx.New(seed)
 		counts := make([]float64, m.OutputBuckets())
@@ -187,7 +229,7 @@ func TestOracleEstimatesUnbiased(t *testing.T) {
 		for i := range truth {
 			truth[i] /= n
 		}
-		est := m.Estimate(counts)
+		est := m.EstimateInto(nil, counts)
 		if len(est) != d {
 			t.Fatalf("%s: estimate has %d buckets, want %d", name, len(est), d)
 		}

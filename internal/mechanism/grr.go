@@ -3,30 +3,34 @@ package mechanism
 import (
 	"fmt"
 
-	"repro/internal/fo"
 	"repro/internal/matrixx"
 	"repro/internal/randx"
 )
 
-// grrMech adapts Generalized Randomized Response. Wire reports are the
-// reported value index in {0..d−1}; the histogram is the reported-value
-// count vector, which is the exact sufficient statistic of GRR.
+// grrMech is Generalized Randomized Response: report the true value with
+// probability p = e^ε/(e^ε+d−1) and each other value with probability
+// q = 1/(e^ε+d−1). Wire reports are the reported value index in
+// {0..d−1}; the histogram is the reported-value count vector, which is the
+// exact sufficient statistic of GRR.
 //
-// Reconstruction goes through EM/EMS like the SW family: the GRR transition
-// matrix is q everywhere plus a (p−q) diagonal, so instead of materializing
-// a dense d×d matrix the channel computes M·x = q·Σx + (p−q)·x in O(d).
+// The collector reconstructs through EM/EMS like the SW family: the GRR
+// transition matrix is q everywhere plus a (p−q) diagonal, so instead of
+// materializing a dense d×d matrix the channel computes
+// M·x = q·Σx + (p−q)·x in O(d). The batch baselines use the direct
+// debiased estimate (EstimateInto) instead.
 type grrMech struct {
 	p     Params
-	inner *fo.GRR
+	pr, q float64
 	ch    *flatDiagChannel
 }
 
 func newGRR(p Params) *grrMech {
-	inner := fo.NewGRR(p.Buckets, p.Epsilon)
+	pr, q := grrProbs(p.Epsilon, p.Buckets)
 	return &grrMech{
-		p:     p,
-		inner: inner,
-		ch:    &flatDiagChannel{d: p.Buckets, base: inner.Q(), diag: inner.P() - inner.Q()},
+		p:  p,
+		pr: pr,
+		q:  q,
+		ch: &flatDiagChannel{d: p.Buckets, base: q, diag: pr - q},
 	}
 }
 
@@ -39,11 +43,15 @@ func (m *grrMech) FanOut() bool       { return false }
 func (m *grrMech) Params() Params     { return m.p }
 
 func (m *grrMech) Perturb(v float64, rng *randx.Rand) Report {
-	return Report{float64(m.inner.Perturb(discretize(v, m.p.Buckets), rng))}
+	return m.appendReport(make(Report, 0, 1), discretize(v, m.p.Buckets), rng)
+}
+
+func (m *grrMech) appendReport(dst Report, v int, rng *randx.Rand) Report {
+	return append(dst, float64(grrDraw(v, m.p.Buckets, m.pr, rng)))
 }
 
 func (m *grrMech) BucketOf(report float64) (int, error) {
-	return intComponent(report, m.p.Buckets, "grr report")
+	return intComponent(report, m.p.Buckets, GRR, "report")
 }
 
 func (m *grrMech) Bucketize(dst []int, rep Report) ([]int, error) {
@@ -61,9 +69,13 @@ func (m *grrMech) Users(counts []float64, increments int) int { return increment
 
 func (m *grrMech) Channel() matrixx.Channel { return m.ch }
 
-func (m *grrMech) Estimate(counts []float64) []float64 { return nil }
-
-func (m *grrMech) EstimateInto(dst, counts []float64) []float64 { return nil }
+func (m *grrMech) EstimateInto(dst, counts []float64) []float64 {
+	var n float64 // one cell per report: the histogram total is the user count
+	for _, c := range counts {
+		n += c
+	}
+	return debias(intoBuf(dst, m.p.Buckets), counts, n, m.pr, m.q)
+}
 
 // flatDiagChannel is the structured GRR transition matrix: a constant base
 // everywhere plus a diagonal excess,

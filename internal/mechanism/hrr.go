@@ -9,17 +9,18 @@ import (
 	"repro/internal/randx"
 )
 
-// hrrMech adapts Hadamard Randomized Response. A wire report is (row, bit):
-// the sampled Hadamard row index j ∈ {0..N−1} (N the domain padded to a
-// power of two) and the randomized ±1 entry. Bucketize folds the pair into
-// the single histogram cell 2j + (bit+1)/2, so the (row, bit) count table —
-// the exact sufficient statistic of HRR — accumulates in a fixed 2N-cell
-// histogram with one increment per report.
+// hrrMech is Hadamard Randomized Response: local hashing with g = 2 where
+// the hash family is the rows of a Hadamard matrix. The domain is padded to
+// the next power of two N; a user samples a row index j uniformly, computes
+// the ±1 entry H[j][v] and flips it with probability 1/(e^ε+1). A wire
+// report is that (row, bit) pair. Bucketize folds it into the single
+// histogram cell 2j + (bit+1)/2, so the (row, bit) count table — the exact
+// sufficient statistic of HRR — accumulates in a fixed 2N-cell histogram
+// with one increment per report.
 //
 // Reconstruction is matrix-free and O(N log N): per-row bit sums come
 // straight out of the histogram, the spectrum estimate is debiased by
-// 1/(2p−1), and the fast Walsh–Hadamard transform inverts it — identical to
-// the batch fo.HRR estimator.
+// 1/(2p−1), and the fast Walsh–Hadamard transform inverts it.
 type hrrMech struct {
 	p  Params
 	n2 int     // padded power-of-two domain
@@ -46,12 +47,16 @@ func (m *hrrMech) PaddedSize() int { return m.n2 }
 func (m *hrrMech) P() float64 { return m.pr }
 
 func (m *hrrMech) Perturb(v float64, rng *randx.Rand) Report {
+	return m.appendReport(make(Report, 0, 2), discretize(v, m.p.Buckets), rng)
+}
+
+func (m *hrrMech) appendReport(dst Report, v int, rng *randx.Rand) Report {
 	j := rng.IntN(m.n2)
-	bit := float64(hadamard.Entry(j, discretize(v, m.p.Buckets)))
+	bit := float64(hadamard.Entry(j, v))
 	if !rng.Bernoulli(m.pr) {
 		bit = -bit
 	}
-	return Report{float64(j), bit}
+	return append(dst, float64(j), bit)
 }
 
 func (m *hrrMech) BucketOf(report float64) (int, error) { return 0, errNotScalar(HRR) }
@@ -60,7 +65,7 @@ func (m *hrrMech) Bucketize(dst []int, rep Report) ([]int, error) {
 	if len(rep) != 2 {
 		return dst, fmt.Errorf("mechanism: hrr report wants 2 components (row, bit), got %d", len(rep))
 	}
-	j, err := intComponent(rep[0], m.n2, "hrr row index")
+	j, err := intComponent(rep[0], m.n2, HRR, "row index")
 	if err != nil {
 		return dst, err
 	}
@@ -78,10 +83,6 @@ func (m *hrrMech) Users(counts []float64, increments int) int { return increment
 
 func (m *hrrMech) Channel() matrixx.Channel { return nil }
 
-func (m *hrrMech) Estimate(counts []float64) []float64 {
-	return m.EstimateInto(nil, counts)
-}
-
 func (m *hrrMech) EstimateInto(dst, counts []float64) []float64 {
 	// Per-row signed bit sums and the total report count, straight from the
 	// (row, bit) table. The n2-long working spectrum fits in any dst with
@@ -94,14 +95,12 @@ func (m *hrrMech) EstimateInto(dst, counts []float64) []float64 {
 		n += pos + neg
 	}
 	if n == 0 {
-		est := sums[:m.p.Buckets:m.p.Buckets]
-		for i := range est {
-			est[i] = 0
-		}
-		return est
+		clear(sums)
+		return sums[:m.p.Buckets:m.p.Buckets]
 	}
-	// Unbiased spectrum estimate, then invert with the fast WHT — the same
-	// arithmetic as fo.HRR.Estimate.
+	// Each row is sampled with probability 1/N and E[bit | row j, value v]
+	// = (2p−1)·H[j][v], so θ̂_j = N/n · Σ bits / (2p−1) estimates the
+	// spectrum θ_j = Σ_v x_v H[j][v]; the inverse WHT gives x̂ = H·θ̂ / N.
 	scale := float64(m.n2) / (n * (2*m.pr - 1))
 	for j := range sums {
 		sums[j] *= scale

@@ -15,8 +15,13 @@
 //	hrr          Hadamard Randomized Response (Section 2.1)
 //
 // plus the paper's adaptive rule ("auto"): GRR when d−2 < 3e^ε, OLH
-// otherwise — the variance comparison of Section 4.1, the same rule fo.Best
-// applies in the batch code.
+// otherwise — the variance comparison of Section 4.1.
+//
+// Each categorical oracle is defined here once — its probabilities,
+// perturbation, bucketization, debiased estimate and analytic Variance —
+// and the paper's batch baselines (CFO-binning, the hierarchies) collect
+// through Collect, which runs the collector's own Perturb → Bucketize →
+// EstimateInto path.
 //
 // # Wire format
 //
@@ -93,19 +98,17 @@ type Mechanism interface {
 	Users(counts []float64, increments int) int
 	// Channel returns the column-stochastic transition matrix connecting
 	// input buckets to histogram cells for EM/EMS reconstruction, or nil
-	// for matrix-free oracles (reconstruct with Estimate instead). The
+	// for matrix-free oracles (reconstruct with EstimateInto instead). The
 	// channel is built lazily and cached; treat it as read-only.
 	Channel() matrixx.Channel
-	// Estimate returns the direct, unbiased (possibly signed) frequency
-	// estimate of matrix-free oracles from the histogram; project it with
-	// package postprocess before serving. Channel-based mechanisms return
-	// nil.
-	Estimate(counts []float64) []float64
-	// EstimateInto is Estimate writing into dst when its capacity suffices
-	// (allocating only otherwise), for refresh loops that re-estimate the
-	// same stream repeatedly: a dst with cap ≥ len(counts) is always large
-	// enough, whatever the mechanism. It returns the estimate, which may
-	// alias dst. Channel-based mechanisms return nil and ignore dst.
+	// EstimateInto returns the direct, unbiased (possibly signed) frequency
+	// estimate of the categorical oracles from the histogram, writing into
+	// dst when its capacity suffices (allocating only otherwise): a dst
+	// with cap ≥ len(counts) is always large enough, and a nil dst
+	// allocates. The result may alias dst; project it with package
+	// postprocess before serving. The sw family returns nil. grr has both
+	// a channel and this estimate; the collector reconstructs through the
+	// channel.
 	EstimateInto(dst, counts []float64) []float64
 	// Params returns the JSON-stable configuration that rebuilds this
 	// mechanism via New — the codec streams, snapshots and /config share.
@@ -139,7 +142,7 @@ type Params struct {
 	// Bandwidth is the wave half-width for the sw family as a fraction of
 	// the domain: the continuous half-width b for sw, ⌊Bandwidth·d⌋ report
 	// buckets for sw-discrete. 0 selects the mutual-information optimum
-	// BOpt(ε). Ignored by the categorical oracles.
+	// BOpt(ε). Cleared for the categorical oracles.
 	Bandwidth float64 `json:"bandwidth,omitempty"`
 	// PlateauRatio and ExplicitShape request a General Wave shape from the
 	// sw mechanism exactly as core.Config does: with ExplicitShape false
@@ -240,7 +243,10 @@ func (p Params) check() error {
 }
 
 // New builds a mechanism from its configuration. The name is resolved
-// through Resolve, so "" and "auto" are accepted.
+// through Resolve, so "" and "auto" are accepted. Defaults resolve here,
+// once: the sw family's bandwidth becomes EffectiveBandwidth, and the wave
+// fields of mechanisms they do not apply to are cleared, so Params()
+// always carries the effective configuration.
 func New(p Params) (Mechanism, error) {
 	if err := p.check(); err != nil {
 		return nil, err
@@ -250,9 +256,13 @@ func New(p Params) (Mechanism, error) {
 		return nil, err
 	}
 	p.Name = name
-	if name != SW && p.OutputBuckets != 0 && p.OutputBuckets != p.Buckets {
-		return nil, fmt.Errorf("mechanism: %s derives its output granularity; OutputBuckets only applies to sw", name)
+	if name != SW {
+		if p.OutputBuckets != 0 && p.OutputBuckets != p.Buckets {
+			return nil, fmt.Errorf("mechanism: %s derives its output granularity; OutputBuckets only applies to sw", name)
+		}
+		p.PlateauRatio, p.ExplicitShape = 0, false
 	}
+	p.Bandwidth = EffectiveBandwidth(name, p.Epsilon, p.Bandwidth)
 	switch name {
 	case SW:
 		return newSW(p), nil
@@ -289,10 +299,12 @@ func discretize(v float64, d int) int {
 	return histogram.BucketOf(v, d)
 }
 
-// intComponent validates one wire component as an exact integer in [0, n).
-func intComponent(c float64, n int, what string) (int, error) {
+// intComponent validates one wire component of a mechanism's report as an
+// exact integer in [0, n). The error names the mechanism and the component;
+// it is formatted only on failure, so validation never allocates.
+func intComponent(c float64, n int, mech, what string) (int, error) {
 	if c != math.Trunc(c) || math.IsNaN(c) || c < 0 || c >= float64(n) {
-		return 0, fmt.Errorf("mechanism: %s %v outside {0..%d}", what, c, n-1)
+		return 0, fmt.Errorf("mechanism: %s %s %v outside {0..%d}", mech, what, c, n-1)
 	}
 	return int(c), nil
 }

@@ -221,7 +221,7 @@ func TestEndToEndAccuracy(t *testing.T) {
 		if ch := m.Channel(); ch != nil {
 			est = em.Reconstruct(ch, counts, em.EMSOptions()).Estimate
 		} else {
-			est = postprocess.NormSub(m.Estimate(counts))
+			est = postprocess.NormSub(m.EstimateInto(nil, counts))
 		}
 		w1 := metrics.Wasserstein(truth, est)
 		ks := metrics.KS(truth, est)

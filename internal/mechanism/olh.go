@@ -3,17 +3,19 @@ package mechanism
 import (
 	"fmt"
 	"math"
+	"slices"
 
-	"repro/internal/fo"
 	"repro/internal/hashx"
 	"repro/internal/matrixx"
 	"repro/internal/randx"
 )
 
-// olhMech adapts Optimized Local Hashing with the variance-optimal range
-// g = ⌊e^ε⌋+1. A wire report is (seed, y): the user's public hash seed and
-// the GRR-perturbed hash of their value. Seeds are drawn from 53 bits so
-// the float64 wire components (and JSON numbers) round-trip losslessly.
+// olhMech is Optimized Local Hashing: each user hashes their value into a
+// domain of size g with a freshly sampled public hash seed and applies GRR
+// over the hashed domain; the variance-optimal range is g = ⌊e^ε⌋+1. A
+// wire report is (seed, y): the user's hash seed and the GRR-perturbed
+// hash of their value. Seeds are drawn from 53 bits so the float64 wire
+// components (and JSON numbers) round-trip losslessly.
 //
 // Bucketize performs the support-counting half of OLH aggregation at
 // ingestion time: one report increments the cell of every domain value its
@@ -23,21 +25,25 @@ import (
 // means there is no fixed report alphabet to build a transition matrix
 // over, so the debiased support estimate of Section 2.1 applies directly.
 type olhMech struct {
-	p     Params
-	g     int
-	fam   hashx.Family
-	inner *fo.GRR // GRR over the hashed domain {0..g−1}
+	p   Params
+	g   int
+	fam hashx.Family
+	pr  float64 // GRR truth probability over the hashed domain {0..g−1}
 }
 
 // olhSeedBits bounds report seeds so they survive a float64 round-trip.
 const olhSeedBits = 53
 
 func newOLH(p Params) *olhMech {
-	g := int(math.Floor(math.Exp(p.Epsilon))) + 1
-	if g < 2 {
-		g = 2
-	}
-	return &olhMech{p: p, g: g, fam: hashx.NewFamily(g), inner: fo.NewGRR(g, p.Epsilon)}
+	return newOLHWithG(p, int(math.Floor(math.Exp(p.Epsilon)))+1)
+}
+
+// newOLHWithG builds OLH over an explicit hash range g ≥ 2 (smaller values
+// clamp to 2), for the g-tradeoff ablation.
+func newOLHWithG(p Params, g int) *olhMech {
+	g = max(g, 2)
+	pr, _ := grrProbs(p.Epsilon, g)
+	return &olhMech{p: p, g: g, fam: hashx.NewFamily(g), pr: pr}
 }
 
 func (m *olhMech) Name() string       { return OLH }
@@ -52,12 +58,16 @@ func (m *olhMech) Params() Params     { return m.p }
 func (m *olhMech) G() int { return m.g }
 
 // P exposes the truth probability of the inner GRR for conformance tests.
-func (m *olhMech) P() float64 { return m.inner.P() }
+func (m *olhMech) P() float64 { return m.pr }
 
 func (m *olhMech) Perturb(v float64, rng *randx.Rand) Report {
+	return m.appendReport(make(Report, 0, 2), discretize(v, m.p.Buckets), rng)
+}
+
+func (m *olhMech) appendReport(dst Report, v int, rng *randx.Rand) Report {
 	seed := rng.Uint64() >> (64 - olhSeedBits)
-	h := m.fam.Apply(seed, discretize(v, m.p.Buckets))
-	return Report{float64(seed), float64(m.inner.Perturb(h, rng))}
+	y := grrDraw(m.fam.Apply(seed, v), m.g, m.pr, rng)
+	return append(dst, float64(seed), float64(y))
 }
 
 func (m *olhMech) BucketOf(report float64) (int, error) { return 0, errNotScalar(OLH) }
@@ -71,17 +81,24 @@ func (m *olhMech) Bucketize(dst []int, rep Report) ([]int, error) {
 		return dst, fmt.Errorf("mechanism: olh seed %v is not a %d-bit integer", s, olhSeedBits)
 	}
 	seed := uint64(s)
-	y, err := intComponent(rep[1], m.g, "olh hash report")
+	y, err := intComponent(rep[1], m.g, OLH, "hash report")
 	if err != nil {
 		return dst, err
 	}
+	// Write every candidate and advance past the matches only: the
+	// comparison becomes a conditional increment, not a branch that
+	// mispredicts on a 1/g coin flip per value.
 	d := m.p.Buckets
+	n := len(dst)
+	dst = slices.Grow(dst, d+1)[:n+d+1]
 	for v := 0; v < d; v++ {
+		dst[n] = v
 		if m.fam.Apply(seed, v) == y {
-			dst = append(dst, v)
+			n++
 		}
 	}
-	return append(dst, d), nil
+	dst[n] = d
+	return dst[:n+1], nil
 }
 
 func (m *olhMech) Users(counts []float64, increments int) int {
@@ -90,24 +107,9 @@ func (m *olhMech) Users(counts []float64, increments int) int {
 
 func (m *olhMech) Channel() matrixx.Channel { return nil }
 
-func (m *olhMech) Estimate(counts []float64) []float64 {
-	return m.EstimateInto(nil, counts)
-}
-
+// EstimateInto debiases the support counts: a report supports its user's
+// value with probability p and any other value with probability 1/g.
 func (m *olhMech) EstimateInto(dst, counts []float64) []float64 {
 	d := m.p.Buckets
-	n := counts[d]
-	est := intoBuf(dst, d)
-	if n == 0 {
-		for i := range est {
-			est[i] = 0
-		}
-		return est
-	}
-	invG := 1 / float64(m.g)
-	denom := m.inner.P() - invG
-	for v := 0; v < d; v++ {
-		est[v] = (counts[v]/n - invG) / denom
-	}
-	return est
+	return debias(intoBuf(dst, d), counts, counts[d], m.pr, 1/float64(m.g))
 }

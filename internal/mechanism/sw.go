@@ -25,9 +25,6 @@ type swMech struct {
 }
 
 func newSW(p Params) *swMech {
-	if p.Bandwidth == 0 {
-		p.Bandwidth = sw.BOpt(p.Epsilon)
-	}
 	if !p.ExplicitShape {
 		p.PlateauRatio = 1
 	}
@@ -86,8 +83,6 @@ func (m *swMech) Channel() matrixx.Channel {
 	return m.ch
 }
 
-func (m *swMech) Estimate(counts []float64) []float64 { return nil }
-
 func (m *swMech) EstimateInto(dst, counts []float64) []float64 { return nil }
 
 // discreteSW adapts the bucketize-before-randomize Square Wave of Section
@@ -103,9 +98,6 @@ type discreteSW struct {
 }
 
 func newDiscreteSW(p Params) *discreteSW {
-	if p.Bandwidth == 0 {
-		p.Bandwidth = sw.BOpt(p.Epsilon)
-	}
 	b := int(math.Floor(p.Bandwidth * float64(p.Buckets)))
 	return &discreteSW{p: p, mech: sw.NewDiscreteWithB(p.Buckets, p.Epsilon, b)}
 }
@@ -123,7 +115,7 @@ func (m *discreteSW) Perturb(v float64, rng *randx.Rand) Report {
 }
 
 func (m *discreteSW) BucketOf(report float64) (int, error) {
-	return intComponent(report, m.mech.Dt(), "sw-discrete report")
+	return intComponent(report, m.mech.Dt(), SWDiscrete, "report")
 }
 
 func (m *discreteSW) Bucketize(dst []int, rep Report) ([]int, error) {
@@ -143,7 +135,5 @@ func (m *discreteSW) Channel() matrixx.Channel {
 	m.chOnce.Do(func() { m.ch = m.mech.Channel() })
 	return m.ch
 }
-
-func (m *discreteSW) Estimate(counts []float64) []float64 { return nil }
 
 func (m *discreteSW) EstimateInto(dst, counts []float64) []float64 { return nil }

@@ -68,19 +68,6 @@ func (r *Rand) Exponential(rate float64) float64 {
 	return r.src.ExpFloat64() / rate
 }
 
-// Laplace returns a sample from the Laplace distribution with location 0 and
-// the given scale. It panics if scale <= 0.
-func (r *Rand) Laplace(scale float64) float64 {
-	if scale <= 0 {
-		panic("randx: Laplace scale must be positive")
-	}
-	u := r.src.Float64() - 0.5
-	if u < 0 {
-		return scale * math.Log(1+2*u)
-	}
-	return -scale * math.Log(1-2*u)
-}
-
 // Gamma returns a sample from the Gamma distribution with shape alpha and
 // scale 1, using the Marsaglia–Tsang squeeze method (with the standard
 // boost for alpha < 1). It panics if alpha <= 0.

@@ -10,6 +10,12 @@ import (
 )
 
 func TestMechanismRoundTrips(t *testing.T) {
+	// The sw default's bandwidth, BOpt(2): sw-discrete resolves the same
+	// optimum, and the categorical oracles have no bandwidth.
+	ref, err := NewClient(Options{Epsilon: 2, Buckets: 32})
+	if err != nil || ref.Bandwidth() <= 0 {
+		t.Fatalf("sw client bandwidth %v, err %v", ref.Bandwidth(), err)
+	}
 	for _, mech := range []string{"sw", "sw-discrete", "grr", "oue", "sue", "olh", "hrr"} {
 		opts := Options{Epsilon: 2, Buckets: 32, Seed: 9, Mechanism: mech}
 		client, err := NewClient(opts)
@@ -18,6 +24,13 @@ func TestMechanismRoundTrips(t *testing.T) {
 		}
 		if client.Mechanism() != mech {
 			t.Errorf("client mechanism = %q, want %q", client.Mechanism(), mech)
+		}
+		wantBand := 0.0
+		if mech == "sw" || mech == "sw-discrete" {
+			wantBand = ref.Bandwidth()
+		}
+		if got := client.Bandwidth(); got != wantBand {
+			t.Errorf("%s: client bandwidth = %v, want %v", mech, got, wantBand)
 		}
 		agg, err := NewAggregator(opts)
 		if err != nil {
