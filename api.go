@@ -276,7 +276,7 @@ func (c *Client) Report(v float64) float64 {
 // report of the configured mechanism — the vector form every mechanism
 // supports (olh: [seed, y]; hrr: [row, ±1]; oue/sue: set-bit indices; the
 // scalar mechanisms: one component). Feed it to Aggregator.IngestReport or
-// the collector's POST /report.
+// the collector's POST /v1/streams/{name}/report.
 func (c *Client) Perturb(v float64) []float64 {
 	return c.inner.Perturb(mathx.Clamp(v, 0, 1), c.rng)
 }

@@ -8,11 +8,11 @@
 // Ingestion is lock-free (striped atomic counters per stream, one stripe per
 // CPU by default) and estimation runs on a shared background goroutine that
 // round-robins warm-started EMS refreshes across the streams, so GET
-// /estimate and GET /query serve cached reconstructions instead of blocking
-// on the EM loop. Streams declared with an epoch duration are windowed: the
-// live histogram rotates into sealed epochs on that period and sliding
-// windows are addressable with window=last:K / window=epochs:i..j on
-// /estimate and /query. With -snapshot, every stream's histogram, cached
+// .../estimate and GET .../query serve cached reconstructions instead of
+// blocking on the EM loop. Streams declared with an epoch duration are
+// windowed: the live histogram rotates into sealed epochs on that period and
+// sliding windows are addressable with window=last:K / window=epochs:i..j on
+// .../estimate and .../query. With -snapshot, every stream's histogram, cached
 // estimates, and (for windowed streams) rotation clock plus sealed epochs
 // are persisted atomically on an interval and at shutdown, and restored at
 // boot — a restarted collector resumes warm, mid-epoch, with bit-identical
@@ -68,10 +68,9 @@
 //
 // Endpoints: the versioned v1 tree (POST/GET /v1/streams,
 // GET/DELETE /v1/streams/{name}, POST .../report, POST .../batch,
-// GET .../estimate, GET|POST .../query, GET .../config), their legacy flat
-// aliases (deprecated; answered with Deprecation + Link headers),
-// POST /federation/push, GET /federation/peers, GET /metrics, GET /healthz,
-// GET /readyz.
+// GET .../estimate, GET|POST .../query, GET .../config, GET .../diagnostics,
+// GET /v1/diagnostics), POST /federation/push, GET /federation/peers,
+// GET /metrics, GET /healthz, GET /readyz.
 package main
 
 import (
@@ -478,7 +477,7 @@ func main() {
 		Addr:         conf.addr,
 		Handler:      srv.Handler(),
 		ReadTimeout:  10 * time.Second,
-		WriteTimeout: 30 * time.Second, // /estimate and /query serve caches and never block on EM
+		WriteTimeout: 30 * time.Second, // estimates and queries serve caches and never block on EM
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -531,7 +530,7 @@ func main() {
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	fmt.Printf("ldpserver listening on %s (default stream: epsilon=%g, buckets=%d; %d streams)\n",
 		conf.addr, conf.cfg.Epsilon, conf.cfg.Buckets, len(srv.Streams()))
-	fmt.Println("endpoints: POST|GET /v1/streams, GET|DELETE /v1/streams/{name}, POST /v1/streams/{name}/report, POST /v1/streams/{name}/batch, GET /v1/streams/{name}/estimate, GET|POST /v1/streams/{name}/query, GET /v1/streams/{name}/config (legacy flat aliases deprecated), POST /federation/push, GET /federation/peers, GET /metrics, GET /healthz, GET /readyz")
+	fmt.Println("endpoints: POST|GET /v1/streams, GET|DELETE /v1/streams/{name}, POST /v1/streams/{name}/report, POST /v1/streams/{name}/batch, GET /v1/streams/{name}/estimate, GET|POST /v1/streams/{name}/query, GET /v1/streams/{name}/config, GET /v1/streams/{name}/diagnostics, GET /v1/diagnostics, POST /federation/push, GET /federation/peers, GET /metrics, GET /healthz, GET /readyz")
 
 	select {
 	case err := <-errc:

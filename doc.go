@@ -123,11 +123,10 @@
 // a tested bound (1e-12), not bit for bit.
 //
 // The same substrate backs the HTTP collector (internal/ldphttp, run with
-// cmd/ldpserver), which serves named streams over POST /streams, GET
-// /streams, DELETE /streams/{name}, POST /report, POST /batch, GET
-// /estimate, GET /query, POST /query and GET /config: each stream runs its
-// declared mechanism ({"mechanism": "oue"} on POST /streams, mech=oue in
-// the -stream flag), ingestion is lock-free per stream, and a pool of
+// cmd/ldpserver), which serves named streams under /v1/streams (see
+// Operations below): each stream runs its declared mechanism
+// ({"mechanism": "oue"} on POST /v1/streams, mech=oue in the -stream
+// flag), ingestion is lock-free per stream, and a pool of
 // refresh workers (-refresh-workers, default GOMAXPROCS) drains a
 // staleness-ordered dirty queue of warm-started refreshes (EM/EMS for
 // channel mechanisms into per-stream zero-allocation workspaces, direct
@@ -153,7 +152,7 @@
 // over the union:
 //
 //	clients ──▶ edge A ─┐
-//	clients ──▶ edge B ─┼── deltas ──▶ root ──▶ GET /estimate, /query
+//	clients ──▶ edge B ─┼── deltas ──▶ root ──▶ GET .../estimate, .../query
 //	clients ──▶ edge C ─┘
 //
 // The protocol is exact: the root's histogram after every acknowledged push
@@ -169,13 +168,13 @@
 //
 // # Operations
 //
-// The HTTP collector serves a versioned v1 resource tree — POST/GET
-// /v1/streams, GET/DELETE /v1/streams/{name}, and the per-stream
-// subresources /report, /batch, /estimate, /query and /config. The original
-// flat routes (POST /report with a "stream" body field, GET
-// /estimate?stream=..., ...) remain as thin aliases onto the same handlers;
-// they answer with "Deprecation: true" and a Link header naming their v1
-// successor. Every non-2xx response, on every route, carries one envelope:
+// The HTTP collector serves one versioned resource tree — POST/GET
+// /v1/streams, GET/DELETE /v1/streams/{name}, the per-stream subresources
+// /report, /batch, /estimate, /query, /config and /diagnostics under
+// /v1/streams/{name}, and the fleet view GET /v1/diagnostics — plus
+// /federation/push, /federation/peers, /metrics, /healthz and /readyz. A
+// method an endpoint does not serve answers 405 with an Allow header. Every
+// non-2xx response, on every route, carries one envelope:
 //
 //	{"error": {"code": "rate_limited", "message": "...", "retry_after_ms": 250, "request_id": "9f3ac2d1-00004a"}}
 //

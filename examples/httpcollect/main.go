@@ -1,8 +1,10 @@
 // HTTP collection: runs the full client/server deployment shape on
-// localhost — an aggregation server exposing /report and /estimate, and a
-// fleet of concurrent clients that randomize on-device and POST their
-// reports, exactly how the deployed LDP systems the paper cites (RAPPOR,
-// Apple, Microsoft telemetry) are structured.
+// localhost — an aggregation server exposing the default stream's
+// /v1/streams/default/{batch,estimate,query} endpoints, and a fleet of
+// concurrent clients that randomize on-device and POST their reports,
+// exactly how the deployed LDP systems the paper cites (RAPPOR, Apple,
+// Microsoft telemetry) are structured. Any unexpected answer stops the
+// example with the collector's error envelope.
 //
 //	go run ./examples/httpcollect
 package main
@@ -11,6 +13,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -38,6 +41,7 @@ func main() {
 		}
 	}()
 	base := "http://" + ln.Addr().String()
+	stream := base + "/v1/streams/" + ldphttp.DefaultStream
 	fmt.Printf("collector listening on %s (epsilon=%.1f)\n", base, cfg.Epsilon)
 
 	// --- clients -----------------------------------------------------------
@@ -61,11 +65,11 @@ func main() {
 				reports[i] = client.Report(private, rng) // ε-LDP randomized
 			}
 			blob, _ := json.Marshal(map[string]any{"reports": reports})
-			resp, err := http.Post(base+"/batch", "application/json", bytes.NewReader(blob))
+			resp, err := http.Post(stream+"/batch", "application/json", bytes.NewReader(blob))
 			if err != nil {
-				log.Print(err)
-				return
+				log.Fatal(err)
 			}
+			expect(resp, http.StatusOK)
 			resp.Body.Close()
 		}(sh)
 	}
@@ -73,23 +77,30 @@ func main() {
 	fmt.Printf("ingested %d reports from %d client shards\n", srv.N(), shards)
 
 	// --- anyone can query the aggregate -------------------------------------
-	// /estimate serves the background engine's cached reconstruction; poll
-	// until it has caught up with every report we just ingested.
+	// .../estimate serves the background engine's cached reconstruction;
+	// poll until it has caught up with every report we just ingested. 503
+	// (first reconstruction pending) and 409 (no reports yet) mean "retry".
 	var est ldphttp.EstimateResponse
-	for {
-		resp, err := http.Get(base + "/estimate")
+	deadline := time.Now().Add(30 * time.Second)
+	for est.N != srv.N() {
+		if time.Now().After(deadline) {
+			log.Fatalf("estimate never covered %d reports (last N=%d)", srv.N(), est.N)
+		}
+		time.Sleep(50 * time.Millisecond)
+		resp, err := http.Get(stream + "/estimate")
 		if err != nil {
 			log.Fatal(err)
 		}
+		if resp.StatusCode == http.StatusServiceUnavailable || resp.StatusCode == http.StatusConflict {
+			resp.Body.Close()
+			continue
+		}
+		expect(resp, http.StatusOK)
 		err = json.NewDecoder(resp.Body).Decode(&est)
 		resp.Body.Close()
 		if err != nil {
 			log.Fatal(err)
 		}
-		if est.N == srv.N() {
-			break
-		}
-		time.Sleep(50 * time.Millisecond)
 	}
 	fmt.Printf("reconstruction: %d EM iterations (converged=%v, warm_start=%v)\n",
 		est.Iterations, est.Converged, est.WarmStart)
@@ -98,12 +109,13 @@ func main() {
 	fmt.Printf("  estimated variance: %.4f (truth 0.0255)\n", est.Variance)
 
 	// --- and the analytics layer --------------------------------------------
-	// GET /query evaluates range/CDF/quantile/top-k analytics against the
+	// GET .../query evaluates range/CDF/quantile/top-k analytics against the
 	// same cached reconstruction.
-	resp, err := http.Get(base + "/query?type=quantile&q=0.1,0.5,0.9")
+	resp, err := http.Get(stream + "/query?type=quantile&q=0.1,0.5,0.9")
 	if err != nil {
 		log.Fatal(err)
 	}
+	expect(resp, http.StatusOK)
 	var q ldphttp.QueryResponse
 	err = json.NewDecoder(resp.Body).Decode(&q)
 	resp.Body.Close()
@@ -112,4 +124,13 @@ func main() {
 	}
 	fmt.Printf("  served quantiles:   q10=%.4f q50=%.4f q90=%.4f (truths 0.4577, 0.7356, 0.9274)\n",
 		q.Values[0], q.Values[1], q.Values[2])
+}
+
+// expect stops the example unless the collector answered want.
+func expect(resp *http.Response, want int) {
+	if resp.StatusCode != want {
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		log.Fatalf("%s %s: status %d, want %d: %s",
+			resp.Request.Method, resp.Request.URL, resp.StatusCode, want, body)
+	}
 }

@@ -82,8 +82,8 @@ func (st *stream) windowInfo() *WindowInfo {
 	}
 }
 
-// serveStreamDiagnostics answers GET /v1/streams/{name}/diagnostics.
-func (s *Server) serveStreamDiagnostics(w http.ResponseWriter, name string) {
+// handleStreamDiagnostics serves GET /v1/streams/{name}/diagnostics.
+func (s *Server) handleStreamDiagnostics(w http.ResponseWriter, _ *http.Request, name string) {
 	st := s.resolveStream(w, name)
 	if st == nil {
 		return
@@ -94,11 +94,7 @@ func (s *Server) serveStreamDiagnostics(w http.ResponseWriter, name string) {
 // handleFleetDiagnostics answers GET /v1/diagnostics: every stream's row in
 // declaration order, optionally filtered by ?stream= (exact name),
 // ?mechanism=, and ?alerting=true|false (drift alert state).
-func (s *Server) handleFleetDiagnostics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodNotAllowed(w, r, http.MethodGet)
-		return
-	}
+func (s *Server) handleFleetDiagnostics(w http.ResponseWriter, r *http.Request, _ string) {
 	q := r.URL.Query()
 	var alerting *bool
 	if v := q.Get("alerting"); v != "" {

@@ -1,7 +1,7 @@
 package ldphttp
 
 // Uniform error envelope: every non-2xx response across every endpoint —
-// legacy, /v1, federation, admission control — carries the same JSON shape:
+// /v1, federation, admission control — carries the same JSON shape:
 //
 //	{"error": {"code": "<machine-readable>", "message": "...",
 //	           "retry_after_ms": N}}
@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 )
 
@@ -118,10 +117,9 @@ func retryJSON(w http.ResponseWriter, status int, code string, retryAfter time.D
 }
 
 // methodNotAllowed answers an unsupported method the way RFC 9110 asks: 405
-// with an Allow header listing what the resource supports, in the uniform
-// JSON envelope.
-func methodNotAllowed(w http.ResponseWriter, r *http.Request, allowed ...string) {
-	allow := strings.Join(allowed, ", ")
+// with an Allow header listing what the resource supports ("GET, POST"), in
+// the uniform JSON envelope.
+func methodNotAllowed(w http.ResponseWriter, r *http.Request, allow string) {
 	w.Header().Set("Allow", allow)
 	errorJSON(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed,
 		"method %s not allowed on %s (allow: %s)", r.Method, r.URL.Path, allow)

@@ -115,11 +115,7 @@ func (p *peerState) info() PeerInfo {
 	return info
 }
 
-func (s *Server) handleFederationPeers(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodNotAllowed(w, r, http.MethodGet)
-		return
-	}
+func (s *Server) handleFederationPeers(w http.ResponseWriter, _ *http.Request, _ string) {
 	writeJSON(w, map[string]any{"peers": s.Peers()})
 }
 
@@ -127,11 +123,7 @@ func (s *Server) handleFederationPeers(w http.ResponseWriter, r *http.Request) {
 // 4096-bucket streams; anything bigger is hostile or misconfigured).
 const maxPushBytes = 64 << 20
 
-func (s *Server) handleFederationPush(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		methodNotAllowed(w, r, http.MethodPost)
-		return
-	}
+func (s *Server) handleFederationPush(w http.ResponseWriter, r *http.Request, _ string) {
 	if !s.cfg.Federation.Accept {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusForbidden)
@@ -361,12 +353,9 @@ func (s *Server) autoDeclareStream(name string, fp federate.Fingerprint) (*strea
 		Epoch:     Duration(fp.EpochNanos),
 		Retain:    fp.Retain,
 	}
-	if err := s.CreateStream(name, cfg); err != nil {
+	st, _, err := s.createStream(name, cfg)
+	if err != nil {
 		return nil, err
-	}
-	st := s.lookup(name)
-	if st == nil {
-		return nil, fmt.Errorf("ldphttp: stream %q vanished during auto-declaration", name)
 	}
 	if fp.EpochNanos > 0 {
 		// Re-anchor the pristine ring on the edge's origin, fast-forwarded

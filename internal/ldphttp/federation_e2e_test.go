@@ -92,7 +92,7 @@ func postWireBatch(t *testing.T, url, stream string, reports []any) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+"/batch", "application/json", bytes.NewReader(blob))
+	resp, err := http.Post(url+streamPath(stream)+"/batch", "application/json", bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +545,7 @@ func TestStressFederation(t *testing.T) {
 					blob, _ := json.Marshal(map[string]any{
 						"stream": stream, "report": client.Report(rng.Beta(5, 2), rng),
 					})
-					resp, err := http.Post(edgeURLs[i]+"/report", "application/json", bytes.NewReader(blob))
+					resp, err := http.Post(edgeURLs[i]+streamPath(stream)+"/report", "application/json", bytes.NewReader(blob))
 					if err == nil {
 						resp.Body.Close()
 						if stream == "plain" && resp.StatusCode == http.StatusOK {
@@ -568,7 +568,7 @@ func TestStressFederation(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := http.Get(rootTS.URL + "/estimate?stream=plain")
+				resp, err := http.Get(rootTS.URL + "/v1/streams/plain/estimate")
 				if err == nil {
 					resp.Body.Close()
 				}

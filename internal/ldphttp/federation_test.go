@@ -425,7 +425,7 @@ func TestFederationEdgeSnapshotCursorStash(t *testing.T) {
 	}
 	edgeTS := httptest.NewServer(edge.Handler())
 	t.Cleanup(edgeTS.Close)
-	if resp := postJSON(t, edgeTS.URL+"/report", map[string]float64{"report": 0.25}); resp.StatusCode != http.StatusOK {
+	if resp := postJSON(t, edgeTS.URL+"/v1/streams/default/report", map[string]float64{"report": 0.25}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("report status %d", resp.StatusCode)
 	} else {
 		resp.Body.Close()
@@ -565,7 +565,7 @@ func TestLoadSnapshotAbortsBeforeMergeOnCursorConflict(t *testing.T) {
 	}
 	edgeTS := httptest.NewServer(edge.Handler())
 	t.Cleanup(edgeTS.Close)
-	if resp := postJSON(t, edgeTS.URL+"/report", map[string]float64{"report": 0.5}); resp.StatusCode != http.StatusOK {
+	if resp := postJSON(t, edgeTS.URL+"/v1/streams/default/report", map[string]float64{"report": 0.5}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("report status %d", resp.StatusCode)
 	} else {
 		resp.Body.Close()

@@ -1,10 +1,12 @@
 package ldphttp
 
-// FuzzWireReport drives POST /report body parsing with hostile input: bare
-// numbers, vectors, malformed JSON, NaN/Inf spellings, absurd shapes. The
-// collector must never panic, must answer 200 or 400 (404 for unknown
-// streams), and every non-200 must carry a JSON error body. The WireReport
-// codec itself is round-tripped for any body that parses.
+// FuzzWireReport drives POST /v1/streams/{name}/report body parsing with
+// hostile input: bare numbers, vectors, malformed JSON, NaN/Inf spellings,
+// absurd shapes. Every input goes to each fuzz stream, so the fuzzer reaches
+// every Bucketize shape; a body "stream" naming another stream is a 400
+// stream_mismatch. The collector must never panic, must answer 200 or 400
+// (404 for unknown streams), and every non-200 must carry a JSON error body.
+// The WireReport codec itself is round-tripped for any body that parses.
 
 import (
 	"bytes"
@@ -21,14 +23,17 @@ var (
 	fuzzServer *Server
 )
 
-// fuzzHandler builds one shared collector with a scalar (sw), a fan-out
-// (oue) and a pair-report (olh) stream, so the fuzzer reaches every
-// Bucketize shape.
+// fuzzStreams are the streams of the shared fuzz collector: the default sw
+// stream, then one stream named after each mechanism it runs — scalar
+// (grr), fan-out (oue) and pair-report (olh).
+var fuzzStreams = []string{DefaultStream, "oue", "olh", "grr"}
+
+// fuzzHandler builds the one shared collector hosting fuzzStreams.
 func fuzzHandler() http.Handler {
 	fuzzOnce.Do(func() {
 		fuzzServer = NewServer(Config{Epsilon: 1, Buckets: 32, RefreshInterval: time.Hour})
-		for name, mech := range map[string]string{"oue": "oue", "olh": "olh", "grr": "grr"} {
-			if err := fuzzServer.CreateStream(name, StreamConfig{Epsilon: 1, Buckets: 16, Mechanism: mech}); err != nil {
+		for _, mech := range fuzzStreams[1:] {
+			if err := fuzzServer.CreateStream(mech, StreamConfig{Epsilon: 1, Buckets: 16, Mechanism: mech}); err != nil {
 				panic(err)
 			}
 		}
@@ -64,24 +69,27 @@ func FuzzWireReport(f *testing.F) {
 	}
 	handler := fuzzHandler()
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req := httptest.NewRequest(http.MethodPost, "/report", bytes.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
-		rec := httptest.NewRecorder()
-		handler.ServeHTTP(rec, req)
-		switch rec.Code {
-		case http.StatusOK, http.StatusBadRequest, http.StatusNotFound:
-		default:
-			t.Fatalf("POST /report %q answered %d", body, rec.Code)
-		}
-		if rec.Code != http.StatusOK {
-			var e struct {
-				Error struct {
-					Code    string `json:"code"`
-					Message string `json:"message"`
-				} `json:"error"`
+		for _, name := range fuzzStreams {
+			path := "/v1/streams/" + name + "/report"
+			req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+			req.Header.Set("Content-Type", "application/json")
+			rec := httptest.NewRecorder()
+			handler.ServeHTTP(rec, req)
+			switch rec.Code {
+			case http.StatusOK, http.StatusBadRequest, http.StatusNotFound:
+			default:
+				t.Fatalf("POST %s %q answered %d", path, body, rec.Code)
 			}
-			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error.Code == "" || e.Error.Message == "" {
-				t.Fatalf("POST /report %q: %d without a JSON error envelope: %s", body, rec.Code, rec.Body.Bytes())
+			if rec.Code != http.StatusOK {
+				var e struct {
+					Error struct {
+						Code    string `json:"code"`
+						Message string `json:"message"`
+					} `json:"error"`
+				}
+				if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error.Code == "" || e.Error.Message == "" {
+					t.Fatalf("POST %s %q: %d without a JSON error envelope: %s", path, body, rec.Code, rec.Body.Bytes())
+				}
 			}
 		}
 

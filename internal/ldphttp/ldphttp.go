@@ -7,40 +7,23 @@
 //
 // Endpoints:
 //
-//	POST   /streams  {"name": "age", "epsilon": 1, "buckets": 256}  declare a stream
-//	POST   /streams  {"name": "os", "epsilon": 1, "buckets": 64,
-//	                  "mechanism": "oue"}           declare a non-SW stream
-//	POST   /streams  {"name": "lat", "epsilon": 1, "buckets": 256,
-//	                  "epoch": "1m", "retain": 12}  declare an epoch-rotated stream
-//	GET    /streams                                list streams and their state
-//	DELETE /streams/{name}                         retire a stream
-//	POST   /report   {"stream": "age", "report": 0.1234}           one report
-//	POST   /report   {"stream": "os", "report": [3, 17, 40]}       one vector report
-//	POST   /batch    {"stream": "age", "reports": [0.1, 0.2]}      many reports
-//	GET    /estimate?stream=age                    reconstruction + statistics
-//	GET    /estimate?stream=lat&window=last:6      sliding-window reconstruction
-//	GET    /query?stream=age&type=quantile&q=0.5,0.9,0.99          analytics
-//	GET    /query?stream=lat&type=mean&window=epochs:3..7          windowed analytics
-//	POST   /query    {"stream": "age", "queries": [...]}           batched analytics
-//	GET    /config?stream=age                      effective stream configuration
+//	GET    /v1/streams                    list streams and their state
+//	POST   /v1/streams                    declare a stream, e.g.
+//	       {"name": "age", "epsilon": 1, "buckets": 256}
+//	       {"name": "os", "epsilon": 1, "buckets": 64, "mechanism": "oue"}
+//	       {"name": "lat", "epsilon": 1, "buckets": 256, "epoch": "1m", "retain": 12}
+//	GET    /v1/streams/{name}             one stream's info, config and links
+//	DELETE /v1/streams/{name}             retire a stream
+//	POST   /v1/streams/{name}/report      {"report": 0.1234} or {"report": [3, 17, 40]}
+//	POST   /v1/streams/{name}/batch       {"reports": [0.1, 0.2]}
+//	GET    /v1/streams/{name}/estimate    reconstruction + statistics (?window=last:6)
+//	GET    /v1/streams/{name}/query       ?type=quantile&q=0.5,0.9 (&window=epochs:3..7)
+//	POST   /v1/streams/{name}/query       {"queries": [...]}: batched analytics
+//	GET    /v1/streams/{name}/config      effective stream configuration
+//	GET    /v1/streams/{name}/diagnostics estimate quality
+//	GET    /v1/diagnostics                every stream's estimate quality
 //
-// The flat routes above are the legacy surface, kept as thin aliases that
-// answer with Deprecation: true and a Link: </v1/...>; rel="successor-version"
-// header. The same operations — one code path, two surfaces — live under the
-// versioned v1 resource tree:
-//
-//	GET    /v1/streams                   list streams
-//	POST   /v1/streams                   declare a stream (same body as /streams)
-//	GET    /v1/streams/{name}            one stream's info, config and links
-//	DELETE /v1/streams/{name}            retire a stream
-//	POST   /v1/streams/{name}/report    {"report": 0.1234}
-//	POST   /v1/streams/{name}/batch     {"reports": [0.1, 0.2]}
-//	GET    /v1/streams/{name}/estimate?window=last:6
-//	GET    /v1/streams/{name}/query?type=quantile&q=0.5
-//	POST   /v1/streams/{name}/query     {"queries": [...]}
-//	GET    /v1/streams/{name}/config
-//
-// Operational endpoints (exempt from admission control, never deprecated):
+// Operational endpoints (exempt from admission control):
 //
 //	GET /metrics   Prometheus text exposition, format 0.0.4 (see Ops below)
 //	GET /healthz   liveness: the estimation engine is ticking
@@ -54,7 +37,7 @@
 // # Mechanisms
 //
 // Every stream runs one reporting mechanism from package mechanism,
-// declared as "mechanism" on POST /streams (or mech= in the ldpserver
+// declared as "mechanism" on POST /v1/streams (or mech= in the ldpserver
 // -stream flag): the continuous Square Wave "sw" (the paper's contribution
 // and the default), the discrete "sw-discrete", and the categorical
 // frequency oracles "grr", "oue", "sue", "olh" and "hrr". "auto" picks the
@@ -66,10 +49,6 @@
 // mechanism has a transition channel or through the direct debiased
 // estimate plus Norm-Sub projection when it does not.
 //
-// The stream field/parameter is optional everywhere: omitting it addresses
-// the default stream every server is born with, so single-attribute
-// deployments never have to mention streams at all.
-//
 // # Architecture
 //
 // A server hosts any number of named attribute streams, each with its own
@@ -80,7 +59,7 @@
 // epoch never seals; a windowed stream's ring rotates (see Windowed
 // collection). Ingest, refresh, federation absorb and push, and snapshots
 // all run the same ring code for both; plain and windowed differ only where
-// epochs are visible outside — window selectors, /config and stream info,
+// epochs are visible outside — window selectors, config and stream info,
 // snapshot records and federation fingerprints — and there the declared
 // epoch decides. Ingestion and estimation are decoupled so neither blocks
 // the other: reports land in the live epoch under the ring's shared lock,
@@ -94,9 +73,10 @@
 // per-stream reusable workspace (zero allocations once warm); a per-stream
 // busy flag keeps refreshes of one stream serialized, so results are
 // bit-identical to the old single-goroutine engine regardless of pool size.
-// GET /estimate and /query never run EM on a request goroutine: they serve
-// the cached reconstruction (503 with pending_reports while the very first
-// one is still being computed) and report how many reports arrived after it.
+// The estimate and query endpoints never run EM on a request goroutine:
+// they serve the cached reconstruction (503 with pending_reports while the
+// very first one is still being computed) and report how many reports
+// arrived after it.
 //
 // # Windowed collection
 //
@@ -104,8 +84,8 @@
 // live histogram rotates into a sealed epoch every period (driven by the
 // engine's clock), the last Retain sealed epochs are kept, and any
 // contiguous retained range is addressable with window=last:K or
-// window=epochs:i..j on /estimate and /query. A plain stream answers such
-// selectors with 400 not_windowed. Window reconstructions are
+// window=epochs:i..j on the estimate and query endpoints. A plain stream
+// answers such selectors with 400 not_windowed. Window reconstructions are
 // also engine-computed and cached — the first request for a range answers
 // 503 and wakes the engine, which merges the range's epochs and runs EMS
 // warm-started from that window's previous estimate (or its one-epoch-back
@@ -160,8 +140,8 @@ import (
 	"repro/internal/window"
 )
 
-// DefaultStream is the name of the stream every server starts with; requests
-// that do not name a stream address it.
+// DefaultStream is the name of the stream every server starts with, declared
+// from Config's mechanism parameters.
 const DefaultStream = "default"
 
 // Config mirrors the default stream's mechanism parameters plus server-side
@@ -572,7 +552,7 @@ func (s *Server) fillStreamDefaults(cfg StreamConfig) (StreamConfig, error) {
 			cfg.Mechanism, mechanism.Names())
 	}
 	// "auto" (and "") resolve at declaration, so the stream's configuration,
-	// /config echo, and snapshots always carry the concrete mechanism.
+	// config echo, and snapshots always carry the concrete mechanism.
 	mech, err := mechanism.Resolve(cfg.Mechanism, cfg.Epsilon, cfg.Buckets)
 	if err != nil {
 		return cfg, fmt.Errorf("ldphttp: %v", err)
@@ -612,12 +592,21 @@ var ErrStreamConfigMismatch = fmt.Errorf("stream exists with different configura
 // are an error (the report histogram of the live stream would be
 // meaningless under the new mechanism).
 func (s *Server) CreateStream(name string, cfg StreamConfig) error {
+	_, _, err := s.createStream(name, cfg)
+	return err
+}
+
+// createStream is CreateStream returning the stream the name resolves to
+// and whether this call created it. Both are decided under one hold of the
+// registry lock, so a concurrent declare or DropStream cannot change the
+// answer before the caller uses it.
+func (s *Server) createStream(name string, cfg StreamConfig) (*stream, bool, error) {
 	if !snapshot.ValidStreamName(name) {
-		return fmt.Errorf("ldphttp: invalid stream name %q (want 1-64 bytes with no control characters)", name)
+		return nil, false, fmt.Errorf("ldphttp: invalid stream name %q (want 1-64 bytes with no control characters)", name)
 	}
 	cfg, err := s.fillStreamDefaults(cfg)
 	if err != nil {
-		return err
+		return nil, false, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -626,36 +615,37 @@ func (s *Server) CreateStream(name string, cfg StreamConfig) error {
 			existing.cfg.Mechanism != cfg.Mechanism ||
 			mechanism.EffectiveBandwidth(existing.cfg.Mechanism, existing.cfg.Epsilon, existing.cfg.Bandwidth) !=
 				mechanism.EffectiveBandwidth(cfg.Mechanism, cfg.Epsilon, cfg.Bandwidth) {
-			return fmt.Errorf("ldphttp: %w: %q has %+v, requested %+v",
+			return nil, false, fmt.Errorf("ldphttp: %w: %q has %+v, requested %+v",
 				ErrStreamConfigMismatch, name, existing.cfg, cfg)
 		}
 		// Windowing is fixed at stream creation: zero Epoch/Retain inherit
 		// whatever the stream has, non-zero values must match it exactly.
 		if cfg.windowed() {
 			if !existing.cfg.windowed() {
-				return fmt.Errorf("ldphttp: %w: %q is not windowed; drop and redeclare it to enable epochs",
+				return nil, false, fmt.Errorf("ldphttp: %w: %q is not windowed; drop and redeclare it to enable epochs",
 					ErrStreamConfigMismatch, name)
 			}
 			if existing.cfg.Epoch != cfg.Epoch ||
 				(cfg.Retain != 0 && existing.cfg.Retain != cfg.Retain) {
-				return fmt.Errorf("ldphttp: %w: %q rotates every %v retaining %d, requested %v/%d",
+				return nil, false, fmt.Errorf("ldphttp: %w: %q rotates every %v retaining %d, requested %v/%d",
 					ErrStreamConfigMismatch, name, time.Duration(existing.cfg.Epoch),
 					existing.cfg.Retain, time.Duration(cfg.Epoch), cfg.Retain)
 			}
 		}
-		return nil
+		return existing, false, nil
 	}
 	st := s.newStream(name, cfg)
 	s.streams[name] = st
 	s.order = append(s.order, st)
-	return nil
+	return st, true, nil
 }
 
 // DropStream retires a named stream: it disappears from the registry, the
 // engine's rotation and future snapshots, and its reports are discarded.
-// Dropping the default stream is allowed (requests without a stream then
-// 404) — an operator who never uses it can reclaim it. In-flight requests
-// that already resolved the stream finish against its final state.
+// Dropping the default stream is allowed (it then answers 404 like any
+// unknown stream) — an operator who never uses it can reclaim it.
+// In-flight requests that already resolved the stream finish against its
+// final state.
 func (s *Server) DropStream(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -690,7 +680,7 @@ func (s *Server) streamList() []*stream {
 	return append([]*stream(nil), s.order...)
 }
 
-// StreamInfo is one row of GET /streams (and the whole body of GET
+// StreamInfo is one row of GET /v1/streams (and the whole body of GET
 // /v1/streams/{name}). Epsilon/Buckets/Mechanism/Bandwidth/Shards echo the
 // declaration; Config carries the full resolved configuration — identical
 // field for field to GET /v1/streams/{name}/config — so the list view and
@@ -1081,6 +1071,9 @@ func (r WireReport) MarshalJSON() ([]byte, error) {
 	return json.Marshal([]float64(r))
 }
 
+// reportRequest and batchRequest are the JSON bodies of the report and
+// batch endpoints. Stream is optional; when present it must name the
+// stream the path addresses.
 type reportRequest struct {
 	Stream string     `json:"stream"`
 	Report WireReport `json:"report"`
@@ -1091,7 +1084,10 @@ type batchRequest struct {
 	Reports []WireReport `json:"reports"`
 }
 
-// EstimateResponse is the JSON shape of GET /estimate.
+func (q *reportRequest) stream() string { return q.Stream }
+func (q *batchRequest) stream() string  { return q.Stream }
+
+// EstimateResponse is the JSON shape of GET /v1/streams/{name}/estimate.
 type EstimateResponse struct {
 	Stream string `json:"stream"`
 	// N is the number of reports (users) the estimate covers.
@@ -1142,15 +1138,61 @@ func (s *Server) resolveStream(w http.ResponseWriter, name string) *stream {
 }
 
 // cellPool recycles the bucket-cell scratch of the ingest hot path: every
-// /report and /batch request needs a []int for Bucketize's output, and at
+// report and batch request needs a []int for Bucketize's output, and at
 // high report rates those allocations dominate the handler. The striped
 // histogram consumes the cells synchronously, so the buffer is free again
 // when the handler returns.
 var cellPool = sync.Pool{New: func() any { b := make([]int, 0, 256); return &b }}
 
-// serveReport is the shared core of POST /report and POST
-// /v1/streams/{name}/report: bucketize one report and land it in the
-// stream's histogram.
+// decodeIngest is the one decode path of the report and batch endpoints: it
+// negotiates the codec, then decodes a binary frame into the returned
+// reports, or the JSON body into req and checks req's stream against the
+// path. frame is nil exactly when the body was JSON.
+func (s *Server) decodeIngest(w http.ResponseWriter, r *http.Request, endpoint, name string,
+	req interface{ stream() string }) (frame []WireReport, ok bool) {
+	codec, ok := s.negotiateCodec(w, r, endpoint)
+	if !ok {
+		return nil, false
+	}
+	if codec == codecBinary {
+		return readBinaryReports(w, r)
+	}
+	return nil, decodeJSON(w, r, req) && streamMatches(w, name, req.stream())
+}
+
+// handleReport serves POST /v1/streams/{name}/report. A binary frame must
+// carry exactly one report.
+func (s *Server) handleReport(w http.ResponseWriter, r *http.Request, name string) {
+	var req reportRequest
+	frame, ok := s.decodeIngest(w, r, "/v1/streams/{name}/report", name, &req)
+	if !ok {
+		return
+	}
+	if frame != nil {
+		if len(frame) != 1 {
+			errorJSON(w, http.StatusBadRequest, CodeBadRequest,
+				"binary report frame carries %d reports; POST the frame to the batch endpoint", len(frame))
+			return
+		}
+		req.Report = frame[0]
+	}
+	s.serveReport(w, name, req.Report)
+}
+
+// handleBatch serves POST /v1/streams/{name}/batch.
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, name string) {
+	var req batchRequest
+	frame, ok := s.decodeIngest(w, r, "/v1/streams/{name}/batch", name, &req)
+	if !ok {
+		return
+	}
+	if frame != nil {
+		req.Reports = frame
+	}
+	s.serveBatch(w, name, req.Reports)
+}
+
+// serveReport bucketizes one report and lands it in the stream's histogram.
 func (s *Server) serveReport(w http.ResponseWriter, name string, rep WireReport) {
 	st := s.resolveStream(w, name)
 	if st == nil {
@@ -1186,30 +1228,8 @@ func (s *Server) serveReport(w http.ResponseWriter, name string, rep WireReport)
 	writeJSON(w, map[string]any{"accepted": true, "stream": st.name, "n": st.users()})
 }
 
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		methodNotAllowed(w, r, http.MethodPost)
-		return
-	}
-	codec, ok := s.negotiateCodec(w, r, "/report")
-	if !ok {
-		return
-	}
-	if codec == codecBinary {
-		// A binary frame carries no stream field; it addresses the default
-		// stream, the same rule as a JSON body with the field omitted.
-		s.serveBinaryReport(w, r, "")
-		return
-	}
-	var req reportRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	s.serveReport(w, req.Stream, req.Report)
-}
-
-// serveBatch is the shared core of POST /batch and POST
-// /v1/streams/{name}/batch.
+// serveBatch validates a whole batch, then lands it in the stream's
+// histogram.
 func (s *Server) serveBatch(w http.ResponseWriter, name string, reports []WireReport) {
 	if len(reports) == 0 {
 		errorJSON(w, http.StatusBadRequest, CodeBadRequest, "empty batch")
@@ -1251,28 +1271,8 @@ func (s *Server) serveBatch(w http.ResponseWriter, name string, reports []WireRe
 	writeJSON(w, map[string]any{"accepted": len(reports), "stream": st.name, "n": st.users()})
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		methodNotAllowed(w, r, http.MethodPost)
-		return
-	}
-	codec, ok := s.negotiateCodec(w, r, "/batch")
-	if !ok {
-		return
-	}
-	if codec == codecBinary {
-		s.serveBinaryBatch(w, r, "")
-		return
-	}
-	var req batchRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	s.serveBatch(w, req.Stream, req.Reports)
-}
-
 // loadEstimate fetches a stream's cached reconstruction for serving,
-// handling the two not-ready cases uniformly for /estimate and /query:
+// handling the two not-ready cases uniformly for estimates and queries:
 // 409 when the stream has no reports at all, 503 (with pending_reports and
 // Retry-After, never blocking the client) while the first estimate is still
 // being computed. The returned pending count is how many reports arrived
@@ -1307,14 +1307,13 @@ func (s *Server) loadEstimate(w http.ResponseWriter, st *stream) (cached *Estima
 	return cached, pending, true
 }
 
-// serveEstimate is the shared core of GET /estimate and GET
-// /v1/streams/{name}/estimate.
-func (s *Server) serveEstimate(w http.ResponseWriter, name, windowSel string) {
+// handleEstimate serves GET /v1/streams/{name}/estimate[?window=...].
+func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, name string) {
 	st := s.resolveStream(w, name)
 	if st == nil {
 		return
 	}
-	cached, pending, ok := s.loadEstimateOrWindow(w, st, windowSel)
+	cached, pending, ok := s.loadEstimateOrWindow(w, st, r.URL.Query().Get("window"))
 	if !ok {
 		return
 	}
@@ -1324,20 +1323,13 @@ func (s *Server) serveEstimate(w http.ResponseWriter, name, windowSel string) {
 	writeJSON(w, out)
 }
 
-func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodNotAllowed(w, r, http.MethodGet)
-		return
-	}
-	s.serveEstimate(w, r.URL.Query().Get("stream"), r.URL.Query().Get("window"))
-}
-
-// StreamCreateResponse is the JSON shape of POST /streams: the full
-// effective configuration of the declared stream (identical to GET /config)
-// plus whether this request created it. Re-declaring an existing stream with
-// a compatible configuration is idempotent — 200 with the existing config —
-// so a fleet of edge collectors can blindly sync their declarations to a
-// root; only a genuinely conflicting configuration is refused with 409.
+// StreamCreateResponse is the JSON shape of POST /v1/streams: the full
+// effective configuration of the declared stream (identical to GET
+// /v1/streams/{name}/config) plus whether this request created it.
+// Re-declaring an existing stream with a compatible configuration is
+// idempotent — 200 with the existing config — so a fleet of edge collectors
+// can blindly sync their declarations to a root; only a genuinely
+// conflicting configuration is refused with 409.
 type StreamCreateResponse struct {
 	ConfigResponse
 	Created bool `json:"created"`
@@ -1346,13 +1338,13 @@ type StreamCreateResponse struct {
 	Links StreamLinks `json:"links"`
 }
 
-// serveStreamList and serveStreamCreate are the shared cores of /streams and
-// /v1/streams.
-func (s *Server) serveStreamList(w http.ResponseWriter) {
+// handleStreamList serves GET /v1/streams.
+func (s *Server) handleStreamList(w http.ResponseWriter, _ *http.Request, _ string) {
 	writeJSON(w, map[string]any{"streams": s.Streams()})
 }
 
-func (s *Server) serveStreamCreate(w http.ResponseWriter, r *http.Request) {
+// handleStreamCreate serves POST /v1/streams.
+func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request, _ string) {
 	var req struct {
 		Name string `json:"name"`
 		StreamConfig
@@ -1360,10 +1352,8 @@ func (s *Server) serveStreamCreate(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	s.mu.RLock()
-	_, existed := s.streams[req.Name] // exact name: "" must not alias the default stream
-	s.mu.RUnlock()
-	if err := s.CreateStream(req.Name, req.StreamConfig); err != nil {
+	st, created, err := s.createStream(req.Name, req.StreamConfig)
+	if err != nil {
 		// 409 is reserved for a real configuration conflict with the
 		// live stream; a malformed declaration is 400 whether or not
 		// the name exists.
@@ -1374,27 +1364,14 @@ func (s *Server) serveStreamCreate(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, status, code, "%v", err)
 		return
 	}
-	st := s.lookup(req.Name)
-	if !existed {
+	if created {
 		w.WriteHeader(http.StatusCreated)
 	}
-	writeJSON(w, StreamCreateResponse{ConfigResponse: s.configOf(st), Created: !existed, Links: streamLinks(st.name)})
+	writeJSON(w, StreamCreateResponse{ConfigResponse: s.configOf(st), Created: created, Links: streamLinks(st.name)})
 }
 
-func (s *Server) handleStreams(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		s.serveStreamList(w)
-	case http.MethodPost:
-		s.serveStreamCreate(w, r)
-	default:
-		methodNotAllowed(w, r, http.MethodGet, http.MethodPost)
-	}
-}
-
-// serveStreamDelete is the shared core of DELETE /streams/{name} and DELETE
-// /v1/streams/{name}.
-func (s *Server) serveStreamDelete(w http.ResponseWriter, name string) {
+// handleStreamDelete serves DELETE /v1/streams/{name}.
+func (s *Server) handleStreamDelete(w http.ResponseWriter, _ *http.Request, name string) {
 	if err := s.DropStream(name); err != nil {
 		errorJSON(w, http.StatusNotFound, CodeUnknownStream, "%v", err)
 		return
@@ -1402,8 +1379,8 @@ func (s *Server) serveStreamDelete(w http.ResponseWriter, name string) {
 	writeJSON(w, map[string]any{"dropped": name})
 }
 
-// serveStreamInfo answers GET /v1/streams/{name}.
-func (s *Server) serveStreamInfo(w http.ResponseWriter, name string) {
+// handleStreamInfo serves GET /v1/streams/{name}.
+func (s *Server) handleStreamInfo(w http.ResponseWriter, _ *http.Request, name string) {
 	st := s.resolveStream(w, name)
 	if st == nil {
 		return
@@ -1411,10 +1388,10 @@ func (s *Server) serveStreamInfo(w http.ResponseWriter, name string) {
 	writeJSON(w, s.streamInfo(st))
 }
 
-// ConfigResponse is the JSON shape of GET /config: the full effective
-// configuration of one stream — every value resolved, not as declared — so
-// a client can reproduce the stream's setup (or build a matching client
-// mechanism) from this response alone.
+// ConfigResponse is the JSON shape of GET /v1/streams/{name}/config: the
+// full effective configuration of one stream — every value resolved, not as
+// declared — so a client can reproduce the stream's setup (or build a
+// matching client mechanism) from this response alone.
 type ConfigResponse struct {
 	Stream    string  `json:"stream"`
 	Mechanism string  `json:"mechanism"`
@@ -1433,22 +1410,13 @@ type ConfigResponse struct {
 	Retain int      `json:"retain,omitempty"`
 }
 
-// serveConfig is the shared core of GET /config and GET
-// /v1/streams/{name}/config.
-func (s *Server) serveConfig(w http.ResponseWriter, name string) {
+// handleConfig serves GET /v1/streams/{name}/config.
+func (s *Server) handleConfig(w http.ResponseWriter, _ *http.Request, name string) {
 	st := s.resolveStream(w, name)
 	if st == nil {
 		return
 	}
 	writeJSON(w, s.configOf(st))
-}
-
-func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodNotAllowed(w, r, http.MethodGet)
-		return
-	}
-	s.serveConfig(w, r.URL.Query().Get("stream"))
 }
 
 // configOf assembles the full effective configuration of one stream.

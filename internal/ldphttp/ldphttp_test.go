@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -26,8 +27,8 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// getFreshEstimate polls GET /estimate until the served reconstruction
-// covers every ingested report (the background engine refreshes
+// getFreshEstimate polls the default stream's estimate until the served
+// reconstruction covers every ingested report (the background engine refreshes
 // asynchronously, so a bounded number of responses may be stale and the very
 // first polls may see 503 while the initial reconstruction runs).
 func getFreshEstimate(t *testing.T, url string, wantN int) EstimateResponse {
@@ -35,13 +36,18 @@ func getFreshEstimate(t *testing.T, url string, wantN int) EstimateResponse {
 	return getFreshStreamEstimate(t, url, "", wantN)
 }
 
-// getFreshStreamEstimate is getFreshEstimate for a named stream.
-func getFreshStreamEstimate(t *testing.T, url, stream string, wantN int) EstimateResponse {
-	t.Helper()
-	target := url + "/estimate"
-	if stream != "" {
-		target += "?stream=" + stream
+// streamPath is the /v1 resource path of a stream ("" = the default stream).
+func streamPath(stream string) string {
+	if stream == "" {
+		stream = DefaultStream
 	}
+	return "/v1/streams/" + url.PathEscape(stream)
+}
+
+// getFreshStreamEstimate is getFreshEstimate for a named stream.
+func getFreshStreamEstimate(t *testing.T, baseURL, stream string, wantN int) EstimateResponse {
+	t.Helper()
+	target := baseURL + streamPath(stream) + "/estimate"
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		resp, err := http.Get(target)
@@ -98,7 +104,7 @@ func TestReportAndEstimate(t *testing.T) {
 	rng := randx.New(1)
 	const n = 3000
 	for i := 0; i < n; i++ {
-		resp := postJSON(t, ts.URL+"/report", map[string]float64{"report": client.Report(rng.Beta(5, 2), rng)})
+		resp := postJSON(t, ts.URL+"/v1/streams/default/report", map[string]float64{"report": client.Report(rng.Beta(5, 2), rng)})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("report status = %d", resp.StatusCode)
 		}
@@ -125,7 +131,7 @@ func TestBatchEndpoint(t *testing.T) {
 	for i := range reports {
 		reports[i] = client.Report(rng.Float64(), rng)
 	}
-	resp := postJSON(t, ts.URL+"/batch", map[string]any{"reports": reports})
+	resp := postJSON(t, ts.URL+"/v1/streams/default/batch", map[string]any{"reports": reports})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch status = %d", resp.StatusCode)
@@ -137,7 +143,7 @@ func TestBatchEndpoint(t *testing.T) {
 
 func TestConfigEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/config")
+	resp, err := http.Get(ts.URL + "/v1/streams/default/config")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +173,7 @@ func TestConfigEndpoint(t *testing.T) {
 }
 
 // TestConfigEndpointWindowed: epoch/retain — the fields PR 2/3 added — come
-// back on /config, so clients can reproduce a windowed stream's setup.
+// back on the config endpoint, so clients can reproduce a windowed stream's setup.
 func TestConfigEndpointWindowed(t *testing.T) {
 	s := NewServer(Config{Epsilon: 1, Buckets: 32, RefreshInterval: time.Hour})
 	t.Cleanup(s.Close)
@@ -177,7 +183,7 @@ func TestConfigEndpointWindowed(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	resp, err := http.Get(ts.URL + "/config?stream=lat")
+	resp, err := http.Get(ts.URL + "/v1/streams/lat/config")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,25 +200,25 @@ func TestConfigEndpointWindowed(t *testing.T) {
 func TestErrorPaths(t *testing.T) {
 	_, ts := newTestServer(t)
 	// Estimate before any reports: 409.
-	resp, _ := http.Get(ts.URL + "/estimate")
+	resp, _ := http.Get(ts.URL + "/v1/streams/default/estimate")
 	if resp.StatusCode != http.StatusConflict {
 		t.Errorf("empty estimate status = %d, want 409", resp.StatusCode)
 	}
 	resp.Body.Close()
 	// Wrong method.
-	resp, _ = http.Get(ts.URL + "/report")
+	resp, _ = http.Get(ts.URL + "/v1/streams/default/report")
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /report status = %d", resp.StatusCode)
+		t.Errorf("GET .../report status = %d", resp.StatusCode)
 	}
 	resp.Body.Close()
 	// Malformed JSON.
-	r, _ := http.Post(ts.URL+"/report", "application/json", bytes.NewReader([]byte("{")))
+	r, _ := http.Post(ts.URL+"/v1/streams/default/report", "application/json", bytes.NewReader([]byte("{")))
 	if r.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad JSON status = %d", r.StatusCode)
 	}
 	r.Body.Close()
 	// Empty batch.
-	resp = postJSON(t, ts.URL+"/batch", map[string]any{"reports": []float64{}})
+	resp = postJSON(t, ts.URL+"/v1/streams/default/batch", map[string]any{"reports": []float64{}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty batch status = %d", resp.StatusCode)
 	}
@@ -220,7 +226,7 @@ func TestErrorPaths(t *testing.T) {
 }
 
 // TestEstimatePending503 pins the non-blocking contract: reports are in but
-// the first reconstruction has not been published, so GET /estimate must
+// the first reconstruction has not been published, so GET .../estimate must
 // answer immediately with 503 and the pending count — never hang the client.
 func TestEstimatePending503(t *testing.T) {
 	// A huge refresh interval guarantees the engine has not run when the
@@ -230,7 +236,7 @@ func TestEstimatePending503(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 
-	postJSON(t, ts.URL+"/report", map[string]any{"report": 0.4}).Body.Close()
+	postJSON(t, ts.URL+"/v1/streams/default/report", map[string]any{"report": 0.4}).Body.Close()
 
 	done := make(chan struct{})
 	var status int
@@ -239,7 +245,7 @@ func TestEstimatePending503(t *testing.T) {
 	}
 	go func() {
 		defer close(done)
-		resp, err := http.Get(ts.URL + "/estimate")
+		resp, err := http.Get(ts.URL + "/v1/streams/default/estimate")
 		if err != nil {
 			return
 		}
@@ -250,7 +256,7 @@ func TestEstimatePending503(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("GET /estimate blocked waiting for the first estimate")
+		t.Fatal("GET .../estimate blocked waiting for the first estimate")
 	}
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("pending estimate status = %d, want 503", status)
@@ -270,7 +276,7 @@ func TestStreamLifecycle(t *testing.T) {
 	srv, ts := newTestServer(t)
 
 	// The default stream exists from birth.
-	resp, err := http.Get(ts.URL + "/streams")
+	resp, err := http.Get(ts.URL + "/v1/streams")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,19 +292,19 @@ func TestStreamLifecycle(t *testing.T) {
 	}
 
 	// Declare a stream with its own domain parameters.
-	resp = postJSON(t, ts.URL+"/streams", map[string]any{"name": "age", "epsilon": 2.0, "buckets": 32})
+	resp = postJSON(t, ts.URL+"/v1/streams", map[string]any{"name": "age", "epsilon": 2.0, "buckets": 32})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create stream status = %d", resp.StatusCode)
 	}
 	resp.Body.Close()
 
 	// Redeclaring identically is idempotent; changing parameters conflicts.
-	resp = postJSON(t, ts.URL+"/streams", map[string]any{"name": "age", "epsilon": 2.0, "buckets": 32})
+	resp = postJSON(t, ts.URL+"/v1/streams", map[string]any{"name": "age", "epsilon": 2.0, "buckets": 32})
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("idempotent redeclare status = %d", resp.StatusCode)
 	}
 	resp.Body.Close()
-	resp = postJSON(t, ts.URL+"/streams", map[string]any{"name": "age", "epsilon": 0.5, "buckets": 32})
+	resp = postJSON(t, ts.URL+"/v1/streams", map[string]any{"name": "age", "epsilon": 0.5, "buckets": 32})
 	if resp.StatusCode != http.StatusConflict {
 		t.Errorf("conflicting redeclare status = %d", resp.StatusCode)
 	}
@@ -321,7 +327,7 @@ func TestStreamLifecycle(t *testing.T) {
 		{"name": "x", "epsilon": 1.0, "buckets": 1},
 		{"name": "x", "epsilon": 1.0, "buckets": mechanism.MaxBuckets + 1},
 	} {
-		resp = postJSON(t, ts.URL+"/streams", bad)
+		resp = postJSON(t, ts.URL+"/v1/streams", bad)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("create %v status = %d, want 400", bad, resp.StatusCode)
 		}
@@ -329,12 +335,12 @@ func TestStreamLifecycle(t *testing.T) {
 	}
 
 	// Reports route to their stream; unknown streams 404.
-	resp = postJSON(t, ts.URL+"/report", map[string]any{"stream": "age", "report": 0.5})
+	resp = postJSON(t, ts.URL+"/v1/streams/age/report", map[string]any{"stream": "age", "report": 0.5})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stream report status = %d", resp.StatusCode)
 	}
 	resp.Body.Close()
-	resp = postJSON(t, ts.URL+"/report", map[string]any{"stream": "nope", "report": 0.5})
+	resp = postJSON(t, ts.URL+"/v1/streams/nope/report", map[string]any{"stream": "nope", "report": 0.5})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown stream report status = %d, want 404", resp.StatusCode)
 	}
@@ -350,7 +356,7 @@ func TestStreamLifecycle(t *testing.T) {
 	}
 
 	// Per-stream config is served.
-	resp, err = http.Get(ts.URL + "/config?stream=age")
+	resp, err = http.Get(ts.URL + "/v1/streams/age/config")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +384,7 @@ func TestQueryEndpoint(t *testing.T) {
 	for i := range reports {
 		reports[i] = client.Report(rng.Beta(5, 2), rng)
 	}
-	postJSON(t, ts.URL+"/batch", map[string]any{"reports": reports}).Body.Close()
+	postJSON(t, ts.URL+"/v1/streams/default/batch", map[string]any{"reports": reports}).Body.Close()
 	getFreshEstimate(t, ts.URL, len(reports))
 
 	get := func(t *testing.T, path string) (int, QueryResponse) {
@@ -397,7 +403,7 @@ func TestQueryEndpoint(t *testing.T) {
 		return resp.StatusCode, out
 	}
 
-	status, q := get(t, "/query?type=quantile&q=0.1,0.5,0.9")
+	status, q := get(t, "/v1/streams/default/query?type=quantile&q=0.1,0.5,0.9")
 	if status != http.StatusOK || len(q.Values) != 3 {
 		t.Fatalf("quantile query: status %d, values %v", status, q.Values)
 	}
@@ -411,7 +417,7 @@ func TestQueryEndpoint(t *testing.T) {
 		t.Errorf("query N = %d", q.N)
 	}
 
-	status, q = get(t, "/query?type=cdf&q=0,1")
+	status, q = get(t, "/v1/streams/default/query?type=cdf&q=0,1")
 	if status != http.StatusOK || len(q.Values) != 2 {
 		t.Fatalf("cdf query: status %d, %v", status, q.Values)
 	}
@@ -419,7 +425,7 @@ func TestQueryEndpoint(t *testing.T) {
 		t.Errorf("cdf endpoints = %v, want [0, 1]", q.Values)
 	}
 
-	status, q = get(t, "/query?type=range&lo=0.5&hi=1")
+	status, q = get(t, "/v1/streams/default/query?type=range&lo=0.5&hi=1")
 	if status != http.StatusOK {
 		t.Fatalf("range query status %d", status)
 	}
@@ -427,12 +433,12 @@ func TestQueryEndpoint(t *testing.T) {
 		t.Errorf("range mass = %v, want ≈ 0.89", q.Value)
 	}
 
-	status, q = get(t, "/query?type=mean")
+	status, q = get(t, "/v1/streams/default/query?type=mean")
 	if status != http.StatusOK || math.Abs(q.Value-5.0/7.0) > 0.05 {
 		t.Errorf("mean query: status %d, value %v, want ≈ 0.714", status, q.Value)
 	}
 
-	status, q = get(t, "/query?type=topk&k=3")
+	status, q = get(t, "/v1/streams/default/query?type=topk&k=3")
 	if status != http.StatusOK || len(q.Bins) != 3 {
 		t.Fatalf("topk query: status %d, bins %v", status, q.Bins)
 	}
@@ -442,25 +448,25 @@ func TestQueryEndpoint(t *testing.T) {
 
 	// Malformed queries are 400s.
 	for _, bad := range []string{
-		"/query?type=quantile",         // no points
-		"/query?type=quantile&q=junk",  // unparsable
-		"/query?type=nope&q=0.5",       // unknown type
-		"/query?type=range&lo=1&hi=0",  // inverted
-		"/query?type=topk&k=0",         // bad k
-		"/query?type=topk&k=notanint",  // unparsable k
-		"/query?type=range&lo=x&hi=.5", // unparsable lo
+		"/v1/streams/default/query?type=quantile",         // no points
+		"/v1/streams/default/query?type=quantile&q=junk",  // unparsable
+		"/v1/streams/default/query?type=nope&q=0.5",       // unknown type
+		"/v1/streams/default/query?type=range&lo=1&hi=0",  // inverted
+		"/v1/streams/default/query?type=topk&k=0",         // bad k
+		"/v1/streams/default/query?type=topk&k=notanint",  // unparsable k
+		"/v1/streams/default/query?type=range&lo=x&hi=.5", // unparsable lo
 	} {
 		if status, _ := get(t, bad); status != http.StatusBadRequest {
 			t.Errorf("GET %s status = %d, want 400", bad, status)
 		}
 	}
 	// Unknown stream is 404.
-	if status, _ := get(t, "/query?stream=nope&type=mean"); status != http.StatusNotFound {
+	if status, _ := get(t, "/v1/streams/nope/query?type=mean"); status != http.StatusNotFound {
 		t.Errorf("unknown stream query status = %d, want 404", status)
 	}
 
-	// Batched POST /query answers every query against one estimate.
-	resp := postJSON(t, ts.URL+"/query", map[string]any{
+	// Batched POST .../query answers every query against one estimate.
+	resp := postJSON(t, ts.URL+"/v1/streams/default/query", map[string]any{
 		"queries": []map[string]any{
 			{"type": "quantile", "q": []float64{0.5}},
 			{"type": "range", "lo": 0.25, "hi": 0.75},
@@ -484,7 +490,7 @@ func TestQueryEndpoint(t *testing.T) {
 	}
 
 	// A bad query anywhere in the batch rejects the whole batch.
-	resp = postJSON(t, ts.URL+"/query", map[string]any{
+	resp = postJSON(t, ts.URL+"/v1/streams/default/query", map[string]any{
 		"queries": []map[string]any{{"type": "mean"}, {"type": "bogus"}},
 	})
 	if resp.StatusCode != http.StatusBadRequest {
@@ -492,14 +498,14 @@ func TestQueryEndpoint(t *testing.T) {
 	}
 	resp.Body.Close()
 	// An empty batch is a 400 too.
-	resp = postJSON(t, ts.URL+"/query", map[string]any{"queries": []map[string]any{}})
+	resp = postJSON(t, ts.URL+"/v1/streams/default/query", map[string]any{"queries": []map[string]any{}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty batch status = %d, want 400", resp.StatusCode)
 	}
 	resp.Body.Close()
 }
 
-// TestQueryBeforeReports pins /query's not-ready statuses: 409 with no
+// TestQueryBeforeReports pins the query endpoint's not-ready statuses: 409 with no
 // reports, 503 while the first estimate is pending.
 func TestQueryBeforeReports(t *testing.T) {
 	s := NewServer(Config{Epsilon: 1, Buckets: 32, RefreshInterval: time.Hour})
@@ -507,7 +513,7 @@ func TestQueryBeforeReports(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 
-	resp, err := http.Get(ts.URL + "/query?type=mean")
+	resp, err := http.Get(ts.URL + "/v1/streams/default/query?type=mean")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,8 +522,8 @@ func TestQueryBeforeReports(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	postJSON(t, ts.URL+"/report", map[string]any{"report": 0.4}).Body.Close()
-	resp, err = http.Get(ts.URL + "/query?type=mean")
+	postJSON(t, ts.URL+"/v1/streams/default/report", map[string]any{"report": 0.4}).Body.Close()
+	resp, err = http.Get(ts.URL + "/v1/streams/default/query?type=mean")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +547,7 @@ func TestConcurrentIngestion(t *testing.T) {
 			rng := randx.New(uint64(id + 1))
 			for i := 0; i < perWorker; i++ {
 				blob, _ := json.Marshal(map[string]float64{"report": client.Report(rng.Float64(), rng)})
-				resp, err := http.Post(ts.URL+"/report", "application/json", bytes.NewReader(blob))
+				resp, err := http.Post(ts.URL+"/v1/streams/default/report", "application/json", bytes.NewReader(blob))
 				if err != nil {
 					errs <- err
 					return

@@ -108,7 +108,7 @@ func TestMechanismStreamsEndToEnd(t *testing.T) {
 		blob, _ := json.Marshal(map[string]any{
 			"name": tc.name, "epsilon": tc.eps, "buckets": tc.buckets, "mechanism": tc.declared,
 		})
-		resp, err := http.Post(ts1.URL+"/streams", "application/json", bytes.NewReader(blob))
+		resp, err := http.Post(ts1.URL+"/v1/streams", "application/json", bytes.NewReader(blob))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,9 +117,9 @@ func TestMechanismStreamsEndToEnd(t *testing.T) {
 			t.Fatalf("declare %s: status %d", tc.name, resp.StatusCode)
 		}
 
-		// The full effective configuration comes back on /config.
+		// The full effective configuration comes back on .../config.
 		var cfg ConfigResponse
-		getJSON(t, ts1.URL+"/config?stream="+tc.name, &cfg)
+		getJSON(t, ts1.URL+streamPath(tc.name)+"/config", &cfg)
 		if cfg.Mechanism != tc.want {
 			t.Errorf("%s: /config mechanism = %q, want %q", tc.name, cfg.Mechanism, tc.want)
 		}
@@ -147,12 +147,12 @@ func TestMechanismStreamsEndToEnd(t *testing.T) {
 		}
 		estimates[tc.name] = rep.Estimate
 
-		// /query serves analytics computed from the same reconstruction.
+		// .../query serves analytics computed from the same reconstruction.
 		var q struct {
 			N      int       `json:"n"`
 			Values []float64 `json:"values"`
 		}
-		getJSON(t, ts1.URL+"/query?stream="+tc.name+"&type=quantile&q=0.5", &q)
+		getJSON(t, ts1.URL+streamPath(tc.name)+"/query?type=quantile&q=0.5", &q)
 		if q.N != 3000 || len(q.Values) != 1 || q.Values[0] < 0 || q.Values[0] > 1 {
 			t.Errorf("%s: /query answered %+v", tc.name, q)
 		}
@@ -231,13 +231,13 @@ func TestMechanismWireValidation(t *testing.T) {
 		`{"report": [5, 2]}`,      // not increasing
 		`{"report": [0, 1, 2.7]}`, // trailing junk
 	} {
-		resp, err := http.Post(ts.URL+"/report", "application/json", bytes.NewReader([]byte(body)))
+		resp, err := http.Post(ts.URL+"/v1/streams/default/report", "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("POST /report %s: status %d, want 400", body, resp.StatusCode)
+			t.Errorf("POST .../report %s: status %d, want 400", body, resp.StatusCode)
 		}
 	}
 	if n := s.StreamN(""); n != 0 {
@@ -246,7 +246,7 @@ func TestMechanismWireValidation(t *testing.T) {
 
 	// A batch with one bad report must be rejected atomically.
 	blob := []byte(`{"reports": [[1], [2], [99]]}`)
-	resp, err := http.Post(ts.URL+"/batch", "application/json", bytes.NewReader(blob))
+	resp, err := http.Post(ts.URL+"/v1/streams/default/batch", "application/json", bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestMechanismWireValidation(t *testing.T) {
 	}
 
 	// And a valid empty OUE report (no surviving bits) still counts.
-	resp, err = http.Post(ts.URL+"/report", "application/json", bytes.NewReader([]byte(`{"report": []}`)))
+	resp, err = http.Post(ts.URL+"/v1/streams/default/report", "application/json", bytes.NewReader([]byte(`{"report": []}`)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestStressMixedMechanisms(t *testing.T) {
 						wire = rep[0]
 					}
 					blob, _ := json.Marshal(map[string]any{"stream": mech, "report": wire})
-					resp, err := http.Post(ts.URL+"/report", "application/json", bytes.NewReader(blob))
+					resp, err := http.Post(ts.URL+streamPath(mech)+"/report", "application/json", bytes.NewReader(blob))
 					if err != nil {
 						errs <- err
 						return
@@ -339,11 +339,11 @@ func TestStressMixedMechanisms(t *testing.T) {
 				default:
 				}
 				for _, name := range mechs {
-					resp, err := http.Get(ts.URL + "/estimate?stream=" + name)
+					resp, err := http.Get(ts.URL + streamPath(name) + "/estimate")
 					if err == nil {
 						resp.Body.Close()
 					}
-					resp, err = http.Get(ts.URL + "/query?stream=" + name + "&type=mean")
+					resp, err = http.Get(ts.URL + streamPath(name) + "/query?type=mean")
 					if err == nil {
 						resp.Body.Close()
 					}

@@ -1,15 +1,17 @@
 package ldphttp
 
-// Satellite coverage: idempotent stream declaration and uniform
-// method-not-allowed handling (405 + Allow header + JSON error body) across
-// every JSON endpoint.
+// Idempotent stream declaration, its races, and uniform method-not-allowed
+// handling (405 + Allow header + JSON error body) across every endpoint.
 
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,7 +27,7 @@ func TestStreamsDeclareIdempotent(t *testing.T) {
 
 	declare := func(body string) (StreamCreateResponse, int) {
 		t.Helper()
-		resp, err := http.Post(ts.URL+"/streams", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/streams", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +95,7 @@ func TestStreamsRedeclareAfterAutoDeclare(t *testing.T) {
 		t.Fatalf("auto-declare push answered %d %+v", code, pr)
 	}
 
-	resp, err := http.Post(ts.URL+"/streams", "application/json",
+	resp, err := http.Post(ts.URL+"/v1/streams", "application/json",
 		strings.NewReader(`{"name": "age", "epsilon": 1, "buckets": 64}`))
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +112,7 @@ func TestStreamsRedeclareAfterAutoDeclare(t *testing.T) {
 		t.Fatalf("re-declare response %+v", out)
 	}
 	// An explicit non-optimal bandwidth is still a conflict.
-	resp2, err := http.Post(ts.URL+"/streams", "application/json",
+	resp2, err := http.Post(ts.URL+"/v1/streams", "application/json",
 		strings.NewReader(`{"name": "age", "epsilon": 1, "buckets": 64, "bandwidth": 0.5}`))
 	if err != nil {
 		t.Fatal(err)
@@ -119,6 +121,102 @@ func TestStreamsRedeclareAfterAutoDeclare(t *testing.T) {
 	if resp2.StatusCode != http.StatusConflict {
 		t.Fatalf("non-optimal re-declare answered %d, want 409", resp2.StatusCode)
 	}
+}
+
+// TestDeclareRaces pins POST /v1/streams under concurrency: a declare that
+// races a drop of the same name (DropStream, what DELETE /v1/streams/{name}
+// runs) still answers 200 or 201 with the stream's config, never a dropped
+// connection, and concurrent declares of a fresh name create it exactly
+// once.
+func TestDeclareRaces(t *testing.T) {
+	s := NewServer(Config{Epsilon: 1, Buckets: 16, RefreshInterval: time.Hour})
+	t.Cleanup(s.Close)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	declare := func(name string) (int, StreamCreateResponse, error) {
+		resp, err := http.Post(ts.URL+"/v1/streams", "application/json",
+			strings.NewReader(`{"name": "`+name+`", "epsilon": 1, "buckets": 16}`))
+		if err != nil {
+			return 0, StreamCreateResponse{}, err
+		}
+		defer resp.Body.Close()
+		var out StreamCreateResponse
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		return resp.StatusCode, out, err
+	}
+
+	t.Run("declare vs delete", func(t *testing.T) {
+		stop := make(chan struct{})
+		var deleter sync.WaitGroup
+		deleter.Add(1)
+		go func() {
+			defer deleter.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				s.DropStream("churn")
+			}
+		}()
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 300; i++ {
+					code, out, err := declare("churn")
+					if err != nil {
+						t.Errorf("declare %d: %v", i, err)
+						return
+					}
+					if code != http.StatusOK && code != http.StatusCreated {
+						t.Errorf("declare %d answered %d", i, code)
+						return
+					}
+					if out.Stream != "churn" || out.Buckets != 16 || out.Created != (code == http.StatusCreated) {
+						t.Errorf("declare %d answered %d with %+v", i, code, out)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(stop)
+		deleter.Wait()
+	})
+
+	t.Run("fresh name created once", func(t *testing.T) {
+		const declarers = 16
+		for round := 0; round < 50; round++ {
+			name := fmt.Sprintf("fresh-%d", round)
+			start := make(chan struct{})
+			var created atomic.Int64
+			var wg sync.WaitGroup
+			for g := 0; g < declarers; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					code, out, err := declare(name)
+					switch {
+					case err != nil:
+						t.Errorf("declare %s: %v", name, err)
+					case code == http.StatusCreated && out.Created:
+						created.Add(1)
+					case code != http.StatusOK || out.Created:
+						t.Errorf("declare %s answered %d with %+v", name, code, out)
+					}
+				}()
+			}
+			close(start)
+			wg.Wait()
+			if n := created.Load(); n != 1 {
+				t.Fatalf("round %d: %d declares of %s answered 201, want exactly 1", round, n, name)
+			}
+		}
+	})
 }
 
 func TestMethodNotAllowedMatrix(t *testing.T) {
@@ -133,19 +231,24 @@ func TestMethodNotAllowedMatrix(t *testing.T) {
 		method string
 		allow  string
 	}{
-		{"/streams", http.MethodDelete, "GET, POST"},
-		{"/streams", http.MethodPut, "GET, POST"},
-		{"/streams/age", http.MethodGet, "DELETE"},
-		{"/streams/age", http.MethodPost, "DELETE"},
-		{"/report", http.MethodGet, "POST"},
-		{"/report", http.MethodDelete, "POST"},
-		{"/batch", http.MethodGet, "POST"},
-		{"/estimate", http.MethodPost, "GET"},
-		{"/estimate", http.MethodDelete, "GET"},
-		{"/query", http.MethodDelete, "GET, POST"},
-		{"/config", http.MethodPost, "GET"},
+		{"/v1/streams", http.MethodDelete, "GET, POST"},
+		{"/v1/streams", http.MethodPut, "GET, POST"},
+		{"/v1/streams/age", http.MethodPost, "GET, DELETE"},
+		{"/v1/streams/age", http.MethodPut, "GET, DELETE"},
+		{"/v1/streams/age/report", http.MethodGet, "POST"},
+		{"/v1/streams/age/report", http.MethodDelete, "POST"},
+		{"/v1/streams/age/batch", http.MethodGet, "POST"},
+		{"/v1/streams/age/estimate", http.MethodPost, "GET"},
+		{"/v1/streams/age/estimate", http.MethodDelete, "GET"},
+		{"/v1/streams/age/query", http.MethodDelete, "GET, POST"},
+		{"/v1/streams/age/config", http.MethodPost, "GET"},
+		{"/v1/streams/age/diagnostics", http.MethodPost, "GET"},
+		{"/v1/diagnostics", http.MethodPost, "GET"},
 		{"/federation/push", http.MethodGet, "POST"},
 		{"/federation/peers", http.MethodPost, "GET"},
+		{"/metrics", http.MethodPost, "GET"},
+		{"/healthz", http.MethodPost, "GET"},
+		{"/readyz", http.MethodDelete, "GET"},
 	}
 	for _, tc := range cases {
 		req, err := http.NewRequest(tc.method, ts.URL+tc.path, bytes.NewReader(nil))

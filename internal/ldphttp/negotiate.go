@@ -1,14 +1,14 @@
 package ldphttp
 
 // Content-Type negotiation for the ingest surface. Every ingest endpoint
-// (legacy /report and /batch, the v1 report/batch actions, and
-// /federation/push) speaks two codecs: the JSON envelope (the default, and
-// what an absent Content-Type means) and the compact binary frame of
-// package wire / package federate under application/x-ldp-binary. A
-// declared-but-unknown Content-Type is a 415 with the stable
-// unsupported_media_type code — never silently parsed as JSON — and every
-// accepted request increments ldp_codec_requests_total{endpoint, codec}.
-// Responses are always JSON; the Accept header is advisory.
+// (the v1 report and batch actions, and /federation/push) speaks two
+// codecs: the JSON envelope (the default, and what an absent Content-Type
+// means) and the compact binary frame of package wire / package federate
+// under application/x-ldp-binary. A declared-but-unknown Content-Type is a
+// 415 with the stable unsupported_media_type code — never silently parsed
+// as JSON — and every accepted request increments
+// ldp_codec_requests_total{endpoint, codec}. Responses are always JSON; the
+// Accept header is advisory.
 
 import (
 	"errors"
@@ -87,28 +87,4 @@ func readBinaryReports(w http.ResponseWriter, r *http.Request) ([]WireReport, bo
 		reports[i] = WireReport(rep)
 	}
 	return reports, true
-}
-
-// serveBinaryReport is the binary sibling of the JSON report cores: the
-// frame is a batch; the report endpoints require exactly one.
-func (s *Server) serveBinaryReport(w http.ResponseWriter, r *http.Request, name string) {
-	reports, ok := readBinaryReports(w, r)
-	if !ok {
-		return
-	}
-	if len(reports) != 1 {
-		errorJSON(w, http.StatusBadRequest, CodeBadRequest,
-			"binary report frame carries %d reports; POST the frame to the batch endpoint", len(reports))
-		return
-	}
-	s.serveReport(w, name, reports[0])
-}
-
-// serveBinaryBatch is the binary sibling of the JSON batch cores.
-func (s *Server) serveBinaryBatch(w http.ResponseWriter, r *http.Request, name string) {
-	reports, ok := readBinaryReports(w, r)
-	if !ok {
-		return
-	}
-	s.serveBatch(w, name, reports)
 }

@@ -73,7 +73,6 @@ func TestV1EscapedStreamNameRoundTrip(t *testing.T) {
 func TestDecodeJSONRejectsTrailingGarbage(t *testing.T) {
 	_, ts := newTestServer(t)
 	paths := []string{
-		"/report", "/batch",
 		"/v1/streams/default/report", "/v1/streams/default/batch",
 		"/v1/streams/default/query",
 	}
@@ -121,7 +120,7 @@ func TestContentTypeNegotiation(t *testing.T) {
 	_, ts := newTestServer(t)
 
 	post := func(ct, body string) *http.Response {
-		req, err := http.NewRequest(http.MethodPost, ts.URL+"/report", strings.NewReader(body))
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/streams/default/report", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,8 +171,8 @@ func TestContentTypeNegotiation(t *testing.T) {
 	metrics, _ := io.ReadAll(mresp.Body)
 	mresp.Body.Close()
 	for _, want := range []string{
-		`ldp_codec_requests_total{endpoint="/report",codec="json"}`,
-		`ldp_codec_requests_total{endpoint="/report",codec="binary"}`,
+		`ldp_codec_requests_total{endpoint="/v1/streams/{name}/report",codec="json"}`,
+		`ldp_codec_requests_total{endpoint="/v1/streams/{name}/report",codec="binary"}`,
 	} {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("/metrics missing %s", want)

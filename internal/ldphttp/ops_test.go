@@ -2,9 +2,8 @@ package ldphttp
 
 // Coverage for the operational surface: the /metrics exposition (linted
 // through the telemetry parser), the health/readiness probes, the uniform
-// error envelope across every endpoint and failure mode, the v1 tree vs the
-// deprecated flat aliases, admission control, and the chaos property the
-// whole PR exists for — an overloaded collector sheds, it never stalls.
+// error envelope across every endpoint and failure mode, admission control,
+// and the chaos property — an overloaded collector sheds, it never stalls.
 
 import (
 	"bytes"
@@ -118,9 +117,7 @@ func TestEnvelopeMatrix(t *testing.T) {
 	}{
 		{"v1 unknown stream", "GET", "/v1/streams/nope/estimate", "", 404, CodeUnknownStream},
 		{"v1 delete unknown", "DELETE", "/v1/streams/nope", "", 404, CodeUnknownStream},
-		{"legacy unknown stream", "GET", "/estimate?stream=nope", "", 404, CodeUnknownStream},
 		{"malformed JSON", "POST", "/v1/streams/default/report", `{not json`, 400, CodeBadRequest},
-		{"legacy malformed JSON", "POST", "/report", `{not json`, 400, CodeBadRequest},
 		{"invalid report", "POST", "/v1/streams/default/report", `{"report": [1, 2]}`, 400, CodeBadRequest},
 		{"empty batch", "POST", "/v1/streams/default/batch", `{"reports": []}`, 400, CodeBadRequest},
 		{"stream mismatch", "POST", "/v1/streams/age/report", `{"stream": "default", "report": 0.5}`, 400, CodeStreamMismatch},
@@ -132,6 +129,14 @@ func TestEnvelopeMatrix(t *testing.T) {
 		{"no such route", "GET", "/nope", "", 404, CodeNotFound},
 		{"v1 deep nesting", "GET", "/v1/streams/age/estimate/extra", "", 404, CodeNotFound},
 		{"v1 unknown action", "GET", "/v1/streams/age/frobnicate", "", 404, CodeNotFound},
+		{"v1 unknown action DELETE", "DELETE", "/v1/streams/age/frobnicate", "", 404, CodeNotFound},
+		{"removed flat streams", "GET", "/streams", "", 404, CodeNotFound},
+		{"removed flat stream item", "DELETE", "/streams/age", "", 404, CodeNotFound},
+		{"removed flat report", "POST", "/report", `{"report": 0.5}`, 404, CodeNotFound},
+		{"removed flat batch", "POST", "/batch", `{"reports": [0.5]}`, 404, CodeNotFound},
+		{"removed flat estimate", "GET", "/estimate?stream=age", "", 404, CodeNotFound},
+		{"removed flat query", "GET", "/query?type=mean", "", 404, CodeNotFound},
+		{"removed flat config", "GET", "/config", "", 404, CodeNotFound},
 		{"body too large", "POST", "/v1/streams/default/report", `{"report": [` + strings.Repeat("1,", 4096) + `1]}`, 413, CodeBodyTooLarge},
 		{"federation unknown stream", "POST", "/federation/push", string(ghostPush), 409, federate.ReasonUnknownStream},
 		{"federation malformed", "POST", "/federation/push", `{not json`, 400, CodeBadRequest},
@@ -194,7 +199,7 @@ func TestRateLimitEnvelope(t *testing.T) {
 		t.Fatal("429 without a Retry-After header")
 	}
 	// Third request: the global bucket (2 tokens, both consumed) sheds.
-	resp, env = doReq(t, ts.URL, "POST", "/report", `{"report": 0.5}`)
+	resp, env = doReq(t, ts.URL, "POST", "/v1/streams/default/report", `{"report": 0.5}`)
 	if resp.StatusCode != http.StatusTooManyRequests || env.Error.Code != CodeRateLimited {
 		t.Fatalf("global-tier report: %d %+v, want 429 rate_limited", resp.StatusCode, env)
 	}
@@ -406,25 +411,16 @@ func TestHealthzReportsStoppedEngine(t *testing.T) {
 	}
 }
 
-// TestV1LegacyParity proves the flat aliases and the v1 tree share one
-// implementation: same ingestion, same estimates, same config — the legacy
-// routes merely add the deprecation headers.
-func TestV1LegacyParity(t *testing.T) {
+// TestV1StreamViewsAgree pins the /v1 views of one stream to each other:
+// GET /v1/streams/{name} carries the full effective config — identical to
+// GET .../config — plus links, the listing carries the same blocks, and
+// DELETE through the path retires the stream.
+func TestV1StreamViewsAgree(t *testing.T) {
 	s, ts := newTestServer(t)
 	if err := s.CreateStream("age", StreamConfig{Epsilon: 2, Buckets: 16}); err != nil {
 		t.Fatal(err)
 	}
-	// Ingest through both surfaces into one stream.
-	if resp, _ := doReq(t, ts.URL, "POST", "/v1/streams/age/report", `{"report": 0.25}`); resp.StatusCode != 200 {
-		t.Fatalf("v1 report: %d", resp.StatusCode)
-	}
-	if resp, _ := doReq(t, ts.URL, "POST", "/report", `{"stream": "age", "report": 0.75}`); resp.StatusCode != 200 {
-		t.Fatalf("legacy report: %d", resp.StatusCode)
-	}
-	getFreshStreamEstimate(t, ts.URL, "age", 2)
-
-	// Byte-identical answers from both estimate routes.
-	get := func(path string) ([]byte, http.Header) {
+	get := func(path string) []byte {
 		t.Helper()
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -436,41 +432,14 @@ func TestV1LegacyParity(t *testing.T) {
 		}
 		buf := new(bytes.Buffer)
 		buf.ReadFrom(resp.Body)
-		return buf.Bytes(), resp.Header
+		return buf.Bytes()
 	}
-	v1Est, v1Hdr := get("/v1/streams/age/estimate")
-	legEst, legHdr := get("/estimate?stream=age")
-	if !bytes.Equal(v1Est, legEst) {
-		t.Errorf("estimate bodies diverge:\nv1:     %s\nlegacy: %s", v1Est, legEst)
-	}
-	v1Cfg, _ := get("/v1/streams/age/config")
-	legCfg, _ := get("/config?stream=age")
-	if !bytes.Equal(v1Cfg, legCfg) {
-		t.Errorf("config bodies diverge:\nv1:     %s\nlegacy: %s", v1Cfg, legCfg)
-	}
-
-	// Deprecation headers only on the legacy surface.
-	if legHdr.Get("Deprecation") != "true" {
-		t.Errorf("legacy /estimate Deprecation = %q, want true", legHdr.Get("Deprecation"))
-	}
-	wantLink := `</v1/streams/{name}/estimate>; rel="successor-version"`
-	if got := legHdr.Get("Link"); got != wantLink {
-		t.Errorf("legacy /estimate Link = %q, want %q", got, wantLink)
-	}
-	if v1Hdr.Get("Deprecation") != "" || v1Hdr.Get("Link") != "" {
-		t.Errorf("v1 estimate carries deprecation headers: Deprecation=%q Link=%q",
-			v1Hdr.Get("Deprecation"), v1Hdr.Get("Link"))
-	}
-
-	// GET /v1/streams/{name} answers the full effective config plus links —
-	// the divergence fix: no more guessing which fields each route carries.
 	var info StreamInfo
-	blob, _ := get("/v1/streams/age")
-	if err := json.Unmarshal(blob, &info); err != nil {
+	if err := json.Unmarshal(get("/v1/streams/age"), &info); err != nil {
 		t.Fatal(err)
 	}
 	var cfg ConfigResponse
-	if err := json.Unmarshal(v1Cfg, &cfg); err != nil {
+	if err := json.Unmarshal(get("/v1/streams/age/config"), &cfg); err != nil {
 		t.Fatal(err)
 	}
 	if info.Config != cfg {
@@ -479,12 +448,10 @@ func TestV1LegacyParity(t *testing.T) {
 	if info.Links.Self != "/v1/streams/age" || info.Links.Report != "/v1/streams/age/report" {
 		t.Errorf("stream info links wrong: %+v", info.Links)
 	}
-	// The listing carries the same blocks.
 	var list struct {
 		Streams []StreamInfo `json:"streams"`
 	}
-	blob, _ = get("/v1/streams")
-	if err := json.Unmarshal(blob, &list); err != nil {
+	if err := json.Unmarshal(get("/v1/streams"), &list); err != nil {
 		t.Fatal(err)
 	}
 	found := false
@@ -500,7 +467,6 @@ func TestV1LegacyParity(t *testing.T) {
 		t.Fatal("stream age missing from GET /v1/streams")
 	}
 
-	// v1 delete through the path, no query parameter.
 	if resp, _ := doReq(t, ts.URL, "DELETE", "/v1/streams/age", ""); resp.StatusCode != 200 {
 		t.Fatalf("v1 delete: %d", resp.StatusCode)
 	}
@@ -533,7 +499,7 @@ func TestShedsNeverStalls(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				resp, err := http.Post(ts.URL+"/report", "application/json",
+				resp, err := http.Post(ts.URL+"/v1/streams/default/report", "application/json",
 					strings.NewReader(`{"report": 0.5}`))
 				if err != nil {
 					other.Add(1)
@@ -599,10 +565,10 @@ func TestShedsNeverStalls(t *testing.T) {
 	}
 	// The shed counter agrees with what the clients saw.
 	sc := scrape(t, ts.URL)
-	if v, _ := sc.Value("ldp_shed_total", "endpoint=/report", "scope=global"); int64(v) != shed.Load() {
+	if v, _ := sc.Value("ldp_shed_total", "endpoint=/v1/streams/{name}/report", "scope=global"); int64(v) != shed.Load() {
 		t.Errorf("ldp_shed_total = %v, clients saw %d 429s", v, shed.Load())
 	}
-	if v, _ := sc.Value("ldp_requests_total", "endpoint=/report", "method=POST", "code=429"); int64(v) != shed.Load() {
+	if v, _ := sc.Value("ldp_requests_total", "endpoint=/v1/streams/{name}/report", "method=POST", "code=429"); int64(v) != shed.Load() {
 		t.Errorf("ldp_requests_total{code=429} = %v, clients saw %d", v, shed.Load())
 	}
 	// Ingestion stayed exact for everything admitted.
@@ -655,7 +621,7 @@ func (sw *syncWriter) Write(b []byte) (int, error) {
 	return sw.w.Write(b)
 }
 
-// BenchmarkTelemetryOverhead compares the /report hot path across the
+// BenchmarkTelemetryOverhead compares the report hot path across the
 // observability configurations; the CI contract is under 5% regression for
 // both telemetry (instrumented vs disabled) and tracing at the default
 // sampling rate (traced vs untraced). traced-always is the worst case —

@@ -1,8 +1,8 @@
 package ldphttp
 
-// HTTP surface of the analytics layer (package query): GET /query answers a
-// single query from URL parameters, POST /query answers a batch against one
-// consistent snapshot of a stream's estimate.
+// HTTP surface of the analytics layer (package query): GET
+// /v1/streams/{name}/query answers a single query from URL parameters, POST
+// answers a batch against one consistent snapshot of the stream's estimate.
 
 import (
 	"fmt"
@@ -14,7 +14,7 @@ import (
 	"repro/internal/query"
 )
 
-// QueryResponse is the JSON shape of a /query answer: the evaluated
+// QueryResponse is the JSON shape of a GET query answer: the evaluated
 // query.Response plus the provenance of the estimate it was computed from.
 type QueryResponse struct {
 	Stream string `json:"stream"`
@@ -29,7 +29,7 @@ type QueryResponse struct {
 	query.Response
 }
 
-// BatchQueryResponse is the JSON shape of POST /query.
+// BatchQueryResponse is the JSON shape of a POST query answer.
 type BatchQueryResponse struct {
 	Stream         string           `json:"stream"`
 	N              int              `json:"n"`
@@ -39,25 +39,8 @@ type BatchQueryResponse struct {
 	Results        []query.Response `json:"results"`
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		s.serveQueryGet(w, r, r.URL.Query().Get("stream"))
-	case http.MethodPost:
-		var req batchQueryRequest
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		s.serveQueryPost(w, req.Stream, req)
-	default:
-		methodNotAllowed(w, r, http.MethodGet, http.MethodPost)
-	}
-}
-
-// serveQueryGet is the shared core of GET /query and GET
-// /v1/streams/{name}/query; the stream name arrives resolved (parameter or
-// path) while every other parameter reads from the URL.
-func (s *Server) serveQueryGet(w http.ResponseWriter, r *http.Request, name string) {
+// handleQueryGet serves GET /v1/streams/{name}/query.
+func (s *Server) handleQueryGet(w http.ResponseWriter, r *http.Request, name string) {
 	params := r.URL.Query()
 	req, err := parseQueryParams(params)
 	if err != nil {
@@ -91,6 +74,8 @@ func (s *Server) serveQueryGet(w http.ResponseWriter, r *http.Request, name stri
 }
 
 type batchQueryRequest struct {
+	// Stream is optional; when present it must name the stream the path
+	// addresses.
 	Stream string `json:"stream"`
 	// Window optionally scopes the whole batch to one sliding window
 	// ("last:K" or "epochs:i..j"), so every answer reads the same epoch
@@ -99,10 +84,12 @@ type batchQueryRequest struct {
 	Queries []query.Request `json:"queries"`
 }
 
-// serveQueryPost is the shared core of POST /query and POST
-// /v1/streams/{name}/query; name is the resolved stream (body field or
-// path).
-func (s *Server) serveQueryPost(w http.ResponseWriter, name string, req batchQueryRequest) {
+// handleQueryPost serves POST /v1/streams/{name}/query.
+func (s *Server) handleQueryPost(w http.ResponseWriter, r *http.Request, name string) {
+	var req batchQueryRequest
+	if !decodeJSON(w, r, &req) || !streamMatches(w, name, req.Stream) {
+		return
+	}
 	if len(req.Queries) == 0 {
 		errorJSON(w, http.StatusBadRequest, CodeBadRequest, "empty query batch")
 		return
@@ -148,7 +135,7 @@ func (s *Server) serveQueryPost(w http.ResponseWriter, name string, req batchQue
 	})
 }
 
-// parseQueryParams maps GET /query URL parameters onto a query.Request:
+// parseQueryParams maps GET query URL parameters onto a query.Request:
 // type (required), q (comma-separated points for quantile/cdf), lo/hi
 // (range), k (topk).
 func parseQueryParams(params url.Values) (query.Request, error) {

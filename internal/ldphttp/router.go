@@ -1,14 +1,15 @@
 package ldphttp
 
-// Routing and middleware: Handler assembles the versioned /v1 resource
-// tree, the legacy flat aliases (same cores, plus Deprecation/Link
-// headers), the federation and operational endpoints — each wrapped by one
-// middleware that sheds over-rate requests before the engine, bounds
-// bodies, counts and times the request, and writes the access log line.
+// Routing and middleware: Handler declares every endpoint once — its route
+// template, its middleware options and the methods it serves — and route
+// wraps it in one middleware that sheds over-rate requests before the
+// engine, bounds bodies, answers unlisted methods with 405, counts and
+// times the request, and writes the access log line.
 //
-// The v1 tree is dispatched by hand rather than with ServeMux method
-// patterns so unsupported methods keep answering 405 with an Allow header
-// and the JSON envelope (a mux pattern miss would produce a bare text 404).
+// The /v1/streams/{name} tree is dispatched by hand rather than with
+// ServeMux method patterns so unsupported methods keep answering 405 with an
+// Allow header and the JSON envelope (a mux pattern miss would produce a
+// bare text 404).
 
 import (
 	"encoding/json"
@@ -30,9 +31,6 @@ type routeOpts struct {
 	// capBody bounds the request body at Ops.MaxBodyBytes. Off for
 	// federation pushes, which keep their own 64 MiB cap.
 	capBody bool
-	// successor, when set, marks the endpoint deprecated and names the v1
-	// route that replaces it.
-	successor string
 	// trace is the endpoint's tracing policy: off for operational probes,
 	// sampled for the per-report ingest hot path, always-on elsewhere.
 	trace traceMode
@@ -65,12 +63,33 @@ func (sw *statusWriter) Write(b []byte) (int, error) {
 	return n, err
 }
 
-// route wraps a handler with the operational middleware. endpoint is the
-// stable label carried by ldp_requests_total and the access log — the
-// route template ("/v1/streams/{name}/report"), never the raw path, so the
-// label space stays bounded.
-func (s *Server) route(endpoint string, opts routeOpts, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
+// handler serves one method of one endpoint. name is the stream a
+// /v1/streams/{name} path addresses, parsed once by the dispatcher; it is ""
+// on every other endpoint.
+type handler func(w http.ResponseWriter, r *http.Request, name string)
+
+// method pairs a request method with the handler that serves it.
+type method struct {
+	verb  string
+	serve handler
+}
+
+// anyMethod serves every request method (the 404 catch-alls).
+const anyMethod = ""
+
+// route wraps an endpoint's handlers with the operational middleware.
+// endpoint is the stable label carried by ldp_requests_total and the access
+// log — the route template ("/v1/streams/{name}/report"), never the raw
+// path, so the label space stays bounded. A method that methods does not
+// list answers 405 with an Allow header naming the listed ones, in order.
+// Checks run in a fixed order: tracing, admission, the body cap, the method.
+func (s *Server) route(endpoint string, opts routeOpts, methods ...method) handler {
+	verbs := make([]string, len(methods))
+	for i, m := range methods {
+		verbs[i] = m.verb
+	}
+	allow := strings.Join(verbs, ", ")
+	return func(w http.ResponseWriter, r *http.Request, name string) {
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
 		if t := s.tracer; t != nil && opts.trace != traceOff {
@@ -79,10 +98,6 @@ func (s *Server) route(endpoint string, opts routeOpts, h http.HandlerFunc) http
 			} else if opts.trace == traceAlways || t.SampleReport() {
 				sw.span = t.NewTrace("http " + endpoint)
 			}
-		}
-		if opts.successor != "" {
-			sw.Header().Set("Deprecation", "true")
-			sw.Header().Set("Link", "<"+opts.successor+`>; rel="successor-version"`)
 		}
 		shed := false
 		if opts.admit && s.limiter != nil {
@@ -99,7 +114,18 @@ func (s *Server) route(endpoint string, opts routeOpts, h http.HandlerFunc) http
 			if opts.capBody && s.maxBody > 0 && r.Body != nil {
 				r.Body = http.MaxBytesReader(sw, r.Body, s.maxBody)
 			}
-			h(sw, r)
+			var serve handler
+			for _, m := range methods {
+				if m.verb == r.Method || m.verb == anyMethod {
+					serve = m.serve
+					break
+				}
+			}
+			if serve != nil {
+				serve(sw, r, name)
+			} else {
+				methodNotAllowed(sw, r, allow)
+			}
 		}
 		if sw.status == 0 {
 			sw.status = http.StatusOK
@@ -176,173 +202,68 @@ func (s *Server) logRequest(r *http.Request, sw *statusWriter, dur time.Duration
 	s.logMu.Unlock()
 }
 
-// Handler returns the HTTP routes: the v1 tree, the legacy aliases, the
-// federation surface, and the operational endpoints.
+// Handler returns the public HTTP surface: the /v1 tree, the federation
+// endpoints and the operational endpoints. Each endpoint is declared once —
+// its route template, its middleware options and the methods it serves, in
+// the order its Allow header lists them.
 func (s *Server) Handler() http.Handler {
 	engine := routeOpts{admit: true, capBody: true, trace: traceAlways}
+	ingest := routeOpts{admit: true, capBody: true, trace: traceSampled}
 	ops := routeOpts{}
-	dep := func(successor string, mode traceMode) routeOpts {
-		return routeOpts{admit: true, capBody: true, successor: successor, trace: mode}
-	}
 
 	mux := http.NewServeMux()
-	// Legacy flat surface: same cores as v1, marked deprecated. The ingest
-	// hot paths (/report, /batch) sample; the rest trace always-on.
-	mux.HandleFunc("/streams", s.route("/streams", dep("/v1/streams", traceAlways), s.handleStreams))
-	mux.HandleFunc("/streams/", s.route("/streams/{name}", dep("/v1/streams/{name}", traceAlways), s.handleStreamItem))
-	mux.HandleFunc("/report", s.route("/report", dep("/v1/streams/{name}/report", traceSampled), s.handleReport))
-	mux.HandleFunc("/batch", s.route("/batch", dep("/v1/streams/{name}/batch", traceSampled), s.handleBatch))
-	mux.HandleFunc("/estimate", s.route("/estimate", dep("/v1/streams/{name}/estimate", traceAlways), s.handleEstimate))
-	mux.HandleFunc("/query", s.route("/query", dep("/v1/streams/{name}/query", traceAlways), s.handleQuery))
-	mux.HandleFunc("/config", s.route("/config", dep("/v1/streams/{name}/config", traceAlways), s.handleConfig))
-
-	// Versioned v1 resource tree.
-	mux.HandleFunc("/v1/streams", s.route("/v1/streams", engine, s.handleStreams))
-	mux.HandleFunc("/v1/streams/", s.v1StreamRoutes())
-	mux.HandleFunc("/v1/diagnostics", s.route("/v1/diagnostics", engine, s.handleFleetDiagnostics))
+	handle := func(endpoint string, opts routeOpts, methods ...method) {
+		h := s.route(endpoint, opts, methods...)
+		mux.HandleFunc(endpoint, func(w http.ResponseWriter, r *http.Request) { h(w, r, "") })
+	}
+	handle("/v1/streams", engine,
+		method{http.MethodGet, s.handleStreamList}, method{http.MethodPost, s.handleStreamCreate})
+	// The ingest hot paths (report, batch) sample; the rest trace always-on.
+	mux.HandleFunc("/v1/streams/", s.streamRoutes(map[string]handler{
+		"": s.route("/v1/streams/{name}", engine,
+			method{http.MethodGet, s.handleStreamInfo}, method{http.MethodDelete, s.handleStreamDelete}),
+		"report":   s.route("/v1/streams/{name}/report", ingest, method{http.MethodPost, s.handleReport}),
+		"batch":    s.route("/v1/streams/{name}/batch", ingest, method{http.MethodPost, s.handleBatch}),
+		"estimate": s.route("/v1/streams/{name}/estimate", engine, method{http.MethodGet, s.handleEstimate}),
+		"query": s.route("/v1/streams/{name}/query", engine,
+			method{http.MethodGet, s.handleQueryGet}, method{http.MethodPost, s.handleQueryPost}),
+		"config":      s.route("/v1/streams/{name}/config", engine, method{http.MethodGet, s.handleConfig}),
+		"diagnostics": s.route("/v1/streams/{name}/diagnostics", engine, method{http.MethodGet, s.handleStreamDiagnostics}),
+	}))
+	handle("/v1/diagnostics", engine, method{http.MethodGet, s.handleFleetDiagnostics})
 
 	// Federation: push carries its own body cap and the per-edge tier.
-	mux.HandleFunc("/federation/push", s.route("/federation/push", routeOpts{admit: true, trace: traceAlways}, s.handleFederationPush))
-	mux.HandleFunc("/federation/peers", s.route("/federation/peers", engine, s.handleFederationPeers))
+	handle("/federation/push", routeOpts{admit: true, trace: traceAlways}, method{http.MethodPost, s.handleFederationPush})
+	handle("/federation/peers", engine, method{http.MethodGet, s.handleFederationPeers})
 
 	// Operational surface: exempt from admission control.
-	mux.HandleFunc("/metrics", s.route("/metrics", ops, s.handleMetrics))
-	mux.HandleFunc("/healthz", s.route("/healthz", ops, s.handleHealthz))
-	mux.HandleFunc("/readyz", s.route("/readyz", ops, s.handleReadyz))
+	handle("/metrics", ops, method{http.MethodGet, s.handleMetrics})
+	handle("/healthz", ops, method{http.MethodGet, s.handleHealthz})
+	handle("/readyz", ops, method{http.MethodGet, s.handleReadyz})
 
 	// Everything else 404s with the envelope, not the mux's text body.
-	mux.HandleFunc("/", s.route("/", ops, func(w http.ResponseWriter, r *http.Request) {
-		errorJSON(w, http.StatusNotFound, CodeNotFound, "no route %s", r.URL.Path)
-	}))
+	handle("/", ops, method{anyMethod, notFound})
 	return mux
 }
 
-// v1StreamRoutes dispatches /v1/streams/{name}[/{action}]. Middleware is
-// pre-built per action so every endpoint label is a stable route template.
-func (s *Server) v1StreamRoutes() http.HandlerFunc {
-	engine := routeOpts{admit: true, capBody: true, trace: traceAlways}
-	ingest := routeOpts{admit: true, capBody: true, trace: traceSampled}
-	item := s.route("/v1/streams/{name}", engine, func(w http.ResponseWriter, r *http.Request) {
-		name, _, _ := v1StreamPath(r)
-		switch r.Method {
-		case http.MethodGet:
-			s.serveStreamInfo(w, name)
-		case http.MethodDelete:
-			s.serveStreamDelete(w, name)
-		default:
-			methodNotAllowed(w, r, http.MethodGet, http.MethodDelete)
-		}
-	})
-	actions := map[string]http.HandlerFunc{
-		"report": s.route("/v1/streams/{name}/report", ingest, func(w http.ResponseWriter, r *http.Request) {
-			name, _, _ := v1StreamPath(r)
-			if r.Method != http.MethodPost {
-				methodNotAllowed(w, r, http.MethodPost)
-				return
-			}
-			codec, ok := s.negotiateCodec(w, r, "/v1/streams/{name}/report")
-			if !ok {
-				return
-			}
-			if codec == codecBinary {
-				s.serveBinaryReport(w, r, name)
-				return
-			}
-			var req reportRequest
-			if !decodeJSON(w, r, &req) {
-				return
-			}
-			if !v1StreamMatches(w, name, req.Stream) {
-				return
-			}
-			s.serveReport(w, name, req.Report)
-		}),
-		"batch": s.route("/v1/streams/{name}/batch", ingest, func(w http.ResponseWriter, r *http.Request) {
-			name, _, _ := v1StreamPath(r)
-			if r.Method != http.MethodPost {
-				methodNotAllowed(w, r, http.MethodPost)
-				return
-			}
-			codec, ok := s.negotiateCodec(w, r, "/v1/streams/{name}/batch")
-			if !ok {
-				return
-			}
-			if codec == codecBinary {
-				s.serveBinaryBatch(w, r, name)
-				return
-			}
-			var req batchRequest
-			if !decodeJSON(w, r, &req) {
-				return
-			}
-			if !v1StreamMatches(w, name, req.Stream) {
-				return
-			}
-			s.serveBatch(w, name, req.Reports)
-		}),
-		"estimate": s.route("/v1/streams/{name}/estimate", engine, func(w http.ResponseWriter, r *http.Request) {
-			name, _, _ := v1StreamPath(r)
-			if r.Method != http.MethodGet {
-				methodNotAllowed(w, r, http.MethodGet)
-				return
-			}
-			s.serveEstimate(w, name, r.URL.Query().Get("window"))
-		}),
-		"query": s.route("/v1/streams/{name}/query", engine, func(w http.ResponseWriter, r *http.Request) {
-			name, _, _ := v1StreamPath(r)
-			switch r.Method {
-			case http.MethodGet:
-				s.serveQueryGet(w, r, name)
-			case http.MethodPost:
-				var req batchQueryRequest
-				if !decodeJSON(w, r, &req) {
-					return
-				}
-				if !v1StreamMatches(w, name, req.Stream) {
-					return
-				}
-				s.serveQueryPost(w, name, req)
-			default:
-				methodNotAllowed(w, r, http.MethodGet, http.MethodPost)
-			}
-		}),
-		"config": s.route("/v1/streams/{name}/config", engine, func(w http.ResponseWriter, r *http.Request) {
-			name, _, _ := v1StreamPath(r)
-			if r.Method != http.MethodGet {
-				methodNotAllowed(w, r, http.MethodGet)
-				return
-			}
-			s.serveConfig(w, name)
-		}),
-		"diagnostics": s.route("/v1/streams/{name}/diagnostics", engine, func(w http.ResponseWriter, r *http.Request) {
-			name, _, _ := v1StreamPath(r)
-			if r.Method != http.MethodGet {
-				methodNotAllowed(w, r, http.MethodGet)
-				return
-			}
-			s.serveStreamDiagnostics(w, name)
-		}),
-	}
-	notFound := s.route("/v1/streams/{name}", routeOpts{}, func(w http.ResponseWriter, r *http.Request) {
-		errorJSON(w, http.StatusNotFound, CodeNotFound, "no route %s", r.URL.Path)
-	})
+// streamRoutes dispatches /v1/streams/{name}[/{action}] to the endpoint
+// keyed by its action ("" is the stream itself), passing the name it parsed.
+// An unparsable path, an empty name, deeper nesting and unknown actions
+// answer 404 under the /v1/streams/{name} label, whatever the method.
+func (s *Server) streamRoutes(actions map[string]handler) http.HandlerFunc {
+	missing := s.route("/v1/streams/{name}", routeOpts{}, method{anyMethod, notFound})
 	return func(w http.ResponseWriter, r *http.Request) {
 		name, action, ok := v1StreamPath(r)
-		if !ok || name == "" {
-			notFound(w, r)
-			return
-		}
-		if action == "" {
-			item(w, r)
-			return
-		}
 		h, known := actions[action]
-		if !known {
-			notFound(w, r)
-			return
+		if !ok || name == "" || !known {
+			h = missing
 		}
-		h(w, r)
+		h(w, r, name)
 	}
+}
+
+func notFound(w http.ResponseWriter, r *http.Request, _ string) {
+	errorJSON(w, http.StatusNotFound, CodeNotFound, "no route %s", r.URL.Path)
 }
 
 // v1StreamPath parses /v1/streams/{name}[/{action}]; ok is false for
@@ -367,10 +288,9 @@ func v1StreamPath(r *http.Request) (name, action string, ok bool) {
 	return name, action, true
 }
 
-// v1StreamMatches rejects a v1 body that names a different stream than the
-// path; an empty body field inherits the path (the legacy field is simply
-// redundant on v1).
-func v1StreamMatches(w http.ResponseWriter, path, body string) bool {
+// streamMatches rejects a body whose "stream" field names a different
+// stream than the path; an empty field inherits the path.
+func streamMatches(w http.ResponseWriter, path, body string) bool {
 	if body != "" && body != path {
 		errorJSON(w, http.StatusBadRequest, CodeStreamMismatch,
 			"body addresses stream %q but the path addresses %q", body, path)

@@ -114,7 +114,7 @@ func windowEstimates(st *stream, state window.State) []snapshot.WindowEstimate {
 // rotated yet (the boot-time shape: declare flags, then restore); a v1
 // record restoring into a windowed stream merges into the live epoch. A
 // persisted cached estimate is installed when the live stream had no
-// reports before the merge, so GET /estimate — and any persisted window
+// reports before the merge, so GET .../estimate — and any persisted window
 // estimate — serves instantly and bit-identically after a restart. Corrupt,
 // truncated, or incompatible files return an error and change nothing: the
 // whole restore — validation of every record, construction of every missing

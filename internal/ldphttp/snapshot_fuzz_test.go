@@ -1,13 +1,17 @@
 package ldphttp
 
-// FuzzSnapshotLoad drives the restore path with hostile snapshot files:
-// snapshot.LoadFile and Server.LoadSnapshot must never panic, a file
-// LoadFile rejects must not load, and a failed load must leave the stream
-// registry exactly as it was. The seed is a real snapshot holding plain and
-// windowed streams plus federation state on both sides (peer cursors of an
-// edge that pushed here, and this server's own acked push cursor).
+// FuzzSnapshotLoad and FuzzSnapshotPayload drive the restore path with
+// hostile snapshot files: snapshot.LoadFile and Server.LoadSnapshot must
+// never panic, a file LoadFile rejects must not load, and a failed load must
+// leave the stream registry exactly as it was. The seed is a real snapshot
+// holding plain and windowed streams plus federation state on both sides
+// (peer cursors of an edge that pushed here, and this server's own acked
+// push cursor).
 
 import (
+	"bytes"
+	"fmt"
+	"hash/crc32"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -18,13 +22,31 @@ import (
 	"repro/internal/snapshot"
 )
 
+// FuzzSnapshotLoad mutates whole files, header included.
 func FuzzSnapshotLoad(f *testing.F) {
 	seed := snapshotSeed(f)
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2])
 	f.Add([]byte("LDPSNAP1 00000000 0\n"))
 	f.Add([]byte{})
+	fuzzRestore(f, func(data []byte) []byte { return data })
+}
 
+// FuzzSnapshotPayload mutates the JSON payload only: each input is wrapped
+// in a freshly computed "LDPSNAP1 <crc32> <len>" header, so mutations reach
+// the JSON decoder and the restore validation instead of dying at the
+// checksum.
+func FuzzSnapshotPayload(f *testing.F) {
+	seed := snapshotSeed(f)
+	f.Add(seed[bytes.IndexByte(seed, '\n')+1:])
+	fuzzRestore(f, func(payload []byte) []byte {
+		return fmt.Appendf(nil, "LDPSNAP1 %08x %d\n%s", crc32.ChecksumIEEE(payload), len(payload), payload)
+	})
+}
+
+// fuzzRestore runs the restore properties over file(input) for every
+// fuzz input.
+func fuzzRestore(f *testing.F, file func(input []byte) []byte) {
 	// A booted collector: the default stream plus a declared windowed
 	// stream, about to restore the way cmd/ldpserver does.
 	clock := newMockClock()
@@ -48,8 +70,8 @@ func FuzzSnapshotLoad(f *testing.F) {
 	sharedStreams := shared.Streams()
 	// Inputs run one at a time per process, so one file is reused.
 	path := filepath.Join(f.TempDir(), "fuzz.snap")
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+	f.Fuzz(func(t *testing.T, input []byte) {
+		if err := os.WriteFile(path, file(input), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		_, fileErr := snapshot.LoadFile(path)

@@ -52,7 +52,7 @@ func TestStressConcurrentIngestionWithEstimates(t *testing.T) {
 			rng := randx.New(uint64(id + 1))
 			for i := 0; i < perReporter; i++ {
 				blob, _ := json.Marshal(map[string]float64{"report": client.Report(rng.Beta(5, 2), rng)})
-				resp, err := http.Post(ts.URL+"/report", "application/json", bytes.NewReader(blob))
+				resp, err := http.Post(ts.URL+"/v1/streams/default/report", "application/json", bytes.NewReader(blob))
 				if err != nil {
 					errs <- err
 					return
@@ -79,7 +79,7 @@ func TestStressConcurrentIngestionWithEstimates(t *testing.T) {
 					reports[i] = client.Report(rng.Beta(5, 2), rng)
 				}
 				blob, _ := json.Marshal(map[string]any{"reports": reports})
-				resp, err := http.Post(ts.URL+"/batch", "application/json", bytes.NewReader(blob))
+				resp, err := http.Post(ts.URL+"/v1/streams/default/batch", "application/json", bytes.NewReader(blob))
 				if err != nil {
 					errs <- err
 					return
@@ -106,7 +106,7 @@ func TestStressConcurrentIngestionWithEstimates(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := http.Get(ts.URL + "/estimate")
+				resp, err := http.Get(ts.URL + "/v1/streams/default/estimate")
 				if err != nil {
 					errs <- err
 					return
@@ -218,7 +218,7 @@ func TestStressMultiStreamSnapshotQuery(t *testing.T) {
 						reports[i] = client.Report(rng.Beta(5, 2), rng)
 					}
 					blob, _ := json.Marshal(map[string]any{"stream": stream, "reports": reports})
-					resp, err := http.Post(ts.URL+"/batch", "application/json", bytes.NewReader(blob))
+					resp, err := http.Post(ts.URL+streamPath(stream)+"/batch", "application/json", bytes.NewReader(blob))
 					if err != nil {
 						errs <- err
 						return
@@ -256,7 +256,7 @@ func TestStressMultiStreamSnapshotQuery(t *testing.T) {
 				default:
 				}
 				stream := streams[i%len(streams)]
-				resp, err := http.Get(ts.URL + paths[i%len(paths)] + "&stream=" + stream)
+				resp, err := http.Get(ts.URL + streamPath(stream) + paths[i%len(paths)])
 				if err != nil {
 					errs <- err
 					return
@@ -296,7 +296,7 @@ func TestStressMultiStreamSnapshotQuery(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			blob, _ := json.Marshal(map[string]any{
 				"name": fmt.Sprintf("late-%d", i), "epsilon": 1.0, "buckets": 16})
-			resp, err := http.Post(ts.URL+"/streams", "application/json", bytes.NewReader(blob))
+			resp, err := http.Post(ts.URL+"/v1/streams", "application/json", bytes.NewReader(blob))
 			if err != nil {
 				errs <- err
 				return
@@ -391,7 +391,7 @@ func TestStressWindowRotation(t *testing.T) {
 					reports[i] = client.Report(rng.Beta(5, 2), rng)
 				}
 				blob, _ := json.Marshal(map[string]any{"stream": "win", "reports": reports})
-				resp, err := http.Post(ts.URL+"/batch", "application/json", bytes.NewReader(blob))
+				resp, err := http.Post(ts.URL+"/v1/streams/win/batch", "application/json", bytes.NewReader(blob))
 				if err != nil {
 					errs <- err
 					return
@@ -419,7 +419,7 @@ func TestStressWindowRotation(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := http.Get(ts.URL + "/estimate?stream=win&window=" + selectors[i%len(selectors)])
+				resp, err := http.Get(ts.URL + "/v1/streams/win/estimate?window=" + selectors[i%len(selectors)])
 				if err != nil {
 					errs <- err
 					return
@@ -549,7 +549,7 @@ func TestStressRefreshPoolConcurrency(t *testing.T) {
 						reports[i] = client.Report(rng.Beta(5, 2), rng)
 					}
 					blob, _ := json.Marshal(map[string]any{"stream": stream, "reports": reports})
-					resp, err := http.Post(ts.URL+"/batch", "application/json", bytes.NewReader(blob))
+					resp, err := http.Post(ts.URL+streamPath(stream)+"/batch", "application/json", bytes.NewReader(blob))
 					if err != nil {
 						errs <- err
 						return
@@ -612,7 +612,7 @@ func TestStressRefreshPoolConcurrency(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := http.Get(ts.URL + "/estimate?stream=" + all[(i+id)%len(all)])
+				resp, err := http.Get(ts.URL + streamPath(all[(i+id)%len(all)]) + "/estimate")
 				if err != nil {
 					errs <- err
 					return

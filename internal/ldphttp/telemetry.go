@@ -322,11 +322,7 @@ func acceptsGzip(header string) bool {
 // handleMetrics serves the Prometheus text exposition, gzip-compressed when
 // the scraper asks for it (a 64-stream exposition shrinks roughly 10×,
 // which matters at sub-second scrape intervals).
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodNotAllowed(w, r, http.MethodGet)
-		return
-	}
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, _ string) {
 	if s.metrics == nil {
 		errorJSON(w, http.StatusNotFound, CodeNotFound, "telemetry is disabled on this server")
 		return
@@ -359,11 +355,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // handleHealthz is the liveness probe: 200 while the estimation engine is
 // ticking, 503 engine_stalled/engine_stopped otherwise.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodNotAllowed(w, r, http.MethodGet)
-		return
-	}
+func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request, _ string) {
 	if err := s.healthErr(); err != nil {
 		code := CodeEngineStalled
 		select {
@@ -382,11 +374,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleReadyz is the readiness probe: 200 once snapshot restore has
 // completed (or immediately, when the server never awaited one).
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodNotAllowed(w, r, http.MethodGet)
-		return
-	}
+func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request, _ string) {
 	if !s.Ready() {
 		retryJSON(w, http.StatusServiceUnavailable, CodeNotReady, time.Second, nil,
 			"snapshot restore has not completed")

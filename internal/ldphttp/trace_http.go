@@ -42,7 +42,7 @@ type TraceConfig struct {
 	Disable bool
 	// Capacity is the flight recorder's span count (0 = 4096).
 	Capacity int
-	// SampleEvery traces 1 in SampleEvery header-less /report and /batch
+	// SampleEvery traces 1 in SampleEvery header-less report and batch
 	// requests (0 = 128, 1 = every request, negative = none). Requests
 	// carrying a sampled traceparent header, and every engine/federation
 	// span, are always recorded.

@@ -59,7 +59,7 @@ type EpochRange struct {
 	Hi int `json:"hi"`
 }
 
-// WindowInfo is the windowing block of a GET /streams row.
+// WindowInfo is the windowing block of a GET /v1/streams row.
 type WindowInfo struct {
 	// Epoch is the rotation period; Retain the sealed-epoch retention.
 	Epoch  Duration `json:"epoch"`
@@ -272,18 +272,4 @@ func (s *Server) loadEstimateOrWindow(w http.ResponseWriter, st *stream, rawSel 
 		return s.loadEstimate(w, st)
 	}
 	return s.loadWindowEstimate(w, st, rawSel)
-}
-
-// handleStreamItem serves /streams/{name}: DELETE retires a stream.
-func (s *Server) handleStreamItem(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodDelete {
-		methodNotAllowed(w, r, http.MethodDelete)
-		return
-	}
-	name := r.URL.Path[len("/streams/"):]
-	if name == "" {
-		errorJSON(w, http.StatusBadRequest, CodeBadRequest, "missing stream name (DELETE /streams/{name})")
-		return
-	}
-	s.serveStreamDelete(w, name)
 }

@@ -65,7 +65,7 @@ func postReports(t *testing.T, url, stream string, seed uint64, n int) {
 		reports[i] = client.Report(rng.Beta(5, 2), rng)
 	}
 	blob, _ := json.Marshal(map[string]any{"stream": stream, "reports": reports})
-	resp, err := http.Post(url+"/batch", "application/json", bytes.NewReader(blob))
+	resp, err := http.Post(url+streamPath(stream)+"/batch", "application/json", bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func getWindowEstimate(t *testing.T, url, stream, sel string, wantN int) Estimat
 	deadline := time.Now().Add(15 * time.Second)
 	var est EstimateResponse
 	for {
-		resp, err := http.Get(url + "/estimate?stream=" + stream + "&window=" + sel)
+		resp, err := http.Get(url + streamPath(stream) + "/estimate?window=" + sel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,11 +165,7 @@ func TestWindowRotationAndSelectors(t *testing.T) {
 		{"epochs:2..9", "lat", http.StatusBadRequest}, // future
 		{"last:1", "", http.StatusBadRequest},         // default stream is not windowed
 	} {
-		url := ts.URL + "/estimate?window=" + tc.sel
-		if tc.stream != "" {
-			url += "&stream=" + tc.stream
-		}
-		resp, err := http.Get(url)
+		resp, err := http.Get(ts.URL + streamPath(tc.stream) + "/estimate?window=" + tc.sel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +178,7 @@ func TestWindowRotationAndSelectors(t *testing.T) {
 	// An empty window answers 409, not 503: rotate to an empty live epoch.
 	clock.Advance(time.Minute)
 	waitRotation(t, s, "lat", 2)
-	resp, err := http.Get(ts.URL + "/estimate?stream=lat&window=last:1")
+	resp, err := http.Get(ts.URL + "/v1/streams/lat/estimate?window=last:1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +192,7 @@ func TestWindowRotationAndSelectors(t *testing.T) {
 		clock.Advance(time.Minute)
 		waitRotation(t, s, "lat", e)
 	}
-	resp, err = http.Get(ts.URL + "/estimate?stream=lat&window=epochs:0..0")
+	resp, err = http.Get(ts.URL + "/v1/streams/lat/estimate?window=epochs:0..0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,8 +212,8 @@ func TestWindowQueries(t *testing.T) {
 	postReports(t, ts.URL, "lat", 4, 300)
 	getWindowEstimate(t, ts.URL, "lat", "epochs:1..1", 300)
 
-	// GET /query with a window selector answers from that window's cache.
-	resp, err := http.Get(ts.URL + "/query?stream=lat&type=mean&window=epochs:0..0")
+	// GET .../query with a window selector answers from that window's cache.
+	resp, err := http.Get(ts.URL + "/v1/streams/lat/query?type=mean&window=epochs:0..0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,14 +232,14 @@ func TestWindowQueries(t *testing.T) {
 		t.Fatalf("windowed mean %v out of (0,1)", qr.Value)
 	}
 
-	// POST /query with a window field scopes the whole batch. Warm the
+	// POST .../query with a window field scopes the whole batch. Warm the
 	// last:2 window first — a cold window cache answers 503 by design.
 	getWindowEstimate(t, ts.URL, "lat", "last:2", 800)
 	blob, _ := json.Marshal(map[string]any{
 		"stream": "lat", "window": "last:2",
 		"queries": []map[string]any{{"type": "mean"}, {"type": "quantile", "q": []float64{0.5}}},
 	})
-	resp, err = http.Post(ts.URL+"/query", "application/json", bytes.NewReader(blob))
+	resp, err = http.Post(ts.URL+"/v1/streams/lat/query", "application/json", bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +266,7 @@ func TestDropStream(t *testing.T) {
 	}
 	postReports(t, ts.URL, "tmp", 5, 50)
 
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/streams/tmp", nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/streams/tmp", nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +275,7 @@ func TestDropStream(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("DELETE status %d", resp.StatusCode)
 	}
-	// Gone from the registry, from /streams, and from request routing.
+	// Gone from the registry, from the listing, and from request routing.
 	if s.StreamN("tmp") != -1 {
 		t.Error("dropped stream still resolvable")
 	}
@@ -288,7 +284,7 @@ func TestDropStream(t *testing.T) {
 			t.Error("dropped stream still listed")
 		}
 	}
-	resp, err = http.Get(ts.URL + "/estimate?stream=tmp")
+	resp, err = http.Get(ts.URL + "/v1/streams/tmp/estimate")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,8 +293,9 @@ func TestDropStream(t *testing.T) {
 		t.Errorf("estimate on dropped stream status %d, want 404", resp.StatusCode)
 	}
 
-	// Deleting again is 404; deleting without a name is 400; non-DELETE 405.
-	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/streams/tmp", nil)
+	// Deleting again is 404 unknown_stream; a nameless path is 404 not_found;
+	// a method the stream resource does not serve is 405.
+	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/v1/streams/tmp", nil)
 	if resp, err = http.DefaultClient.Do(req); err != nil {
 		t.Fatal(err)
 	}
@@ -306,21 +303,21 @@ func TestDropStream(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("double DELETE status %d, want 404", resp.StatusCode)
 	}
-	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/streams/", nil)
+	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/v1/streams/", nil)
 	if resp, err = http.DefaultClient.Do(req); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("nameless DELETE status %d, want 400", resp.StatusCode)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("nameless DELETE status %d, want 404", resp.StatusCode)
 	}
-	resp, err = http.Get(ts.URL + "/streams/whatever")
+	resp, err = http.Post(ts.URL+"/v1/streams/whatever", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /streams/{name} status %d, want 405", resp.StatusCode)
+		t.Errorf("POST /v1/streams/{name} status %d, want 405", resp.StatusCode)
 	}
 
 	// A dropped name can be redeclared fresh — including with new windowing.
@@ -565,16 +562,16 @@ func TestWindowDurationJSON(t *testing.T) {
 	t.Cleanup(s.Close)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	resp, err := http.Post(ts.URL+"/streams", "application/json",
+	resp, err := http.Post(ts.URL+"/v1/streams", "application/json",
 		bytes.NewReader([]byte(`{"name":"w","epsilon":1,"buckets":16,"epoch":"2m","retain":6}`)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("windowed POST /streams status %d", resp.StatusCode)
+		t.Fatalf("windowed POST /v1/streams status %d", resp.StatusCode)
 	}
-	resp, err = http.Get(ts.URL + "/config?stream=w")
+	resp, err = http.Get(ts.URL + "/v1/streams/w/config")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -587,6 +584,6 @@ func TestWindowDurationJSON(t *testing.T) {
 	}
 	resp.Body.Close()
 	if cfgOut.Epoch != "2m0s" || cfgOut.Retain != 6 {
-		t.Fatalf("/config reports epoch=%q retain=%d", cfgOut.Epoch, cfgOut.Retain)
+		t.Fatalf("config reports epoch=%q retain=%d", cfgOut.Epoch, cfgOut.Retain)
 	}
 }

@@ -2,13 +2,14 @@ package ldptest
 
 // Serving-path acceptance checking: CheckServing drives a population of
 // synthetic clients through a full HTTP collection round against a live
-// collector — randomize on the client, POST /batch, poll GET /estimate —
-// and verifies that the served reconstruction lands within paper-level
-// Wasserstein/KS distance of the true distribution. It is the statistical
-// complement of CheckDiscrete/CheckContinuous: those verify the privacy side
-// of a mechanism, this verifies the utility side of a deployment, end to
-// end through the transport, the striped accumulator, the background EMS
-// engine and the response cache.
+// collector — randomize on the client, POST /v1/streams/{name}/batch, poll
+// GET /v1/streams/{name}/estimate — and verifies that the served
+// reconstruction lands within paper-level Wasserstein/KS distance of the
+// true distribution. It is the statistical complement of
+// CheckDiscrete/CheckContinuous: those verify the privacy side of a
+// mechanism, this verifies the utility side of a deployment, end to end
+// through the transport, the striped accumulator, the background EMS engine
+// and the response cache.
 
 import (
 	"bytes"
@@ -16,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"time"
 
 	"repro/internal/core"
@@ -42,7 +44,7 @@ type ServingOptions struct {
 	Mechanism string
 	// Clients is the synthetic population size. Defaults to 3000.
 	Clients int
-	// BatchSize chunks the reports into POST /batch requests. Defaults
+	// BatchSize chunks the reports into POST .../batch requests. Defaults
 	// to 500.
 	BatchSize int
 	// Seed makes the round deterministic. Defaults to 1.
@@ -101,8 +103,8 @@ func (v ServingViolation) Error() string {
 
 // CheckServing samples Clients private values from sample, randomizes each
 // with the configured mechanism's client (the Square Wave by default),
-// ships them to the collector at baseURL over POST /batch, polls GET
-// /estimate until the served reconstruction covers the whole population
+// ships them to the collector at baseURL over POST .../batch, polls GET
+// .../estimate until the served reconstruction covers the whole population
 // (tolerating 503 "first estimate pending" responses — the collector must
 // never block the poll), and compares it against the bucketized truth. The
 // returned report always carries the measured distances; the error is
@@ -163,19 +165,28 @@ func CheckServing(baseURL string, sample func(*randx.Rand) float64, opts Serving
 	return rep, nil
 }
 
+// streamURL is the /v1 resource of a stream ("" = the default stream).
+func streamURL(baseURL, stream string) string {
+	if stream == "" {
+		stream = "default"
+	}
+	return baseURL + "/v1/streams/" + url.PathEscape(stream)
+}
+
 func postBatch(hc *http.Client, baseURL, stream string, reports []any) error {
-	blob, err := json.Marshal(map[string]any{"stream": stream, "reports": reports})
+	blob, err := json.Marshal(map[string]any{"reports": reports})
 	if err != nil {
 		return err
 	}
-	resp, err := hc.Post(baseURL+"/batch", "application/json", bytes.NewReader(blob))
+	target := streamURL(baseURL, stream) + "/batch"
+	resp, err := hc.Post(target, "application/json", bytes.NewReader(blob))
 	if err != nil {
-		return fmt.Errorf("ldptest: POST /batch: %w", err)
+		return fmt.Errorf("ldptest: POST %s: %w", target, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("ldptest: POST /batch status %d: %s", resp.StatusCode, body)
+		return fmt.Errorf("ldptest: POST %s status %d: %s", target, resp.StatusCode, body)
 	}
 	return nil
 }
@@ -188,16 +199,13 @@ type servedEstimate struct {
 }
 
 func pollEstimate(hc *http.Client, baseURL, stream string, wantN int, timeout time.Duration) (servedEstimate, error) {
-	url := baseURL + "/estimate"
-	if stream != "" {
-		url += "?stream=" + stream
-	}
+	target := streamURL(baseURL, stream) + "/estimate"
 	deadline := time.Now().Add(timeout)
 	var last servedEstimate
 	for {
-		resp, err := hc.Get(url)
+		resp, err := hc.Get(target)
 		if err != nil {
-			return last, fmt.Errorf("ldptest: GET /estimate: %w", err)
+			return last, fmt.Errorf("ldptest: GET %s: %w", target, err)
 		}
 		switch resp.StatusCode {
 		case http.StatusOK:
@@ -215,7 +223,7 @@ func pollEstimate(hc *http.Client, baseURL, stream string, wantN int, timeout ti
 		default:
 			body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 			resp.Body.Close()
-			return last, fmt.Errorf("ldptest: GET /estimate status %d: %s", resp.StatusCode, body)
+			return last, fmt.Errorf("ldptest: GET %s status %d: %s", target, resp.StatusCode, body)
 		}
 		if time.Now().After(deadline) {
 			return last, fmt.Errorf("ldptest: estimate never covered %d reports within %v (last N=%d)",

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"time"
 
 	"repro/internal/core"
@@ -36,8 +37,8 @@ type WindowServingOptions struct {
 	Bandwidth float64
 	// ClientsPerEpoch is the synthetic cohort size. Defaults to 3000.
 	ClientsPerEpoch int
-	// BatchSize chunks the reports into POST /batch requests. Defaults to
-	// 500.
+	// BatchSize chunks the reports into POST .../batch requests. Defaults
+	// to 500.
 	BatchSize int
 	// Seed makes every cohort deterministic. Defaults to 1.
 	Seed uint64
@@ -52,8 +53,8 @@ type WindowServingOptions struct {
 	HTTPClient *http.Client
 	// AdvanceEpoch advances the collector's rotation clock by one epoch
 	// (e.g. by moving the mock clock the server's Config.Clock reads).
-	// Required. The harness then polls GET /streams until the rotation is
-	// observed, so the caller never sleeps.
+	// Required. The harness then polls GET /v1/streams/{name} until the
+	// rotation is observed, so the caller never sleeps.
 	AdvanceEpoch func() error
 }
 
@@ -89,7 +90,7 @@ type WindowServingReport struct {
 
 // CheckWindowServing runs one cohort per epoch: sample ClientsPerEpoch
 // private values from cohorts[e], randomize them on the client, ship them
-// over POST /batch, poll GET /estimate?window=last:1 until the served
+// over POST .../batch, poll GET .../estimate?window=last:1 until the served
 // sliding-window estimate covers the cohort, and compare it against that
 // cohort's truth — then advance the clock one epoch and repeat with the
 // next, shifted cohort. After the last cohort, every sealed epoch is
@@ -182,20 +183,17 @@ func checkBounds(rep ServingReport, maxW1, maxKS float64) error {
 	return nil
 }
 
-// pollWindowEstimate polls GET /estimate with a window selector until the
-// served estimate covers wantN reports (503/409 mean "keep polling" — the
-// collector answers instead of blocking).
+// pollWindowEstimate polls GET .../estimate with a window selector until
+// the served estimate covers wantN reports (503/409 mean "keep polling" —
+// the collector answers instead of blocking).
 func pollWindowEstimate(hc *http.Client, baseURL, stream, sel string, wantN int, timeout time.Duration) (servedEstimate, error) {
-	url := baseURL + "/estimate?window=" + sel
-	if stream != "" {
-		url += "&stream=" + stream
-	}
+	target := streamURL(baseURL, stream) + "/estimate?window=" + url.QueryEscape(sel)
 	deadline := time.Now().Add(timeout)
 	var last servedEstimate
 	for {
-		resp, err := hc.Get(url)
+		resp, err := hc.Get(target)
 		if err != nil {
-			return last, fmt.Errorf("ldptest: GET /estimate: %w", err)
+			return last, fmt.Errorf("ldptest: GET %s: %w", target, err)
 		}
 		switch resp.StatusCode {
 		case http.StatusOK:
@@ -213,7 +211,7 @@ func pollWindowEstimate(hc *http.Client, baseURL, stream, sel string, wantN int,
 		default:
 			body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 			resp.Body.Close()
-			return last, fmt.Errorf("ldptest: GET %s status %d: %s", url, resp.StatusCode, body)
+			return last, fmt.Errorf("ldptest: GET %s status %d: %s", target, resp.StatusCode, body)
 		}
 		if time.Now().After(deadline) {
 			return last, fmt.Errorf("ldptest: window %s never covered %d reports within %v (last N=%d)",
@@ -223,35 +221,33 @@ func pollWindowEstimate(hc *http.Client, baseURL, stream, sel string, wantN int,
 	}
 }
 
-// pollRotation polls GET /streams until the stream's live epoch index
-// reaches wantEpoch.
+// pollRotation polls GET /v1/streams/{name} until the stream's live epoch
+// index reaches wantEpoch.
 func pollRotation(hc *http.Client, baseURL, stream string, wantEpoch int, timeout time.Duration) error {
-	if stream == "" {
-		stream = "default"
-	}
+	target := streamURL(baseURL, stream)
 	deadline := time.Now().Add(timeout)
 	for {
-		resp, err := hc.Get(baseURL + "/streams")
+		resp, err := hc.Get(target)
 		if err != nil {
-			return fmt.Errorf("ldptest: GET /streams: %w", err)
+			return fmt.Errorf("ldptest: GET %s: %w", target, err)
 		}
-		var body struct {
-			Streams []struct {
-				Name   string `json:"name"`
-				Window *struct {
-					CurrentEpoch int `json:"current_epoch"`
-				} `json:"window"`
-			} `json:"streams"`
+		if resp.StatusCode != http.StatusOK {
+			body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+			resp.Body.Close()
+			return fmt.Errorf("ldptest: GET %s status %d: %s", target, resp.StatusCode, body)
 		}
-		err = json.NewDecoder(resp.Body).Decode(&body)
+		var info struct {
+			Window *struct {
+				CurrentEpoch int `json:"current_epoch"`
+			} `json:"window"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&info)
 		resp.Body.Close()
 		if err != nil {
-			return fmt.Errorf("ldptest: decode /streams: %w", err)
+			return fmt.Errorf("ldptest: decode %s: %w", target, err)
 		}
-		for _, row := range body.Streams {
-			if row.Name == stream && row.Window != nil && row.Window.CurrentEpoch >= wantEpoch {
-				return nil
-			}
+		if info.Window != nil && info.Window.CurrentEpoch >= wantEpoch {
+			return nil
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("ldptest: stream %q never rotated to epoch %d within %v", stream, wantEpoch, timeout)

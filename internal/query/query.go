@@ -24,7 +24,7 @@ import (
 )
 
 // Type names a query kind. The string values are the wire names used by the
-// HTTP API (GET /query?type=...).
+// HTTP API (GET /v1/streams/{name}/query?type=...).
 type Type string
 
 // Supported query types.

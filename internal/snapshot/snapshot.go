@@ -273,8 +273,9 @@ func Save(path string, streams []Stream) error {
 
 // SaveFile writes a full payload to path atomically: the payload lands in a
 // temporary file in the same directory (so the rename cannot cross
-// filesystems), is synced, and then renamed over path. Version and SavedUnix
-// are stamped here.
+// filesystems), is synced, and then renamed over path; the directory is
+// synced last, so a crash after SaveFile returns cannot undo the rename.
+// Version and SavedUnix are stamped here.
 func SaveFile(path string, file *File) error {
 	stamped := *file
 	stamped.Version = Version
@@ -312,6 +313,17 @@ func SaveFile(path string, file *File) error {
 	}
 	if err := os.Rename(tmpName, path); err != nil {
 		return fmt.Errorf("snapshot: publish %s: %w", path, err)
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("snapshot: open dir %s: %w", dir, err)
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return fmt.Errorf("snapshot: sync dir %s: %w", dir, err)
+	}
+	if err := d.Close(); err != nil {
+		return fmt.Errorf("snapshot: close dir %s: %w", dir, err)
 	}
 	return nil
 }
