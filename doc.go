@@ -129,7 +129,8 @@
 // flag), ingestion is lock-free per stream, and a pool of
 // refresh workers (-refresh-workers, default GOMAXPROCS) drains a
 // staleness-ordered dirty queue of warm-started refreshes (EM/EMS for
-// channel mechanisms into per-stream zero-allocation workspaces, direct
+// channel mechanisms into per-stream zero-allocation workspaces,
+// SQUAREM-accelerated once warm; direct
 // debiased estimates for the oracles) — and rotates windowed streams'
 // epochs — so
 // estimation cost never lands on a request goroutine (a not-yet-computed

@@ -138,7 +138,9 @@ type WarmStart struct {
 	// LastWarm reports whether the most recent refresh was warm-started.
 	LastWarm bool `json:"last_warm"`
 	// Speedup is ColdIterations / MeanWarmIterations (0 until both sides
-	// exist) — how many times fewer iterations a warm start needs.
+	// exist) — how many times fewer iterations a warm start needs. The
+	// collector's warm refreshes run SQUAREM cycles and count EMS map
+	// evaluations as iterations, so the ratio includes the acceleration.
 	Speedup float64 `json:"speedup"`
 }
 

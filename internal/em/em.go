@@ -14,6 +14,10 @@
 // converges to the MLE; EMS trades a little likelihood for a smoothness
 // prior, which the paper shows is what actually tracks the true distribution
 // under LDP noise levels.
+//
+// Every run takes the paper's loop except a warm start with
+// Options.AccelerateWarm, which the collector's refresh engine uses: SQUAREM
+// cycles over the EMS map, held to TestWarmAccelerationContract.
 package em
 
 import (
@@ -51,8 +55,28 @@ type Options struct {
 	// iteration number, the current estimate (a live view — copy it if
 	// retained) and the current log-likelihood. Used for diagnostics such
 	// as tracking estimation error against likelihood (the paper's EM
-	// overfitting observation, Section 5.5).
+	// overfitting observation, Section 5.5). On the AccelerateWarm path it
+	// is invoked once per EMS map evaluation, with that evaluation's output
+	// and the log-likelihood of its input.
 	OnIteration func(iter int, estimate []float64, ll float64)
+	// AccelerateWarm runs a warm-started reconstruction (Init set) as
+	// SQUAREM-S3 cycles (Varadhan & Roland, Scand. J. Statist. 35, 2008)
+	// over the EMS map F = S∘M∘E: two F steps x₁ = F(x₀), x₂ = F(x₁), the
+	// step length α = −‖r‖/‖v‖ (r = x₁−x₀, v = x₂−2x₁+x₀) clamped to ≤ −1,
+	// the extrapolated point x₀ − 2αr + α²v clipped to the simplex and
+	// renormalized, and one stabilizing F step from it — replaced by the
+	// plain step x₂ whenever the extrapolated point's fixed-point residual
+	// ‖F(x′)−x′‖ exceeds x₁'s, ‖x₂−x₁‖. The stopping rule is the
+	// textbook τ test, applied only across plain F steps and only after
+	// MinIters evaluations; MaxIters caps evaluations and
+	// Result.Iterations counts them. Cold runs (Init nil) ignore the field
+	// and take the textbook loop bit for bit: from a uniform start the
+	// extrapolated estimate lands much farther from the EMS fixed point
+	// than the textbook one at the same τ, while from a warm start it
+	// lands as close in about half the evaluations. The clip to the
+	// simplex can zero buckets, which plain EM (no Smoothing) never leaves
+	// again, so the field is meant for EMS.
+	AccelerateWarm bool
 	// Workers partitions the E-step matrix–vector products of a dense
 	// channel (*matrixx.Matrix) across the shared worker pool: 0 or 1 run
 	// serially, n > 1 uses n partitions, negative selects
@@ -75,6 +99,9 @@ type Options struct {
 // stays safe for concurrent use).
 type Workspace struct {
 	x, denom, ratio, llv, back, scratch []float64
+	// x0 and x1 hold a SQUAREM cycle's first two iterates, then the
+	// extrapolated point and its F image (Options.AccelerateWarm only).
+	x0, x1 []float64
 
 	// Cached matrixx.Parallelize result, keyed on (channel, workers), so
 	// the warm path does not re-wrap — and therefore does not allocate —
@@ -131,7 +158,8 @@ func EMSOptions() Options {
 type Result struct {
 	// Estimate is the reconstructed input distribution over d buckets.
 	Estimate []float64
-	// Iterations is the number of EM iterations performed.
+	// Iterations is the number of EM iterations performed — on the
+	// AccelerateWarm path, the number of EMS map evaluations.
 	Iterations int
 	// LogLikelihood is the final count-weighted log-likelihood L(x̂).
 	LogLikelihood float64
@@ -217,78 +245,177 @@ func (w *Workspace) Reconstruct(m matrixx.Channel, counts []float64, opts Option
 	w.llv = grow(w.llv, dt)     // per-row log-likelihood terms (fused path)
 	w.back = grow(w.back, d)    // Mᵀ·ratio
 	w.scratch = grow(w.scratch, d)
+
+	if opts.AccelerateWarm && opts.Init != nil {
+		return w.squarem(m, counts, &opts)
+	}
+	// The paper's loop: plain steps until the τ test fires or MaxIters.
+	res := Result{Estimate: x}
+	prevLL := math.Inf(-1)
+	for !w.plainStep(m, counts, x, &opts, &res, &prevLL) {
+	}
+	return res
+}
+
+// step applies one evaluation of the EMS map, x ← F(x) = S(M(E(x))), in
+// place out of the workspace buffers, and returns the count-weighted
+// log-likelihood of the input point.
+func (w *Workspace) step(m matrixx.Channel, counts, x []float64, opts *Options) float64 {
 	denom, ratio, llv, back, scratch := w.denom, w.ratio, w.llv, w.back, w.scratch
 
-	// The matrixx channels (and the parallel wrapper) fuse the E-step into
-	// the forward product: one sweep computes denom, ratio and the per-row
+	// E step: denom_j = Σ_i M[j][i]·x_i, then the expected count
+	// attribution P_i = x_i · Σ_j n_j·M[j][i]/denom_j. The matrixx
+	// channels (and the parallel wrapper) fuse it into the forward
+	// product: one sweep computes denom, ratio and the per-row
 	// log-likelihood terms. Other channels run the unfused two-pass form;
 	// both produce identical bits (see matrixx.RatioChannel).
-	fused, hasFused := m.(matrixx.RatioChannel)
-
-	prevLL := math.Inf(-1)
-	res := Result{}
-	for iter := 1; iter <= opts.MaxIters; iter++ {
-		res.Iterations = iter
-
-		// E step: denom_j = Σ_i M[j][i]·x_i, then the expected count
-		// attribution P_i = x_i · Σ_j n_j·M[j][i]/denom_j.
-		ll := 0.0
-		if hasFused {
-			fused.MulVecRatio(ratio, llv, x, counts)
-			// Serial fold in increasing row order: bit-identical to the
-			// unfused accumulation (the zero terms change nothing).
-			for _, t := range llv {
-				ll += t
+	ll := 0.0
+	if fused, ok := m.(matrixx.RatioChannel); ok {
+		fused.MulVecRatio(ratio, llv, x, counts)
+		// Serial fold in increasing row order: bit-identical to the
+		// unfused accumulation (the zero terms change nothing).
+		for _, t := range llv {
+			ll += t
+		}
+	} else {
+		m.MulVec(denom, x)
+		for j := range counts {
+			if counts[j] == 0 {
+				ratio[j] = 0
+				continue
 			}
+			dj := denom[j]
+			if dj < matrixx.DenomFloor {
+				dj = matrixx.DenomFloor
+			}
+			ratio[j] = counts[j] / dj
+			ll += counts[j] * math.Log(dj)
+		}
+	}
+	m.MulVecT(back, ratio)
+
+	// M step: x_i ← P_i / Σ P (the Σ_j n_j factor cancels in the
+	// normalization).
+	for i := range x {
+		x[i] *= back[i]
+	}
+	mathx.Normalize(x)
+
+	// S step (EMS only).
+	if opts.Smoothing {
+		if opts.SmoothWidth == 3 {
+			mathx.SmoothBinomial(scratch, x)
 		} else {
-			m.MulVec(denom, x)
-			for j := 0; j < dt; j++ {
-				if counts[j] == 0 {
-					ratio[j] = 0
-					continue
-				}
-				dj := denom[j]
-				if dj < matrixx.DenomFloor {
-					dj = matrixx.DenomFloor
-				}
-				ratio[j] = counts[j] / dj
-				ll += counts[j] * math.Log(dj)
-			}
+			mathx.SmoothBinomialK(scratch, x, opts.SmoothWidth)
 		}
-		m.MulVecT(back, ratio)
+		copy(x, scratch)
+	}
+	return ll
+}
 
-		// M step: x_i ← P_i / Σ P (the Σ_j n_j factor cancels in the
-		// normalization).
-		for i := 0; i < d; i++ {
-			x[i] *= back[i]
-		}
-		mathx.Normalize(x)
-
-		// S step (EMS only).
-		if opts.Smoothing {
-			if opts.SmoothWidth == 3 {
-				mathx.SmoothBinomial(scratch, x)
-			} else {
-				mathx.SmoothBinomialK(scratch, x, opts.SmoothWidth)
-			}
-			copy(x, scratch)
-		}
-
-		res.LogLikelihood = ll
-		if opts.OnIteration != nil {
-			opts.OnIteration(iter, x, ll)
-		}
-		if iter > 1 {
-			res.LastDelta = math.Abs(ll - prevLL)
-		}
-		if iter >= opts.MinIters && math.Abs(ll-prevLL) < opts.Tau {
-			res.Converged = true
+// squarem runs Reconstruct's accelerated warm path (Options.AccelerateWarm)
+// from the warm start in w.x: SQUAREM-S3 cycles of two plain F steps, an
+// extrapolation, and one stabilizing F step.
+func (w *Workspace) squarem(m matrixx.Channel, counts []float64, opts *Options) Result {
+	d := len(w.x)
+	w.x0, w.x1 = grow(w.x0, d), grow(w.x1, d)
+	x, x0, x1 := w.x, w.x0, w.x1
+	var res Result
+	// prevLL is the log-likelihood of the point x is the plain F image of
+	// (−Inf while x is the warm start itself), so the τ test only ever
+	// spans a plain step.
+	prevLL := math.Inf(-1)
+	for {
+		copy(x0, x)
+		if w.plainStep(m, counts, x, opts, &res, &prevLL) { // x = x₁
 			break
 		}
-		prevLL = ll
+		copy(x1, x)
+		if w.plainStep(m, counts, x, opts, &res, &prevLL) { // x = x₂
+			break
+		}
+
+		// S3 step length from r = x₁−x₀ and v = x₂−2x₁+x₀; q = x₂−x₁
+		// is the fixed-point residual at x₁.
+		var rr, vv, qq float64
+		for i := range x {
+			r, q := x1[i]-x0[i], x[i]-x1[i]
+			v := q - r
+			rr += r * r
+			vv += v * v
+			qq += q * q
+		}
+		// x′ = x₀ − 2αr + α²v, clipped to the simplex, goes to x0; its F
+		// image goes to x1 (x still holds x₂ for the fallback).
+		alpha := -math.Sqrt(rr / vv)
+		extrapolated := false
+		if alpha < -1 {
+			for i := range x {
+				r := x1[i] - x0[i]
+				v := x[i] - x1[i] - r
+				xe := x0[i] - 2*alpha*r + alpha*alpha*v
+				if !(xe > 0) {
+					xe = 0
+				}
+				x0[i] = xe
+			}
+			sum := mathx.Normalize(x0)
+			extrapolated = sum > 0 && !math.IsInf(sum, 1)
+		}
+		if !extrapolated {
+			// α clamped to −1 extrapolates to x₂ itself, and one that
+			// overflows is no better: the stabilizing step is one more
+			// plain step.
+			if w.plainStep(m, counts, x, opts, &res, &prevLL) {
+				break
+			}
+			continue
+		}
+		copy(x1, x0)
+		ll := w.step(m, counts, x1, opts)
+		res.Iterations++
+		if opts.OnIteration != nil {
+			opts.OnIteration(res.Iterations, x1, ll)
+		}
+		var ee float64
+		for i := range x1 {
+			e := x1[i] - x0[i]
+			ee += e * e
+		}
+		if ee <= qq {
+			copy(x, x1)
+			prevLL = ll
+			res.LogLikelihood = ll
+		}
+		if res.Iterations >= opts.MaxIters {
+			break
+		}
 	}
 	res.Estimate = x
 	return res
+}
+
+// plainStep is one plain EM/EMS iteration x ← F(x) with the paper's
+// bookkeeping: it counts the iteration, reports it to OnIteration, applies
+// the τ test between *prevLL and the input point's log-likelihood, and
+// advances *prevLL. It reports whether the run stops here, converged or out
+// of iterations.
+func (w *Workspace) plainStep(m matrixx.Channel, counts, x []float64, opts *Options, res *Result, prevLL *float64) bool {
+	ll := w.step(m, counts, x, opts)
+	res.Iterations++
+	res.LogLikelihood = ll
+	if opts.OnIteration != nil {
+		opts.OnIteration(res.Iterations, x, ll)
+	}
+	delta := math.Abs(ll - *prevLL)
+	if !math.IsInf(*prevLL, -1) {
+		res.LastDelta = delta
+	}
+	*prevLL = ll
+	if res.Iterations >= opts.MinIters && delta < opts.Tau {
+		res.Converged = true
+	}
+	return res.Converged || res.Iterations >= opts.MaxIters
 }
 
 // Residuals compares the observed report histogram against the one the

@@ -260,7 +260,8 @@ func itoa(d int) string {
 
 // TestWorkspaceReconstructZeroAlloc pins the allocation contract: once a
 // workspace is warm for a channel's shape, a full reconstruction allocates
-// nothing — on the dense channel and on the sw and sw-discrete plateaus.
+// nothing — on the dense channel and on the sw and sw-discrete plateaus, and
+// on the accelerated warm-start path the refresh engine runs.
 func TestWorkspaceReconstructZeroAlloc(t *testing.T) {
 	w, counts := swCounts(256, 1.0, 41)
 	disc := sw.NewDiscrete(256, 1.0)
@@ -269,19 +270,24 @@ func TestWorkspaceReconstructZeroAlloc(t *testing.T) {
 		dcounts[j] = float64(j % 7)
 	}
 	opts := Options{MaxIters: 5, MinIters: 5, Smoothing: true}
+	accel := EMSOptions()
+	accel.Init = Reconstruct(w.Channel(256, 256), counts, accel).Estimate
+	accel.AccelerateWarm = true
 	for _, tc := range []struct {
 		name   string
 		ch     matrixx.Channel
 		counts []float64
+		opts   Options
 	}{
-		{"dense", w.TransitionMatrix(256, 256), counts},
-		{"sw", w.Channel(256, 256), counts},
-		{"sw-discrete", disc.Channel(), dcounts},
+		{"dense", w.TransitionMatrix(256, 256), counts, opts},
+		{"sw", w.Channel(256, 256), counts, opts},
+		{"sw-discrete", disc.Channel(), dcounts, opts},
+		{"sw accelerated warm", w.Channel(256, 256), counts, accel},
 	} {
 		ws := new(Workspace)
-		ws.Reconstruct(tc.ch, tc.counts, opts) // warm the buffers
+		ws.Reconstruct(tc.ch, tc.counts, tc.opts) // warm the buffers
 		allocs := testing.AllocsPerRun(10, func() {
-			ws.Reconstruct(tc.ch, tc.counts, opts)
+			ws.Reconstruct(tc.ch, tc.counts, tc.opts)
 		})
 		if allocs != 0 {
 			t.Errorf("%s: warm Workspace.Reconstruct allocates %v objects/op, want 0", tc.name, allocs)

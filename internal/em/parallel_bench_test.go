@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/matrixx"
+	"repro/internal/mechanism"
+	"repro/internal/randx"
 	"repro/internal/sw"
 )
 
@@ -84,6 +86,74 @@ func BenchmarkReconstructWorkspace(b *testing.B) {
 						b.Fatal("bad estimate")
 					}
 				}
+			})
+		}
+	}
+}
+
+// warmStep and warmMaxN shape BenchmarkWarmRefresh's trajectory: a refresh
+// every 20,000 reports up to 10⁷, about the cadence and length of a
+// 30-second run of ldpbench's ingest workload (closed-loop writers, one
+// 20/s reader).
+const warmStep, warmMaxN = 20000, 10000000
+
+// warmSequence returns the sw mechanism's channel at granularity d (ε = 1)
+// and the report histogram of one stream of Beta(5,2) values after every
+// warmStep reports, up to warmMaxN.
+func warmSequence(b *testing.B, d int) (matrixx.Channel, [][]float64) {
+	mech, err := mechanism.New(mechanism.Params{Name: mechanism.SW, Epsilon: 1, Buckets: d})
+	if err != nil {
+		b.Fatal(err)
+	}
+	wave := sw.NewSquare(1)
+	rng := randx.New(uint64(d))
+	counts := make([]float64, mech.OutputBuckets())
+	var seq [][]float64
+	for n := 1; n <= warmMaxN; n++ {
+		j, err := mech.BucketOf(wave.Sample(rng.Beta(5, 2), rng))
+		if err != nil {
+			b.Fatal(err)
+		}
+		counts[j]++
+		if n%warmStep == 0 {
+			seq = append(seq, append([]float64(nil), counts...))
+		}
+	}
+	return mech.Channel(), seq
+}
+
+// BenchmarkWarmRefresh replays the refresh engine's steady state along an
+// ingest-like trajectory (warmSequence): after the one cold reconstruction
+// at 20,000 reports, every refresh is warm-started from the previous one's
+// estimate through one reused Workspace, with the textbook EMS loop or with
+// Options.AccelerateWarm. One op is the whole trajectory; evals/refresh is
+// the mean number of F evaluations (EMS iterations) per warm refresh and
+// ns/refresh its mean wall time.
+func BenchmarkWarmRefresh(b *testing.B) {
+	for _, d := range []int{256, 1024} {
+		ch, seq := warmSequence(b, d)
+		first := Reconstruct(ch, seq[0], EMSOptions()).Estimate
+		for _, mode := range []string{"textbook", "accelerated"} {
+			b.Run(fmt.Sprintf("B=%d/%s", d, mode), func(b *testing.B) {
+				opts := EMSOptions()
+				opts.AccelerateWarm = mode == "accelerated"
+				var ws Workspace
+				init := make([]float64, d)
+				evals := 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					copy(init, first)
+					opts.Init = init
+					for _, counts := range seq[1:] {
+						res := ws.Reconstruct(ch, counts, opts)
+						evals += res.Iterations
+						copy(init, res.Estimate)
+					}
+				}
+				refreshes := float64(b.N * (len(seq) - 1))
+				b.ReportMetric(float64(evals)/refreshes, "evals/refresh")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/refreshes, "ns/refresh")
 			})
 		}
 	}

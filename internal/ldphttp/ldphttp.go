@@ -70,9 +70,15 @@
 // is never rotation-due), and otherwise the stream with the most
 // unpublished reports goes first. Each worker re-runs the EMS
 // reconstruction warm-started from that stream's previous estimate into a
-// per-stream reusable workspace (zero allocations once warm); a per-stream
-// busy flag keeps refreshes of one stream serialized, so results are
-// bit-identical to the old single-goroutine engine regardless of pool size.
+// per-stream reusable workspace (zero allocations once warm). A warm
+// refresh runs as SQUAREM cycles over the EMS map (em.Options.AccelerateWarm:
+// about half the map evaluations of the paper's loop, equally close to its
+// fixed point), so its iteration count is the number of EMS map
+// evaluations; the first, cold reconstruction runs the paper's loop
+// unchanged. A per-stream busy flag keeps refreshes of one stream
+// serialized, so results are bit-identical to the old single-goroutine
+// engine regardless of pool size; a refresh requested while the stream's
+// refresh is running runs right after it.
 // The estimate and query endpoints never run EM on a request goroutine:
 // they serve the cached reconstruction (503 with pending_reports while the
 // very first one is still being computed) and report how many reports
@@ -290,9 +296,11 @@ type stream struct {
 	// Refresh-scheduler state: queued dedupes queue entries, busy
 	// serializes refresh work per stream (one worker at a time — the
 	// acquire/release pair on busy also publishes the scratch buffers
-	// below between workers).
+	// below between workers), and rerun records a refresh request that
+	// found the stream busy, for the worker holding busy to run next.
 	queued atomic.Bool
 	busy   atomic.Bool
+	rerun  atomic.Bool
 
 	// Worker-owned scratch (guarded by busy): warm-start vector,
 	// snapshot/merge buffers, and the reusable EM workspace — a warm
@@ -476,12 +484,17 @@ func NewServer(cfg Config) *Server {
 // to its default here so the stored cfg always carries the effective
 // retention.
 func (s *Server) newStream(name string, cfg StreamConfig) *stream {
+	// The paper's EMS, with warm-started refreshes run as SQUAREM cycles;
+	// the first (cold) reconstruction keeps the textbook loop.
+	ems := em.EMSOptions()
+	ems.AccelerateWarm = true
 	agg := core.NewAggregator(core.Config{
 		Epsilon:   cfg.Epsilon,
 		Buckets:   cfg.Buckets,
 		Mechanism: cfg.Mechanism,
 		Bandwidth: cfg.Bandwidth,
 		Smoothing: true,
+		EM:        ems,
 	})
 	// fillStreamDefaults validated the window options, so New cannot panic.
 	ring := window.New(agg.OutputBuckets(), cfg.Shards,
@@ -917,8 +930,11 @@ func (s *Server) scheduler() {
 }
 
 // refreshWorker drains the refresh queue. Per-stream work is serialized by
-// the busy flag: a stream already being refreshed is skipped (the next tick
-// re-enqueues it), so workers parallelize across streams, never within one.
+// the busy flag, so workers parallelize across streams, never within one. A
+// request for a stream another worker is refreshing is not dropped: it sets
+// rerun, which the holder re-checks after releasing busy and runs the
+// stream again for — reports acknowledged after the running refresh merged
+// its histogram get published right after it, not on the next tick.
 func (s *Server) refreshWorker() {
 	defer s.wg.Done()
 	for {
@@ -927,11 +943,12 @@ func (s *Server) refreshWorker() {
 			return
 		}
 		st.queued.Store(false)
-		if !st.busy.CompareAndSwap(false, true) {
-			continue
+		st.rerun.Store(true)
+		for st.rerun.Load() && st.busy.CompareAndSwap(false, true) {
+			st.rerun.Store(false)
+			s.refreshStream(st)
+			st.busy.Store(false)
 		}
-		s.refreshStream(st)
-		st.busy.Store(false)
 	}
 }
 
@@ -1099,8 +1116,11 @@ type EstimateResponse struct {
 	Mean         float64   `json:"mean"`
 	Variance     float64   `json:"variance"`
 	Median       float64   `json:"median"`
-	Iterations   int       `json:"iterations"`
-	Converged    bool      `json:"converged"`
+	// Iterations is the reconstruction's EMS iteration count: for a warm
+	// start, the number of EMS map evaluations its SQUAREM cycles took
+	// (1 for matrix-free oracles).
+	Iterations int  `json:"iterations"`
+	Converged  bool `json:"converged"`
 	// WarmStart reports whether the reconstruction was warm-started from
 	// the previous estimate (false only for the first one).
 	WarmStart bool `json:"warm_start"`

@@ -116,7 +116,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Background EM/EMS reconstruction latency per refresh.",
 			telemetry.DefBuckets, "stream"),
 		emIters: r.Histogram("ldp_em_iterations",
-			"EM/EMS iterations per published refresh (warm starts converge in few).",
+			"EM/EMS iterations per published refresh; warm (SQUAREM) refreshes count EMS map evaluations and converge in few.",
 			[]float64{1, 2, 5, 10, 20, 50, 100, 200}, "stream"),
 		emStaleness: r.Gauge("ldp_em_staleness_reports",
 			"Histogram increments ingested after the published estimate.", "stream"),
