@@ -1,13 +1,14 @@
 package repro
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/boot"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/histogram"
 	"repro/internal/mathx"
 	"repro/internal/mechanism"
@@ -91,48 +92,35 @@ func DefaultOptions(eps float64) Options {
 	return Options{Epsilon: eps, Buckets: 1024}
 }
 
+// defaultSeed is the seed of Options that leave Seed zero.
+const defaultSeed = 0x5157454d53 // arbitrary fixed default
+
+// declaration converts the options to the stream engine's declaration, a
+// zero Seed taking the fixed default.
+func (o Options) declaration() engine.Config {
+	return engine.Config{
+		Mechanism: o.Mechanism,
+		Epsilon:   o.Epsilon,
+		Buckets:   o.Buckets,
+		Bandwidth: o.Bandwidth,
+		Shards:    o.Shards,
+		Epoch:     o.Epoch,
+		Retain:    o.Retain,
+		Seed:      cmp.Or(o.Seed, defaultSeed),
+	}
+}
+
+// validate applies the stream engine's one declaration rule
+// (engine.Config.Resolve) and returns the options with its defaults filled:
+// the granularity, the seed, and the concrete mechanism ("" and "auto"
+// resolved), so declared streams, snapshots and redeclarations all carry
+// the concrete name.
 func (o Options) validate() (Options, error) {
-	if o.Epsilon <= 0 || math.IsNaN(o.Epsilon) || math.IsInf(o.Epsilon, 0) {
-		return o, fmt.Errorf("repro: epsilon must be positive and finite, got %v", o.Epsilon)
-	}
-	if o.Buckets == 0 {
-		o.Buckets = 1024
-	}
-	if o.Buckets < 2 {
-		return o, fmt.Errorf("repro: need at least 2 buckets, got %d", o.Buckets)
-	}
-	if o.Buckets > mechanism.MaxBuckets {
-		return o, fmt.Errorf("repro: at most %d buckets, got %d", mechanism.MaxBuckets, o.Buckets)
-	}
-	if o.Bandwidth < 0 || o.Bandwidth > 2 {
-		return o, fmt.Errorf("repro: bandwidth %v out of range [0, 2]", o.Bandwidth)
-	}
-	if o.Seed == 0 {
-		o.Seed = 0x5157454d53 // arbitrary fixed default
-	}
-	if o.Epoch < 0 {
-		return o, fmt.Errorf("repro: epoch duration %v must not be negative", o.Epoch)
-	}
-	if o.Retain != 0 && o.Epoch == 0 {
-		return o, fmt.Errorf("repro: retain %d needs an epoch duration", o.Retain)
-	}
-	if o.Epoch > 0 {
-		wcfg, err := window.Config{Epoch: o.Epoch, Retain: o.Retain}.Validate()
-		if err != nil {
-			return o, fmt.Errorf("repro: %v", err)
-		}
-		o.Retain = wcfg.Retain
-	}
-	// "" and "auto" resolve here so declared streams, snapshots and
-	// redeclarations all carry the concrete mechanism name.
-	mech, err := mechanism.Resolve(o.Mechanism, o.Epsilon, o.Buckets)
+	cfg, err := o.declaration().Resolve()
 	if err != nil {
-		return o, fmt.Errorf("repro: %v", err)
+		return o, fmt.Errorf("repro: %w", err)
 	}
-	o.Mechanism = mech
-	if o.Bandwidth != 0 && mech != mechanism.SW && mech != mechanism.SWDiscrete {
-		return o, fmt.Errorf("repro: bandwidth only applies to the sw family, not %q", mech)
-	}
+	o.Buckets, o.Mechanism, o.Seed = cfg.Buckets, cfg.Mechanism, cfg.Seed
 	return o, nil
 }
 
@@ -300,31 +288,24 @@ func (c *Client) Bandwidth() float64 { return c.inner.Bandwidth() }
 // live epoch, Advance/Rotate seal it on schedule, and EstimateWindow
 // reconstructs any retained epoch range — see Options.Epoch. A plain
 // Aggregator's histogram is the same epoch ring with one epoch that never
-// seals.
-type Aggregator struct {
-	inner *core.Aggregator // immutable channel + mechanism parameters
-	ring  *window.Ring     // report histogram (plain: epoch 0 never seals)
-	opts  Options
-}
+// seals. An Aggregator is a stream of the engine the HTTP collector runs
+// (package engine), reconstructed on demand instead of in the background.
+type Aggregator engine.Stream
+
+// standalone builds the Aggregators NewAggregator returns; it never holds
+// them.
+var standalone = engine.NewRegistry(engine.Options{})
+
+func (a *Aggregator) stream() *engine.Stream { return (*engine.Stream)(a) }
 
 // NewAggregator builds an aggregator with the same Options as the clients.
 // A windowed aggregator's epoch 0 starts at the wall clock's now.
 func NewAggregator(opts Options) (*Aggregator, error) {
-	opts, err := opts.validate()
+	st, err := standalone.NewStream("", opts.declaration())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("repro: %w", err)
 	}
-	cfg := core.Config{
-		Epsilon:   opts.Epsilon,
-		Buckets:   opts.Buckets,
-		Mechanism: opts.Mechanism,
-		Bandwidth: opts.Bandwidth,
-		Smoothing: true,
-	}
-	inner := core.NewAggregator(cfg)
-	ring := window.New(inner.OutputBuckets(), opts.Shards,
-		window.Config{Epoch: opts.Epoch, Retain: opts.Retain}, time.Now())
-	return &Aggregator{inner: inner, ring: ring, opts: opts}, nil
+	return (*Aggregator)(st), nil
 }
 
 // Ingest adds one scalar client report (sw, sw-discrete, grr). Safe to call
@@ -332,23 +313,24 @@ func NewAggregator(opts Options) (*Aggregator, error) {
 // mechanism can produce; collectors ingesting untrusted wire reports use
 // IngestReport, which returns an error instead.
 func (a *Aggregator) Ingest(report float64) {
-	a.ring.Add(a.inner.Bucket(report))
+	st := a.stream()
+	st.Ring().Add(st.Bucket(report))
 }
 
 // IngestReport adds one wire report of any mechanism (the vector form
 // Client.Perturb emits), validating it first. Safe to call from many
 // goroutines at once.
 func (a *Aggregator) IngestReport(report []float64) error {
-	cells, err := a.inner.Bucketize(nil, report)
+	cells, err := a.stream().Bucketize(nil, report)
 	if err != nil {
 		return err
 	}
-	a.ring.AddBatch(cells)
+	a.stream().Add(cells, 1)
 	return nil
 }
 
 // Mechanism returns the wire name of the aggregator's reporting mechanism.
-func (a *Aggregator) Mechanism() string { return a.inner.Mechanism().Name() }
+func (a *Aggregator) Mechanism() string { return a.stream().Config().Mechanism }
 
 // IngestBatch adds many client reports, resolving the counter stripe once
 // for the whole batch — the cheapest way to drain a transport that delivers
@@ -357,53 +339,53 @@ func (a *Aggregator) IngestBatch(reports []float64) {
 	if len(reports) == 0 {
 		return
 	}
+	st := a.stream()
 	buckets := make([]int, len(reports))
 	for i, r := range reports {
-		buckets[i] = a.inner.Bucket(r)
+		buckets[i] = st.Bucket(r)
 	}
-	a.ring.AddBatch(buckets)
+	st.Add(buckets, len(reports))
 }
 
 // N returns the number of reports visible to estimates: everything ingested
 // for a plain aggregator, the live plus retained epochs for a windowed one.
 // Fan-out mechanisms (oue/sue, olh) track the report count in their marker
 // cell (the last output cell), read directly; every path is O(shards).
-func (a *Aggregator) N() int {
-	raw := a.ring.N()
-	if raw == 0 || !a.inner.Mechanism().FanOut() {
-		return raw
-	}
-	return a.ring.Cell(a.inner.OutputBuckets() - 1)
-}
-
-// method is the Result.Method label of streaming reconstructions: the
-// historical SWEMS for the default mechanism, the mechanism's wire name for
-// the rest.
-func (a *Aggregator) method() Method {
-	if a.opts.Mechanism == mechanism.SW {
-		return SWEMS
-	}
-	return Method(a.opts.Mechanism)
-}
+func (a *Aggregator) N() int { return a.stream().Users() }
 
 // Estimate reconstructs the distribution from a snapshot of the reports so
 // far. Concurrent ingestion is never blocked; reports that finish arriving
 // before the call are always included. On a windowed aggregator this covers
-// every retained epoch plus the live one.
+// every retained epoch plus the live one. It runs the paper's textbook EMS
+// from a uniform start on every call.
 func (a *Aggregator) Estimate() (*Result, error) {
-	counts, n := a.ring.MergeAll(nil)
+	return a.reconstruct(nil)
+}
+
+// reconstruct runs one cold reconstruction of an epoch range (nil: all of
+// them). The Result's Method is the historical SWEMS for the default
+// mechanism and the mechanism's wire name for the rest.
+func (a *Aggregator) reconstruct(g *window.Range) (*Result, error) {
+	dist, n, err := a.stream().Reconstruct(g)
+	if err != nil {
+		return nil, err
+	}
 	if n == 0 {
 		return nil, ErrNoValues
 	}
-	res := a.inner.EstimateFrom(counts, nil)
-	return &Result{Distribution: res.Estimate, Method: a.method(), Epsilon: a.opts.Epsilon}, nil
+	cfg := a.stream().Config()
+	m := Method(cfg.Mechanism)
+	if cfg.Mechanism == mechanism.SW {
+		m = SWEMS
+	}
+	return &Result{Distribution: dist, Method: m, Epsilon: cfg.Epsilon}, nil
 }
 
 // ErrNotWindowed is returned by window methods of a plain aggregator.
 var ErrNotWindowed = errors.New("repro: aggregator is not windowed (set Options.Epoch)")
 
 // windowed reports whether the aggregator was declared with an epoch.
-func (a *Aggregator) windowed() bool { return a.opts.Epoch > 0 }
+func (a *Aggregator) windowed() bool { return a.stream().Config().Windowed() }
 
 // Advance rotates a windowed aggregator forward to now, sealing one epoch
 // per elapsed period (periods that passed unobserved seal empty). It
@@ -413,7 +395,7 @@ func (a *Aggregator) Advance(now time.Time) (int, error) {
 	if !a.windowed() {
 		return 0, ErrNotWindowed
 	}
-	return a.ring.Advance(now), nil
+	return a.stream().Advance(now), nil
 }
 
 // Rotate forces exactly one epoch rotation regardless of the clock, for
@@ -422,7 +404,7 @@ func (a *Aggregator) Rotate() error {
 	if !a.windowed() {
 		return ErrNotWindowed
 	}
-	a.ring.Rotate()
+	a.stream().Rotate()
 	return nil
 }
 
@@ -432,7 +414,7 @@ func (a *Aggregator) CurrentEpoch() int {
 	if !a.windowed() {
 		return -1
 	}
-	cur, _ := a.ring.Current()
+	cur, _ := a.stream().Ring().Current()
 	return cur
 }
 
@@ -440,28 +422,16 @@ func (a *Aggregator) CurrentEpoch() int {
 // windowed aggregator. The selector uses the collector's wire syntax:
 // "last:K" (the most recent K epochs ending at the live one, clamped to
 // retention) or "epochs:i..j" (absolute inclusive bounds; aged-out or
-// future epochs are an error).
+// future epochs are an error). Like Estimate, it runs cold on every call.
 func (a *Aggregator) EstimateWindow(selector string) (*Result, error) {
 	if !a.windowed() {
 		return nil, ErrNotWindowed
 	}
-	sel, err := window.ParseSelector(selector)
+	g, err := a.stream().Resolve(selector)
 	if err != nil {
 		return nil, err
 	}
-	g, err := a.ring.Resolve(sel)
-	if err != nil {
-		return nil, err
-	}
-	counts, n, err := a.ring.Merge(g, nil)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, ErrNoValues
-	}
-	res := a.inner.EstimateFrom(counts, nil)
-	return &Result{Distribution: res.Estimate, Method: a.method(), Epsilon: a.opts.Epsilon}, nil
+	return a.reconstruct(&g)
 }
 
 // Statistic maps a reconstructed distribution (over d buckets of [0,1]) to
@@ -498,18 +468,21 @@ type ConfidenceInterval struct {
 // percentile interval at the given level (e.g. 0.9). Replicas ≤ 0 selects
 // 100. This is expensive — one EMS reconstruction per replica.
 func (a *Aggregator) ConfidenceInterval(stat Statistic, level float64, replicas int) (ConfidenceInterval, error) {
-	counts, n := a.ring.MergeAll(nil)
+	st := a.stream()
+	counts, n := st.Ring().MergeAll(nil)
 	if n == 0 {
 		return ConfidenceInterval{}, ErrNoValues
 	}
 	if level <= 0 || level >= 1 {
 		return ConfidenceInterval{}, fmt.Errorf("repro: confidence level %v outside (0,1)", level)
 	}
-	if a.inner.Channel() == nil {
+	cfg, ch := st.Config(), st.Mechanism().Channel()
+	if ch == nil {
 		return ConfidenceInterval{}, fmt.Errorf("repro: ConfidenceInterval needs a transition channel; mechanism %q is matrix-free",
-			a.opts.Mechanism)
+			cfg.Mechanism)
 	}
-	ci := boot.Estimate(a.inner.Channel(), counts, stat,
-		boot.Options{Replicas: replicas, Level: level}, randx.New(a.opts.Seed^0xb007))
+	seed := cmp.Or(cfg.Seed, defaultSeed) // a restored stream has none
+	ci := boot.Estimate(ch, counts, stat,
+		boot.Options{Replicas: replicas, Level: level}, randx.New(seed^0xb007))
 	return ConfidenceInterval{Point: ci.Point, Lo: ci.Lo, Hi: ci.Hi, Level: ci.Level}, nil
 }

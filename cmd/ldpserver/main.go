@@ -89,6 +89,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/ldphttp"
 	"repro/internal/mechanism"
 	"repro/internal/snapshot"
@@ -109,9 +110,6 @@ func parseStreamFlag(raw string) (streamFlag, error) {
 	eps, err := strconv.ParseFloat(parts[1], 64)
 	if err != nil {
 		return streamFlag{}, fmt.Errorf("bad epsilon in %q: %v", raw, err)
-	}
-	if eps <= 0 {
-		return streamFlag{}, fmt.Errorf("epsilon must be positive in %q, got %v", raw, eps)
 	}
 	buckets, err := strconv.Atoi(parts[2])
 	if err != nil {
@@ -139,7 +137,7 @@ func parseStreamFlag(raw string) (streamFlag, error) {
 				return streamFlag{}, fmt.Errorf("bad bandwidth in %q: %v", raw, err)
 			}
 		case "mech", "mechanism":
-			if !mechanism.Valid(value) || value == "" {
+			if value == "" { // would inherit the default; the declaration rule checks the rest
 				return streamFlag{}, fmt.Errorf("unknown mechanism %q in %q (want one of %v, or auto)",
 					value, raw, mechanism.Names())
 			}
@@ -165,6 +163,12 @@ func parseStreamFlag(raw string) (streamFlag, error) {
 	}
 	if sf.cfg.Retain != 0 && sf.cfg.Epoch == 0 {
 		return streamFlag{}, fmt.Errorf("retain without epoch in %q", raw)
+	}
+	// The stream engine's declaration rule (a finite positive ε, a finite
+	// bandwidth in [0, 2], ...); an omitted mechanism is checked as sw.
+	if _, err := (engine.Config{Mechanism: sf.cfg.Mechanism, Epsilon: eps, Buckets: buckets,
+		Bandwidth: sf.cfg.Bandwidth, Epoch: time.Duration(sf.cfg.Epoch), Retain: sf.cfg.Retain}).Resolve(); err != nil {
+		return streamFlag{}, fmt.Errorf("stream %q: %v", raw, err)
 	}
 	return sf, nil
 }
@@ -259,20 +263,14 @@ func parseArgs(args []string) (serverConfig, error) {
 	if err := fs.Parse(args); err != nil {
 		return serverConfig{}, err
 	}
-	if *eps <= 0 {
-		return serverConfig{}, fmt.Errorf("-eps must be positive, got %v", *eps)
+	if *buckets < 2 {
+		return serverConfig{}, fmt.Errorf("-buckets must be at least 2, got %d", *buckets)
 	}
-	if !mechanism.Valid(*mech) {
-		return serverConfig{}, fmt.Errorf("-mechanism %q unknown (want one of %v, or auto)", *mech, mechanism.Names())
-	}
-	if *buckets < 2 || *buckets > mechanism.MaxBuckets {
-		return serverConfig{}, fmt.Errorf("-buckets must be in [2, %d], got %d", mechanism.MaxBuckets, *buckets)
-	}
-	if *epoch < 0 {
-		return serverConfig{}, fmt.Errorf("-epoch must not be negative, got %v", *epoch)
-	}
-	if *retain != 0 && *epoch == 0 {
-		return serverConfig{}, fmt.Errorf("-retain needs -epoch")
+	// The default stream's flags pass the stream engine's declaration rule
+	// here, so NewServer never meets a declaration it would refuse.
+	if _, err := (engine.Config{Mechanism: *mech, Epsilon: *eps, Buckets: *buckets, Bandwidth: *band,
+		Shards: *shards, Epoch: *epoch, Retain: *retain}).Resolve(); err != nil {
+		return serverConfig{}, fmt.Errorf("default stream (-eps, -buckets, -mechanism, -bandwidth, -epoch, -retain): %v", err)
 	}
 	if *snapInterval <= 0 {
 		return serverConfig{}, fmt.Errorf("-snapshot-interval must be positive, got %v", *snapInterval)

@@ -303,3 +303,22 @@ func TestParseArgsTrace(t *testing.T) {
 		t.Error("-no-trace did not disable tracing")
 	}
 }
+
+// TestParseArgsNonFinite rejects non-finite stream parameters at flag
+// parsing, for the default stream and for -stream declarations alike,
+// instead of letting the server die on them.
+func TestParseArgsNonFinite(t *testing.T) {
+	for _, args := range [][]string{
+		{"-eps", "NaN"},
+		{"-eps", "+Inf"},
+		{"-bandwidth", "NaN"},
+		{"-stream", "x:NaN:64"},
+		{"-stream", "x:+Inf:64"},
+		{"-stream", "x:1:64:NaN"},
+		{"-stream", "x:1:64:bandwidth=+Inf"},
+	} {
+		if _, err := parseArgs(args); err == nil {
+			t.Errorf("parseArgs(%v) accepted", args)
+		}
+	}
+}

@@ -75,13 +75,14 @@
 //	med, _ := streams.Query("age", repro.QueryRequest{Type: repro.QueryQuantile, Qs: []float64{0.5, 0.9}})
 //
 // The same queries are available on any Result via Result.Query (plus the
-// Quantiles and TopK shorthands). Streams.Save and Streams.Load persist
-// every stream's report histogram to a checksummed snapshot file (written
-// atomically), interoperable with the HTTP collector's -snapshot files and
-// restored under the same rule: an existing stream must match the record's
-// mechanism, ε, buckets and effective bandwidth (a declared 0 equals the
-// explicit optimum), and a record with a name Declare would refuse fails
-// the whole Load. Streams.Drop retires a stream without restarting anything.
+// Quantiles and TopK shorthands). A Streams registry is the HTTP
+// collector's own stream engine (internal/engine) without its background
+// refresh, so the two share one declaration rule, one redeclare rule (the
+// same mechanism, ε, buckets and effective bandwidth — a declared 0 equals
+// the explicit optimum — and windowing, zero values inheriting; Shards and
+// Seed are not compared) and one snapshot capture and restore:
+// Streams.Save and Streams.Load write and read the collector's checksummed
+// -snapshot files, in either direction. Streams.Drop retires a stream.
 //
 // # Windowed collection
 //
@@ -122,23 +123,16 @@
 // transition matrix, and estimates agree with a dense reconstruction within
 // a tested bound (1e-12), not bit for bit.
 //
-// The same substrate backs the HTTP collector (internal/ldphttp, run with
+// The same engine backs the HTTP collector (internal/ldphttp, run with
 // cmd/ldpserver), which serves named streams under /v1/streams (see
-// Operations below): each stream runs its declared mechanism
-// ({"mechanism": "oue"} on POST /v1/streams, mech=oue in the -stream
-// flag), ingestion is lock-free per stream, and a pool of
+// Operations below), each running its declared mechanism. There a pool of
 // refresh workers (-refresh-workers, default GOMAXPROCS) drains a
-// staleness-ordered dirty queue of warm-started refreshes (EM/EMS for
-// channel mechanisms into per-stream zero-allocation workspaces,
-// SQUAREM-accelerated once warm; direct
-// debiased estimates for the oracles) — and rotates windowed streams'
-// epochs — so
-// estimation cost never lands on a request goroutine (a not-yet-computed
-// estimate answers 503 with pending_reports instead of blocking; window
-// selectors ride the same contract via window=last:K and
-// window=epochs:i..j). The -snapshot flag makes the collector durable
-// across restarts, windowed streams resuming mid-epoch with bit-identical
-// window estimates. See README.md for the operational details.
+// staleness-ordered queue of warm-started refreshes — SQUAREM-accelerated
+// EMS into per-stream zero-allocation workspaces, or the oracles' debiased
+// estimates — and rotates windowed streams, so estimation never runs on a
+// request goroutine (a pending estimate answers 503 with pending_reports;
+// window=last:K and window=epochs:i..j ride the same contract). The
+// -snapshot flag makes it durable across restarts. See README.md.
 //
 // # Federation
 //

@@ -136,13 +136,13 @@ func (c *Client) Bandwidth() float64 { return c.mech.Params().Bandwidth }
 // Mechanism returns the client's reporting mechanism.
 func (c *Client) Mechanism() mechanism.Mechanism { return c.mech }
 
-// Aggregator is the collector-side half: it buckets incoming reports into
-// the report histogram and reconstructs the input distribution on demand.
+// Aggregator is the collector-side half: the mechanism and its transition
+// channel, which bucket incoming reports into report-histogram cells and
+// reconstruct the input distribution from a histogram the caller
+// accumulates (package engine's epoch rings, or Run's local counts).
 type Aggregator struct {
-	em     em.Options
-	mech   mechanism.Mechanism
-	counts []float64
-	n      int
+	em   em.Options
+	mech mechanism.Mechanism
 }
 
 // NewAggregator builds an aggregator from cfg (must match the clients').
@@ -153,20 +153,15 @@ type Aggregator struct {
 func NewAggregator(cfg Config) *Aggregator {
 	mech := cfg.newMechanism()
 	mech.Channel() // build (and cache) the channel eagerly, as before
-	return &Aggregator{
-		em:     cfg.EM,
-		mech:   mech,
-		counts: make([]float64, mech.OutputBuckets()),
-	}
+	return &Aggregator{em: cfg.EM, mech: mech}
 }
 
 // Bucket maps one scalar report to its report-histogram bucket. It reads
-// only immutable mechanism state and is safe for concurrent use — it is the
-// ingestion kernel concurrent accumulators (package aggregate, the HTTP
-// collector) build on. It panics on reports no client of this mechanism can
-// produce (impossible for SW, whose out-of-range reports clamp) and on
-// non-scalar mechanisms; servers ingesting untrusted wire reports use
-// Bucketize, which returns errors instead.
+// only immutable mechanism state and is safe for concurrent use. It panics
+// on reports no client of this mechanism can produce (impossible for SW,
+// whose out-of-range reports clamp) and on non-scalar mechanisms; servers
+// ingesting untrusted wire reports use Bucketize, which returns errors
+// instead.
 func (a *Aggregator) Bucket(report float64) int {
 	j, err := a.mech.BucketOf(report)
 	if err != nil {
@@ -180,28 +175,6 @@ func (a *Aggregator) Bucket(report float64) int {
 func (a *Aggregator) Bucketize(dst []int, rep mechanism.Report) ([]int, error) {
 	return a.mech.Bucketize(dst, rep)
 }
-
-// Ingest adds one scalar report to the aggregate.
-func (a *Aggregator) Ingest(report float64) {
-	a.counts[a.Bucket(report)]++
-	a.n++
-}
-
-// IngestReport adds one wire report (any mechanism) to the aggregate.
-func (a *Aggregator) IngestReport(rep mechanism.Report) error {
-	cells, err := a.mech.Bucketize(nil, rep)
-	if err != nil {
-		return err
-	}
-	for _, c := range cells {
-		a.counts[c]++
-	}
-	a.n++
-	return nil
-}
-
-// N returns the number of reports ingested.
-func (a *Aggregator) N() int { return a.n }
 
 // OutputBuckets returns the report-histogram granularity d̃ — the length
 // external accumulators must use.
@@ -224,38 +197,18 @@ func (a *Aggregator) Users(counts []float64, increments int) int {
 // the direct debiased estimate instead of EM.
 func (a *Aggregator) Channel() matrixx.Channel { return a.mech.Channel() }
 
-// Counts returns a copy of the report histogram.
-func (a *Aggregator) Counts() []float64 {
-	return append([]float64(nil), a.counts...)
-}
-
-// Estimate reconstructs the input distribution from the reports ingested so
-// far (EM/EMS for channel mechanisms, direct debiased estimation for
-// oracles).
-func (a *Aggregator) Estimate() em.Result {
-	return a.EstimateFrom(a.counts, nil)
-}
-
-// EstimateFrom reconstructs from an externally-accumulated report histogram
-// (e.g. an aggregate.Striped snapshot) instead of the aggregator's own
-// counts. Channel-based mechanisms run EM/EMS; a non-nil init warm-starts
-// EM from a previous estimate, which typically converges in a fraction of
-// the iterations — the backbone of the background re-estimation engine.
+// EstimateInto reconstructs the input distribution from a report histogram.
+// Channel-based mechanisms run EM/EMS; a non-nil init warm-starts EM from a
+// previous estimate, which typically converges in a fraction of the
+// iterations — the backbone of the background re-estimation engine.
 // Matrix-free oracles compute the direct debiased estimate and project it
 // onto the simplex with Norm-Sub (Section 4.1); being closed-form, they
-// ignore init and always report convergence. EstimateFrom does not touch
-// mutable aggregator state and is safe to call concurrently with Bucket.
-func (a *Aggregator) EstimateFrom(counts, init []float64) em.Result {
-	return a.EstimateInto(nil, counts, init)
-}
-
-// EstimateInto is EstimateFrom running out of a reusable em.Workspace: once
-// the workspace is warm for this aggregator's shape, a re-estimation
-// allocates nothing on either the EM or the oracle path. A nil workspace
-// falls back to per-call buffers. Result.Estimate aliases workspace memory
-// and is only valid until the workspace's next use; callers that retain it
-// must copy it out. The workspace (unlike the aggregator itself) is NOT safe
-// for concurrent use.
+// ignore init and always report convergence. The run uses the reusable
+// workspace w: once warm for this aggregator's shape, a re-estimation
+// allocates nothing on either path. A nil workspace falls back to per-call
+// buffers. Result.Estimate aliases workspace memory and is only valid until
+// the workspace's next use; callers that retain it must copy it out. The
+// aggregator is safe for concurrent use; a workspace is not.
 func (a *Aggregator) EstimateInto(w *em.Workspace, counts, init []float64) em.Result {
 	if w == nil {
 		w = new(em.Workspace)
@@ -283,6 +236,7 @@ func (a *Aggregator) EstimateInto(w *em.Workspace, counts, init []float64) em.Re
 func Run(cfg Config, values []float64, rng *randx.Rand) []float64 {
 	client := NewClient(cfg)
 	agg := NewAggregator(cfg)
+	counts := make([]float64, agg.OutputBuckets())
 	var cells []int
 	var err error
 	for _, v := range values {
@@ -291,11 +245,10 @@ func Run(cfg Config, values []float64, rng *randx.Rand) []float64 {
 			panic(fmt.Sprintf("core: own client produced an invalid report: %v", err))
 		}
 		for _, c := range cells {
-			agg.counts[c]++
+			counts[c]++
 		}
-		agg.n++
 	}
-	return agg.Estimate().Estimate
+	return agg.EstimateInto(nil, counts, nil).Estimate
 }
 
 // ---------------------------------------------------------------------------

@@ -1,0 +1,249 @@
+package engine
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/diagnose"
+)
+
+// waitFor polls cond until it holds or the deadline passes.
+func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(d)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// TestRefreshRequestDuringRefreshRuns pins that a refresh request landing
+// while the stream's refresh is running is not dropped: the worker holding
+// the stream runs it again, so reports acknowledged after the running
+// refresh merged its histogram get published without waiting for the next
+// tick (an hour here).
+func TestRefreshRequestDuringRefreshRuns(t *testing.T) {
+	r := NewRegistry(Options{})
+	st, _, err := r.Declare("s", Config{Epsilon: 1, Buckets: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Start(2, time.Hour)
+	t.Cleanup(r.Close)
+	fill(st, 5000, 0)
+	r.Wake()
+	waitFor(t, 10*time.Second, "the first refresh to start", st.busy.Load)
+	// Past the refresh's histogram merge (a cold B=4096 run takes far
+	// longer), so the next reports land after it.
+	time.Sleep(20 * time.Millisecond)
+	fill(st, 3000, 1)
+	r.Wake() // lands while the first refresh is still running
+	waitFor(t, 30*time.Second, "the requested refresh", func() bool {
+		est := st.Published()
+		return est != nil && est.Raw == 8000
+	})
+}
+
+// TestStressRegistry runs everything at once under the refresh pool:
+// ingest into long-lived streams, declare/drop churn, rotation on a mock
+// clock, window requests, and capture + restore into a second registry.
+// Run with -race. Every report acknowledged into a long-lived stream must
+// be visible at the end, exactly once, and the pool must drain.
+func TestStressRegistry(t *testing.T) {
+	var clock atomic.Int64
+	clock.Store(time.Unix(1_000_000, 0).UnixNano())
+	now := func() time.Time { return time.Unix(0, clock.Load()) }
+	r := NewRegistry(Options{Clock: now})
+	const streams, writers, perWriter = 4, 4, 3000
+	for i := 0; i < streams; i++ {
+		cfg := Config{Epsilon: 1, Buckets: 32}
+		if i%2 == 1 {
+			cfg.Epoch, cfg.Retain = time.Second, 64
+		}
+		if _, _, err := r.Declare(fmt.Sprintf("s%d", i), cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.Start(3, time.Millisecond)
+	t.Cleanup(r.Close)
+
+	var writing, churning sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func() {
+			defer writing.Done()
+			var cells []int
+			for i := 0; i < perWriter; i++ {
+				st := r.Lookup(fmt.Sprintf("s%d", i%streams))
+				cells, _ = st.Bucketize(cells[:0], []float64{float64(i%97) / 97})
+				st.Add(cells, 1)
+				if i%500 == 0 {
+					r.Wake()
+				}
+			}
+		}()
+	}
+	background := func(f func(i int)) {
+		churning.Add(1)
+		go func() {
+			defer churning.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				f(i)
+				time.Sleep(100 * time.Microsecond)
+			}
+		}()
+	}
+	background(func(i int) { // churn
+		name := fmt.Sprintf("tmp%d", i%3)
+		if _, _, err := r.Declare(name, Config{Epsilon: 1, Buckets: 16}); err == nil && i%2 == 0 {
+			r.Drop(name)
+		}
+	})
+	background(func(int) { clock.Add(int64(250 * time.Millisecond)) }) // rotation
+	background(func(int) {                                             // window requests
+		st := r.Lookup("s1")
+		if g, err := st.Resolve("last:3"); err == nil {
+			st.WindowEstimate(g)
+		}
+	})
+	mirror := NewRegistry(Options{Clock: now})
+	background(func(int) { // capture, then restore into a fresh mirror
+		records := r.Capture()
+		if p, err := NewRegistry(Options{Clock: now}).Prepare(records); err == nil {
+			p.Commit()
+		}
+		if p, err := mirror.Prepare(records[:1]); err == nil {
+			p.Commit()
+		}
+	})
+	writing.Wait()
+	close(stop)
+	churning.Wait()
+
+	total := 0
+	for i := 0; i < streams; i++ {
+		st := r.Lookup(fmt.Sprintf("s%d", i))
+		if i%2 == 0 {
+			total += st.Users()
+		}
+	}
+	// Plain streams never age out: they hold every report sent to them.
+	if want := writers * perWriter / 2; total != want {
+		t.Errorf("plain streams hold %d reports, want %d", total, want)
+	}
+	r.Wake()
+	waitFor(t, 30*time.Second, "the pool to publish every plain stream", func() bool {
+		for i := 0; i < streams; i += 2 {
+			st := r.Lookup(fmt.Sprintf("s%d", i))
+			if est := st.Published(); est == nil || est.Raw != st.Ring().N() {
+				return false
+			}
+		}
+		return true
+	})
+	// Queue entries are deduped per stream: at most one per stream that
+	// ever existed (four long-lived, three churned).
+	if d := r.QueueDepth(); d > streams+3 {
+		t.Errorf("queue holds %d entries", d)
+	}
+	if time.Since(r.LastTick()) > 10*time.Second {
+		t.Error("scheduler not ticking")
+	}
+}
+
+// BenchmarkEngineSweep measures one full refresh sweep of the engine, run
+// as the collector runs it (metrics and tracing on), over a fleet of dirty
+// streams: every stream gets one new report, the scheduler is woken, and
+// the sweep is complete when every stream has republished. This is the
+// end-to-end cost a collector pays per refresh interval, and the knob
+// under test is the refresh worker pool size (on a single-core runner the
+// pool sizes tie; on a multi-core one the sweep parallelizes across
+// streams).
+func BenchmarkEngineSweep(b *testing.B) {
+	const streams = 8
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("streams=%d/refresh-workers=%d", streams, workers), func(b *testing.B) {
+			opts, _ := collectorOptions()
+			r := NewRegistry(opts)
+			var list []*Stream
+			for i := 0; i < streams; i++ {
+				st, _, err := r.Declare(fmt.Sprintf("s%d", i), Config{Epsilon: 1, Buckets: 256})
+				if err != nil {
+					b.Fatal(err)
+				}
+				fill(st, 2000, 0)
+				list = append(list, st)
+			}
+			r.Start(workers, time.Hour) // sweeps run only when woken
+			defer r.Close()
+			waitSweep := func() {
+				for _, st := range list {
+					for est := st.Published(); est == nil || est.Raw != st.Ring().N(); est = st.Published() {
+						time.Sleep(20 * time.Microsecond)
+					}
+				}
+			}
+			r.Wake()
+			waitSweep() // first (cold) reconstruction outside the timer
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, st := range list {
+					st.Ring().Add(i % 256)
+				}
+				r.Wake()
+				waitSweep()
+			}
+		})
+	}
+}
+
+// BenchmarkRefreshWithDiagnostics is the full forced-refresh path of one
+// 2000-report stream, run as the collector runs it — EM reconstruction,
+// publication, and the diagnostics bookkeeping (ObserveRefresh + quality
+// gauge writes). The bookkeeping itself is measured in isolation by
+// BenchmarkDiagnosticsBookkeeping; the ratio of the two is the
+// refresh-path overhead.
+func BenchmarkRefreshWithDiagnostics(b *testing.B) {
+	opts, _ := collectorOptions()
+	r := NewRegistry(opts)
+	st, _, err := r.Declare("s", Config{Epsilon: 1, Buckets: 256})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fill(st, 2000, 0)
+	st.mustRefresh.Store(true)
+	r.refresh(st) // cold reconstruction outside the timer
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.mustRefresh.Store(true)
+		r.refresh(st)
+	}
+}
+
+// BenchmarkDiagnosticsBookkeeping is the per-refresh diagnostics cost alone:
+// one ObserveRefresh plus the Snapshot a diagnostics poll would take.
+func BenchmarkDiagnosticsBookkeeping(b *testing.B) {
+	tr := diagnose.NewTracker(diagnose.TrackerConfig{
+		Mechanism: "sw", Epsilon: 1, Buckets: 256, EMBased: true,
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.ObserveRefresh(diagnose.Refresh{
+			Iterations: 12, LogLikelihood: -15000, LastDelta: 0.004,
+			Converged: true, Warm: true, Users: 2000,
+		})
+		_ = tr.Snapshot(0)
+	}
+}

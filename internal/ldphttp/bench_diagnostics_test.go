@@ -1,8 +1,8 @@
 package ldphttp
 
-// Benchmarks for the observability additions: the diagnostics bookkeeping
-// riding on the refresh path (the <5% overhead contract), and the /metrics
-// scrape at fleet scale, identity vs gzip.
+// Benchmark of the /metrics scrape at fleet scale, identity vs gzip. The
+// diagnostics bookkeeping on the refresh path (the <5% overhead contract)
+// is benchmarked with the refresh itself, in package engine.
 
 import (
 	"bytes"
@@ -13,48 +13,7 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
-
-	"repro/internal/diagnose"
 )
-
-// BenchmarkRefreshWithDiagnostics is the full forced-refresh path of one
-// 2000-report stream — EM reconstruction, publication, and the diagnostics
-// bookkeeping (ObserveRefresh + quality gauge writes) this PR added. The
-// bookkeeping itself is measured in isolation by
-// BenchmarkDiagnosticsBookkeeping; the ratio of the two is the refresh-path
-// overhead.
-func BenchmarkRefreshWithDiagnostics(b *testing.B) {
-	s := NewServer(Config{Epsilon: 1, Buckets: 256, RefreshInterval: time.Hour})
-	defer s.Close()
-	st := s.lookup(DefaultStream)
-	for r := 0; r < 2000; r++ {
-		st.ring.Add((r * 37) % 256)
-	}
-	st.mustRefresh.Store(true)
-	s.refreshStream(st) // cold reconstruction outside the timer
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.mustRefresh.Store(true)
-		s.refreshStream(st)
-	}
-}
-
-// BenchmarkDiagnosticsBookkeeping is the per-refresh diagnostics cost alone:
-// one ObserveRefresh plus the Snapshot a diagnostics poll would take.
-func BenchmarkDiagnosticsBookkeeping(b *testing.B) {
-	tr := diagnose.NewTracker(diagnose.TrackerConfig{
-		Mechanism: "sw", Epsilon: 1, Buckets: 256, EMBased: true,
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.ObserveRefresh(diagnose.Refresh{
-			Iterations: 12, LogLikelihood: -15000, LastDelta: 0.004,
-			Converged: true, Warm: true, Users: 2000,
-		})
-		_ = tr.Snapshot(0)
-	}
-}
 
 // BenchmarkScrapeMetrics64Streams renders the /metrics exposition of a
 // 64-stream fleet through the full HTTP handler, identity vs gzip.
@@ -66,9 +25,9 @@ func BenchmarkScrapeMetrics64Streams(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	for _, st := range s.streamList() {
+	for _, st := range s.reg.List() {
 		for r := 0; r < 100; r++ {
-			st.ring.Add(r % 64)
+			st.Ring().Add(r % 64)
 		}
 	}
 	ts := httptest.NewServer(s.Handler())

@@ -14,7 +14,7 @@ import (
 	"time"
 
 	"repro/internal/diagnose"
-	"repro/internal/window"
+	"repro/internal/engine"
 )
 
 // StreamDiagnostics is the body of GET /v1/streams/{name}/diagnostics and
@@ -43,42 +43,23 @@ type FleetDiagnostics struct {
 }
 
 // streamDiagnostics assembles one stream's diagnostics row.
-func (s *Server) streamDiagnostics(st *stream) StreamDiagnostics {
-	users := st.users()
-	pending := st.ring.N() - int(st.published.Load())
-	if pending < 0 {
-		pending = 0
-	}
+func streamDiagnostics(st *engine.Stream) StreamDiagnostics {
+	users := st.Users()
 	age := -1.0
-	if lr := st.lastRefresh.Load(); lr > 0 {
-		age = time.Since(time.Unix(0, lr)).Seconds()
+	if lr := st.LastRefresh(); !lr.IsZero() {
+		age = time.Since(lr).Seconds()
 	}
+	cfg := st.Config()
 	return StreamDiagnostics{
-		Stream:                st.name,
-		Mechanism:             st.cfg.Mechanism,
-		Epsilon:               st.cfg.Epsilon,
-		Buckets:               st.cfg.Buckets,
+		Stream:                st.Name(),
+		Mechanism:             cfg.Mechanism,
+		Epsilon:               cfg.Epsilon,
+		Buckets:               cfg.Buckets,
 		Users:                 users,
-		PendingReports:        pending,
+		PendingReports:        st.Pending(),
 		LastRefreshAgeSeconds: age,
-		Record:                st.diag.Snapshot(users),
-		Window:                st.windowInfo(),
-	}
-}
-
-// windowInfo snapshots the epoch-rotation state, nil for plain streams.
-func (st *stream) windowInfo() *WindowInfo {
-	if !st.cfg.windowed() {
-		return nil
-	}
-	cur, _ := st.ring.Current()
-	return &WindowInfo{
-		Epoch:        st.cfg.Epoch,
-		Retain:       st.cfg.Retain,
-		CurrentEpoch: cur,
-		OldestEpoch:  st.ring.Oldest(),
-		SealedEpochs: st.ring.SealedLen(),
-		LiveN:        st.ring.LiveN(),
+		Record:                st.Diagnostics().Snapshot(users),
+		Window:                windowInfo(st),
 	}
 }
 
@@ -88,7 +69,7 @@ func (s *Server) handleStreamDiagnostics(w http.ResponseWriter, _ *http.Request,
 	if st == nil {
 		return
 	}
-	writeJSON(w, s.streamDiagnostics(st))
+	writeJSON(w, streamDiagnostics(st))
 }
 
 // handleFleetDiagnostics answers GET /v1/diagnostics: every stream's row in
@@ -108,59 +89,17 @@ func (s *Server) handleFleetDiagnostics(w http.ResponseWriter, r *http.Request, 
 	}
 	nameF, mechF := q.Get("stream"), q.Get("mechanism")
 	out := []StreamDiagnostics{}
-	for _, st := range s.streamList() {
-		if nameF != "" && st.name != nameF {
+	for _, st := range s.reg.List() {
+		if nameF != "" && st.Name() != nameF {
 			continue
 		}
-		if mechF != "" && st.cfg.Mechanism != mechF {
+		if mechF != "" && st.Config().Mechanism != mechF {
 			continue
 		}
-		if alerting != nil && st.diag.Alerting() != *alerting {
+		if alerting != nil && st.Diagnostics().Alerting() != *alerting {
 			continue
 		}
-		out = append(out, s.streamDiagnostics(st))
+		out = append(out, streamDiagnostics(st))
 	}
 	writeJSON(w, FleetDiagnostics{Streams: out})
-}
-
-// scoreSealedEpoch reconstructs the epoch that rotation just sealed and
-// feeds its lone estimate to the stream's drift tracker. Refresh workers
-// only, busy held: the EM workspace and driftScratch are exclusively ours,
-// and the main refresh that follows passes its own warm start explicitly,
-// so borrowing the workspace here is safe. The sealed epoch is warm-started
-// from the previous sealed estimate (falling back to the stream's rolling
-// init), which keeps the extra reconstruction a few iterations in steady
-// state.
-func (s *Server) scoreSealedEpoch(st *stream, rotated int) {
-	cur, _ := st.ring.Current()
-	sealed := cur - rotated
-	if sealed < st.ring.Oldest() {
-		return // rotated straight out of retention: nothing to score
-	}
-	var n int
-	var err error
-	st.driftScratch, n, err = st.ring.Merge(window.Range{Lo: sealed, Hi: sealed}, st.driftScratch)
-	if err != nil || n == 0 {
-		return
-	}
-	init := st.diag.LastEpochEstimate()
-	if len(init) == 0 {
-		init = st.init
-	}
-	if len(init) == 0 {
-		init = nil
-	}
-	res := st.agg.EstimateInto(&st.ws, st.driftScratch, init)
-	w1, ks, scored, raised := st.diag.ObserveEpoch(sealed, res.Estimate)
-	if raised && st.mDriftAlerts != nil {
-		st.mDriftAlerts.Inc()
-	}
-	if scored {
-		if st.mDriftW1 != nil {
-			st.mDriftW1.Set(w1)
-		}
-		if st.mDriftKS != nil {
-			st.mDriftKS.Set(ks)
-		}
-	}
 }

@@ -27,6 +27,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/federate"
 	"repro/internal/snapshot"
 	"repro/internal/window"
@@ -75,6 +76,10 @@ type PeerInfo struct {
 func (s *Server) Peers() []PeerInfo {
 	s.fedMu.Lock()
 	defer s.fedMu.Unlock()
+	return s.peersLocked()
+}
+
+func (s *Server) peersLocked() []PeerInfo {
 	out := make([]PeerInfo, 0, len(s.peers))
 	for _, p := range s.peers {
 		out = append(out, p.info())
@@ -174,9 +179,7 @@ func (s *Server) handleFederationPush(w http.ResponseWriter, r *http.Request, _ 
 	}
 
 	asp := spanOf(w).Child("absorb").Attr("edge", push.Edge).Attr("seq", fmt.Sprintf("%d", push.Seq))
-	s.fedMu.Lock()
-	resp, status := s.applyPushLocked(push)
-	s.fedMu.Unlock()
+	resp, status := s.applyPush(push)
 	switch {
 	case resp.Applied:
 		asp.Attr("reports", fmt.Sprintf("%d", resp.Reports))
@@ -225,12 +228,15 @@ func (s *Server) handleFederationPush(w http.ResponseWriter, r *http.Request, _ 
 	writeJSONBody(w, resp)
 }
 
-// applyPushLocked runs the replay-cursor state machine and, for an
+// applyPush runs the replay-cursor state machine under fedMu and, for an
 // in-sequence push, validates every stream fingerprint before merging
 // anything: a push is applied in full or not at all (epoch drops excepted —
 // those are time-window misses, counted and reported, never a rejection).
-// Caller holds fedMu.
-func (s *Server) applyPushLocked(push federate.Push) (federate.PushResponse, int) {
+// Streams a root auto-declares for the push are built unregistered and
+// registered only once every stream of the push has validated.
+func (s *Server) applyPush(push federate.Push) (federate.PushResponse, int) {
+	s.fedMu.Lock()
+	defer s.fedMu.Unlock()
 	// A peer entry is registered only once a push from it applies: a
 	// rejected or malformed push must not leave cursor state behind.
 	peer := s.peers[push.Edge]
@@ -253,65 +259,76 @@ func (s *Server) applyPushLocked(push federate.Push) (federate.PushResponse, int
 			push.Seq, push.Edge, peer.lastSeq)
 		return resp, http.StatusConflict
 	}
+	reject := func(status int, reason, format string, args ...any) (federate.PushResponse, int) {
+		resp.Reason, resp.Error = reason, fmt.Sprintf(format, args...)
+		return resp, status
+	}
 
-	// Validate every stream first; nothing merges unless all of them fit.
-	targets := make([]*stream, len(push.Streams))
+	// Validate every stream first; nothing merges, and nothing is
+	// declared, unless all of them fit.
+	targets := make([]*engine.Stream, len(push.Streams))
 	dense := make([][][]uint64, len(push.Streams))
+	var cands []*engine.Stream
+	var candAt []int // the push index of each candidate
 	for i, sd := range push.Streams {
 		st := s.lookup(sd.Stream)
 		if st == nil {
 			if !s.cfg.Federation.AutoDeclare {
-				resp.Reason = federate.ReasonUnknownStream
-				resp.Error = fmt.Sprintf("unknown stream %q (declare it, or start the root with auto-declaration)", sd.Stream)
-				return resp, http.StatusConflict
+				return reject(http.StatusConflict, federate.ReasonUnknownStream,
+					"unknown stream %q (declare it, or start the root with auto-declaration)", sd.Stream)
 			}
 			var err error
-			if st, err = s.autoDeclareStream(sd.Stream, sd.Fingerprint); err != nil {
-				resp.Reason = federate.ReasonFingerprint
-				resp.Error = fmt.Sprintf("auto-declare stream %q: %v", sd.Stream, err)
-				return resp, http.StatusConflict
+			if st, err = s.autoDeclareCandidate(sd.Stream, sd.Fingerprint); err != nil {
+				return reject(http.StatusConflict, federate.ReasonFingerprint, "auto-declare stream %q: %v", sd.Stream, err)
 			}
+			cands, candAt = append(cands, st), append(candAt, i)
 		}
-		if fp := s.fingerprintOf(st); !fp.Equal(sd.Fingerprint) {
-			resp.Reason = federate.ReasonFingerprint
-			resp.Error = fmt.Sprintf("stream %q fingerprint mismatch: edge has [%s], root has [%s]",
-				sd.Stream, sd.Fingerprint, fp)
-			return resp, http.StatusConflict
+		if fp := fingerprintOf(st); !fp.Equal(sd.Fingerprint) {
+			return reject(http.StatusConflict, federate.ReasonFingerprint,
+				"stream %q fingerprint mismatch: edge has [%s], root has [%s]", sd.Stream, sd.Fingerprint, fp)
 		}
 		dense[i] = make([][]uint64, len(sd.Epochs))
 		for j, d := range sd.Epochs {
-			counts, err := d.Dense(st.ring.Buckets())
+			counts, err := d.Dense(st.Ring().Buckets())
 			if err != nil {
-				resp.Error = fmt.Sprintf("stream %q: %v", sd.Stream, err)
-				return resp, http.StatusBadRequest
+				return reject(http.StatusBadRequest, "", "stream %q: %v", sd.Stream, err)
 			}
-			if !st.cfg.windowed() && d.Epoch != 0 {
-				resp.Error = fmt.Sprintf("stream %q is not windowed but the delta addresses epoch %d",
-					sd.Stream, d.Epoch)
-				return resp, http.StatusBadRequest
+			if !st.Config().Windowed() && d.Epoch != 0 {
+				return reject(http.StatusBadRequest, "",
+					"stream %q is not windowed but the delta addresses epoch %d", sd.Stream, d.Epoch)
 			}
 			dense[i][j] = counts
 		}
 		targets[i] = st
 	}
+	if len(cands) > 0 {
+		// A concurrent declaration may have taken a name meanwhile: the
+		// registry resolves it to that stream (never overwritten), whose
+		// fingerprint must then match too.
+		registered, err := s.reg.Register(cands)
+		if err != nil {
+			return reject(http.StatusConflict, federate.ReasonFingerprint, "auto-declare: %v", err)
+		}
+		for j, i := range candAt {
+			sd := push.Streams[i]
+			if targets[i] = registered[j]; !fingerprintOf(targets[i]).Equal(sd.Fingerprint) {
+				return reject(http.StatusConflict, federate.ReasonFingerprint,
+					"stream %q was declared meanwhile with another fingerprint", sd.Stream)
+			}
+		}
+	}
 
-	// Merge. Rotation happens first (under the registry read-lock, exactly
-	// like the engine) so a delta addressed at an epoch the root's clock
-	// has reached but the engine has not yet sealed still lands correctly.
+	// Merge. Rotation happens first (as in the engine) so a delta addressed
+	// at an epoch the root's clock has reached but the engine has not yet
+	// sealed still lands correctly.
 	for i, sd := range push.Streams {
 		st := targets[i]
-		s.mu.RLock()
-		rotated := st.ring.Advance(s.now())
-		s.mu.RUnlock()
-		if rotated > 0 {
-			st.evictAgedWindows()
-			st.mustRefresh.Store(true)
-		}
+		st.Advance(s.reg.Now())
 		result := federate.StreamResult{Stream: sd.Stream}
 		for j, d := range sd.Epochs {
 			// An epoch outside the root's window (aged out, or not started
 			// on the root's clock) is dropped and reported, never rejected.
-			if err := st.ring.AddEpochCounts(d.Epoch, dense[i][j]); err != nil {
+			if err := st.Ring().AddEpochCounts(d.Epoch, dense[i][j]); err != nil {
 				result.DroppedEpochs = append(result.DroppedEpochs, d.Epoch)
 				result.DroppedN += d.N
 				peer.dropped += d.N
@@ -333,27 +350,26 @@ func (s *Server) applyPushLocked(push federate.Push) (federate.PushResponse, int
 	}
 	peer.lastSeq = push.Seq
 	peer.lastCRC = push.CRC
-	peer.lastPush = s.now()
+	peer.lastPush = s.reg.Now()
 	s.peers[push.Edge] = peer
 	resp.Applied = true
 	resp.LastSeq = push.Seq
 	return resp, http.StatusOK
 }
 
-// autoDeclareStream creates a stream from a pushed fingerprint. A windowed
-// stream adopts the edge's epoch origin, so the root's epoch indexes mean
-// the same wall-clock intervals as the pushing edge's — the alignment the
-// index-keyed delta protocol requires.
-func (s *Server) autoDeclareStream(name string, fp federate.Fingerprint) (*stream, error) {
-	cfg := StreamConfig{
+// autoDeclareCandidate builds, unregistered, the stream a pushed
+// fingerprint declares. A windowed stream adopts the edge's epoch origin,
+// so the root's epoch indexes mean the same wall-clock intervals as the
+// pushing edge's — the alignment the index-keyed delta protocol requires.
+func (s *Server) autoDeclareCandidate(name string, fp federate.Fingerprint) (*engine.Stream, error) {
+	st, err := s.reg.NewStream(name, s.engineConfig(StreamConfig{
 		Epsilon:   fp.Epsilon,
 		Buckets:   fp.Buckets,
 		Mechanism: fp.Mechanism,
 		Bandwidth: fp.Bandwidth,
 		Epoch:     Duration(fp.EpochNanos),
 		Retain:    fp.Retain,
-	}
-	st, _, err := s.createStream(name, cfg)
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -362,18 +378,18 @@ func (s *Server) autoDeclareStream(name string, fp federate.Fingerprint) (*strea
 		// to the epoch the root's clock is in now (the gap epochs never
 		// existed here, so there is nothing to seal).
 		origin := fp.EpochOriginNanos
-		now := s.now().UnixNano()
+		now := s.reg.Now().UnixNano()
 		cur := 0
 		if now > origin {
 			cur = int((now - origin) / fp.EpochNanos)
 		}
-		if err := st.ring.Adopt(window.State{
+		if err := st.Ring().Adopt(window.State{
 			Epoch:   time.Duration(fp.EpochNanos),
-			Retain:  st.cfg.Retain,
+			Retain:  st.Config().Retain,
 			Current: cur,
 			Start:   time.Unix(0, origin+int64(cur)*fp.EpochNanos),
 		}); err != nil {
-			return nil, fmt.Errorf("ldphttp: align stream %q to edge epoch origin: %w", name, err)
+			return nil, fmt.Errorf("align stream %q to edge epoch origin: %w", name, err)
 		}
 	}
 	return st, nil
@@ -386,18 +402,19 @@ func (s *Server) autoDeclareStream(name string, fp federate.Fingerprint) (*strea
 // wall-clock instant of epoch 0, invariant under rotation — because
 // index-keyed deltas are only meaningful between streams whose indexes name
 // the same wall-clock intervals.
-func (s *Server) fingerprintOf(st *stream) federate.Fingerprint {
+func fingerprintOf(st *engine.Stream) federate.Fingerprint {
+	cfg, mech := st.Config(), st.Mechanism()
 	fp := federate.Fingerprint{
-		Mechanism:     st.cfg.Mechanism,
-		Epsilon:       st.cfg.Epsilon,
-		Buckets:       st.cfg.Buckets,
-		OutputBuckets: st.agg.OutputBuckets(),
-		Bandwidth:     st.agg.Mechanism().Params().Bandwidth,
-		EpochNanos:    int64(time.Duration(st.cfg.Epoch)),
-		Retain:        st.cfg.Retain,
+		Mechanism:     cfg.Mechanism,
+		Epsilon:       cfg.Epsilon,
+		Buckets:       cfg.Buckets,
+		OutputBuckets: mech.OutputBuckets(),
+		Bandwidth:     mech.Params().Bandwidth,
+		EpochNanos:    int64(cfg.Epoch),
+		Retain:        cfg.Retain,
 	}
-	if st.cfg.windowed() {
-		cur, start := st.ring.Current()
+	if cfg.Windowed() {
+		cur, start := st.Ring().Current()
 		fp.EpochOriginNanos = start.UnixNano() - int64(cur)*fp.EpochNanos
 	}
 	return fp
@@ -407,11 +424,11 @@ func (s *Server) fingerprintOf(st *stream) federate.Fingerprint {
 // pusher: every retained sealed epoch plus the live one, keyed by global
 // index — for a plain stream, the single epoch 0 (nil counts when empty).
 func (s *Server) federationStates() []federate.StreamState {
-	list := s.streamList()
+	list := s.reg.List()
 	out := make([]federate.StreamState, 0, len(list))
 	for _, st := range list {
-		state := federate.StreamState{Name: st.name, Fingerprint: s.fingerprintOf(st)}
-		rs := st.ring.State()
+		state := federate.StreamState{Name: st.Name(), Fingerprint: fingerprintOf(st)}
+		rs := st.Ring().State()
 		for _, ep := range rs.Sealed {
 			state.Epochs = append(state.Epochs, federate.EpochCounts{Epoch: ep.Index, Counts: ep.Counts})
 		}
@@ -425,12 +442,12 @@ func (s *Server) federationStates() []federate.StreamState {
 // out of the stream's retention — they can never be pushed again, so the
 // audit map stays bounded by the ring size (a plain stream's epoch 0 never
 // ages out). Caller holds fedMu.
-func (s *Server) pruneWatermarksLocked(st *stream) {
-	oldest := st.ring.Oldest()
+func (s *Server) pruneWatermarksLocked(st *engine.Stream) {
+	oldest := st.Ring().Oldest()
 	for _, peer := range s.peers {
-		for epoch := range peer.absorbed[st.name] {
+		for epoch := range peer.absorbed[st.Name()] {
 			if epoch < oldest {
-				delete(peer.absorbed[st.name], epoch)
+				delete(peer.absorbed[st.Name()], epoch)
 			}
 		}
 	}
@@ -494,7 +511,7 @@ func (s *Server) EnablePush(opts PushOptions) error {
 		Binary:     opts.Binary,
 		Logf:       opts.Logf,
 		Tracer:     s.tracer,
-		TraceLinks: s.drainTraceLinks,
+		TraceLinks: s.links.drain,
 	}, tracker)
 	if err != nil {
 		s.fedMu.Unlock()
@@ -541,13 +558,8 @@ func (s *Server) PushStatus() federate.PusherStatus {
 // fedMu. Returns nil when there is nothing to persist.
 func (s *Server) federationRecordLocked() *snapshot.Federation {
 	var fed snapshot.Federation
-	edges := make([]string, 0, len(s.peers))
-	for edge := range s.peers {
-		edges = append(edges, edge)
-	}
-	sort.Strings(edges)
-	for _, edge := range edges {
-		p := s.peers[edge]
+	for _, info := range s.peersLocked() {
+		p := s.peers[info.Edge]
 		rec := snapshot.FederationPeer{
 			Edge:    p.edge,
 			LastSeq: p.lastSeq,
@@ -558,22 +570,12 @@ func (s *Server) federationRecordLocked() *snapshot.Federation {
 		if !p.lastPush.IsZero() {
 			rec.LastUnixNanos = p.lastPush.UnixNano()
 		}
-		names := make([]string, 0, len(p.absorbed))
-		for name := range p.absorbed {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			ps := snapshot.FederationPeerStream{Stream: name}
-			epochs := make([]int, 0, len(p.absorbed[name]))
-			for e := range p.absorbed[name] {
-				epochs = append(epochs, e)
+		for _, ps := range info.Streams {
+			rs := snapshot.FederationPeerStream{Stream: ps.Stream}
+			for _, ep := range ps.Epochs {
+				rs.Epochs = append(rs.Epochs, snapshot.FederationEpochN{Epoch: ep.Epoch, N: ep.N})
 			}
-			sort.Ints(epochs)
-			for _, e := range epochs {
-				ps.Epochs = append(ps.Epochs, snapshot.FederationEpochN{Epoch: e, N: p.absorbed[name][e]})
-			}
-			rec.Streams = append(rec.Streams, ps)
+			rec.Streams = append(rec.Streams, rs)
 		}
 		fed.Peers = append(fed.Peers, rec)
 	}

@@ -59,7 +59,7 @@ func encodePush(t *testing.T, s *Server, edge string, seq int64, stream string, 
 		t.Fatal("empty delta")
 	}
 	body, err := federate.EncodePush(edge, seq, []federate.StreamDelta{{
-		Stream: stream, Fingerprint: s.fingerprintOf(st), Epochs: []federate.EpochDelta{d},
+		Stream: stream, Fingerprint: fingerprintOf(st), Epochs: []federate.EpochDelta{d},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -159,8 +159,8 @@ func TestFederationUnknownStreamAndAutoDeclare(t *testing.T) {
 	if st == nil {
 		t.Fatal("auto-declared stream missing")
 	}
-	if st.cfg.Mechanism != "grr" || st.cfg.Buckets != 8 || st.cfg.Epsilon != 1 {
-		t.Fatalf("auto-declared config %+v", st.cfg)
+	if cfg := st.Config(); cfg.Mechanism != "grr" || cfg.Buckets != 8 || cfg.Epsilon != 1 {
+		t.Fatalf("auto-declared config %+v", st.Config())
 	}
 	if got := s2.StreamN("mystery"); got != 1 {
 		t.Fatalf("auto-declared stream has %d reports", got)
@@ -173,7 +173,7 @@ func TestFederationFingerprintMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.lookup("age")
-	fp := s.fingerprintOf(st)
+	fp := fingerprintOf(st)
 	fp.Epsilon = 1 // the edge disagrees about ε
 	body, err := federate.EncodePush("e1", 1, []federate.StreamDelta{{
 		Stream: "age", Fingerprint: fp,
@@ -206,7 +206,7 @@ func TestFederationPushAtomicAcrossStreams(t *testing.T) {
 	}
 	goodSt := s.lookup("good")
 	body, err := federate.EncodePush("e1", 1, []federate.StreamDelta{
-		{Stream: "good", Fingerprint: s.fingerprintOf(goodSt),
+		{Stream: "good", Fingerprint: fingerprintOf(goodSt),
 			Epochs: []federate.EpochDelta{{Epoch: 0, N: 3, Counts: append([]uint64{3}, make([]uint64, 15)...)}}},
 		{Stream: "absent", Fingerprint: fingerprintStub(),
 			Epochs: []federate.EpochDelta{{Epoch: 0, N: 1, Counts: []uint64{1, 0}}}},
@@ -246,7 +246,7 @@ func TestFederationMalformedPayloads(t *testing.T) {
 	// A delta whose width disagrees with the stream's histogram is 400, and
 	// the sequence does not advance.
 	body, err := federate.EncodePush("e1", 1, []federate.StreamDelta{{
-		Stream: DefaultStream, Fingerprint: s.fingerprintOf(s.lookup(DefaultStream)),
+		Stream: DefaultStream, Fingerprint: fingerprintOf(s.lookup(DefaultStream)),
 		Epochs: []federate.EpochDelta{{Epoch: 0, N: 1, Counts: []uint64{1}}},
 	}})
 	if err != nil {
@@ -294,11 +294,11 @@ func TestFederationWindowedEpochPlacement(t *testing.T) {
 		t.Fatalf("sealed push %d %+v", code, pr)
 	}
 	st := s.lookup("lat")
-	if cur, _ := st.ring.Current(); cur != 2 {
+	if cur, _ := st.Ring().Current(); cur != 2 {
 		t.Fatalf("push did not advance the ring: current %d", cur)
 	}
 	// The sealed epoch holds both increments.
-	hist, n, err := st.ring.Merge(window.Range{Lo: 0, Hi: 0}, nil)
+	hist, n, err := st.Ring().Merge(window.Range{Lo: 0, Hi: 0}, nil)
 	if err != nil || n != 2 || hist[0] != 1 || hist[1] != 1 {
 		t.Fatalf("sealed epoch 0: hist=%v n=%d err=%v", hist, n, err)
 	}
@@ -322,7 +322,7 @@ func TestFederationWindowedEpochPlacement(t *testing.T) {
 	// Watermarks for aged epochs are pruned.
 	for _, psi := range peers[0].Streams {
 		for _, ep := range psi.Epochs {
-			if ep.Epoch < st.ring.Oldest() {
+			if ep.Epoch < st.Ring().Oldest() {
 				t.Fatalf("stale watermark for epoch %d survives", ep.Epoch)
 			}
 		}
@@ -476,7 +476,7 @@ func TestFederationWindowedOriginMismatch(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	st := root.lookup("lat")
-	fp := root.fingerprintOf(st)
+	fp := fingerprintOf(st)
 	fp.EpochOriginNanos += int64(30 * time.Second) // an edge born 30s later
 	counts := make([]uint64, 16)
 	counts[0] = 1
@@ -529,10 +529,10 @@ func TestFederationAutoDeclareAdoptsEdgeOrigin(t *testing.T) {
 		t.Fatalf("origin-adopting push answered %d %+v", code, pr)
 	}
 	st := root.lookup("lat")
-	if cur, _ := st.ring.Current(); cur != 3 {
+	if cur, _ := st.Ring().Current(); cur != 3 {
 		t.Fatalf("auto-declared ring current epoch %d, want 3", cur)
 	}
-	if got := root.fingerprintOf(st).EpochOriginNanos; got != origin {
+	if got := fingerprintOf(st).EpochOriginNanos; got != origin {
 		t.Fatalf("auto-declared origin %d, want %d", got, origin)
 	}
 	if got := root.StreamN("lat"); got != 4 {
@@ -546,7 +546,7 @@ func swBOpt1(t *testing.T) float64 {
 	t.Helper()
 	s := NewServer(Config{Epsilon: 1, Buckets: 16, RefreshInterval: time.Hour})
 	t.Cleanup(s.Close)
-	return s.fingerprintOf(s.lookup(DefaultStream)).Bandwidth
+	return fingerprintOf(s.lookup(DefaultStream)).Bandwidth
 }
 
 func TestLoadSnapshotAbortsBeforeMergeOnCursorConflict(t *testing.T) {

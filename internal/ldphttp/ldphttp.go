@@ -52,37 +52,29 @@
 // # Architecture
 //
 // A server hosts any number of named attribute streams, each with its own
-// domain, privacy budget and granularity — one survey server can collect
-// ages, incomes and session lengths at once. Every stream's report
-// histogram is an epoch ring (package window) whose live epoch is a striped
-// atomic histogram (package aggregate). A plain stream is a ring whose one
-// epoch never seals; a windowed stream's ring rotates (see Windowed
-// collection). Ingest, refresh, federation absorb and push, and snapshots
-// all run the same ring code for both; plain and windowed differ only where
-// epochs are visible outside — window selectors, config and stream info,
-// snapshot records and federation fingerprints — and there the declared
-// epoch decides. Ingestion and estimation are decoupled so neither blocks
-// the other: reports land in the live epoch under the ring's shared lock,
-// with no contended counter on the request path, while a pool of refresh
-// workers (Config.RefreshWorkers, default GOMAXPROCS) drains a
-// staleness-ordered dirty queue: every tick the scheduler enqueues every
-// stream, rotation-due and forced refreshes jump the queue (a plain ring
-// is never rotation-due), and otherwise the stream with the most
-// unpublished reports goes first. Each worker re-runs the EMS
-// reconstruction warm-started from that stream's previous estimate into a
-// per-stream reusable workspace (zero allocations once warm). A warm
-// refresh runs as SQUAREM cycles over the EMS map (em.Options.AccelerateWarm:
-// about half the map evaluations of the paper's loop, equally close to its
-// fixed point), so its iteration count is the number of EMS map
-// evaluations; the first, cold reconstruction runs the paper's loop
-// unchanged. A per-stream busy flag keeps refreshes of one stream
-// serialized, so results are bit-identical to the old single-goroutine
-// engine regardless of pool size; a refresh requested while the stream's
-// refresh is running runs right after it.
-// The estimate and query endpoints never run EM on a request goroutine:
-// they serve the cached reconstruction (503 with pending_reports while the
-// very first one is still being computed) and report how many reports
-// arrived after it.
+// domain, privacy budget and granularity. The streams live in package
+// engine, the one stream engine under this collector and the library's
+// repro.Streams: it declares and validates them, holds them in a registry,
+// reconstructs them, and saves and restores them. This package keeps the
+// HTTP surface — routes, codecs, error envelopes, admission control, the
+// federation protocol and the telemetry and trace wiring.
+//
+// Every stream's report histogram is an epoch ring (package window) whose
+// live epoch is a striped atomic histogram: reports land under the ring's
+// shared lock with no contended counter on the request path, while the
+// engine's refresh workers (Config.RefreshWorkers, default GOMAXPROCS)
+// drain a staleness-ordered queue — rotation-due and forced refreshes
+// first, then the stream with the most unpublished reports. Each refresh
+// re-runs EMS warm-started from the stream's previous estimate in a
+// reusable workspace (zero allocations once warm), as SQUAREM cycles over
+// the EMS map (em.Options.AccelerateWarm: about half the paper's map
+// evaluations, equally close to its fixed point; Iterations counts map
+// evaluations); the first, cold reconstruction runs the paper's loop. A
+// per-stream busy flag serializes one stream's refreshes, so results are
+// bit-identical for any pool size, and a refresh requested mid-refresh
+// runs right after it. The estimate and query endpoints never run EM: they
+// serve the cached reconstruction (503 with pending_reports while the
+// first is computed) and report how many reports arrived after it.
 //
 // # Windowed collection
 //
@@ -102,10 +94,10 @@
 // estimate through package snapshot (atomic temp-file rename, checksummed),
 // so a restarted collector resumes warm; windowed streams additionally
 // persist rotation clock, sealed epochs and window estimates, so restarts
-// resume mid-epoch with bit-identical window answers. The ring ↔ record
-// conversion and the restore rule live in package snapshot, shared with
-// the library's Streams registry; cmd/ldpserver wires this to the
-// -snapshot flag.
+// resume mid-epoch with bit-identical window answers. The capture, the
+// restore rule and the two-phase restore are the engine's, the same the
+// library's Streams registry saves and loads through, so either loads the
+// other's files; cmd/ldpserver wires this to the -snapshot flag.
 //
 // # Ops
 //
@@ -121,27 +113,22 @@
 package ldphttp
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/aggregate"
-	"repro/internal/core"
 	"repro/internal/diagnose"
-	"repro/internal/em"
+	"repro/internal/engine"
 	"repro/internal/federate"
-	"repro/internal/histogram"
 	"repro/internal/mechanism"
 	"repro/internal/ratelimit"
-	"repro/internal/snapshot"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/window"
 )
@@ -271,92 +258,19 @@ type StreamConfig struct {
 	Retain int      `json:"retain,omitempty"`
 }
 
-// windowed reports whether the configuration asks for epoch rotation.
-func (c StreamConfig) windowed() bool { return c.Epoch > 0 }
-
-// stream is one named attribute: immutable mechanism state, its report
-// histogram, and the engine's cached reconstructions. The histogram is
-// always an epoch ring; a plain stream's ring has one epoch that never
-// seals. The ring is fixed at construction, so request handlers read it
-// without synchronization.
-type stream struct {
-	name string
-	cfg  StreamConfig
-	agg  *core.Aggregator // immutable channel + EM config; counts unused
-	ring *window.Ring     // report histogram (plain: epoch 0 never seals)
-
-	est       atomic.Pointer[EstimateResponse]
-	published atomic.Int64 // reports covered by est
-
-	// Window estimate cache: requests register resolved epoch ranges, the
-	// engine reconstructs them (empty on plain streams).
-	winMu sync.Mutex
-	wins  map[window.Range]*windowCache
-
-	// Refresh-scheduler state: queued dedupes queue entries, busy
-	// serializes refresh work per stream (one worker at a time — the
-	// acquire/release pair on busy also publishes the scratch buffers
-	// below between workers), and rerun records a refresh request that
-	// found the stream busy, for the worker holding busy to run next.
-	queued atomic.Bool
-	busy   atomic.Bool
-	rerun  atomic.Bool
-
-	// Worker-owned scratch (guarded by busy): warm-start vector,
-	// snapshot/merge buffers, and the reusable EM workspace — a warm
-	// refresh allocates only the published estimate copy.
-	init       []float64
-	scratch    []float64
-	winScratch []float64
-	ws         em.Workspace
-	// Telemetry handles, resolved once at stream creation so the ingest
-	// hot path is a single atomic add. All nil when telemetry is disabled.
-	mReports    *telemetry.Counter
-	mRefresh    *telemetry.Histogram
-	mIters      *telemetry.Histogram
-	mStaleness  *telemetry.Gauge
-	mRefreshAge *telemetry.Gauge
-	mRotations  *telemetry.Counter
-	// mRefreshes counts published refreshes by trigger, pre-resolved per
-	// reason (indexed by refreshGrowth/refreshRotation/refreshForced).
-	mRefreshes [3]*telemetry.Counter
-	// diag accumulates the stream's estimate-quality record; the engine
-	// writes it at refresh/seal time, the diagnostics endpoints and the
-	// quality gauges below read it. Never nil.
-	diag *diagnose.Tracker
-	// Quality gauges, written at publish time so scrapes stay O(series):
-	// mLoglik only for EM-reconstructed streams, the drift pair and the
-	// alert counter only for windowed ones; nil otherwise (and when
-	// telemetry is disabled).
-	mLoglik      *telemetry.Gauge
-	mCIHalf      *telemetry.Gauge
-	mConverged   *telemetry.Gauge
-	mDriftW1     *telemetry.Gauge
-	mDriftKS     *telemetry.Gauge
-	mDriftAlerts *telemetry.Counter
-	// driftScratch is the engine-owned merge buffer for sealed-epoch
-	// drift reconstructions (guarded by busy, like the buffers above).
-	driftScratch []float64
-	// lastRefresh is the wall-clock nanos of the last published estimate
-	// (0 = none yet); the scrape hook derives refresh age from it.
-	lastRefresh atomic.Int64
-	// mustRefresh forces the next re-estimate after a rotation (age-out
-	// can change the population without changing its size, so the count
-	// comparison alone is not enough). Atomic because both the engine and
-	// the federation push handler rotate rings.
-	mustRefresh atomic.Bool
-	// links holds recent sampled ingest trace IDs for the federation
-	// pusher to forward (X-LDP-Trace-Link), so a Reporter-stamped trace
-	// stays findable at the root after aggregation.
-	links traceLinkRing
-}
-
-// histShards is the effective ingestion stripe count.
-func (st *stream) histShards() int {
-	if st.cfg.Shards > 0 {
-		return st.cfg.Shards
+// engineConfig converts a declaration for the engine, zero fields
+// inheriting the server defaults (Epoch and Retain excepted: windowing is
+// opt-in per stream). The engine's Config.Resolve validates the result.
+func (s *Server) engineConfig(c StreamConfig) engine.Config {
+	return engine.Config{
+		Mechanism: cmp.Or(c.Mechanism, s.cfg.Mechanism),
+		Epsilon:   cmp.Or(c.Epsilon, s.cfg.Epsilon),
+		Buckets:   cmp.Or(c.Buckets, s.cfg.Buckets),
+		Bandwidth: c.Bandwidth,
+		Shards:    cmp.Or(c.Shards, s.cfg.Shards),
+		Epoch:     time.Duration(c.Epoch),
+		Retain:    c.Retain,
 	}
-	return aggregate.DefaultShards()
 }
 
 // Server hosts named streams behind an http.Handler, with one shared
@@ -364,24 +278,16 @@ func (st *stream) histShards() int {
 type Server struct {
 	cfg     Config
 	refresh time.Duration
-	now     func() time.Time // rotation clock (time.Now unless overridden)
+	reg     *engine.Registry // the streams and their refresh engine
 
-	mu      sync.RWMutex
-	streams map[string]*stream
-	order   []*stream // declaration order
-
-	rq             refreshQueue // staleness-ordered dirty-stream queue
-	refreshWorkers int          // resolved refresh pool size
-
-	kick      chan struct{}
-	done      chan struct{}
+	done      chan struct{} // closed by Close: stops the edge pusher
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 	snapMu    sync.Mutex // serializes SaveSnapshot
 
 	// Federation state. fedMu serializes push application against snapshot
 	// capture, so a snapshot's histograms and peer watermarks are always
-	// mutually consistent (lock order: snapMu → fedMu → mu).
+	// mutually consistent (lock order: snapMu → fedMu → registry).
 	fedMu   sync.Mutex
 	peers   map[string]*peerState
 	tracker *federate.Tracker
@@ -390,6 +296,10 @@ type Server struct {
 	// before EnablePush was called (boot order is declare → restore →
 	// enable, but both orders work).
 	restoredCursor *federate.CursorState
+	// links holds recent sampled ingest trace IDs for the federation
+	// pusher to forward (X-LDP-Trace-Link), so a Reporter-stamped trace
+	// stays findable at the root after aggregation.
+	links traceLinkRing
 
 	// Operational state: telemetry registry and handles (nil when
 	// disabled), admission buckets (nil when unlimited), probe state.
@@ -401,9 +311,8 @@ type Server struct {
 	maxBody   int64
 	accessLog io.Writer
 	logJSON   bool
-	logMu     sync.Mutex   // serializes access-log writes
-	ready     atomic.Bool  // readiness probe state
-	lastTick  atomic.Int64 // wall-clock nanos of the engine's last loop pass
+	logMu     sync.Mutex  // serializes access-log writes
+	ready     atomic.Bool // readiness probe state
 	started   time.Time
 }
 
@@ -411,51 +320,38 @@ type Server struct {
 // the background refresh scheduler and its worker pool. Call Close when done
 // with the server to stop them.
 func NewServer(cfg Config) *Server {
-	refreshWorkers := cfg.RefreshWorkers
-	if refreshWorkers == 0 {
-		refreshWorkers = runtime.GOMAXPROCS(0)
-	}
-	if refreshWorkers < 1 {
-		refreshWorkers = 1
-	}
 	refresh := cfg.RefreshInterval
 	if refresh <= 0 {
 		refresh = 500 * time.Millisecond
 	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = time.Now
-	}
 	s := &Server{
-		cfg:            cfg,
-		refresh:        refresh,
-		refreshWorkers: refreshWorkers,
-		now:            clock,
-		streams:        make(map[string]*stream),
-		peers:          make(map[string]*peerState),
-		kick:           make(chan struct{}, 1),
-		done:           make(chan struct{}),
-		maxBody:        cfg.Ops.MaxBodyBytes,
-		accessLog:      cfg.Ops.AccessLog,
-		logJSON:        cfg.Ops.LogJSON,
-		started:        time.Now(),
+		cfg:       cfg,
+		refresh:   refresh,
+		done:      make(chan struct{}),
+		peers:     make(map[string]*peerState),
+		maxBody:   cfg.Ops.MaxBodyBytes,
+		accessLog: cfg.Ops.AccessLog,
+		logJSON:   cfg.Ops.LogJSON,
+		started:   time.Now(),
 	}
-	s.rq.cond = sync.NewCond(&s.rq.mu)
 	s.ready.Store(!cfg.Ops.AwaitRestore)
-	s.lastTick.Store(time.Now().UnixNano())
 	if lim := cfg.Ops.RateLimit; lim > 0 {
 		s.limiter = ratelimit.New(lim, admissionBurst(lim, cfg.Ops.RateBurst))
 	}
 	if lim := cfg.Ops.EdgeRateLimit; lim > 0 {
 		s.edgeLim = ratelimit.NewKeyed(lim, admissionBurst(lim, cfg.Ops.EdgeRateBurst))
 	}
+	opts := engine.Options{Clock: cfg.Clock, Drift: cfg.Ops.Drift}
 	if !cfg.Ops.DisableTelemetry {
 		s.metrics = newServerMetrics(s)
+		opts.Metrics = &s.metrics.engine
 	}
 	if tc := cfg.Ops.Trace; !tc.Disable {
 		s.tracer = trace.New(trace.Config{Capacity: tc.Capacity, SampleEvery: tc.SampleEvery})
 		s.slowReq = tc.SlowRequest
+		opts.Tracer = s.tracer
 	}
+	s.reg = engine.NewRegistry(opts)
 	if err := s.CreateStream(DefaultStream, StreamConfig{
 		Epsilon:   cfg.Epsilon,
 		Buckets:   cfg.Buckets,
@@ -466,143 +362,28 @@ func NewServer(cfg Config) *Server {
 		Retain:    cfg.Retain,
 	}); err != nil {
 		// The registry is empty and the name valid, so this only fires on
-		// an unusable Config (non-positive epsilon, retain without epoch) —
-		// the same contract core.Config has always had.
+		// an unusable Config (a non-finite or non-positive epsilon, retain
+		// without epoch, ...) — the same contract core.Config has always
+		// had.
 		panic(err)
 	}
-	s.wg.Add(1 + refreshWorkers)
-	go s.scheduler()
-	for i := 0; i < refreshWorkers; i++ {
-		go s.refreshWorker()
-	}
+	s.reg.Start(cfg.RefreshWorkers, refresh)
 	return s
-}
-
-// newStream builds the immutable per-stream machinery. The histogram is an
-// epoch ring born in epoch 0 at the server clock's now — rotating for a
-// windowed configuration, never sealing for a plain one. Retain is filled
-// to its default here so the stored cfg always carries the effective
-// retention.
-func (s *Server) newStream(name string, cfg StreamConfig) *stream {
-	// The paper's EMS, with warm-started refreshes run as SQUAREM cycles;
-	// the first (cold) reconstruction keeps the textbook loop.
-	ems := em.EMSOptions()
-	ems.AccelerateWarm = true
-	agg := core.NewAggregator(core.Config{
-		Epsilon:   cfg.Epsilon,
-		Buckets:   cfg.Buckets,
-		Mechanism: cfg.Mechanism,
-		Bandwidth: cfg.Bandwidth,
-		Smoothing: true,
-		EM:        ems,
-	})
-	// fillStreamDefaults validated the window options, so New cannot panic.
-	ring := window.New(agg.OutputBuckets(), cfg.Shards,
-		window.Config{Epoch: time.Duration(cfg.Epoch), Retain: cfg.Retain}, s.now())
-	cfg.Retain = ring.Config().Retain
-	st := &stream{name: name, cfg: cfg, agg: agg, ring: ring, wins: make(map[window.Range]*windowCache)}
-	st.diag = diagnose.NewTracker(diagnose.TrackerConfig{
-		Mechanism: cfg.Mechanism,
-		Epsilon:   cfg.Epsilon,
-		Buckets:   cfg.Buckets,
-		EMBased:   agg.Channel() != nil,
-		Windowed:  cfg.windowed(),
-		Drift:     s.cfg.Ops.Drift,
-	})
-	if m := s.metrics; m != nil {
-		st.mReports = m.reports.With(name, cfg.Mechanism)
-		st.mRefresh = m.emRefresh.With(name)
-		st.mIters = m.emIters.With(name)
-		st.mStaleness = m.emStaleness.With(name)
-		st.mRefreshAge = m.emRefreshAge.With(name)
-		st.mRotations = m.rotations.With(name)
-		for r, reason := range refreshReasons {
-			st.mRefreshes[r] = m.refreshes.With(name, reason)
-		}
-		st.mCIHalf = m.estCI.With(name)
-		st.mConverged = m.emConverged.With(name)
-		if agg.Channel() != nil {
-			st.mLoglik = m.estLoglik.With(name)
-		}
-		if cfg.windowed() {
-			st.mDriftW1 = m.driftScore.With(name, "w1")
-			st.mDriftKS = m.driftScore.With(name, "ks")
-			st.mDriftAlerts = m.driftAlerts.With(name)
-		}
-	}
-	return st
-}
-
-// fillStreamDefaults resolves zero fields against the server defaults and
-// validates the result.
-func (s *Server) fillStreamDefaults(cfg StreamConfig) (StreamConfig, error) {
-	if cfg.Epsilon == 0 {
-		cfg.Epsilon = s.cfg.Epsilon
-	}
-	if cfg.Buckets == 0 {
-		cfg.Buckets = s.cfg.Buckets
-	}
-	if cfg.Buckets == 0 {
-		cfg.Buckets = 1024 // the library-wide default granularity
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = s.cfg.Shards
-	}
-	if cfg.Mechanism == "" {
-		cfg.Mechanism = s.cfg.Mechanism
-	}
-	if cfg.Epsilon <= 0 {
-		return cfg, fmt.Errorf("ldphttp: stream epsilon must be positive, got %v", cfg.Epsilon)
-	}
-	if cfg.Buckets < 2 {
-		return cfg, fmt.Errorf("ldphttp: stream needs at least 2 buckets, got %d", cfg.Buckets)
-	}
-	if cfg.Buckets > mechanism.MaxBuckets {
-		return cfg, fmt.Errorf("ldphttp: stream allows at most %d buckets, got %d", mechanism.MaxBuckets, cfg.Buckets)
-	}
-	if !mechanism.Valid(cfg.Mechanism) {
-		return cfg, fmt.Errorf("ldphttp: unknown stream mechanism %q (want one of %v, or auto)",
-			cfg.Mechanism, mechanism.Names())
-	}
-	// "auto" (and "") resolve at declaration, so the stream's configuration,
-	// config echo, and snapshots always carry the concrete mechanism.
-	mech, err := mechanism.Resolve(cfg.Mechanism, cfg.Epsilon, cfg.Buckets)
-	if err != nil {
-		return cfg, fmt.Errorf("ldphttp: %v", err)
-	}
-	cfg.Mechanism = mech
-	if cfg.Bandwidth < 0 || cfg.Bandwidth > 2 {
-		return cfg, fmt.Errorf("ldphttp: stream bandwidth %v out of range [0, 2]", cfg.Bandwidth)
-	}
-	if cfg.Bandwidth != 0 && mech != mechanism.SW && mech != mechanism.SWDiscrete {
-		return cfg, fmt.Errorf("ldphttp: bandwidth only applies to the sw family, not %q", mech)
-	}
-	if cfg.Epoch < 0 {
-		return cfg, fmt.Errorf("ldphttp: stream epoch %v must not be negative", time.Duration(cfg.Epoch))
-	}
-	if cfg.Retain != 0 && !cfg.windowed() {
-		return cfg, fmt.Errorf("ldphttp: stream retain %d needs an epoch duration", cfg.Retain)
-	}
-	if cfg.windowed() {
-		if _, err := (window.Config{Epoch: time.Duration(cfg.Epoch), Retain: cfg.Retain}).Validate(); err != nil {
-			return cfg, fmt.Errorf("ldphttp: %v", err)
-		}
-	}
-	return cfg, nil
 }
 
 // ErrStreamConfigMismatch is wrapped by CreateStream when a stream already
 // exists with different parameters.
-var ErrStreamConfigMismatch = fmt.Errorf("stream exists with different configuration")
+var ErrStreamConfigMismatch = engine.ErrConfigMismatch
 
 // CreateStream declares a named stream. Declaring an existing stream with
 // the same mechanism parameters (mechanism, ε, buckets, and bandwidth
 // compared by its effective value — mechanism.EffectiveBandwidth) is a
-// no-op — Shards
-// is a pure ingestion-performance knob and is deliberately ignored, so a
-// restart with a different -shards value still accepts matching -stream
-// flags against snapshot-restored streams. Different mechanism parameters
-// are an error (the report histogram of the live stream would be
+// no-op — Shards is a pure ingestion-performance knob and is deliberately
+// ignored, so a restart with a different -shards value still accepts
+// matching -stream flags against snapshot-restored streams. Windowing is
+// fixed at creation: zero Epoch/Retain inherit the stream's, non-zero
+// values must match. Anything else is an error wrapping
+// ErrStreamConfigMismatch (the report histogram of the live stream would be
 // meaningless under the new mechanism).
 func (s *Server) CreateStream(name string, cfg StreamConfig) error {
 	_, _, err := s.createStream(name, cfg)
@@ -610,47 +391,14 @@ func (s *Server) CreateStream(name string, cfg StreamConfig) error {
 }
 
 // createStream is CreateStream returning the stream the name resolves to
-// and whether this call created it. Both are decided under one hold of the
-// registry lock, so a concurrent declare or DropStream cannot change the
-// answer before the caller uses it.
-func (s *Server) createStream(name string, cfg StreamConfig) (*stream, bool, error) {
-	if !snapshot.ValidStreamName(name) {
-		return nil, false, fmt.Errorf("ldphttp: invalid stream name %q (want 1-64 bytes with no control characters)", name)
-	}
-	cfg, err := s.fillStreamDefaults(cfg)
+// and whether this call created it, decided under one hold of the registry
+// lock.
+func (s *Server) createStream(name string, cfg StreamConfig) (*engine.Stream, bool, error) {
+	st, created, err := s.reg.Declare(name, s.engineConfig(cfg))
 	if err != nil {
-		return nil, false, err
+		return nil, false, fmt.Errorf("ldphttp: %w", err)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if existing, ok := s.streams[name]; ok {
-		if existing.cfg.Epsilon != cfg.Epsilon || existing.cfg.Buckets != cfg.Buckets ||
-			existing.cfg.Mechanism != cfg.Mechanism ||
-			mechanism.EffectiveBandwidth(existing.cfg.Mechanism, existing.cfg.Epsilon, existing.cfg.Bandwidth) !=
-				mechanism.EffectiveBandwidth(cfg.Mechanism, cfg.Epsilon, cfg.Bandwidth) {
-			return nil, false, fmt.Errorf("ldphttp: %w: %q has %+v, requested %+v",
-				ErrStreamConfigMismatch, name, existing.cfg, cfg)
-		}
-		// Windowing is fixed at stream creation: zero Epoch/Retain inherit
-		// whatever the stream has, non-zero values must match it exactly.
-		if cfg.windowed() {
-			if !existing.cfg.windowed() {
-				return nil, false, fmt.Errorf("ldphttp: %w: %q is not windowed; drop and redeclare it to enable epochs",
-					ErrStreamConfigMismatch, name)
-			}
-			if existing.cfg.Epoch != cfg.Epoch ||
-				(cfg.Retain != 0 && existing.cfg.Retain != cfg.Retain) {
-				return nil, false, fmt.Errorf("ldphttp: %w: %q rotates every %v retaining %d, requested %v/%d",
-					ErrStreamConfigMismatch, name, time.Duration(existing.cfg.Epoch),
-					existing.cfg.Retain, time.Duration(cfg.Epoch), cfg.Retain)
-			}
-		}
-		return existing, false, nil
-	}
-	st := s.newStream(name, cfg)
-	s.streams[name] = st
-	s.order = append(s.order, st)
-	return st, true, nil
+	return st, created, nil
 }
 
 // DropStream retires a named stream: it disappears from the registry, the
@@ -660,37 +408,18 @@ func (s *Server) createStream(name string, cfg StreamConfig) (*stream, bool, err
 // In-flight requests that already resolved the stream finish against its
 // final state.
 func (s *Server) DropStream(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.streams[name]
-	if !ok {
-		return fmt.Errorf("ldphttp: unknown stream %q", name)
-	}
-	delete(s.streams, name)
-	for i, o := range s.order {
-		if o == st {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
+	if err := s.reg.Drop(name); err != nil {
+		return fmt.Errorf("ldphttp: %w", err)
 	}
 	return nil
 }
 
 // lookup resolves a stream name ("" means the default stream).
-func (s *Server) lookup(name string) *stream {
+func (s *Server) lookup(name string) *engine.Stream {
 	if name == "" {
 		name = DefaultStream
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.streams[name]
-}
-
-// streamList snapshots the declaration-ordered stream slice.
-func (s *Server) streamList() []*stream {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]*stream(nil), s.order...)
+	return s.reg.Lookup(name)
 }
 
 // StreamInfo is one row of GET /v1/streams (and the whole body of GET
@@ -741,46 +470,34 @@ func streamLinks(name string) StreamLinks {
 	}
 }
 
-// users reads the report (user) count visible to estimates. Fan-out
-// mechanisms (oue/sue, olh) track it in their marker cell — by convention
-// the last output cell — read directly in O(shards) without merging the
-// histogram, so this is safe on the ingest-acknowledgement hot path;
-// everything else counts increments, also O(shards).
-func (st *stream) users() int {
-	n := st.ring.N()
-	if n == 0 || !st.agg.Mechanism().FanOut() {
-		return n
-	}
-	return st.ring.Cell(st.ring.Buckets() - 1)
-}
-
 // streamInfo assembles one stream's info row.
-func (s *Server) streamInfo(st *stream) StreamInfo {
+func streamInfo(st *engine.Stream) StreamInfo {
 	estN := 0
-	if est := st.est.Load(); est != nil {
+	if est := st.Published(); est != nil {
 		estN = est.N
 	}
+	cfg := st.Config()
 	return StreamInfo{
-		Name:      st.name,
-		Epsilon:   st.cfg.Epsilon,
-		Buckets:   st.cfg.Buckets,
-		Mechanism: st.cfg.Mechanism,
-		Bandwidth: st.cfg.Bandwidth,
-		Shards:    st.cfg.Shards,
-		N:         st.users(),
+		Name:      st.Name(),
+		Epsilon:   cfg.Epsilon,
+		Buckets:   cfg.Buckets,
+		Mechanism: cfg.Mechanism,
+		Bandwidth: cfg.Bandwidth,
+		Shards:    cfg.Shards,
+		N:         st.Users(),
 		EstimateN: estN,
-		Window:    st.windowInfo(),
-		Config:    s.configOf(st),
-		Links:     streamLinks(st.name),
+		Window:    windowInfo(st),
+		Config:    configOf(st),
+		Links:     streamLinks(st.Name()),
 	}
 }
 
 // Streams lists every stream in declaration order.
 func (s *Server) Streams() []StreamInfo {
-	list := s.streamList()
+	list := s.reg.List()
 	infos := make([]StreamInfo, len(list))
 	for i, st := range list {
-		infos[i] = s.streamInfo(st)
+		infos[i] = streamInfo(st)
 	}
 	return infos
 }
@@ -789,8 +506,8 @@ func (s *Server) Streams() []StreamInfo {
 // stream.
 func (s *Server) N() int {
 	var n int
-	for _, st := range s.streamList() {
-		n += st.users()
+	for _, st := range s.reg.List() {
+		n += st.Users()
 	}
 	return n
 }
@@ -802,262 +519,20 @@ func (s *Server) StreamN(name string) int {
 	if st == nil {
 		return -1
 	}
-	return st.users()
+	return st.Users()
 }
 
-// Close stops the refresh scheduler and its worker pool and waits for them
-// to exit. The handler keeps accepting reports after Close, but estimates
-// are no longer refreshed.
+// Close stops the refresh scheduler, its worker pool and the edge pusher
+// and waits for them to exit. The handler keeps accepting reports after
+// Close, but estimates are no longer refreshed.
 func (s *Server) Close() {
-	s.closeOnce.Do(func() {
-		close(s.done)
-		s.rq.close()
-	})
+	s.closeOnce.Do(func() { close(s.done) })
+	s.reg.Close()
 	s.wg.Wait()
 }
 
 // wake nudges the refresh scheduler without blocking.
-func (s *Server) wake() {
-	select {
-	case s.kick <- struct{}{}:
-	default:
-	}
-}
-
-// Refresh trigger taxonomy, exported as the reason label of
-// ldp_em_refreshes_total. Indexes into stream.mRefreshes.
-const (
-	refreshGrowth   = iota // the visible histogram grew
-	refreshRotation        // an epoch rotated during this pass
-	refreshForced          // mustRefresh was set externally (federation, age-out)
-)
-
-var refreshReasons = [3]string{"growth", "rotation", "forced"}
-
-// refreshQueue is the dirty-stream queue between the scheduler and the
-// worker pool. Entries are deduped by stream.queued; workers pop the
-// highest-priority entry (see popLocked), not FIFO.
-type refreshQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []*stream
-	closed bool
-}
-
-func (q *refreshQueue) push(st *stream) {
-	q.mu.Lock()
-	if !q.closed {
-		q.items = append(q.items, st)
-		q.cond.Signal()
-	}
-	q.mu.Unlock()
-}
-
-func (q *refreshQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
-// depth reports the number of queued streams (the scrape-time gauge).
-func (q *refreshQueue) depth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items)
-}
-
-// pop blocks for the next stream to refresh, false when the queue is
-// closed. The most urgent entry wins: streams that must refresh (rotation
-// due, or an external mustRefresh) beat the rest, then larger staleness
-// (reports not yet covered by the published estimate) beats smaller.
-func (q *refreshQueue) pop(s *Server) (*stream, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if q.closed {
-		return nil, false
-	}
-	best, bestBoost, bestStale := 0, false, int64(0)
-	for i, st := range q.items {
-		boost, stale := s.refreshPriority(st)
-		if i == 0 || (boost && !bestBoost) || (boost == bestBoost && stale > bestStale) {
-			best, bestBoost, bestStale = i, boost, stale
-		}
-	}
-	st := q.items[best]
-	last := len(q.items) - 1
-	q.items[best] = q.items[last]
-	q.items[last] = nil
-	q.items = q.items[:last]
-	return st, true
-}
-
-// refreshPriority ranks one queued stream: a boolean urgency boost (an
-// epoch rotation is due, or something forced the next refresh) and the
-// staleness in histogram increments.
-func (s *Server) refreshPriority(st *stream) (boost bool, staleness int64) {
-	boost = st.mustRefresh.Load() || st.ring.RotationDue(s.now())
-	return boost, int64(st.ring.N()) - st.published.Load()
-}
-
-// scheduler is the refresh pacemaker: on every tick (or wake) it stamps the
-// liveness clock and enqueues every stream not already queued; the worker
-// pool does the actual re-estimation. Every stream is enqueued — not just
-// visibly-dirty ones — because rotation clocks and window caches advance
-// inside the refresh pass itself, exactly as the old single-goroutine
-// engine walked all streams each tick.
-func (s *Server) scheduler() {
-	defer s.wg.Done()
-	ticker := time.NewTicker(s.refresh)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.done:
-			return
-		case <-s.kick:
-		case <-ticker.C:
-		}
-		s.lastTick.Store(time.Now().UnixNano())
-		for _, st := range s.streamList() {
-			if st.queued.CompareAndSwap(false, true) {
-				s.rq.push(st)
-			}
-		}
-	}
-}
-
-// refreshWorker drains the refresh queue. Per-stream work is serialized by
-// the busy flag, so workers parallelize across streams, never within one. A
-// request for a stream another worker is refreshing is not dropped: it sets
-// rerun, which the holder re-checks after releasing busy and runs the
-// stream again for — reports acknowledged after the running refresh merged
-// its histogram get published right after it, not on the next tick.
-func (s *Server) refreshWorker() {
-	defer s.wg.Done()
-	for {
-		st, ok := s.rq.pop(s)
-		if !ok {
-			return
-		}
-		st.queued.Store(false)
-		st.rerun.Store(true)
-		for st.rerun.Load() && st.busy.CompareAndSwap(false, true) {
-			st.rerun.Store(false)
-			s.refreshStream(st)
-			st.busy.Store(false)
-		}
-	}
-}
-
-// refreshStream advances the stream's rotation clock (a no-op on a plain
-// stream), re-estimates the stream if its visible histogram changed since
-// the last published estimate (growth, or epochs aging out), and refreshes
-// any requested window estimates. Refresh workers only, one per stream at a
-// time (the busy flag): the stream's scratch buffers and EM workspace are
-// theirs for the duration.
-func (s *Server) refreshStream(st *stream) {
-	reason := refreshGrowth
-	// Rotation holds the registry read-lock: LoadSnapshot (exclusive lock)
-	// can therefore never observe a ring rotating between its validation and
-	// its adopt, which keeps restores all-or-nothing.
-	s.mu.RLock()
-	rotated := st.ring.Advance(s.now())
-	s.mu.RUnlock()
-	if rotated > 0 {
-		reason = refreshRotation
-		st.evictAgedWindows()
-		st.mustRefresh.Store(true)
-		if st.mRotations != nil {
-			st.mRotations.Add(uint64(rotated))
-		}
-		epoch, _ := st.ring.Current()
-		rsp := s.tracer.NewTrace("epoch/rotate")
-		rsp.SetStream(st.name)
-		rsp.Attr("rotated", fmt.Sprintf("%d", rotated)).
-			Attr("epoch", fmt.Sprintf("%d", epoch)).End()
-		s.scoreSealedEpoch(st, rotated)
-	}
-	defer s.refreshWindows(st)
-	var n int
-	st.scratch, n = st.ring.MergeAll(st.scratch)
-	forced := st.mustRefresh.Load()
-	if n == 0 || (int64(n) == st.published.Load() && !forced) {
-		return
-	}
-	if forced && reason == refreshGrowth {
-		reason = refreshForced
-	}
-	st.mustRefresh.Store(false)
-	init := st.init
-	if init == nil {
-		// Warm-start from a snapshot-restored estimate when there is one.
-		if prev := st.est.Load(); prev != nil && len(prev.Distribution) > 0 {
-			init = prev.Distribution
-		}
-	}
-	esp := s.tracer.NewTrace("em/refresh")
-	esp.SetStream(st.name)
-	esp.Attr("n", fmt.Sprintf("%d", n))
-	emStart := time.Now()
-	res := st.agg.EstimateInto(&st.ws, st.scratch, init)
-	esp.Attr("iterations", fmt.Sprintf("%d", res.Iterations)).End()
-	if st.mRefresh != nil {
-		st.mRefresh.ObserveExemplar(time.Since(emStart).Seconds(), esp.TraceID())
-	}
-	if st.mIters != nil {
-		st.mIters.Observe(float64(res.Iterations))
-	}
-	if c := st.mRefreshes[reason]; c != nil {
-		c.Inc()
-	}
-	st.lastRefresh.Store(time.Now().UnixNano())
-	st.init = append(st.init[:0], res.Estimate...)
-	// res.Estimate aliases the stream's workspace; the published response
-	// needs its own immutable copy.
-	dist := append([]float64(nil), res.Estimate...)
-	users := st.agg.Users(st.scratch, n)
-	warm := init != nil && st.agg.Channel() != nil
-	st.est.Store(&EstimateResponse{
-		Stream:       st.name,
-		N:            users,
-		Epsilon:      st.cfg.Epsilon,
-		Mechanism:    st.cfg.Mechanism,
-		Distribution: dist,
-		Mean:         histogram.Mean(dist),
-		Variance:     histogram.Variance(dist),
-		Median:       histogram.Quantile(dist, 0.5),
-		Iterations:   res.Iterations,
-		Converged:    res.Converged,
-		WarmStart:    warm,
-		raw:          n,
-	})
-	st.published.Store(int64(n))
-	st.diag.ObserveRefresh(diagnose.Refresh{
-		Iterations:    res.Iterations,
-		LogLikelihood: res.LogLikelihood,
-		LastDelta:     res.LastDelta,
-		Converged:     res.Converged,
-		Warm:          warm,
-		Users:         users,
-	})
-	if st.mLoglik != nil {
-		st.mLoglik.Set(res.LogLikelihood)
-	}
-	if st.mCIHalf != nil {
-		v, _ := mechanism.Variance(st.cfg.Mechanism, st.cfg.Epsilon, st.cfg.Buckets, users)
-		st.mCIHalf.Set(diagnose.HalfWidth(v))
-	}
-	if st.mConverged != nil {
-		conv := 0.0
-		if res.Converged {
-			conv = 1
-		}
-		st.mConverged.Set(conv)
-	}
-}
+func (s *Server) wake() { s.reg.Wake() }
 
 // WireReport is one randomized report as it travels in JSON: either a bare
 // number (scalar mechanisms — sw, sw-discrete, grr — and backward-compatible
@@ -1140,15 +615,10 @@ type EstimateResponse struct {
 	// are absent on whole-stream estimates.
 	Window string      `json:"window,omitempty"`
 	Epochs *EpochRange `json:"epochs,omitempty"`
-
-	// raw is the histogram increment total the estimate covers — internal
-	// staleness bookkeeping (published mirrors it), persisted to snapshots
-	// as EstimateRaw. Equal to N except for fan-out mechanisms.
-	raw int
 }
 
 // resolveStream finds the request's stream or writes a 404.
-func (s *Server) resolveStream(w http.ResponseWriter, name string) *stream {
+func (s *Server) resolveStream(w http.ResponseWriter, name string) *engine.Stream {
 	st := s.lookup(name)
 	if st == nil {
 		errorJSON(w, http.StatusNotFound, CodeUnknownStream,
@@ -1219,10 +689,10 @@ func (s *Server) serveReport(w http.ResponseWriter, name string, rep WireReport)
 		return
 	}
 	sp := spanOf(w)
-	sp.SetStream(st.name)
+	sp.SetStream(st.Name())
 	bsp := sp.Child("bucketize")
 	bufp := cellPool.Get().(*[]int)
-	cells, err := st.agg.Bucketize((*bufp)[:0], mechanism.Report(rep))
+	cells, err := st.Bucketize((*bufp)[:0], mechanism.Report(rep))
 	*bufp = cells[:0]
 	bsp.End()
 	if err != nil {
@@ -1232,20 +702,13 @@ func (s *Server) serveReport(w http.ResponseWriter, name string, rep WireReport)
 		return
 	}
 	isp := sp.Child("ingest")
-	if len(cells) == 1 {
-		st.ring.Add(cells[0])
-	} else {
-		st.ring.AddBatch(cells)
-	}
+	st.Add(cells, 1)
 	isp.End()
 	cellPool.Put(bufp)
-	if st.mReports != nil {
-		st.mReports.Inc()
-	}
 	if sp != nil {
-		st.links.add(sp.TraceID())
+		s.links.add(sp.TraceID())
 	}
-	writeJSON(w, map[string]any{"accepted": true, "stream": st.name, "n": st.users()})
+	writeJSON(w, map[string]any{"accepted": true, "stream": st.Name(), "n": st.Users()})
 }
 
 // serveBatch validates a whole batch, then lands it in the stream's
@@ -1260,7 +723,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, name string, reports []WireRe
 		return
 	}
 	sp := spanOf(w)
-	sp.SetStream(st.name)
+	sp.SetStream(st.Name())
 	// Validate the whole batch before ingesting anything, so a bad report
 	// in the middle cannot leave a half-applied batch behind.
 	bsp := sp.Child("bucketize").Attr("reports", fmt.Sprintf("%d", len(reports)))
@@ -1272,7 +735,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, name string, reports []WireRe
 	}()
 	var err error
 	for i, rep := range reports {
-		if buckets, err = st.agg.Bucketize(buckets, mechanism.Report(rep)); err != nil {
+		if buckets, err = st.Bucketize(buckets, mechanism.Report(rep)); err != nil {
 			bsp.Fail(CodeBadRequest).End()
 			errorJSON(w, http.StatusBadRequest, CodeBadRequest, "report %d: %v", i, err)
 			return
@@ -1280,51 +743,100 @@ func (s *Server) serveBatch(w http.ResponseWriter, name string, reports []WireRe
 	}
 	bsp.End()
 	isp := sp.Child("ingest")
-	st.ring.AddBatch(buckets)
+	st.Add(buckets, len(reports))
 	isp.End()
-	if st.mReports != nil {
-		st.mReports.Add(uint64(len(reports)))
-	}
 	if sp != nil {
-		st.links.add(sp.TraceID())
+		s.links.add(sp.TraceID())
 	}
-	writeJSON(w, map[string]any{"accepted": len(reports), "stream": st.name, "n": st.users()})
+	writeJSON(w, map[string]any{"accepted": len(reports), "stream": st.Name(), "n": st.Users()})
 }
 
-// loadEstimate fetches a stream's cached reconstruction for serving,
-// handling the two not-ready cases uniformly for estimates and queries:
-// 409 when the stream has no reports at all, 503 (with pending_reports and
-// Retry-After, never blocking the client) while the first estimate is still
-// being computed. The returned pending count is how many reports arrived
-// after the cached estimate, clamped at zero — the engine can publish an
-// estimate covering more reports than the count read here.
-func (s *Server) loadEstimate(w http.ResponseWriter, st *stream) (cached *EstimateResponse, pending int, ok bool) {
-	n := st.ring.N()
-	if n == 0 {
-		errorJSON(w, http.StatusConflict, CodeNoReports, "no reports yet on stream %q", st.name)
-		return nil, 0, false
+// loadEstimate fetches a stream's cached reconstruction for serving — the
+// whole stream's, or with a window selector the window's — handling the
+// not-ready cases uniformly for estimates and queries: 409 when there are
+// no reports, 503 (with pending_reports and Retry-After, never blocking the
+// client) while the first estimate is still being computed; for a
+// selector, 400 on a plain stream or a malformed selector and 410 for a
+// range that aged out of retention. PendingReports is how many histogram
+// increments arrived after the cached estimate, clamped at zero — the
+// engine can publish an estimate covering more reports than the count read
+// here.
+func (s *Server) loadEstimate(w http.ResponseWriter, st *engine.Stream, rawSel string) (EstimateResponse, bool) {
+	var g *window.Range
+	n := st.Ring().N()
+	if rawSel != "" {
+		if !st.Config().Windowed() {
+			errorJSON(w, http.StatusBadRequest, CodeNotWindowed,
+				"stream %q is not windowed; declare it with an epoch to enable window queries", st.Name())
+			return EstimateResponse{}, false
+		}
+		rng, err := st.Resolve(rawSel)
+		if err != nil {
+			status, code := http.StatusBadRequest, CodeBadRequest
+			if window.IsAgedOut(err) {
+				status, code = http.StatusGone, CodeWindowAgedOut
+			}
+			errorJSON(w, status, code, "%v", err)
+			return EstimateResponse{}, false
+		}
+		if n, err = st.Ring().RangeN(rng); err != nil { // aged out since Resolve
+			errorJSON(w, http.StatusGone, CodeWindowAgedOut, "%v", err)
+			return EstimateResponse{}, false
+		}
+		g = &rng
 	}
-	cached = st.est.Load()
-	if cached == nil {
-		// First estimate still pending: tell the client instead of
+	var est *engine.Estimate
+	switch {
+	case n == 0 && g == nil:
+		errorJSON(w, http.StatusConflict, CodeNoReports, "no reports yet on stream %q", st.Name())
+		return EstimateResponse{}, false
+	case n == 0:
+		errorJSON(w, http.StatusConflict, CodeNoReports, "no reports in window %s on stream %q", g, st.Name())
+		return EstimateResponse{}, false
+	case g == nil:
+		est = st.Published()
+	default:
+		est = st.WindowEstimate(*g)
+	}
+	if est == nil {
+		// The first estimate is still pending: tell the client instead of
 		// hanging, and make sure the engine is on it.
 		s.wake()
-		retryJSON(w, http.StatusServiceUnavailable, CodeEstimatePending, time.Second,
-			map[string]any{"stream": st.name, "pending_reports": n},
-			"estimate pending: first reconstruction in progress")
-		return nil, 0, false
+		body, msg := map[string]any{"stream": st.Name(), "pending_reports": n},
+			"estimate pending: first reconstruction in progress"
+		if g != nil {
+			body["window"] = g.String()
+			msg = "window estimate pending: reconstruction in progress"
+		}
+		retryJSON(w, http.StatusServiceUnavailable, CodeEstimatePending, time.Second, body, "%s", msg)
+		return EstimateResponse{}, false
 	}
-	// Staleness is tracked in raw histogram increments (published), not the
-	// user count the response carries — for fan-out mechanisms the two
-	// differ.
-	pub := int(st.published.Load())
-	if pub != n {
+	// Staleness is tracked in raw histogram increments, not the user count
+	// the response carries — for fan-out mechanisms the two differ.
+	if est.Raw != n {
 		s.wake() // refresh in the background; serve the cache now
 	}
-	if n > pub {
-		pending = n - pub
+	cfg := st.Config()
+	out := EstimateResponse{
+		Stream:         st.Name(),
+		N:              est.N,
+		Epsilon:        cfg.Epsilon,
+		Mechanism:      cfg.Mechanism,
+		Distribution:   est.Distribution,
+		Mean:           est.Mean,
+		Variance:       est.Variance,
+		Median:         est.Median,
+		Iterations:     est.Iterations,
+		Converged:      est.Converged,
+		WarmStart:      est.WarmStart,
+		Restored:       est.Restored,
+		PendingReports: max(n-est.Raw, 0),
 	}
-	return cached, pending, true
+	if g != nil {
+		out.Window = g.String()
+		out.Epochs = &EpochRange{Lo: g.Lo, Hi: g.Hi}
+	}
+	return out, true
 }
 
 // handleEstimate serves GET /v1/streams/{name}/estimate[?window=...].
@@ -1333,14 +845,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, name str
 	if st == nil {
 		return
 	}
-	cached, pending, ok := s.loadEstimateOrWindow(w, st, r.URL.Query().Get("window"))
-	if !ok {
-		return
+	if out, ok := s.loadEstimate(w, st, r.URL.Query().Get("window")); ok {
+		writeJSON(w, out)
 	}
-	// The cached response is shared — copy, don't mutate.
-	out := *cached
-	out.PendingReports = pending
-	writeJSON(w, out)
 }
 
 // StreamCreateResponse is the JSON shape of POST /v1/streams: the full
@@ -1387,7 +894,7 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request, _ st
 	if created {
 		w.WriteHeader(http.StatusCreated)
 	}
-	writeJSON(w, StreamCreateResponse{ConfigResponse: s.configOf(st), Created: created, Links: streamLinks(st.name)})
+	writeJSON(w, StreamCreateResponse{ConfigResponse: configOf(st), Created: created, Links: streamLinks(st.Name())})
 }
 
 // handleStreamDelete serves DELETE /v1/streams/{name}.
@@ -1405,7 +912,7 @@ func (s *Server) handleStreamInfo(w http.ResponseWriter, _ *http.Request, name s
 	if st == nil {
 		return
 	}
-	writeJSON(w, s.streamInfo(st))
+	writeJSON(w, streamInfo(st))
 }
 
 // ConfigResponse is the JSON shape of GET /v1/streams/{name}/config: the
@@ -1436,22 +943,22 @@ func (s *Server) handleConfig(w http.ResponseWriter, _ *http.Request, name strin
 	if st == nil {
 		return
 	}
-	writeJSON(w, s.configOf(st))
+	writeJSON(w, configOf(st))
 }
 
 // configOf assembles the full effective configuration of one stream.
-func (s *Server) configOf(st *stream) ConfigResponse {
-	params := st.agg.Mechanism().Params()
+func configOf(st *engine.Stream) ConfigResponse {
+	cfg, mech := st.Config(), st.Mechanism()
 	return ConfigResponse{
-		Stream:        st.name,
-		Mechanism:     st.cfg.Mechanism,
-		Epsilon:       st.cfg.Epsilon,
-		Buckets:       st.cfg.Buckets,
-		OutputBuckets: st.agg.OutputBuckets(),
-		Bandwidth:     params.Bandwidth,
-		Shards:        st.histShards(),
-		Epoch:         st.cfg.Epoch,
-		Retain:        st.cfg.Retain,
+		Stream:        st.Name(),
+		Mechanism:     cfg.Mechanism,
+		Epsilon:       cfg.Epsilon,
+		Buckets:       cfg.Buckets,
+		OutputBuckets: mech.OutputBuckets(),
+		Bandwidth:     mech.Params().Bandwidth,
+		Shards:        st.Shards(),
+		Epoch:         Duration(cfg.Epoch),
+		Retain:        cfg.Retain,
 	}
 }
 

@@ -267,7 +267,7 @@ func histogramOf(t *testing.T, s *Server, name string) ([]float64, int) {
 	if st == nil {
 		t.Fatalf("stream %q missing", name)
 	}
-	counts, n := st.ring.MergeAll(nil)
+	counts, n := st.Ring().MergeAll(nil)
 	return counts, n
 }
 

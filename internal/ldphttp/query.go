@@ -51,12 +51,12 @@ func (s *Server) handleQueryGet(w http.ResponseWriter, r *http.Request, name str
 	if st == nil {
 		return
 	}
-	cached, pending, ok := s.loadEstimateOrWindow(w, st, params.Get("window"))
+	cached, ok := s.loadEstimate(w, st, params.Get("window"))
 	if !ok {
 		return
 	}
 	qsp := spanOf(w).Child("query/eval")
-	qsp.SetStream(st.name)
+	qsp.SetStream(st.Name())
 	resp, err := query.Eval(cached.Distribution, cached.N, req)
 	qsp.End()
 	if err != nil {
@@ -64,9 +64,9 @@ func (s *Server) handleQueryGet(w http.ResponseWriter, r *http.Request, name str
 		return
 	}
 	writeJSON(w, QueryResponse{
-		Stream:         st.name,
+		Stream:         st.Name(),
 		N:              cached.N,
-		PendingReports: pending,
+		PendingReports: cached.PendingReports,
 		Window:         cached.Window,
 		Epochs:         cached.Epochs,
 		Response:       resp,
@@ -106,14 +106,14 @@ func (s *Server) handleQueryPost(w http.ResponseWriter, r *http.Request, name st
 	if st == nil {
 		return
 	}
-	cached, pending, ok := s.loadEstimateOrWindow(w, st, req.Window)
+	cached, ok := s.loadEstimate(w, st, req.Window)
 	if !ok {
 		return
 	}
 	// Every query in the batch reads the same cached estimate, so the
 	// answers are mutually consistent even under concurrent ingestion.
 	qsp := spanOf(w).Child("query/eval").Attr("queries", fmt.Sprintf("%d", len(req.Queries)))
-	qsp.SetStream(st.name)
+	qsp.SetStream(st.Name())
 	results := make([]query.Response, len(req.Queries))
 	for i, q := range req.Queries {
 		resp, err := query.Eval(cached.Distribution, cached.N, q)
@@ -126,9 +126,9 @@ func (s *Server) handleQueryPost(w http.ResponseWriter, r *http.Request, name st
 	}
 	qsp.End()
 	writeJSON(w, BatchQueryResponse{
-		Stream:         st.name,
+		Stream:         st.Name(),
 		N:              cached.N,
-		PendingReports: pending,
+		PendingReports: cached.PendingReports,
 		Window:         cached.Window,
 		Epochs:         cached.Epochs,
 		Results:        results,

@@ -122,17 +122,17 @@ func snapshotSeed(tb testing.TB) []byte {
 	}); err != nil {
 		tb.Fatal(err)
 	}
-	lat := mid.lookup("lat").ring
+	lat := mid.lookup("lat").Ring()
 	for e := 0; e < 3; e++ {
 		lat.AddBatch([]int{e, e + 1, 5, 31})
 		clock.Advance(time.Minute)
 		lat.Advance(clock.Now())
 	}
 	lat.AddBatch([]int{7, 7})
-	mid.lookup(DefaultStream).ring.AddBatch([]int{0, 3, 3, 9, 31})
-	mid.lookup("os").ring.AddBatch([]int{1, 4, 16, 16})
-	edge.lookup(DefaultStream).ring.AddBatch([]int{2, 2, 30})
-	edge.lookup("os").ring.AddBatch([]int{0, 16})
+	mid.lookup(DefaultStream).Ring().AddBatch([]int{0, 3, 3, 9, 31})
+	mid.lookup("os").Ring().AddBatch([]int{1, 4, 16, 16})
+	edge.lookup(DefaultStream).Ring().AddBatch([]int{2, 2, 30})
+	edge.lookup("os").Ring().AddBatch([]int{0, 16})
 
 	for _, hop := range []struct {
 		from *Server

@@ -19,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/telemetry"
 )
 
@@ -37,15 +38,12 @@ type serverMetrics struct {
 	shed     *telemetry.CounterVec   // endpoint, scope (global|edge)
 	codecSel *telemetry.CounterVec   // endpoint, codec (json|binary)
 
-	// Ingestion and estimation engine.
-	reports      *telemetry.CounterVec   // stream, mechanism
-	emRefresh    *telemetry.HistogramVec // stream
-	emIters      *telemetry.HistogramVec // stream
-	emStaleness  *telemetry.GaugeVec     // stream
-	emRefreshAge *telemetry.GaugeVec     // stream
-	rotations    *telemetry.CounterVec   // stream
-	refreshes    *telemetry.CounterVec   // stream, reason (growth|rotation|forced)
-	queueDepth   *telemetry.GaugeVec     // scrape-derived refresh queue depth
+	// Ingestion and estimation engine: the per-stream families the engine
+	// writes, plus the scrape-derived gauges.
+	engine       engine.Metrics
+	emStaleness  *telemetry.GaugeVec // stream
+	emRefreshAge *telemetry.GaugeVec // stream
+	queueDepth   *telemetry.GaugeVec // refresh queue depth
 	streams      *telemetry.GaugeVec
 
 	// Snapshots.
@@ -66,13 +64,6 @@ type serverMetrics struct {
 	pushLag      *telemetry.GaugeVec // edge
 	pushShipped  *telemetry.GaugeVec // edge
 	pushDiverged *telemetry.GaugeVec // edge
-
-	// Estimate quality (written at refresh/seal time, not per scrape).
-	estLoglik   *telemetry.GaugeVec   // stream (EM-based streams only)
-	estCI       *telemetry.GaugeVec   // stream
-	emConverged *telemetry.GaugeVec   // stream
-	driftScore  *telemetry.GaugeVec   // stream, metric (w1|ks)
-	driftAlerts *telemetry.CounterVec // stream
 
 	// Probes as gauges, so dashboards see what the probes see.
 	up      *telemetry.GaugeVec
@@ -109,24 +100,36 @@ func newServerMetrics(s *Server) *serverMetrics {
 		codecSel: r.Counter("ldp_codec_requests_total",
 			"Ingest requests by negotiated wire codec (json or binary).",
 			"endpoint", "codec"),
-		reports: r.Counter("ldp_reports_total",
-			"Randomized reports ingested, by stream and mechanism.",
-			"stream", "mechanism"),
-		emRefresh: r.Histogram("ldp_em_refresh_seconds",
-			"Background EM/EMS reconstruction latency per refresh.",
-			telemetry.DefBuckets, "stream"),
-		emIters: r.Histogram("ldp_em_iterations",
-			"EM/EMS iterations per published refresh; warm (SQUAREM) refreshes count EMS map evaluations and converge in few.",
-			[]float64{1, 2, 5, 10, 20, 50, 100, 200}, "stream"),
+		engine: engine.Metrics{
+			Reports: r.Counter("ldp_reports_total",
+				"Randomized reports ingested, by stream and mechanism.",
+				"stream", "mechanism"),
+			Refresh: r.Histogram("ldp_em_refresh_seconds",
+				"Background EM/EMS reconstruction latency per refresh.",
+				telemetry.DefBuckets, "stream"),
+			Iterations: r.Histogram("ldp_em_iterations",
+				"EM/EMS iterations per published refresh; warm (SQUAREM) refreshes count EMS map evaluations and converge in few.",
+				[]float64{1, 2, 5, 10, 20, 50, 100, 200}, "stream"),
+			Rotations: r.Counter("ldp_epoch_rotations_total",
+				"Epoch rotations performed on windowed streams.", "stream"),
+			Refreshes: r.Counter("ldp_em_refreshes_total",
+				"Published estimate refreshes, by stream and trigger (growth|rotation|forced).",
+				"stream", "reason"),
+			LogLik: r.Gauge("ldp_estimate_loglik",
+				"Count-weighted log-likelihood of the published EM reconstruction.", "stream"),
+			CIHalfWidth: r.Gauge("ldp_estimate_ci_halfwidth",
+				"Analytic 95% CI half-width per probability cell at the current user count.", "stream"),
+			Converged: r.Gauge("ldp_em_converged",
+				"1 when the published reconstruction met the EM convergence tolerance.", "stream"),
+			DriftScore: r.Gauge("ldp_drift_score",
+				"Epoch-over-epoch distribution drift, by metric (w1|ks).", "stream", "metric"),
+			DriftAlerts: r.Counter("ldp_drift_alerts_total",
+				"Drift alerts raised by the hysteresis state machine.", "stream"),
+		},
 		emStaleness: r.Gauge("ldp_em_staleness_reports",
 			"Histogram increments ingested after the published estimate.", "stream"),
 		emRefreshAge: r.Gauge("ldp_em_refresh_age_seconds",
 			"Seconds since the stream's estimate was last refreshed.", "stream"),
-		rotations: r.Counter("ldp_epoch_rotations_total",
-			"Epoch rotations performed on windowed streams.", "stream"),
-		refreshes: r.Counter("ldp_em_refreshes_total",
-			"Published estimate refreshes, by stream and trigger (growth|rotation|forced).",
-			"stream", "reason"),
 		queueDepth: r.Gauge("ldp_em_refresh_queue_depth",
 			"Streams waiting in the refresh queue for a worker."),
 		streams: r.Gauge("ldp_streams", "Streams currently declared."),
@@ -156,16 +159,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Edge pusher: total increments shipped and acknowledged.", "edge"),
 		pushDiverged: r.Gauge("ldp_push_diverged",
 			"Edge pusher: 1 when the root provably holds a different history.", "edge"),
-		estLoglik: r.Gauge("ldp_estimate_loglik",
-			"Count-weighted log-likelihood of the published EM reconstruction.", "stream"),
-		estCI: r.Gauge("ldp_estimate_ci_halfwidth",
-			"Analytic 95% CI half-width per probability cell at the current user count.", "stream"),
-		emConverged: r.Gauge("ldp_em_converged",
-			"1 when the published reconstruction met the EM convergence tolerance.", "stream"),
-		driftScore: r.Gauge("ldp_drift_score",
-			"Epoch-over-epoch distribution drift, by metric (w1|ks).", "stream", "metric"),
-		driftAlerts: r.Counter("ldp_drift_alerts_total",
-			"Drift alerts raised by the hysteresis state machine.", "stream"),
 		up:      r.Gauge("ldp_up", "Process uptime indicator, always 1 while serving."),
 		ready:   r.Gauge("ldp_ready", "Readiness probe state (1 = ready)."),
 		healthy: r.Gauge("ldp_healthy", "Liveness probe state (1 = engine ticking)."),
@@ -184,26 +177,21 @@ func newServerMetrics(s *Server) *serverMetrics {
 // scrapeRefresh recomputes every derived gauge at exposition time.
 func (s *Server) scrapeRefresh(m *serverMetrics) {
 	now := time.Now()
-	list := s.streamList()
+	list := s.reg.List()
 	m.streams.With().Set(float64(len(list)))
-	m.queueDepth.With().Set(float64(s.rq.depth()))
+	m.queueDepth.With().Set(float64(s.reg.QueueDepth()))
 	for _, st := range list {
-		n := st.ring.N()
-		pub := int(st.published.Load())
-		pending := n - pub
-		if pending < 0 {
-			pending = 0
-		}
-		st.mStaleness.Set(float64(pending))
-		if lr := st.lastRefresh.Load(); lr > 0 {
-			st.mRefreshAge.Set(now.Sub(time.Unix(0, lr)).Seconds())
+		m.emStaleness.With(st.Name()).Set(float64(st.Pending()))
+		age := m.emRefreshAge.With(st.Name())
+		if lr := st.LastRefresh(); !lr.IsZero() {
+			age.Set(now.Sub(lr).Seconds())
 		}
 	}
 	s.fedMu.Lock()
-	// Push lag compares against watermarks stamped with the server clock
-	// (applyPushLocked uses s.now()), so it must read the same clock — a
+	// Push lag compares against watermarks stamped with the engine clock
+	// (applyPush reads it too), so it must read the same clock — a
 	// mock-clock test would otherwise see wall time leak into the gauge.
-	fedNow := s.now()
+	fedNow := s.reg.Now()
 	for edge, p := range s.peers {
 		if !p.lastPush.IsZero() {
 			m.fedLag.With(edge).Set(fedNow.Sub(p.lastPush).Seconds())
@@ -289,7 +277,7 @@ func (s *Server) healthErr() error {
 	if threshold < 10*time.Second {
 		threshold = 10 * time.Second
 	}
-	age := time.Since(time.Unix(0, s.lastTick.Load()))
+	age := time.Since(s.reg.LastTick())
 	if age > threshold {
 		return fmt.Errorf("estimation engine stalled: no loop pass for %v (threshold %v)", age.Round(time.Millisecond), threshold)
 	}

@@ -8,7 +8,7 @@ package ldphttp
 // recorded by the handlers. The per-report hot path is sampled (one atomic
 // add per untraced request, TraceConfig.SampleEvery); everything else is
 // always-on. Sampled ingest trace IDs additionally land in a small
-// per-stream ring so the federation pusher can forward them
+// ring so the federation pusher can forward them
 // (X-LDP-Trace-Link) and the root can mint link markers — that is how a
 // trace stamped by repro.Reporter stays findable at the root even though
 // the reports themselves dissolve into aggregated histogram deltas.
@@ -104,13 +104,13 @@ func (sw *statusWriter) requestID() string {
 	return sw.reqID
 }
 
-// maxTraceLinks bounds both the per-stream ring of recent sampled ingest
-// trace IDs and the number of IDs one federation push forwards.
+// maxTraceLinks bounds both the ring of recent sampled ingest trace IDs and
+// the number of IDs one federation push forwards.
 const maxTraceLinks = 8
 
-// traceLinkRing is a small bounded ring of recent sampled ingest trace IDs,
-// one per stream. The federation pusher drains it on each push and forwards
-// the IDs in the X-LDP-Trace-Link header; delivery is best-effort
+// traceLinkRing is a small bounded ring of the server's most recent sampled
+// ingest trace IDs. The federation pusher drains it on each push and
+// forwards the IDs in the X-LDP-Trace-Link header; delivery is best-effort
 // diagnostics (a failed push drops the drained IDs), never load-bearing.
 type traceLinkRing struct {
 	mu  sync.Mutex
@@ -138,20 +138,6 @@ func (l *traceLinkRing) drain() []string {
 	}
 	out := l.ids
 	l.ids = nil
-	return out
-}
-
-// drainTraceLinks collects recent sampled ingest trace IDs across every
-// stream for the federation pusher, capped at maxTraceLinks.
-func (s *Server) drainTraceLinks() []string {
-	var out []string
-	for _, st := range s.streamList() {
-		for _, id := range st.links.drain() {
-			if len(out) < maxTraceLinks {
-				out = append(out, id)
-			}
-		}
-	}
 	return out
 }
 

@@ -203,16 +203,6 @@ func Resolve(name string, eps float64, d int) (string, error) {
 	}
 }
 
-// Valid reports whether name is usable in a stream declaration ("" and
-// "auto" included).
-func Valid(name string) bool {
-	switch name {
-	case "", AutoName, SW, SWDiscrete, GRR, OUE, SUE, OLH, HRR:
-		return true
-	}
-	return false
-}
-
 // EffectiveBandwidth resolves a declared wave half-width the way the sw
 // family's constructors do: 0 means the mutual-information optimum BOpt(ε),
 // and mechanisms outside the sw family have no bandwidth. Stream
@@ -236,7 +226,7 @@ func (p Params) check() error {
 	if p.Buckets < 2 {
 		return fmt.Errorf("mechanism: need at least 2 buckets, got %d", p.Buckets)
 	}
-	if p.Bandwidth < 0 || p.Bandwidth > 2 {
+	if !(p.Bandwidth >= 0 && p.Bandwidth <= 2) { // NaN fails both
 		return fmt.Errorf("mechanism: bandwidth %v out of range [0, 2]", p.Bandwidth)
 	}
 	return nil

@@ -21,15 +21,6 @@ func TestResolveAndValid(t *testing.T) {
 		if err != nil || got != name {
 			t.Errorf("Resolve(%q) = %q, %v", name, got, err)
 		}
-		if !Valid(name) {
-			t.Errorf("Valid(%q) = false", name)
-		}
-	}
-	if !Valid("") || !Valid(AutoName) {
-		t.Error("empty and auto must be valid declarations")
-	}
-	if Valid("rappor") {
-		t.Error("Valid(rappor) = true")
 	}
 	if _, err := Resolve("rappor", 1, 64); err == nil {
 		t.Error("Resolve(rappor) accepted")
@@ -60,6 +51,8 @@ func TestNewRejectsBadParams(t *testing.T) {
 		{Name: SW, Epsilon: 1, Buckets: 1},
 		{Name: SW, Epsilon: 1, Buckets: 64, Bandwidth: -0.1},
 		{Name: SW, Epsilon: 1, Buckets: 64, Bandwidth: 3},
+		{Name: SW, Epsilon: 1, Buckets: 64, Bandwidth: math.NaN()},
+		{Name: SWDiscrete, Epsilon: math.Inf(1), Buckets: 64},
 		{Name: "nope", Epsilon: 1, Buckets: 64},
 		{Name: GRR, Epsilon: 1, Buckets: 64, OutputBuckets: 128},
 	}

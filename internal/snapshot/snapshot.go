@@ -1,7 +1,8 @@
-// Package snapshot persists the collector's stream state — report
-// histograms, mechanism parameters, and cached reconstructions — to disk and
-// restores it, so a restarted server resumes warm instead of losing every
-// report.
+// Package snapshot is the file format of the collector's persisted stream
+// state — report histograms, mechanism parameters, and cached
+// reconstructions — so a restarted server resumes warm instead of losing
+// every report. What a stream's record holds and how it restores is the
+// stream engine's (package engine); this package writes and reads files.
 //
 // The on-disk format is deliberately boring: a one-line header carrying a
 // magic string and a CRC32 of the payload, followed by a versioned JSON
@@ -25,7 +26,6 @@ import (
 	"time"
 
 	"repro/internal/federate"
-	"repro/internal/window"
 )
 
 // magic is the first token of every snapshot file. The trailing 1 is the
@@ -138,39 +138,6 @@ type Window struct {
 	Sealed []SealedEpoch `json:"sealed,omitempty"`
 	// Estimates carries the cached window reconstructions.
 	Estimates []WindowEstimate `json:"estimates,omitempty"`
-}
-
-// newWindow converts a ring state (the live epoch's histogram travels in
-// the enclosing Stream.Counts) into the persisted window block. Cached
-// window estimates, which live outside the ring, are appended by the
-// caller.
-func newWindow(st window.State) *Window {
-	w := &Window{
-		EpochNanos:     int64(st.Epoch),
-		Retain:         st.Retain,
-		Current:        st.Current,
-		StartUnixNanos: st.Start.UnixNano(),
-	}
-	for _, ep := range st.Sealed {
-		w.Sealed = append(w.Sealed, SealedEpoch{Index: ep.Index, Counts: ep.Counts, N: uint64(ep.N)})
-	}
-	return w
-}
-
-// state converts the persisted block back into a ring state. live is the
-// enclosing Stream.Counts — the live epoch's histogram.
-func (w *Window) state(live []uint64) window.State {
-	st := window.State{
-		Epoch:   time.Duration(w.EpochNanos),
-		Retain:  w.Retain,
-		Current: w.Current,
-		Start:   time.Unix(0, w.StartUnixNanos),
-		Live:    live,
-	}
-	for _, ep := range w.Sealed {
-		st.Sealed = append(st.Sealed, window.Epoch{Index: ep.Index, Counts: ep.Counts, N: int(ep.N)})
-	}
-	return st
 }
 
 // Stream is the persisted state of one named attribute stream.

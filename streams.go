@@ -2,18 +2,18 @@ package repro
 
 // Multi-stream and analytics surface of the public API: the same
 // stream/query/snapshot capabilities the HTTP collector serves, for users
-// embedding the library directly. A Streams registry hosts any number of
-// named attributes, each backed by its own concurrency-safe Aggregator;
-// Query evaluates range/CDF/quantile/mean/variance/top-k analytics against
-// a reconstruction; Save/Load persist every stream's report histogram
-// through the same checksummed atomic-rename snapshot format as the server.
+// embedding the library directly. A Streams registry is the collector's own
+// stream registry (package engine) without the background refresh: the
+// same declaration and redeclare rules, the same Aggregator-per-stream
+// ingest, and the same snapshot capture and two-phase restore, so either
+// loads the other's files. Query evaluates range/CDF/quantile/mean/
+// variance/top-k analytics against a reconstruction.
 
 import (
 	"fmt"
-	"sort"
-	"sync"
-	"time"
+	"slices"
 
+	"repro/internal/engine"
 	"repro/internal/query"
 	"repro/internal/snapshot"
 )
@@ -122,57 +122,33 @@ func (r *Result) TopK(k int) ([]QueryBin, error) {
 // multi-stream surface. All methods are safe for concurrent use; ingestion
 // into different streams never contends.
 type Streams struct {
-	mu sync.RWMutex
-	m  map[string]*streamEntry
-}
-
-type streamEntry struct {
-	agg  *Aggregator
-	opts Options
+	reg *engine.Registry
 }
 
 // NewStreams returns an empty registry.
 func NewStreams() *Streams {
-	return &Streams{m: make(map[string]*streamEntry)}
+	return &Streams{reg: engine.NewRegistry(engine.Options{})}
 }
 
 // Declare registers a named stream with its own Options and returns its
-// Aggregator. Redeclaring a stream with identical options returns the
-// existing Aggregator; different options are an error. Names are 1–64
-// bytes with no control characters.
+// Aggregator. Names are 1–64 bytes with no control characters.
+// Redeclaring a stream returns the existing Aggregator when the options
+// agree with its declaration by the HTTP collector's rule: the same
+// mechanism, ε and buckets, the same bandwidth once 0 resolves to the
+// optimum, and the same windowing (zero Epoch and Retain inherit the
+// stream's); Shards and Seed are not compared. Anything else is an error.
 func (s *Streams) Declare(name string, opts Options) (*Aggregator, error) {
-	if !snapshot.ValidStreamName(name) {
-		return nil, fmt.Errorf("repro: invalid stream name %q (want 1-64 bytes with no control characters)", name)
-	}
-	opts, err := opts.validate()
+	st, _, err := s.reg.Declare(name, opts.declaration())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("repro: %w", err)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.m[name]; ok {
-		if e.opts != opts {
-			return nil, fmt.Errorf("repro: stream %q already declared with different options", name)
-		}
-		return e.agg, nil
-	}
-	agg, err := NewAggregator(opts)
-	if err != nil {
-		return nil, err
-	}
-	s.m[name] = &streamEntry{agg: agg, opts: opts}
-	return agg, nil
+	return (*Aggregator)(st), nil
 }
 
 // Get returns a declared stream's Aggregator.
 func (s *Streams) Get(name string) (*Aggregator, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.m[name]
-	if !ok {
-		return nil, false
-	}
-	return e.agg, true
+	st := s.reg.Lookup(name)
+	return (*Aggregator)(st), st != nil
 }
 
 // Drop retires a declared stream: it disappears from the registry and from
@@ -180,24 +156,20 @@ func (s *Streams) Get(name string) (*Aggregator, bool) {
 // stream is an error. Callers still holding the stream's Aggregator can
 // keep using it; the registry just no longer knows it.
 func (s *Streams) Drop(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.m[name]; !ok {
-		return fmt.Errorf("repro: unknown stream %q", name)
+	if err := s.reg.Drop(name); err != nil {
+		return fmt.Errorf("repro: %w", err)
 	}
-	delete(s.m, name)
 	return nil
 }
 
 // Names lists the declared streams, sorted.
 func (s *Streams) Names() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	names := make([]string, 0, len(s.m))
-	for name := range s.m {
-		names = append(names, name)
+	list := s.reg.List()
+	names := make([]string, len(list))
+	for i, st := range list {
+		names[i] = st.Name()
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	return names
 }
 
@@ -231,108 +203,37 @@ func (s *Streams) Query(name string, req QueryRequest) (*QueryResult, error) {
 }
 
 // Save persists every stream's report histogram to path in the snapshot
-// format (checksummed, written via atomic temp-file rename). Safe to call
-// concurrently with ingestion: each stream is captured with a non-blocking
-// consistent snapshot.
+// format (checksummed, written via atomic temp-file rename), in declaration
+// order. Safe to call concurrently with ingestion: each stream is captured
+// with a non-blocking consistent snapshot.
 func (s *Streams) Save(path string) error {
-	s.mu.RLock()
-	names := make([]string, 0, len(s.m))
-	for name := range s.m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	records := make([]snapshot.Stream, 0, len(names))
-	for _, name := range names {
-		e := s.m[name]
-		rec := e.record(name)
-		// The same record shape the HTTP collector writes: the live epoch
-		// in Counts, plus the window block for a windowed stream.
-		rec.Capture(e.agg.ring)
-		records = append(records, rec)
-	}
-	s.mu.RUnlock()
-	return snapshot.Save(path, records)
+	return snapshot.Save(path, s.reg.Capture())
 }
 
 // Load restores streams from a snapshot file, creating missing streams with
 // their persisted options (including epoch-rotation state) and merging
-// histograms into streams that already exist. An existing stream must match
-// the record's mechanism, ε and buckets, and its bandwidth once a declared 0
-// resolves to the optimum — the HTTP collector's restore rule. A
-// windowed record restoring into a declared windowed stream requires
-// matching epoch/retain and a stream that has not rotated yet (and no
-// concurrent Advance/Rotate on that aggregator during the Load — the
-// registry cannot serialize rotations of aggregators the caller holds); a
-// record without window state restoring into a windowed stream merges into
-// the live epoch. Corrupt, truncated, or incompatible files return an error and
-// change nothing: validation of every record and construction of every
-// missing aggregator happen before the first merge, all under the registry
-// lock, so no error path or concurrent Declare can leave a partial restore
-// behind. Snapshots written by the HTTP collector load here and vice versa.
+// histograms into streams that already exist — the HTTP collector's
+// restore, run by the same engine. An existing stream must accept the
+// record's declaration by Declare's rule; a windowed record restoring into
+// a declared windowed stream also requires a stream that has not rotated
+// yet, and a record without window state restoring into a windowed stream
+// merges into the live epoch. Corrupt, truncated, or incompatible files
+// return an error and change nothing: every record is validated, and every
+// missing stream built, before the first merge, all under the registry
+// lock — which Advance and Rotate take too — so no error path, concurrent
+// Declare or rotation can leave a partial restore behind. Snapshots
+// written by the HTTP collector load here and vice versa.
 func (s *Streams) Load(path string) error {
 	records, err := snapshot.Load(path)
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Phase 1 — validate every record and build (but do not register) the
-	// aggregators for missing streams.
-	entries := make([]*streamEntry, len(records))
-	fresh := make([]bool, len(records))
-	for i, rec := range records {
-		e, ok := s.m[rec.Name]
-		if !ok {
-			opts := Options{
-				Epsilon:   rec.Epsilon,
-				Buckets:   rec.Buckets,
-				Mechanism: rec.MechanismName(),
-				Bandwidth: rec.Bandwidth,
-				Shards:    rec.Shards,
-			}
-			if rec.Window != nil {
-				opts.Epoch = time.Duration(rec.Window.EpochNanos)
-				opts.Retain = rec.Window.Retain
-			}
-			opts, err := opts.validate()
-			if err != nil {
-				return fmt.Errorf("repro: restore stream %q: %w", rec.Name, err)
-			}
-			agg, err := NewAggregator(opts)
-			if err != nil {
-				return fmt.Errorf("repro: restore stream %q: %w", rec.Name, err)
-			}
-			e = &streamEntry{agg: agg, opts: opts}
-			fresh[i] = true
-		}
-		if err := rec.CheckRestore(e.record(rec.Name), e.agg.ring); err != nil {
-			return fmt.Errorf("repro: restore: %w", err)
-		}
-		entries[i] = e
+	restore, err := s.reg.Prepare(records)
+	if err != nil {
+		return fmt.Errorf("repro: %w", err)
 	}
-	// Phase 2 — register and merge; no failure paths remain short of a
-	// windowed adopt racing a concurrent rotation of a pristine ring.
-	for i, rec := range records {
-		e := entries[i]
-		if fresh[i] {
-			s.m[rec.Name] = e
-		}
-		if err := rec.Restore(e.agg.ring); err != nil {
-			return fmt.Errorf("repro: restore stream %q: %w", rec.Name, err)
-		}
+	if err := restore.Commit(); err != nil {
+		return fmt.Errorf("repro: %w", err)
 	}
 	return nil
-}
-
-// record is the stream's declaration as a snapshot record, histogram not
-// yet captured; restores compare records against it.
-func (e *streamEntry) record(name string) snapshot.Stream {
-	return snapshot.Stream{
-		Name:      name,
-		Epsilon:   e.opts.Epsilon,
-		Buckets:   e.opts.Buckets,
-		Mechanism: e.opts.Mechanism,
-		Bandwidth: e.opts.Bandwidth,
-		Shards:    e.opts.Shards,
-	}
 }
