@@ -259,6 +259,13 @@ func (st *Stream) Mechanism() mechanism.Mechanism { return st.agg.Mechanism() }
 // Ring returns the stream's report histogram.
 func (st *Stream) Ring() *window.Ring { return st.ring }
 
+// EpochOrigin returns the instant a windowed stream's epoch 0 began, the
+// anchor its epoch indexes count from (invariant under rotation).
+func (st *Stream) EpochOrigin() time.Time {
+	cur, start := st.ring.Current()
+	return start.Add(-time.Duration(cur) * st.cfg.Epoch)
+}
+
 // Shards returns the effective ingestion stripe count.
 func (st *Stream) Shards() int {
 	if st.cfg.Shards > 0 {

@@ -141,7 +141,8 @@ func names(list []*Stream) []string {
 // resolves to the stream already there by the redeclare rule (never
 // overwritten), and one incompatible or invalid candidate registers none.
 func TestRegisterAllOrNothing(t *testing.T) {
-	r := NewRegistry(Options{})
+	born := time.Unix(1_000_000, 0) // every stream starts epoch 0 here
+	r := NewRegistry(Options{Clock: func() time.Time { return born }})
 	existing, _, err := r.Declare("x", Config{Epsilon: 1, Buckets: 16})
 	if err != nil {
 		t.Fatal(err)
@@ -176,6 +177,33 @@ func TestRegisterAllOrNothing(t *testing.T) {
 	}
 	if _, err := r.NewStream("w", Config{Epsilon: math.Inf(1)}); err == nil {
 		t.Error("non-finite candidate built")
+	}
+
+	// A candidate's windowing is built, not inherited: a plain candidate
+	// does not resolve to a windowed stream, nor one anchored on another
+	// epoch origin.
+	windowed := Config{Epsilon: 1, Buckets: 16, Epoch: time.Minute, Retain: 3}
+	w, _, err := r.Declare("w", windowed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shifted, _ := r.NewStream("w", windowed)
+	state := shifted.Ring().State()
+	state.Start = state.Start.Add(30 * time.Second)
+	if err := shifted.Ring().Adopt(state); err != nil {
+		t.Fatal(err)
+	}
+	same, _ := r.NewStream("w", windowed)
+	for _, c := range []*Stream{cand("w", 1), shifted} {
+		if _, err := r.Register([]*Stream{cand("v", 1), c}); !errors.Is(err, ErrConfigMismatch) {
+			t.Errorf("candidate %+v resolved to the windowed stream: %v", c.Config(), err)
+		}
+	}
+	if got, err := r.Register([]*Stream{same}); err != nil || got[0] != w || !w.EpochOrigin().Equal(same.EpochOrigin()) {
+		t.Errorf("an identical candidate did not resolve to the stream: %v", err)
+	}
+	if r.Lookup("v") != nil {
+		t.Error("a failed registration registered its other candidate")
 	}
 }
 

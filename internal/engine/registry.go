@@ -119,9 +119,11 @@ func (r *Registry) NewStream(name string, cfg Config) (*Stream, error) {
 }
 
 // Register adds NewStream candidates all at once or none, returning the
-// stream each name resolves to: a name declared meanwhile, or by an earlier
-// candidate, resolves to that stream by the redeclare rule (never
-// overwritten) or fails the call.
+// stream each name resolves to. A name declared meanwhile, or by an earlier
+// candidate, resolves to that stream — never overwritten — when the
+// redeclare rule accepts the candidate and both count the same epochs (a
+// candidate's windowing is built, not inherited: epoch, retention and
+// origin must match); anything else fails the call.
 func (r *Registry) Register(cands []*Stream) ([]*Stream, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -136,6 +138,9 @@ func (r *Registry) Register(cands []*Stream) ([]*Stream, error) {
 			added[c.name], st = c, c
 		} else if err := redeclare(c.name, st.cfg, c.cfg); err != nil {
 			return nil, err
+		} else if st.cfg.Epoch != c.cfg.Epoch || st.cfg.Retain != c.cfg.Retain ||
+			(c.cfg.Windowed() && !st.EpochOrigin().Equal(c.EpochOrigin())) {
+			return nil, fmt.Errorf("%w: %q counts other epochs", ErrConfigMismatch, c.name)
 		}
 		out[i] = st
 	}

@@ -302,19 +302,14 @@ func (s *Server) applyPush(push federate.Push) (federate.PushResponse, int) {
 		targets[i] = st
 	}
 	if len(cands) > 0 {
-		// A concurrent declaration may have taken a name meanwhile: the
-		// registry resolves it to that stream (never overwritten), whose
-		// fingerprint must then match too.
+		// A name declared meanwhile resolves to that stream only when it
+		// counts the same epochs — the same fingerprint — or fails the push.
 		registered, err := s.reg.Register(cands)
 		if err != nil {
 			return reject(http.StatusConflict, federate.ReasonFingerprint, "auto-declare: %v", err)
 		}
 		for j, i := range candAt {
-			sd := push.Streams[i]
-			if targets[i] = registered[j]; !fingerprintOf(targets[i]).Equal(sd.Fingerprint) {
-				return reject(http.StatusConflict, federate.ReasonFingerprint,
-					"stream %q was declared meanwhile with another fingerprint", sd.Stream)
-			}
+			targets[i] = registered[j]
 		}
 	}
 
@@ -414,8 +409,7 @@ func fingerprintOf(st *engine.Stream) federate.Fingerprint {
 		Retain:        cfg.Retain,
 	}
 	if cfg.Windowed() {
-		cur, start := st.Ring().Current()
-		fp.EpochOriginNanos = start.UnixNano() - int64(cur)*fp.EpochNanos
+		fp.EpochOriginNanos = st.EpochOrigin().UnixNano()
 	}
 	return fp
 }
