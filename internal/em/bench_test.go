@@ -10,11 +10,9 @@ import (
 	"repro/internal/sw"
 )
 
-// benchOpts pins the iteration count so serial and parallel runs execute
-// identical work regardless of convergence noise.
-func benchOpts(workers int) Options {
-	return Options{MaxIters: 20, MinIters: 20, Smoothing: true, Workers: workers}
-}
+// benchOpts pins the iteration count so every run executes identical work
+// regardless of convergence noise.
+var benchOpts = Options{MaxIters: 20, MinIters: 20, Smoothing: true}
 
 // benchBuckets are the BENCH_em.json granularities; the dense reference is
 // run only up to denseMaxBuckets (at 16384 it would take 2 GiB).
@@ -24,8 +22,7 @@ const denseMaxBuckets = 4096
 
 // BenchmarkReconstruct measures one EMS reconstruction (20 iterations) at
 // the paper's granularities on the production Square Wave channel (the
-// linear-time plateau) and on the dense reference matrix, serial vs
-// Workers = -1 (which partitions only the dense products). `go run
+// linear-time plateau) and on the dense reference matrix. `go run
 // ./cmd/experiments` is the full-scale harness; this is the perf-trajectory
 // benchmark behind BENCH_em.json.
 func BenchmarkReconstruct(b *testing.B) {
@@ -42,22 +39,15 @@ func BenchmarkReconstruct(b *testing.B) {
 			}{"dense", w.TransitionMatrix(d, d)})
 		}
 		for _, bc := range channels {
-			for _, workers := range []int{1, -1} {
-				mode := "serial"
-				if workers != 1 {
-					mode = "parallel"
-				}
-				b.Run(fmt.Sprintf("%s/B=%d/%s", bc.name, d, mode), func(b *testing.B) {
-					opts := benchOpts(workers)
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						res := Reconstruct(bc.ch, counts, opts)
-						if len(res.Estimate) != d {
-							b.Fatal("bad estimate")
-						}
+			b.Run(fmt.Sprintf("%s/B=%d", bc.name, d), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					res := Reconstruct(bc.ch, counts, benchOpts)
+					if len(res.Estimate) != d {
+						b.Fatal("bad estimate")
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -75,13 +65,12 @@ func BenchmarkReconstructWorkspace(b *testing.B) {
 		}
 		for k, ch := range channels {
 			b.Run(fmt.Sprintf("%s/B=%d/warm", []string{"plateau", "dense"}[k], d), func(b *testing.B) {
-				opts := benchOpts(1)
 				ws := new(Workspace)
-				ws.Reconstruct(ch, counts, opts)
+				ws.Reconstruct(ch, counts, benchOpts)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res := ws.Reconstruct(ch, counts, opts)
+					res := ws.Reconstruct(ch, counts, benchOpts)
 					if len(res.Estimate) != d {
 						b.Fatal("bad estimate")
 					}

@@ -77,38 +77,25 @@ type Options struct {
 	// simplex can zero buckets, which plain EM (no Smoothing) never leaves
 	// again, so the field is meant for EMS.
 	AccelerateWarm bool
-	// Workers partitions the E-step matrix–vector products of a dense
-	// channel (*matrixx.Matrix) across the shared worker pool: 0 or 1 run
-	// serially, n > 1 uses n partitions, negative selects
-	// runtime.NumCPU(). Dense channels under the measured fan-out
-	// threshold run serially regardless (see matrixx.Parallelize), and a
-	// partitioned product accumulates every output element in the serial
-	// order, so parallel reconstructions are bit-identical to serial ones.
-	// Linear-time channels — the Square Wave's matrixx.Plateau, grr's
-	// flat+diagonal channel — always run serially.
+	// Workers is ignored: every reconstruction runs its products serially.
+	//
+	// Deprecated: it sized a dense-channel worker pool that no longer
+	// exists, and remains only so existing callers compile.
 	Workers int
 }
 
-// Workspace holds every buffer a reconstruction needs — the estimate,
-// denominator, ratio, log-likelihood, back-projection and smoothing vectors,
-// plus the cached parallel channel wrapper — so a warm (*Workspace).Reconstruct
-// allocates nothing. The zero value is ready to use; buffers grow to the
-// largest channel seen and are reused across calls. A Workspace is NOT safe
-// for concurrent use: concurrent reconstructions need one workspace each
-// (the package-level Reconstruct, which uses a private workspace per call,
-// stays safe for concurrent use).
+// Workspace holds every buffer a reconstruction needs — the estimate, ratio,
+// log-likelihood, back-projection and smoothing vectors — so a warm
+// (*Workspace).Reconstruct allocates nothing. The zero value is ready to
+// use; buffers grow to the largest channel seen and are reused across calls.
+// A Workspace is NOT safe for concurrent use: concurrent reconstructions
+// need one workspace each (the package-level Reconstruct, which uses a
+// private workspace per call, stays safe for concurrent use).
 type Workspace struct {
-	x, denom, ratio, llv, back, scratch []float64
+	x, ratio, llv, back, scratch []float64
 	// x0 and x1 hold a SQUAREM cycle's first two iterates, then the
 	// extrapolated point and its F image (Options.AccelerateWarm only).
 	x0, x1 []float64
-
-	// Cached matrixx.Parallelize result, keyed on (channel, workers), so
-	// the warm path does not re-wrap — and therefore does not allocate —
-	// on every call.
-	par        matrixx.Channel
-	parInner   matrixx.Channel
-	parWorkers int
 }
 
 // grow reslices buf to n, reallocating only when the capacity is exceeded.
@@ -117,19 +104,6 @@ func grow(buf []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return buf[:n]
-}
-
-// channel resolves the (possibly parallelized) channel for this run through
-// the workspace cache.
-func (w *Workspace) channel(m matrixx.Channel, workers int) matrixx.Channel {
-	if workers == 0 || workers == 1 {
-		return m
-	}
-	if w.parInner != m || w.parWorkers != workers {
-		w.par = matrixx.Parallelize(m, workers)
-		w.parInner, w.parWorkers = m, workers
-	}
-	return w.par
 }
 
 // OracleBuffers returns two reusable length-n buffers for the matrix-free
@@ -213,7 +187,6 @@ func (w *Workspace) Reconstruct(m matrixx.Channel, counts []float64, opts Option
 	if len(counts) != dt {
 		panic(fmt.Sprintf("em: counts length %d does not match matrix rows %d", len(counts), dt))
 	}
-	m = w.channel(m, opts.Workers)
 	for _, c := range counts {
 		if c < 0 || math.IsNaN(c) {
 			panic("em: counts must be non-negative")
@@ -240,9 +213,8 @@ func (w *Workspace) Reconstruct(m matrixx.Channel, counts []float64, opts Option
 		}
 	}
 
-	w.denom = grow(w.denom, dt) // (M·x)_j (unfused channels only)
 	w.ratio = grow(w.ratio, dt) // n_j / (M·x)_j
-	w.llv = grow(w.llv, dt)     // per-row log-likelihood terms (fused path)
+	w.llv = grow(w.llv, dt)     // per-row log-likelihood terms
 	w.back = grow(w.back, d)    // Mᵀ·ratio
 	w.scratch = grow(w.scratch, d)
 
@@ -261,37 +233,13 @@ func (w *Workspace) Reconstruct(m matrixx.Channel, counts []float64, opts Option
 // place out of the workspace buffers, and returns the count-weighted
 // log-likelihood of the input point.
 func (w *Workspace) step(m matrixx.Channel, counts, x []float64, opts *Options) float64 {
-	denom, ratio, llv, back, scratch := w.denom, w.ratio, w.llv, w.back, w.scratch
+	ratio, llv, back, scratch := w.ratio, w.llv, w.back, w.scratch
 
 	// E step: denom_j = Σ_i M[j][i]·x_i, then the expected count
-	// attribution P_i = x_i · Σ_j n_j·M[j][i]/denom_j. The matrixx
-	// channels (and the parallel wrapper) fuse it into the forward
-	// product: one sweep computes denom, ratio and the per-row
-	// log-likelihood terms. Other channels run the unfused two-pass form;
-	// both produce identical bits (see matrixx.RatioChannel).
-	ll := 0.0
-	if fused, ok := m.(matrixx.RatioChannel); ok {
-		fused.MulVecRatio(ratio, llv, x, counts)
-		// Serial fold in increasing row order: bit-identical to the
-		// unfused accumulation (the zero terms change nothing).
-		for _, t := range llv {
-			ll += t
-		}
-	} else {
-		m.MulVec(denom, x)
-		for j := range counts {
-			if counts[j] == 0 {
-				ratio[j] = 0
-				continue
-			}
-			dj := denom[j]
-			if dj < matrixx.DenomFloor {
-				dj = matrixx.DenomFloor
-			}
-			ratio[j] = counts[j] / dj
-			ll += counts[j] * math.Log(dj)
-		}
-	}
+	// attribution P_i = x_i · Σ_j n_j·M[j][i]/denom_j. matrixx.EStep
+	// computes ratio_j = n_j/denom_j and the log-likelihood, in one fused
+	// sweep on the matrixx channels.
+	ll := matrixx.EStep(m, ratio, llv, x, counts)
 	m.MulVecT(back, ratio)
 
 	// M step: x_i ← P_i / Σ P (the Σ_j n_j factor cancels in the
@@ -453,18 +401,5 @@ func LogLikelihood(m matrixx.Channel, counts, x []float64) float64 {
 	if len(counts) != dt || len(x) != m.Cols() {
 		panic("em: LogLikelihood dimension mismatch")
 	}
-	denom := make([]float64, dt)
-	m.MulVec(denom, x)
-	var ll float64
-	for j, c := range counts {
-		if c == 0 {
-			continue
-		}
-		dj := denom[j]
-		if dj < 1e-300 {
-			dj = 1e-300
-		}
-		ll += c * math.Log(dj)
-	}
-	return ll
+	return matrixx.EStep(m, make([]float64, dt), make([]float64, dt), x, counts)
 }

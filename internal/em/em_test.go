@@ -1,7 +1,9 @@
 package em
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/mathx"
@@ -344,4 +346,73 @@ func TestResidualsPanics(t *testing.T) {
 		}
 	}()
 	Residuals(m, []float64{1, 2}, []float64{1, 0, 0, 0})
+}
+
+// swCounts returns the Square Wave at eps with the optimal bandwidth and a
+// plausible aggregated report histogram over d output buckets.
+func swCounts(d int, eps float64, seed uint64) (sw.Wave, []float64) {
+	w := sw.NewWave(eps, sw.BOpt(eps), 1)
+	rng := randx.New(seed)
+	counts := make([]float64, d)
+	for r := 0; r < 20*d; r++ {
+		v := w.Sample(rng.Beta(5, 2), rng)
+		j := int((v - w.OutLo()) / (w.OutHi() - w.OutLo()) * float64(d))
+		if j < 0 {
+			j = 0
+		}
+		if j >= d {
+			j = d - 1
+		}
+		counts[j]++
+	}
+	return w, counts
+}
+
+// TestConcurrentReconstructSharedChannel runs reconstructions on one shared
+// channel from several goroutines, each with its own workspace — the
+// collector's refresh pool and the bootstrap CI do exactly this. Channels
+// are read-only, so every run must match the serial one (and -race must
+// find no write to the channel).
+func TestConcurrentReconstructSharedChannel(t *testing.T) {
+	w, counts := swCounts(256, 1, 14)
+	disc := sw.NewDiscrete(256, 1)
+	dcounts := make([]float64, disc.Dt())
+	for j := range dcounts {
+		dcounts[j] = float64(j % 9)
+	}
+	opts := Options{MaxIters: 30, MinIters: 30, Smoothing: true}
+	for _, tc := range []struct {
+		name   string
+		ch     matrixx.Channel
+		counts []float64
+	}{
+		{"dense", w.TransitionMatrix(256, 256), counts},
+		{"sw", w.Channel(256, 256), counts},
+		{"sw-discrete", disc.Channel(), dcounts},
+	} {
+		want := Reconstruct(tc.ch, tc.counts, opts)
+		var wg sync.WaitGroup
+		errs := make(chan string, 4)
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var ws Workspace
+				for rep := 0; rep < 3; rep++ {
+					got := ws.Reconstruct(tc.ch, tc.counts, opts)
+					for i := range want.Estimate {
+						if math.Float64bits(got.Estimate[i]) != math.Float64bits(want.Estimate[i]) {
+							errs <- fmt.Sprintf("%s: estimate[%d] = %v vs %v", tc.name, i, got.Estimate[i], want.Estimate[i])
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Error(e)
+		}
+	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // The fidelity matrix: the optimized reconstruction — blocked kernels, fused
-// E-step, reusable workspaces, parallel partitioning — must reproduce the
+// E-step, reusable workspaces — must reproduce the
 // pre-optimization serial EM loop over every channel shape the mechanisms
 // produce and every benched granularity. On the dense channel and the
 // flat+diagonal grr channel it must do so bit for bit. The linear-time
@@ -236,10 +236,6 @@ func TestReconstructFidelityMatrix(t *testing.T) {
 			wopts.Init = want.Estimate
 			wantWarm := referenceReconstruct(ref, counts, wopts)
 			resultsClose(t, label+" workspace warm-start", w.Reconstruct(ch, counts, wopts), wantWarm, tol)
-
-			popts := opts
-			popts.Workers = -1
-			resultsClose(t, label+" parallel", Reconstruct(ch, counts, popts), want, tol)
 		}
 	}
 }

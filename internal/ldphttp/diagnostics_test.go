@@ -203,8 +203,9 @@ func TestMetricsGzipNegotiation(t *testing.T) {
 		t.Errorf("ldp_up through gzip = %v, want 1", v)
 	}
 
-	// No opt-in, or an explicit opt-out, keeps the identity encoding.
-	for _, enc := range []string{"", "identity", "gzip;q=0", "br"} {
+	// No opt-in, or an explicit opt-out (any zero weight), keeps the
+	// identity encoding.
+	for _, enc := range []string{"", "identity", "gzip;q=0", "br", "gzip;q=0.0", "gzip;q=0.000", "gzip;q=0, *"} {
 		resp := get(enc)
 		if ce := resp.Header.Get("Content-Encoding"); ce != "" {
 			t.Errorf("Accept-Encoding %q got Content-Encoding %q, want identity", enc, ce)
@@ -215,8 +216,9 @@ func TestMetricsGzipNegotiation(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	// q-valued and listed forms still negotiate gzip.
-	for _, enc := range []string{"gzip;q=0.5", "br, gzip", "GZIP"} {
+	// q-valued and listed forms still negotiate gzip, and an explicit gzip
+	// entry outranks "*".
+	for _, enc := range []string{"gzip;q=0.5", "br, gzip", "GZIP", "*;q=0, gzip"} {
 		resp := get(enc)
 		if ce := resp.Header.Get("Content-Encoding"); ce != "gzip" {
 			t.Errorf("Accept-Encoding %q got Content-Encoding %q, want gzip", enc, ce)

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -288,23 +289,38 @@ func (s *Server) healthErr() error {
 // internal state, far too much to allocate per scrape.
 var gzipPool = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
 
-// acceptsGzip reports whether the Accept-Encoding header opts into gzip.
-// It tolerates the usual comma list with optional q-values and rejects an
-// explicit q=0 ("gzip;q=0" means "never send me gzip").
+// acceptsGzip reports whether the Accept-Encoding header makes gzip
+// acceptable (RFC 9110 §12.5.3): an explicit gzip entry decides, otherwise a
+// "*" entry does, and a weight of 0 ("gzip;q=0", "gzip;q=0.000") means "not
+// acceptable". A header that names neither keeps the identity encoding.
 func acceptsGzip(header string) bool {
+	star := 0.0 // the weight of a "*" entry; 0 when there is none
 	for _, part := range strings.Split(header, ",") {
-		enc, params, _ := strings.Cut(strings.TrimSpace(part), ";")
-		enc = strings.ToLower(strings.TrimSpace(enc))
-		if enc != "gzip" && enc != "*" {
-			continue
+		coding, params, _ := strings.Cut(part, ";")
+		switch strings.ToLower(strings.TrimSpace(coding)) {
+		case "gzip":
+			return codingWeight(params) > 0
+		case "*":
+			star = codingWeight(params)
 		}
-		params = strings.ReplaceAll(strings.ToLower(params), " ", "")
-		if strings.HasPrefix(params, "q=0") && !strings.HasPrefix(params, "q=0.") {
-			return false
-		}
-		return true
 	}
-	return false
+	return star > 0
+}
+
+// codingWeight returns the q weight in an Accept-Encoding entry's
+// parameters: 1 when there is none, 0 when it does not parse.
+func codingWeight(params string) float64 {
+	for _, p := range strings.Split(params, ";") {
+		key, val, _ := strings.Cut(p, "=")
+		if strings.EqualFold(strings.TrimSpace(key), "q") {
+			q, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
+			if err != nil {
+				return 0
+			}
+			return q
+		}
+	}
+	return 1
 }
 
 // handleMetrics serves the Prometheus text exposition, gzip-compressed when

@@ -278,15 +278,17 @@ func TestDebugTracesFilters(t *testing.T) {
 	}
 
 	// Error surface: bad filters 400, wrong method 405.
-	resp, err := http.Get(dts.URL + "/v1/debug/traces?min_duration=fast")
-	if err != nil {
-		t.Fatal(err)
+	for _, filter := range []string{"min_duration=fast", "limit=5abc", "limit=1.5", "limit=-1"} {
+		resp, err := http.Get(dts.URL + "/v1/debug/traces?" + filter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("bad filter %s: status %d", filter, resp.StatusCode)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad min_duration: status %d", resp.StatusCode)
-	}
-	resp, err = http.Post(dts.URL+"/v1/debug/traces", "application/json", nil)
+	resp, err := http.Post(dts.URL+"/v1/debug/traces", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

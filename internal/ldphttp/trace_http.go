@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -248,10 +249,12 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 	}
 	limit := 0
 	if raw := q.Get("limit"); raw != "" {
-		if _, err := fmt.Sscanf(raw, "%d", &limit); err != nil || limit < 0 {
+		n, err := strconv.Atoi(raw)
+		if err != nil || n < 0 {
 			errorJSON(w, http.StatusBadRequest, CodeBadRequest, "bad limit %q (want a non-negative integer)", raw)
 			return
 		}
+		limit = n
 	}
 	streamF := q.Get("stream")
 	traceF := strings.ToLower(q.Get("trace"))

@@ -4,9 +4,8 @@
 //
 //   - Matrix, a dense row-major matrix: the reference every structured
 //     channel is tested against, and the production channel of the General
-//     Wave shapes (ρ < 1). Its products are blocked, can be partitioned
-//     across a worker pool (Parallelize), and are bit-identical to the
-//     textbook one-accumulator loops under any partition.
+//     Wave shapes (ρ < 1). Its products are blocked four rows at a time
+//     and are bit-identical to the textbook one-accumulator loops.
 //   - Plateau, the Square Wave's structure — a floor, one plateau run and a
 //     few edge cells per column — whose products are linear-time sliding
 //     window sweeps with compensated sums. They add in a different order
@@ -77,36 +76,24 @@ func (m *Matrix) Clone() *Matrix {
 
 // MulVec computes dst = M·x. dst must have length Rows and x length Cols;
 // dst must not alias x. It returns dst for chaining.
-func (m *Matrix) MulVec(dst, x []float64) []float64 {
-	if len(x) != m.cols || len(dst) != m.rows {
-		panic("matrixx: MulVec dimension mismatch")
-	}
-	m.MulVecRows(dst, x, 0, m.rows)
-	return dst
-}
-
-// MulVecRows computes the dst[lo:hi] rows of M·x, leaving the rest of dst
-// untouched. Disjoint row ranges are independent, so a row partition across
-// goroutines reproduces MulVec bit for bit (each dst entry is accumulated in
-// the same order as the serial product).
 //
 // Rows are processed four at a time: each row keeps its own accumulator and
 // adds its terms in exactly the serial left-to-right order, so the result is
 // bit-identical to the one-row loop — but the four independent accumulator
 // chains hide the floating-point add latency that a single dependent chain
 // is bound by, which is where the dense product's time actually goes.
-func (m *Matrix) MulVecRows(dst, x []float64, lo, hi int) {
-	if len(x) != m.cols || len(dst) != m.rows || lo < 0 || hi > m.rows || lo > hi {
-		panic("matrixx: MulVecRows dimension mismatch")
+func (m *Matrix) MulVec(dst, x []float64) []float64 {
+	if len(x) != m.cols || len(dst) != m.rows {
+		panic("matrixx: MulVec dimension mismatch")
 	}
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		d0, d1, d2, d3 := m.dot4(x, i)
-		dst[i], dst[i+1], dst[i+2], dst[i+3] = d0, d1, d2, d3
+	i := 0
+	for ; i+4 <= m.rows; i += 4 {
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = m.dot4(x, i)
 	}
-	for ; i < hi; i++ {
+	for ; i < m.rows; i++ {
 		dst[i] = dotRow(m.Row(i), x)
 	}
+	return dst
 }
 
 // dot4 computes the dot products of rows i..i+3 against x, each accumulated
@@ -139,71 +126,53 @@ func dotRow(row, x []float64) float64 {
 }
 
 // MulVecT computes dst = Mᵀ·x (x over rows, dst over columns) without
-// materializing the transpose. dst must not alias x.
-func (m *Matrix) MulVecT(dst, x []float64) []float64 {
-	if len(x) != m.rows || len(dst) != m.cols {
-		panic("matrixx: MulVecT dimension mismatch")
-	}
-	m.MulVecTCols(dst, x, 0, m.cols)
-	return dst
-}
-
-// MulVecTCols computes the dst[lo:hi] columns of Mᵀ·x, leaving the rest of
-// dst untouched. Each output column still accumulates over rows in
-// increasing order, so a column partition across goroutines reproduces
-// MulVecT bit for bit.
+// materializing the transpose. dst must not alias x. Each output column
+// accumulates over rows in increasing order.
 //
 // Rows are consumed four at a time when all four weights are non-zero: each
 // output entry receives its four contributions as separate adds in the same
 // increasing-row order the one-row loop uses (bit-identical), but one pass
-// over the output segment replaces four. Blocks containing a zero weight
-// fall back to the one-row loop so the serial skip-zero semantics are
-// preserved exactly.
-func (m *Matrix) MulVecTCols(dst, x []float64, lo, hi int) {
-	if len(x) != m.rows || len(dst) != m.cols || lo < 0 || hi > m.cols || lo > hi {
-		panic("matrixx: MulVecTCols dimension mismatch")
+// over the output replaces four. Blocks containing a zero weight fall back
+// to the one-row loop so the serial skip-zero semantics are preserved
+// exactly.
+func (m *Matrix) MulVecT(dst, x []float64) []float64 {
+	if len(x) != m.rows || len(dst) != m.cols {
+		panic("matrixx: MulVecT dimension mismatch")
 	}
-	seg := dst[lo:hi]
-	for j := range seg {
-		seg[j] = 0
-	}
+	clear(dst)
 	i := 0
 	for ; i+4 <= m.rows; i += 4 {
 		x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
 		if x0 == 0 || x1 == 0 || x2 == 0 || x3 == 0 {
-			m.scatterRows(seg, x, i, i+4, lo, hi)
+			m.scatterRows(dst, x, i, i+4)
 			continue
 		}
-		c := m.cols
-		r0 := m.data[(i+0)*c+lo : (i+0)*c+hi : (i+0)*c+hi]
-		r1 := m.data[(i+1)*c+lo : (i+1)*c+hi : (i+1)*c+hi]
-		r2 := m.data[(i+2)*c+lo : (i+2)*c+hi : (i+2)*c+hi]
-		r3 := m.data[(i+3)*c+lo : (i+3)*c+hi : (i+3)*c+hi]
-		r0, r1, r2, r3 = r0[:len(seg)], r1[:len(seg)], r2[:len(seg)], r3[:len(seg)]
-		for j := range seg {
-			s := seg[j]
+		r0, r1, r2, r3 := m.Row(i), m.Row(i+1), m.Row(i+2), m.Row(i+3)
+		n := len(dst)
+		r0, r1, r2, r3 = r0[:n], r1[:n], r2[:n], r3[:n]
+		for j := range dst {
+			s := dst[j]
 			s += r0[j] * x0
 			s += r1[j] * x1
 			s += r2[j] * x2
 			s += r3[j] * x3
-			seg[j] = s
+			dst[j] = s
 		}
 	}
-	m.scatterRows(seg, x, i, m.rows, lo, hi)
+	m.scatterRows(dst, x, i, m.rows)
+	return dst
 }
 
-// scatterRows adds rows [i0, i1) of the transpose product into seg one row
+// scatterRows adds rows [i0, i1) of the transpose product into dst one row
 // at a time — the serial loop, with its skip of zero weights.
-func (m *Matrix) scatterRows(seg, x []float64, i0, i1, lo, hi int) {
+func (m *Matrix) scatterRows(dst, x []float64, i0, i1 int) {
 	for i := i0; i < i1; i++ {
 		xi := x[i]
 		if xi == 0 {
 			continue
 		}
-		row := m.data[i*m.cols+lo : i*m.cols+hi : i*m.cols+hi]
-		row = row[:len(seg)]
-		for j, v := range row {
-			seg[j] += v * xi
+		for j, v := range m.Row(i)[:len(dst)] {
+			dst[j] += v * xi
 		}
 	}
 }

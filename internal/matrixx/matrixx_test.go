@@ -1,6 +1,7 @@
 package matrixx
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -127,6 +128,44 @@ func TestMulVecTMatchesExplicitTranspose(t *testing.T) {
 	}
 }
 
+// TestBlockedKernelsMatchOneRowLoops pins the dense products' contract:
+// blocked four rows at a time, they still reproduce the textbook
+// one-accumulator loops bit for bit, ragged tails and zero weights included.
+func TestBlockedKernelsMatchOneRowLoops(t *testing.T) {
+	rng := randx.New(7)
+	for _, shape := range [][2]int{{64, 64}, {200, 128}, {128, 200}, {257, 255}} {
+		rows, cols := shape[0], shape[1]
+		m := waveMatrix(rows, cols, max(rows/4, 1))
+		x := randVec(cols, rng)
+		y := randVec(rows, rng)
+
+		want := make([]float64, rows)
+		for i := range want {
+			var acc float64
+			for j, v := range m.Row(i) {
+				acc += v * x[j]
+			}
+			want[i] = acc
+		}
+		bitsEqual(t, "dense MulVec", m.MulVec(make([]float64, rows), x), want)
+
+		wantT := make([]float64, cols)
+		for i := 0; i < rows; i++ {
+			if y[i] == 0 {
+				continue
+			}
+			for j, v := range m.Row(i) {
+				wantT[j] += v * y[i]
+			}
+		}
+		gotT := make([]float64, cols)
+		for j := range gotT {
+			gotT[j] = math.NaN() // MulVecT must overwrite, not accumulate
+		}
+		bitsEqual(t, "dense MulVecT", m.MulVecT(gotT, y), wantT)
+	}
+}
+
 func TestColSumsAndNormalize(t *testing.T) {
 	m := FromRows([][]float64{
 		{1, 0, 2},
@@ -191,5 +230,45 @@ func BenchmarkMulVec1024(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m.MulVec(dst, x)
+	}
+}
+
+// waveMatrix builds a column-stochastic wave-shaped dense matrix (constant
+// floor plus a contiguous per-column band).
+func waveMatrix(rows, cols, band int) *Matrix {
+	m := New(rows, cols)
+	base := 0.2 / float64(rows)
+	for i := 0; i < cols; i++ {
+		lo := i * (rows - band) / max(cols-1, 1)
+		for j := 0; j < rows; j++ {
+			m.Set(j, i, base)
+		}
+		for k := 0; k < band; k++ {
+			m.Set(lo+k, i, base+0.8/float64(band))
+		}
+	}
+	m.NormalizeCols()
+	return m
+}
+
+func randVec(n int, rng *randx.Rand) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = rng.Float64()
+	}
+	v[n/3] = 0 // exercise the xi == 0 skip path
+	return v
+}
+
+func bitsEqual(t *testing.T, name string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d vs %d", name, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: entry %d differs: %v vs %v (Δ=%g)",
+				name, i, got[i], want[i], got[i]-want[i])
+		}
 	}
 }

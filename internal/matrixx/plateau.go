@@ -232,5 +232,6 @@ func (p *Plateau) MulVecT(dst, y []float64) []float64 {
 var (
 	_ Channel      = (*Matrix)(nil)
 	_ Channel      = (*Plateau)(nil)
+	_ RatioChannel = (*Matrix)(nil)
 	_ RatioChannel = (*Plateau)(nil)
 )

@@ -3,9 +3,8 @@ package matrixx
 import "math"
 
 // DenomFloor is the clamp the EM E-step applies to the per-row denominator
-// (M·x)_j before dividing and taking its log, shared between the fused
-// kernels here and the unfused fallback in package em so the two can never
-// diverge.
+// (M·x)_j before dividing and taking its log, shared by every fused kernel
+// and EStep's unfused path so they can never diverge.
 const DenomFloor = 1e-300
 
 // RatioChannel is a Channel that can fuse the EM E-step into its forward
@@ -14,7 +13,7 @@ const DenomFloor = 1e-300
 // product pass followed by a separate pass over the result. The fused form
 // halves the traffic over the denominator vector and — because ll is
 // reported per ROW, with the caller summing the terms serially — stays
-// bit-identical to the unfused serial E-step under any row partition.
+// bit-identical to the unfused serial E-step.
 type RatioChannel interface {
 	Channel
 	// MulVecRatio computes, for every output row j:
@@ -47,29 +46,46 @@ func ratioRow(ratio, ll, counts []float64, j int, denom float64) {
 	ll[j] = c * math.Log(denom)
 }
 
-// MulVecRatio implements RatioChannel.
-func (m *Matrix) MulVecRatio(ratio, ll, x, counts []float64) {
-	m.MulVecRatioRows(ratio, ll, x, counts, 0, m.rows)
+// EStep runs the EM E-step on any channel: it fills ratio and ll as
+// RatioChannel.MulVecRatio defines them and returns the log-likelihood
+// Σ_j ll[j], summed in increasing row order. It runs c's fused kernel when
+// c has one; otherwise it computes M·x into ratio with MulVec and finishes
+// each row with the fused kernels' own ratioRow, which yields the same
+// bits.
+func EStep(c Channel, ratio, ll, x, counts []float64) float64 {
+	if f, ok := c.(RatioChannel); ok {
+		f.MulVecRatio(ratio, ll, x, counts)
+	} else {
+		if len(ll) != len(ratio) || len(counts) != len(ratio) {
+			panic("matrixx: EStep dimension mismatch")
+		}
+		c.MulVec(ratio, x)
+		for j, denom := range ratio {
+			ratioRow(ratio, ll, counts, j, denom)
+		}
+	}
+	var sum float64
+	for _, t := range ll {
+		sum += t
+	}
+	return sum
 }
 
-// MulVecRatioRows computes the [lo, hi) rows of the fused E-step, leaving
-// the rest of ratio and ll untouched. Every output element is produced from
-// a denominator accumulated in serial order (see MulVecRows), so a row
-// partition across goroutines is bit-identical to the serial fused pass.
-func (m *Matrix) MulVecRatioRows(ratio, ll, x, counts []float64, lo, hi int) {
-	if len(x) != m.cols || len(ratio) != m.rows || len(ll) != m.rows ||
-		len(counts) != m.rows || lo < 0 || hi > m.rows || lo > hi {
-		panic("matrixx: MulVecRatioRows dimension mismatch")
+// MulVecRatio implements RatioChannel. Every denominator is accumulated as
+// MulVec accumulates it, four rows at a time.
+func (m *Matrix) MulVecRatio(ratio, ll, x, counts []float64) {
+	if len(x) != m.cols || len(ratio) != m.rows || len(ll) != m.rows || len(counts) != m.rows {
+		panic("matrixx: MulVecRatio dimension mismatch")
 	}
-	i := lo
-	for ; i+4 <= hi; i += 4 {
+	i := 0
+	for ; i+4 <= m.rows; i += 4 {
 		d0, d1, d2, d3 := m.dot4(x, i)
 		ratioRow(ratio, ll, counts, i, d0)
 		ratioRow(ratio, ll, counts, i+1, d1)
 		ratioRow(ratio, ll, counts, i+2, d2)
 		ratioRow(ratio, ll, counts, i+3, d3)
 	}
-	for ; i < hi; i++ {
+	for ; i < m.rows; i++ {
 		ratioRow(ratio, ll, counts, i, dotRow(m.Row(i), x))
 	}
 }
