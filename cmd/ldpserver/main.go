@@ -182,7 +182,6 @@ type serverConfig struct {
 	snapInterval time.Duration
 	pushTo       string
 	pushInterval time.Duration
-	pushBinary   bool
 	edgeID       string
 	debugAddr    string
 }
@@ -230,7 +229,6 @@ func parseArgs(args []string) (serverConfig, error) {
 
 		pushTo       = fs.String("push-to", "", "root collector base URL: run as a federation edge, shipping histogram deltas to this root")
 		pushInterval = fs.Duration("push-interval", 10*time.Second, "cadence of federation pushes (with -push-to; jittered \u00b110%)")
-		pushFormat   = fs.String("push-format", "json", "wire codec for federation pushes: json or binary (with -push-to)")
 		edgeID       = fs.String("edge-id", "", "stable identity of this edge at the root (with -push-to; default: hostname)")
 		acceptFed    = fs.Bool("accept-federation", false, "run as a federation root: accept edge pushes on POST /federation/push")
 		autoDeclare  = fs.Bool("federation-auto-declare", false, "auto-declare unknown streams from pushed edge fingerprints (implies -accept-federation)")
@@ -272,6 +270,9 @@ func parseArgs(args []string) (serverConfig, error) {
 		Shards: *shards, Epoch: *epoch, Retain: *retain}).Resolve(); err != nil {
 		return serverConfig{}, fmt.Errorf("default stream (-eps, -buckets, -mechanism, -bandwidth, -epoch, -retain): %v", err)
 	}
+	if *refresh <= 0 {
+		return serverConfig{}, fmt.Errorf("-refresh must be positive, got %v", *refresh)
+	}
 	if *snapInterval <= 0 {
 		return serverConfig{}, fmt.Errorf("-snapshot-interval must be positive, got %v", *snapInterval)
 	}
@@ -296,11 +297,6 @@ func parseArgs(args []string) (serverConfig, error) {
 		}
 	} else if edge != "" {
 		return serverConfig{}, fmt.Errorf("-edge-id needs -push-to")
-	}
-	switch *pushFormat {
-	case "json", "binary":
-	default:
-		return serverConfig{}, fmt.Errorf("-push-format %q unknown (want json or binary)", *pushFormat)
 	}
 	if *maxBody < 0 {
 		return serverConfig{}, fmt.Errorf("-max-body must not be negative, got %d", *maxBody)
@@ -372,7 +368,6 @@ func parseArgs(args []string) (serverConfig, error) {
 		snapInterval: *snapInterval,
 		pushTo:       *pushTo,
 		pushInterval: *pushInterval,
-		pushBinary:   *pushFormat == "binary",
 		edgeID:       edge,
 		debugAddr:    *debugAddr,
 	}, nil
@@ -433,7 +428,6 @@ func main() {
 			URL:      conf.pushTo,
 			Edge:     conf.edgeID,
 			Interval: conf.pushInterval,
-			Binary:   conf.pushBinary,
 			Logf:     log.Printf,
 		}
 		if conf.snapPath != "" {

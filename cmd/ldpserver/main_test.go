@@ -115,9 +115,13 @@ func TestParseArgsErrors(t *testing.T) {
 		"negative eps":             {"-eps", "-1"},
 		"single bucket":            {"-buckets", "1"},
 		"buckets over the cap":     {"-buckets", "65537"},
+		"shards over the cap":      {"-shards", "257"},
+		"retain over the cap":      {"-epoch", "1m", "-retain", "65537"},
 		"negative epoch":           {"-epoch", "-1m"},
 		"retain without epoch":     {"-retain", "5"},
 		"bad snapshot interval":    {"-snapshot-interval", "0s"},
+		"zero refresh":             {"-refresh", "0s"},
+		"negative refresh":         {"-refresh", "-1s"},
 		"bad stream spec":          {"-stream", "age:1"},
 		"duplicate stream names":   {"-stream", "age:1:256", "-stream", "age:1:256"},
 		"stream epsilon invalid":   {"-stream", "age:-2:256"},
@@ -184,11 +188,12 @@ func TestParseArgsFederation(t *testing.T) {
 
 func TestParseArgsFederationErrors(t *testing.T) {
 	cases := map[string][]string{
-		"push-to not a URL":      {"-push-to", "root:8080"},
-		"push-to bad scheme":     {"-push-to", "ftp://root"},
-		"edge-id without target": {"-edge-id", "sfo-1"},
-		"edge-id invalid":        {"-push-to", "http://r", "-edge-id", "no spaces"},
-		"bad push interval":      {"-push-to", "http://r", "-edge-id", "e", "-push-interval", "0s"},
+		"push-to not a URL":         {"-push-to", "root:8080"},
+		"push-to bad scheme":        {"-push-to", "ftp://root"},
+		"edge-id without target":    {"-edge-id", "sfo-1"},
+		"edge-id invalid":           {"-push-to", "http://r", "-edge-id", "no spaces"},
+		"bad push interval":         {"-push-to", "http://r", "-edge-id", "e", "-push-interval", "0s"},
+		"removed -push-format flag": {"-push-to", "http://r", "-edge-id", "e", "-push-format", "binary"},
 	}
 	for name, args := range cases {
 		if _, err := parseArgs(args); err == nil {

@@ -259,10 +259,10 @@
 // unsupported_media_type. Report batches use the LDPR frame (internal/wire),
 // which varint-packs the small non-negative integers LDP mechanisms mostly
 // emit and falls back to raw IEEE-754 bits for everything else, so the
-// round-trip is bit-exact; federation pushes use the analogous LDPB frame
-// with sparse gap/run-encoded epoch deltas (enable per edge with
-// "ldpserver -push-format binary" — mixed fleets are fine, the root decodes
-// by declared Content-Type and merges identically). Both frames are
+// round-trip is bit-exact; federation edges always push the analogous LDPB
+// frame with sparse gap/run-encoded epoch deltas, and roots also take the
+// JSON envelope (hand-written pushes, older edges), decoding by declared
+// Content-Type and merging identically. Both frames are
 // magic-tagged, versioned and CRC32-trailed, and their decoders are fuzzed
 // in CI. At 1024 buckets a binary push is ~6.5x smaller than dense JSON;
 // BENCH_wire.json pins sizes and throughput.

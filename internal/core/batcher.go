@@ -31,10 +31,6 @@ type BatcherConfig struct {
 	// itself. The slice is owned by the Batcher and reused; copy it to
 	// retain.
 	Flush func(reports []mechanism.Report) error
-	// OnError receives flush failures (nil = dropped silently into the
-	// error returned by the next Flush/Close). The failed batch is
-	// re-queued ahead of newer reports and retried on the next flush.
-	OnError func(error)
 }
 
 func (c BatcherConfig) filled() (BatcherConfig, error) {
@@ -183,8 +179,8 @@ func (b *Batcher) run() {
 			(len(b.queue) > 0 && time.Since(b.oldest) >= b.cfg.MaxDelay)
 		b.mu.Unlock()
 		if due {
-			// Failures are recorded in lastErr (and reported via OnError)
-			// inside flushNow; the queue keeps the unshipped reports.
+			// Failures are recorded in lastErr inside flushNow; the queue
+			// keeps the unshipped reports.
 			b.flushNow(true)
 		}
 	}
@@ -224,9 +220,6 @@ func (b *Batcher) flushNow(background bool) error {
 				b.lastErr = err
 			}
 			b.mu.Unlock()
-			if b.cfg.OnError != nil {
-				b.cfg.OnError(err)
-			}
 			return err
 		}
 		// Drop the shipped prefix; Adds that ran during the Flush appended

@@ -24,19 +24,16 @@ import (
 )
 
 // Config parameterizes a collection round. The zero Mechanism is the
-// continuous Square Wave. The wave fields (OutputBuckets, Bandwidth,
-// PlateauRatio, ExplicitShape) are handed to package mechanism, which
-// resolves their defaults and drops them for mechanisms they do not apply
-// to; read the effective values back through Mechanism().Params().
+// continuous Square Wave. The wave fields (Bandwidth, PlateauRatio,
+// ExplicitShape) are handed to package mechanism, which resolves their
+// defaults and drops them for mechanisms they do not apply to; read the
+// effective values back through Mechanism().Params(). The sw report
+// histogram has d̃ = d buckets (the paper's choice).
 type Config struct {
 	// Epsilon is the LDP privacy budget. Required.
 	Epsilon float64
 	// Buckets is the reconstruction granularity d. Defaults to 1024.
 	Buckets int
-	// OutputBuckets is the report-histogram granularity d̃ of the sw
-	// mechanism. 0 means d̃ = d (the paper's choice); other mechanisms
-	// derive their output granularity.
-	OutputBuckets int
 	// Bandwidth overrides the wave half-width b for the sw family (a
 	// domain fraction; sw-discrete uses ⌊b·d⌋ buckets); 0 means the
 	// mutual-information optimum sw.BOpt(Epsilon).
@@ -76,7 +73,6 @@ func (c *Config) newMechanism() mechanism.Mechanism {
 		Name:          c.Mechanism,
 		Epsilon:       c.Epsilon,
 		Buckets:       c.Buckets,
-		OutputBuckets: c.OutputBuckets,
 		Bandwidth:     c.Bandwidth,
 		PlateauRatio:  c.PlateauRatio,
 		ExplicitShape: c.ExplicitShape,

@@ -9,8 +9,8 @@
 // workspace and the estimate-quality tracker. A Registry owns the one
 // declaration rule (Config.Resolve), the one redeclare rule, drop and
 // lookup, the refresh scheduler and worker pool (only the collector starts
-// it), and the one two-phase capture and restore; package snapshot keeps
-// the file format.
+// it), and the one capture and restore; package snapshot keeps the file
+// format.
 //
 // Every reconstruction runs range → merge → reconstruct: warm in the
 // refresh workers (full range, window caches, drift scoring; warm starts
@@ -39,12 +39,16 @@ import (
 // leaves Buckets zero.
 const DefaultBuckets = 1024
 
+// MaxShards bounds a declaration's ingestion stripe count: every stripe
+// holds a whole report histogram.
+const MaxShards = 256
+
 // Config is one stream's declaration: the mechanism's wire name ("" = sw,
 // "auto" = the Section 4.1 rule), ε, the granularity (0 = DefaultBuckets)
 // and the sw family's bandwidth (0 = the optimum) define what the histogram
 // means; a positive Epoch rotates it, keeping Retain sealed epochs (0 =
-// window.DefaultRetain). Shards (0 = one per CPU) and the library's
-// bootstrap Seed never take part in compatibility.
+// window.DefaultRetain). Shards (0 = one per CPU, at most MaxShards) and
+// the library's bootstrap Seed never take part in compatibility.
 type Config struct {
 	Mechanism string
 	Epsilon   float64
@@ -62,8 +66,10 @@ func (c Config) Windowed() bool { return c.Epoch > 0 }
 // Resolve is the one declaration rule: it fills the granularity, resolves
 // the mechanism name, and rejects a ε that is not finite and positive, a
 // granularity outside [2, mechanism.MaxBuckets], a bandwidth that is not
-// finite, in [0, 2] and of the sw family, and an unusable window. Retain
-// stays as declared (0 inherits on a redeclare). Resolve builds nothing.
+// finite, in [0, 2] and of the sw family, a stripe count outside [0,
+// MaxShards], and an unusable window (Retain above window.MaxRetain
+// included). Retain stays as declared (0 inherits on a redeclare). Resolve
+// builds nothing.
 func (c Config) Resolve() (Config, error) {
 	if c.Buckets == 0 {
 		c.Buckets = DefaultBuckets
@@ -76,6 +82,9 @@ func (c Config) Resolve() (Config, error) {
 	}
 	if c.Buckets > mechanism.MaxBuckets {
 		return c, fmt.Errorf("at most %d buckets, got %d", mechanism.MaxBuckets, c.Buckets)
+	}
+	if c.Shards < 0 || c.Shards > MaxShards {
+		return c, fmt.Errorf("shards %d out of range [0, %d]", c.Shards, MaxShards)
 	}
 	mech, err := mechanism.Resolve(c.Mechanism, c.Epsilon, c.Buckets)
 	if err != nil {
@@ -221,7 +230,6 @@ func (r *Registry) newStream(name string, cfg Config) *Stream {
 		Buckets:   cfg.Buckets,
 		EMBased:   agg.Channel() != nil,
 		Windowed:  cfg.Windowed(),
-		Drift:     r.opts.Drift,
 	})
 	if m := r.opts.Metrics; m != nil {
 		st.m = streamMetrics{

@@ -53,6 +53,8 @@ func TestResolve(t *testing.T) {
 		{Config{Epsilon: 1, Buckets: 8, Mechanism: "auto"}, Config{Mechanism: "grr", Epsilon: 1, Buckets: 8}},
 		{Config{Epsilon: 1, Buckets: 64, Bandwidth: 0.2, Epoch: time.Minute},
 			Config{Mechanism: "sw", Epsilon: 1, Buckets: 64, Bandwidth: 0.2, Epoch: time.Minute}},
+		{Config{Epsilon: 1, Buckets: 2, Shards: MaxShards, Epoch: time.Nanosecond, Retain: window.MaxRetain},
+			Config{Mechanism: "sw", Epsilon: 1, Buckets: 2, Shards: MaxShards, Epoch: time.Nanosecond, Retain: window.MaxRetain}},
 	}
 	for _, c := range ok {
 		got, err := c.in.Resolve()
@@ -61,18 +63,21 @@ func TestResolve(t *testing.T) {
 		}
 	}
 	bad := map[string]Config{
-		"epsilon must be positive and finite": {Epsilon: math.NaN()},
-		"got +Inf":                            {Epsilon: math.Inf(1)},
-		"got -1":                              {Epsilon: -1},
-		"at least 2 buckets":                  {Epsilon: 1, Buckets: 1},
-		"at most":                             {Epsilon: 1, Buckets: mechanism.MaxBuckets + 1},
-		"unknown mechanism":                   {Epsilon: 1, Mechanism: "rappor"},
-		"bandwidth NaN out of range":          {Epsilon: 1, Bandwidth: math.NaN()},
-		"bandwidth +Inf out of range":         {Epsilon: 1, Bandwidth: math.Inf(1)},
-		"only applies to the sw family":       {Epsilon: 1, Mechanism: "oue", Bandwidth: 0.2},
-		"must not be negative":                {Epsilon: 1, Epoch: -time.Second},
-		"needs an epoch":                      {Epsilon: 1, Retain: 3},
-		"retain":                              {Epsilon: 1, Epoch: time.Minute, Retain: -2},
+		"epsilon must be positive and finite":     {Epsilon: math.NaN()},
+		"got +Inf":                                {Epsilon: math.Inf(1)},
+		"got -1":                                  {Epsilon: -1},
+		"at least 2 buckets":                      {Epsilon: 1, Buckets: 1},
+		"at most":                                 {Epsilon: 1, Buckets: mechanism.MaxBuckets + 1},
+		"unknown mechanism":                       {Epsilon: 1, Mechanism: "rappor"},
+		"bandwidth NaN out of range":              {Epsilon: 1, Bandwidth: math.NaN()},
+		"bandwidth +Inf out of range":             {Epsilon: 1, Bandwidth: math.Inf(1)},
+		"only applies to the sw family":           {Epsilon: 1, Mechanism: "oue", Bandwidth: 0.2},
+		"must not be negative":                    {Epsilon: 1, Epoch: -time.Second},
+		"needs an epoch":                          {Epsilon: 1, Retain: 3},
+		"retain":                                  {Epsilon: 1, Epoch: time.Minute, Retain: -2},
+		"retain must be in [1, 65536], got 65537": {Epsilon: 1, Buckets: 2, Epoch: time.Minute, Retain: window.MaxRetain + 1},
+		"shards 257 out of range [0, 256]":        {Epsilon: 1, Buckets: 2, Shards: MaxShards + 1},
+		"shards -1 out of range":                  {Epsilon: 1, Buckets: 2, Shards: -1},
 	}
 	for want, c := range bad {
 		if _, err := c.Resolve(); err == nil || !strings.Contains(err.Error(), want) {
@@ -342,10 +347,9 @@ func TestRefreshPublishes(t *testing.T) {
 	}
 }
 
-// TestCaptureRestore round-trips a registry through Capture and the
-// two-phase restore: histograms, rotation clocks, published and window
-// estimates come back bit-identical; a failed or aborted restore changes
-// nothing.
+// TestCaptureRestore round-trips a registry through Capture and Restore:
+// histograms, rotation clocks, published and window estimates come back
+// bit-identical; a failed restore changes nothing.
 func TestCaptureRestore(t *testing.T) {
 	src := NewRegistry(Options{})
 	plain, _, _ := src.Declare("plain", Config{Epsilon: 1, Buckets: 16})
@@ -364,19 +368,7 @@ func TestCaptureRestore(t *testing.T) {
 	}
 
 	dst := NewRegistry(Options{})
-	p, err := dst.Prepare(records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Abort()
-	if len(dst.List()) != 0 {
-		t.Fatal("aborted restore registered streams")
-	}
-	p, err = dst.Prepare(records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Commit(); err != nil {
+	if err := dst.Restore(records); err != nil {
 		t.Fatal(err)
 	}
 	again := dst.Capture()
@@ -394,11 +386,7 @@ func TestCaptureRestore(t *testing.T) {
 	}
 
 	// Merging into a stream that already has reports keeps its estimate.
-	p, err = dst.Prepare(records[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Commit(); err != nil {
+	if err := dst.Restore(records[:1]); err != nil {
 		t.Fatal(err)
 	}
 	if n := dst.Lookup("plain").Users(); n != 800 {
@@ -406,7 +394,8 @@ func TestCaptureRestore(t *testing.T) {
 	}
 
 	// Failures change nothing: a mismatched declaration, a histogram of the
-	// wrong size, a windowed record into a rotated stream, an invalid name.
+	// wrong size, a windowed record into a rotated stream, an invalid name,
+	// and a new stream ahead of a failing record (built, never registered).
 	before := dst.Capture()
 	mismatch := records[0]
 	mismatch.Epsilon = 3
@@ -414,13 +403,17 @@ func TestCaptureRestore(t *testing.T) {
 	short.Counts = short.Counts[:4]
 	badName := records[0]
 	badName.Name = "bad\x00"
-	for _, recs := range [][]snapshot.Stream{{mismatch}, {short}, {badName}, {records[1]}} {
-		if p, err := dst.Prepare(recs); err == nil {
-			p.Abort()
+	fresh := records[1]
+	fresh.Name = "fresh"
+	for _, recs := range [][]snapshot.Stream{{mismatch}, {short}, {badName}, {records[1]}, {fresh, mismatch}} {
+		if err := dst.Restore(recs); err == nil {
 			t.Errorf("restore of %q accepted", recs[0].Name)
 		}
 	}
 	after := dst.Capture()
+	if len(after) != len(before) {
+		t.Errorf("failed restores left %d streams, want %d", len(after), len(before))
+	}
 	for i := range before {
 		if !slices.Equal(before[i].Counts, after[i].Counts) {
 			t.Errorf("failed restore changed %s", before[i].Name)

@@ -120,12 +120,8 @@ func TestStressRegistry(t *testing.T) {
 	mirror := NewRegistry(Options{Clock: now})
 	background(func(int) { // capture, then restore into a fresh mirror
 		records := r.Capture()
-		if p, err := NewRegistry(Options{Clock: now}).Prepare(records); err == nil {
-			p.Commit()
-		}
-		if p, err := mirror.Prepare(records[:1]); err == nil {
-			p.Commit()
-		}
+		NewRegistry(Options{Clock: now}).Restore(records)
+		mirror.Restore(records[:1])
 	})
 	writing.Wait()
 	close(stop)

@@ -8,18 +8,16 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/diagnose"
 	"repro/internal/snapshot"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
-// Options configures a Registry: the rotation clock (nil = time.Now), the
-// drift alerts' thresholds, and where the engine records (nil = nowhere).
-// The zero value is the library's registry.
+// Options configures a Registry: the rotation clock (nil = time.Now) and
+// where the engine records (nil = nowhere). The zero value is the
+// library's registry.
 type Options struct {
 	Clock   func() time.Time
-	Drift   diagnose.DriftConfig
 	Metrics *Metrics
 	Tracer  *trace.Tracer
 }

@@ -1,7 +1,7 @@
 package engine
 
-// Persistence: the one capture and two-phase restore of both public
-// surfaces, and the ring ↔ record conversion.
+// Persistence: the one capture and restore of both public surfaces, and
+// the ring ↔ record conversion.
 
 import (
 	"fmt"
@@ -91,23 +91,20 @@ func ringState(rec *snapshot.Stream) window.State {
 	return state
 }
 
-// Restore is a validated restore holding the registry lock until Commit
-// or Abort: nothing it validated can change, and the caller may install
-// state of its own between the phases.
-type Restore struct {
-	reg     *Registry
-	records []snapshot.Stream
-	targets []*Stream
-}
-
-// Prepare validates every record, building (not registering) the missing
-// streams. A record restores into a stream whose declaration the redeclare
-// rule accepts, with the ring's granularity; a windowed record also needs
-// an unrotated ring, a plain one merges into the live epoch. On error
-// nothing changed; on success the caller must Commit or Abort.
-func (r *Registry) Prepare(records []snapshot.Stream) (*Restore, error) {
+// Restore restores records under one hold of the registry lock, so no
+// declaration or rotation slips in between. It first validates every record,
+// building (not registering) the missing streams: a record restores into a
+// stream whose declaration the redeclare rule accepts, with the ring's
+// granularity; a windowed record also needs an unrotated ring, a plain one
+// merges into the live epoch. Only then does it register the built streams
+// and merge every record — a windowed one adopts its clock and epochs — and
+// a stream empty before the merge takes the record's estimates, serving
+// bit-identically at once. On error nothing changed. It wakes the refresh
+// engine.
+func (r *Registry) Restore(records []snapshot.Stream) error {
 	r.mu.Lock()
-	p := &Restore{reg: r, records: records, targets: make([]*Stream, len(records))}
+	defer r.mu.Unlock()
+	targets := make([]*Stream, len(records))
 	for i := range records {
 		rec := &records[i]
 		cfg := Config{
@@ -123,24 +120,51 @@ func (r *Registry) Prepare(records []snapshot.Stream) (*Restore, error) {
 		}
 		cfg, err := cfg.Resolve()
 		if err != nil {
-			r.mu.Unlock()
-			return nil, fmt.Errorf("restore stream %q: %w", rec.Name, err)
+			return fmt.Errorf("restore stream %q: %w", rec.Name, err)
 		}
 		st, ok := r.streams[rec.Name]
 		if !ok {
 			if !snapshot.ValidStreamName(rec.Name) {
-				r.mu.Unlock()
-				return nil, fmt.Errorf("restore: %w", errInvalidName(rec.Name))
+				return fmt.Errorf("restore: %w", errInvalidName(rec.Name))
 			}
 			st = r.newStream(rec.Name, cfg)
 		}
 		if err := st.checkRestore(rec, cfg); err != nil {
-			r.mu.Unlock()
-			return nil, fmt.Errorf("restore: %w", err)
+			return fmt.Errorf("restore: %w", err)
 		}
-		p.targets[i] = st
+		targets[i] = st
 	}
-	return p, nil
+	defer r.Wake()
+	for i := range records {
+		rec, st := &records[i], targets[i]
+		wasEmpty := st.ring.N() == 0
+		if r.streams[st.name] == nil { // built above
+			r.addLocked(st)
+		}
+		var err error
+		if rec.Window != nil {
+			err = st.ring.Adopt(ringState(rec))
+		} else {
+			err = st.ring.AddCounts(rec.Counts)
+		}
+		if err != nil { // validated above: cannot happen
+			return fmt.Errorf("restore stream %q: %w", rec.Name, err)
+		}
+		if !wasEmpty {
+			continue
+		}
+		if len(rec.Estimate) > 0 {
+			raw := rec.EstimateRaw
+			if raw == 0 {
+				raw = rec.EstimateN // version ≤ 2, or a non-fan-out stream
+			}
+			st.est.Store(newEstimate(append([]float64(nil), rec.Estimate...), rec.EstimateN, raw, 0, true, true, true))
+		}
+		if rec.Window != nil {
+			st.restoreWindowEstimates(rec.Window.Estimates)
+		}
+	}
+	return nil
 }
 
 // checkRestore reports why a record declared as cfg cannot restore into st.
@@ -161,50 +185,6 @@ func (st *Stream) checkRestore(rec *snapshot.Stream, cfg Config) error {
 		return nil
 	}
 	return st.ring.CanAdopt(ringState(rec))
-}
-
-// Abort releases a prepared restore without changing anything.
-func (p *Restore) Abort() { p.reg.mu.Unlock() }
-
-// Commit registers the built streams and merges every record — a windowed
-// one adopts its clock and epochs — and a stream empty before the merge
-// takes the record's estimates, serving bit-identically at once. It
-// releases the registry and wakes the refresh engine; the error cannot
-// happen after Prepare.
-func (p *Restore) Commit() error {
-	r := p.reg
-	defer r.Wake()
-	defer r.mu.Unlock()
-	for i := range p.records {
-		rec, st := &p.records[i], p.targets[i]
-		wasEmpty := st.ring.N() == 0
-		if r.streams[st.name] == nil { // built by Prepare
-			r.addLocked(st)
-		}
-		var err error
-		if rec.Window != nil {
-			err = st.ring.Adopt(ringState(rec))
-		} else {
-			err = st.ring.AddCounts(rec.Counts)
-		}
-		if err != nil {
-			return fmt.Errorf("restore stream %q: %w", rec.Name, err)
-		}
-		if !wasEmpty {
-			continue
-		}
-		if len(rec.Estimate) > 0 {
-			raw := rec.EstimateRaw
-			if raw == 0 {
-				raw = rec.EstimateN // version ≤ 2, or a non-fan-out stream
-			}
-			st.est.Store(newEstimate(append([]float64(nil), rec.Estimate...), rec.EstimateN, raw, 0, true, true, true))
-		}
-		if rec.Window != nil {
-			st.restoreWindowEstimates(rec.Window.Estimates)
-		}
-	}
-	return nil
 }
 
 // restoreWindowEstimates installs persisted window estimates.

@@ -1,10 +1,10 @@
 package federate
 
 // Delta-pipeline benchmarks at the standard granularities B ∈ {256, 1024,
-// 4096}: freezing a push payload (delta arithmetic + JSON + CRC), decoding
-// and verifying it, and merging the dense counts root-side. Results are
-// recorded in BENCH_fed.json; the CI bench-smoke job keeps these compiling
-// and running on every PR.
+// 4096}: freezing a push payload (delta arithmetic + LDPB frame + CRC),
+// decoding and verifying it, and merging the dense counts root-side.
+// Results are recorded in BENCH_fed.json; the CI bench-smoke job keeps these
+// compiling and running on every PR.
 
 import (
 	"fmt"
@@ -55,7 +55,7 @@ func BenchmarkDeltaDecode(b *testing.B) {
 			b.SetBytes(int64(len(p.Body)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := DecodePush(p.Body); err != nil {
+				if _, err := DecodePushBinary(p.Body); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -73,7 +73,7 @@ func BenchmarkDeltaMerge(b *testing.B) {
 			if err != nil || p == nil {
 				b.Fatal(err)
 			}
-			push, err := DecodePush(p.Body)
+			push, err := DecodePushBinary(p.Body)
 			if err != nil {
 				b.Fatal(err)
 			}

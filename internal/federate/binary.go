@@ -5,12 +5,12 @@ package federate
 // payload — in a varint frame that encodes epoch increments as runs of
 // consecutive nonzero buckets. A mid-round histogram is mostly zeros with
 // clustered mass, so runs beat both JSON dense (every zero costs bytes) and
-// JSON sparse (every cell repeats its bucket index in decimal). Roots
-// accept either codec on the same endpoint, keyed by Content-Type; the CRC
-// carried in Push.CRC stays the hex crc32 of the inner payload bytes, so
-// duplicate detection compares the exact bytes that traveled regardless of
-// codec — a JSON and a binary encoding of the same deltas are, correctly,
-// different payloads.
+// JSON sparse (every cell repeats its bucket index in decimal). Edges
+// freeze every new payload in this codec; roots accept either codec on the
+// same endpoint, keyed by Content-Type. The CRC carried in Push.CRC stays
+// the hex crc32 of the inner payload bytes, so duplicate detection compares
+// the exact bytes that traveled regardless of codec — a JSON and a binary
+// encoding of the same deltas are, correctly, different payloads.
 //
 // Frame layout:
 //
@@ -58,9 +58,9 @@ func IsBinaryPush(body []byte) bool {
 	return len(body) >= len(pushMagic) && string(body[:len(pushMagic)]) == pushMagic
 }
 
-// EncodePushBinary freezes a push payload in the binary codec; the exact
-// analogue of EncodePush. The returned bytes are what travels and what a
-// write-ahead snapshot persists.
+// EncodePushBinary freezes a push payload in the binary codec, the codec
+// every edge pushes in; the exact analogue of EncodePush. The returned
+// bytes are what travels and what a write-ahead snapshot persists.
 func EncodePushBinary(edge string, seq int64, streams []StreamDelta) ([]byte, error) {
 	if edge == "" {
 		return nil, fmt.Errorf("federate: empty edge id")

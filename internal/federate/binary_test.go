@@ -202,58 +202,55 @@ func TestEncodePushBinaryRejectsBadArgs(t *testing.T) {
 	}
 }
 
-// TestTrackerBinaryFormat: a tracker asked for binary pending payloads
-// freezes LDPB bodies whose decoded content matches the JSON path, and Ack
-// and cursor-state validation work unchanged on them.
+// TestTrackerBinaryFormat: a tracker freezes LDPB frames that carry the
+// delta itself, and Ack and cursor-state validation work on them.
 func TestTrackerBinaryFormat(t *testing.T) {
-	trJ := NewTracker()
-	trB := NewTracker()
-	states := []StreamState{state("age", 0, 4, 0, 9, 0)}
-	pj, err := trJ.PrepareFormat("edge-1", states, false)
+	tr := NewTracker()
+	p, err := tr.Prepare("edge-1", []StreamState{state("age", 0, 4, 0, 9, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := trB.PrepareFormat("edge-1", states, true)
+	if !IsBinaryPush(p.Body) {
+		t.Fatalf("pending body %q is not an LDPB frame", p.Body)
+	}
+	push, err := DecodePushBinary(p.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if IsBinaryPush(pj.Body) || !IsBinaryPush(pb.Body) {
-		t.Fatalf("formats: json body binary=%v, binary body binary=%v",
-			IsBinaryPush(pj.Body), IsBinaryPush(pb.Body))
+	if push.Edge != "edge-1" || push.Seq != 1 || p.Seq != 1 || push.CRC != p.CRC || len(push.Streams) != 1 {
+		t.Fatalf("frozen frame %+v does not match pending seq %d crc %s", push, p.Seq, p.CRC)
 	}
-	pushJ, err := DecodePushAuto(pj.Body)
+	sd := push.Streams[0]
+	if sd.Stream != "age" || !sd.Fingerprint.Equal(fp("sw")) || len(sd.Epochs) != 1 {
+		t.Fatalf("frozen stream delta %+v", sd)
+	}
+	d, err := sd.Epochs[0].Dense(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pushB, err := DecodePushAuto(pb.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dj, _ := pushJ.Streams[0].Epochs[0].Dense(4)
-	db, _ := pushB.Streams[0].Epochs[0].Dense(4)
-	if !reflect.DeepEqual(dj, db) {
-		t.Fatalf("binary pending carries %v, JSON carries %v", db, dj)
+	if want := []uint64{4, 0, 9, 0}; sd.Epochs[0].Epoch != 0 || sd.Epochs[0].N != 13 || !reflect.DeepEqual(d, want) {
+		t.Fatalf("frozen epoch %d n=%d counts %v, want epoch 0 n=13 counts %v",
+			sd.Epochs[0].Epoch, sd.Epochs[0].N, d, want)
 	}
 
 	// Ack on a binary pending advances the cursor; the next delta is
 	// incremental, and a restored state revalidates the binary body.
-	if err := trB.Ack(pb.Seq); err != nil {
+	if err := tr.Ack(p.Seq); err != nil {
 		t.Fatalf("ack binary pending: %v", err)
 	}
-	states2 := []StreamState{state("age", 0, 4, 1, 9, 0)}
-	pb2, err := trB.PrepareFormat("edge-1", states2, true)
+	p2, err := tr.Prepare("edge-1", []StreamState{state("age", 0, 4, 1, 9, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	push2, err := DecodePushAuto(pb2.Body)
+	push2, err := DecodePushBinary(p2.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d2, _ := push2.Streams[0].Epochs[0].Dense(4)
-	if d2[1] != 1 || d2[0] != 0 {
-		t.Fatalf("incremental binary delta %v, want only bucket 1", d2)
+	if push2.Seq != 2 || d2[1] != 1 || d2[0] != 0 {
+		t.Fatalf("incremental binary delta seq %d %v, want seq 2 and only bucket 1", push2.Seq, d2)
 	}
-	cs := trB.State()
+	cs := tr.State()
 	if cs.Pending == nil {
 		t.Fatal("cursor state lost the binary pending")
 	}
@@ -263,64 +260,74 @@ func TestTrackerBinaryFormat(t *testing.T) {
 	}
 }
 
-// TestPusherBinaryContentType: a binary-configured pusher declares the
-// binary media type; a JSON pusher keeps application/json; and a frozen
-// payload of either codec replays with its own Content-Type after a
-// config change (the transmit header is sniffed from the body).
+// TestPusherBinaryContentType: a pusher ships LDPB frames as the binary
+// media type. A JSON pending payload — what an older edge froze and
+// persisted — restores into a tracker and replays verbatim as
+// application/json (the transmit header is sniffed from the frozen body),
+// and the next delta goes out binary.
 func TestPusherBinaryContentType(t *testing.T) {
 	root := newStubRoot()
 	ts := httptest.NewServer(http.HandlerFunc(root.handler))
 	defer ts.Close()
 	h := &edgeHist{counts: []uint64{3, 0, 1, 0}}
-	p := newTestPusher(t, ts.URL, h, func(cfg *PusherConfig) { cfg.Binary = true })
+	p := newTestPusher(t, ts.URL, h, nil)
 
 	if acked, err := p.PushOnce(); err != nil || !acked {
 		t.Fatalf("binary push: acked=%v err=%v", acked, err)
 	}
 	if root.lastContentType != wire.ContentType {
-		t.Fatalf("binary pusher sent Content-Type %q, want %q", root.lastContentType, wire.ContentType)
+		t.Fatalf("pusher sent Content-Type %q, want %q", root.lastContentType, wire.ContentType)
 	}
 	if got := root.counts("age", 0); got[0] != 3 || got[2] != 1 {
 		t.Fatalf("root merged %v from binary push", got)
 	}
 
-	// A JSON pusher restored with a frozen *binary* pending must replay it
-	// as binary (the body bytes are frozen; only the header is derived).
-	root.mu.Lock()
-	root.failNext = 1
-	root.mu.Unlock()
+	// The edge restarts from a snapshot whose pending push is a JSON
+	// envelope carrying the two reports that arrived after seq 1.
 	h.add(1, 2)
-	if _, err := p.PushOnce(); err == nil {
-		t.Fatal("push succeeded against a failing root")
-	}
-	cs := p.Tracker().State()
-	if cs.Pending == nil || !IsBinaryPush(cs.Pending.Body) {
-		t.Fatal("outage did not freeze a binary pending")
-	}
-	restored := NewTracker()
-	if err := restored.Restore(cs); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	pJSON, err := NewPusher(PusherConfig{URL: ts.URL, Edge: "edge-1", Gather: h.states}, restored)
+	st := h.states()[0]
+	d, _ := NewEpochDelta(0, []uint64{0, 2, 0, 0})
+	body, err := EncodePush("edge-1", 2, []StreamDelta{{Stream: st.Name, Fingerprint: st.Fingerprint, Epochs: []EpochDelta{d}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acked, err := pJSON.PushOnce(); err != nil || !acked {
-		t.Fatalf("replay of frozen binary pending: acked=%v err=%v", acked, err)
+	jsonPush, err := DecodePush(body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if root.lastContentType != wire.ContentType {
-		t.Fatalf("frozen binary pending replayed as %q", root.lastContentType)
+	cs := p.Tracker().State()
+	cs.Pending = &Pending{Seq: 2, CRC: jsonPush.CRC, Body: body}
+	restored := NewTracker()
+	if err := restored.Restore(cs); err != nil {
+		t.Fatalf("restore JSON pending: %v", err)
+	}
+	p2, err := NewPusher(PusherConfig{URL: ts.URL, Edge: "edge-1", Gather: h.states}, restored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acked, err := p2.PushOnce(); err != nil || !acked {
+		t.Fatalf("replay of frozen JSON pending: acked=%v err=%v", acked, err)
+	}
+	root.mu.Lock()
+	ct, crc := root.lastContentType, root.lastCRC
+	root.mu.Unlock()
+	if ct != "application/json" || crc != jsonPush.CRC {
+		t.Fatalf("JSON pending replayed as %q with crc %s, want application/json with crc %s",
+			ct, crc, jsonPush.CRC)
 	}
 	if got := root.counts("age", 0); got[1] != 2 {
 		t.Fatalf("root merged %v after replay", got)
 	}
-	// And its next fresh delta goes back to JSON.
+	// The next fresh delta is frozen binary.
 	h.add(3, 5)
-	if acked, err := pJSON.PushOnce(); err != nil || !acked {
-		t.Fatalf("json push after replay: %v", err)
+	if acked, err := p2.PushOnce(); err != nil || !acked {
+		t.Fatalf("push after replay: %v", err)
 	}
-	if root.lastContentType != "application/json" {
-		t.Fatalf("json pusher sent Content-Type %q", root.lastContentType)
+	if root.lastContentType != wire.ContentType {
+		t.Fatalf("push after replay sent Content-Type %q", root.lastContentType)
+	}
+	if got := root.counts("age", 0); got[1] != 2 || got[3] != 5 {
+		t.Fatalf("root merged %v after the binary follow-up", got)
 	}
 }
 

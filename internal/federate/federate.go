@@ -216,10 +216,11 @@ type Push struct {
 	Streams []StreamDelta
 }
 
-// EncodePush freezes a push payload: the stream deltas are marshaled once,
-// checksummed, and wrapped in the versioned envelope. The returned bytes are
-// what travels — and what a write-ahead snapshot persists, so a crash replays
-// the identical payload.
+// EncodePush builds a push payload in the JSON envelope: the stream deltas
+// are marshaled once, checksummed, and wrapped in the versioned envelope.
+// Edges freeze their payloads in the binary codec (EncodePushBinary); roots
+// still accept this envelope from hand-written pushes and older edges, and a
+// pending payload an older edge persisted in it replays verbatim.
 func EncodePush(edge string, seq int64, streams []StreamDelta) ([]byte, error) {
 	if edge == "" {
 		return nil, fmt.Errorf("federate: empty edge id")

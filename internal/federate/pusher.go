@@ -22,6 +22,15 @@ import (
 	"repro/internal/wire"
 )
 
+// The push loop's pacing: each sleep is jittered by ±pushJitter so a fleet
+// of edges does not synchronize against the root, and consecutive failures
+// back off exponentially from minBackoff, doubling up to maxBackoff.
+const (
+	pushJitter = 0.1
+	minBackoff = time.Second
+	maxBackoff = 5 * time.Minute
+)
+
 // PusherConfig parameterizes a Pusher.
 type PusherConfig struct {
 	// URL is the root collector's base URL ("http://root:8080"); the
@@ -31,15 +40,8 @@ type PusherConfig struct {
 	// [A-Za-z0-9._-]). Required, and must be stable across restarts — the
 	// root's replay detection is keyed by it.
 	Edge string
-	// Interval is the push cadence (default 10s); each sleep is jittered
-	// by ±Jitter (a fraction, default 0.1) so a fleet of edges does not
-	// synchronize against the root.
+	// Interval is the push cadence (default 10s, jittered ±10%).
 	Interval time.Duration
-	Jitter   float64
-	// MinBackoff and MaxBackoff bound the exponential failure backoff
-	// (defaults 1s and 5m).
-	MinBackoff time.Duration
-	MaxBackoff time.Duration
 	// HTTPClient overrides http.DefaultClient.
 	HTTPClient *http.Client
 	// Gather returns the current stream states (the collector provides
@@ -51,14 +53,6 @@ type PusherConfig struct {
 	// and ack restores the identical bytes. If it fails, the payload is
 	// discarded unsent and rebuilt on the next cycle.
 	Persist func() error
-	// Streams optionally restricts pushing to these stream names (nil =
-	// every stream with unshipped increments).
-	Streams []string
-	// Binary freezes new payloads in the LDPB binary codec instead of the
-	// JSON envelope (≈5–10× smaller at typical occupancy). A pending
-	// payload persisted under the other codec still replays verbatim —
-	// transmit picks the Content-Type by sniffing the frozen bytes.
-	Binary bool
 	// Logf receives push-loop diagnostics (nil = silent).
 	Logf func(format string, args ...any)
 	// Tracer, when set, records a federation/push span per shipped payload
@@ -88,18 +82,6 @@ func (c PusherConfig) filled() (PusherConfig, error) {
 	}
 	if c.Interval <= 0 {
 		c.Interval = 10 * time.Second
-	}
-	if c.Jitter <= 0 {
-		c.Jitter = 0.1
-	}
-	if c.Jitter > 0.5 {
-		c.Jitter = 0.5
-	}
-	if c.MinBackoff <= 0 {
-		c.MinBackoff = time.Second
-	}
-	if c.MaxBackoff < c.MinBackoff {
-		c.MaxBackoff = 5 * time.Minute
 	}
 	if c.HTTPClient == nil {
 		c.HTTPClient = http.DefaultClient
@@ -176,51 +158,39 @@ func (p *Pusher) Status() PusherStatus {
 // returns an error: transient failure is this loop's normal weather, and
 // permanent divergence parks the loop with Status().Diverged set.
 func (p *Pusher) Run(done <-chan struct{}) {
-	failures := 0
 	for {
-		wait := p.jittered(p.cfg.Interval)
-		if failures > 0 {
-			wait = p.jittered(p.backoffFor(failures))
-		}
 		select {
 		case <-done:
 			return
-		case <-time.After(wait):
+		case <-time.After(p.nextWait()):
 		}
 		if p.Status().Diverged {
 			return
 		}
 		if _, err := p.PushOnce(); err != nil {
-			if failures < 62 { // cap the shift, not the backoff
-				failures++
-			}
 			p.cfg.Logf("federate: push to %s: %v", p.cfg.URL, err)
-		} else {
-			failures = 0
 		}
 	}
 }
 
-// jittered spreads d by ±cfg.Jitter.
-func (p *Pusher) jittered(d time.Duration) time.Duration {
-	f := 1 + p.cfg.Jitter*(2*rand.Float64()-1)
-	return time.Duration(float64(d) * f)
+// nextWait is Run's sleep before its next attempt: Status().Backoff while
+// attempts fail, the push interval otherwise, jittered by ±pushJitter.
+func (p *Pusher) nextWait() time.Duration {
+	d := p.cfg.Interval
+	if b := p.Status().Backoff; b > 0 {
+		d = b
+	}
+	return time.Duration(float64(d) * (1 + pushJitter*(2*rand.Float64()-1)))
 }
 
 // backoffFor is the exponential failure backoff after n consecutive
-// failures, bounded by MinBackoff/MaxBackoff.
-func (p *Pusher) backoffFor(n int) time.Duration {
+// failures, from minBackoff up to maxBackoff (the shift is capped so it
+// cannot overflow).
+func backoffFor(n int) time.Duration {
 	if n <= 0 {
 		return 0
 	}
-	if n > 62 {
-		n = 62 // cap the shift, not the backoff
-	}
-	backoff := p.cfg.MinBackoff << (n - 1)
-	if backoff > p.cfg.MaxBackoff || backoff <= 0 {
-		backoff = p.cfg.MaxBackoff
-	}
-	return backoff
+	return min(minBackoff<<min(n-1, 20), maxBackoff)
 }
 
 // PushOnce performs one full push attempt: freeze (or reuse) the pending
@@ -245,7 +215,7 @@ func (p *Pusher) PushOnce() (acked bool, err error) {
 	if err != nil {
 		p.status.LastError = err.Error()
 		p.status.Failures++
-		p.status.Backoff = p.backoffFor(p.status.Failures)
+		p.status.Backoff = backoffFor(p.status.Failures)
 		return acked, err
 	}
 	p.status.LastError = ""
@@ -259,7 +229,7 @@ func (p *Pusher) PushOnce() (acked bool, err error) {
 
 func (p *Pusher) pushOnce() (acked bool, err error) {
 	hadPending := p.tracker.Pending() != nil
-	pending, err := p.tracker.PrepareFormat(p.cfg.Edge, p.filteredStates(), p.cfg.Binary)
+	pending, err := p.tracker.Prepare(p.cfg.Edge, p.cfg.Gather())
 	if err != nil {
 		return false, err
 	}
@@ -352,25 +322,6 @@ func (p *Pusher) park(why string) {
 	p.mu.Unlock()
 }
 
-// filteredStates applies the optional stream allow-list to Gather's output.
-func (p *Pusher) filteredStates() []StreamState {
-	states := p.cfg.Gather()
-	if len(p.cfg.Streams) == 0 {
-		return states
-	}
-	allow := make(map[string]bool, len(p.cfg.Streams))
-	for _, name := range p.cfg.Streams {
-		allow[name] = true
-	}
-	out := states[:0]
-	for _, st := range states {
-		if allow[st.Name] {
-			out = append(out, st)
-		}
-	}
-	return out
-}
-
 // transmit POSTs the frozen payload and decodes the root's answer. HTTP 200
 // and 409 both carry a PushResponse; anything else is a transport-level
 // error to be retried.
@@ -380,8 +331,8 @@ func (p *Pusher) transmit(pending *Pending, sp *trace.Span) (PushResponse, error
 	if err != nil {
 		return PushResponse{}, err
 	}
-	// The Content-Type follows the frozen bytes, not the current config: a
-	// pending payload restored from a snapshot may predate a codec change.
+	// The Content-Type follows the frozen bytes: a pending payload restored
+	// from an older edge's snapshot may carry the JSON envelope.
 	if IsBinaryPush(pending.Body) {
 		req.Header.Set("Content-Type", wire.ContentType)
 	} else {

@@ -380,11 +380,7 @@ func TestPusherRunLoopAndBackoff(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(root.handler))
 	defer ts.Close()
 	h := &edgeHist{counts: []uint64{9, 0, 0, 0}}
-	p := newTestPusher(t, ts.URL, h, func(c *PusherConfig) {
-		c.Interval = time.Millisecond
-		c.MinBackoff = time.Millisecond
-		c.MaxBackoff = 4 * time.Millisecond
-	})
+	p := newTestPusher(t, ts.URL, h, func(c *PusherConfig) { c.Interval = time.Millisecond })
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -422,27 +418,51 @@ func TestPusherConfigValidation(t *testing.T) {
 	}
 }
 
-func TestPusherStreamFilter(t *testing.T) {
+// TestPusherBackoffPacesRun: two failed attempts leave Status().Backoff at
+// 2s (minBackoff doubled once) and Run's next sleep within ±10% of it; a
+// success puts the loop back on its interval.
+func TestPusherBackoffPacesRun(t *testing.T) {
 	root := newStubRoot()
 	ts := httptest.NewServer(http.HandlerFunc(root.handler))
 	defer ts.Close()
-	gather := func() []StreamState {
-		return []StreamState{
-			{Name: "keep", Fingerprint: fp("sw"), Epochs: []EpochCounts{{Epoch: 0, Counts: []uint64{1, 0, 0, 0}}}},
-			{Name: "skip", Fingerprint: fp("sw"), Epochs: []EpochCounts{{Epoch: 0, Counts: []uint64{1, 0, 0, 0}}}},
+	h := &edgeHist{counts: []uint64{1, 0, 0, 0}}
+	p := newTestPusher(t, ts.URL, h, func(c *PusherConfig) { c.Interval = time.Hour })
+
+	root.mu.Lock()
+	root.failNext = 2
+	root.mu.Unlock()
+	for i := 0; i < 2; i++ {
+		if _, err := p.PushOnce(); err == nil {
+			t.Fatal("push succeeded against a failing root")
 		}
 	}
-	p, err := NewPusher(PusherConfig{URL: ts.URL, Edge: "e", Gather: gather, Streams: []string{"keep"}}, nil)
-	if err != nil {
-		t.Fatal(err)
+	if st := p.Status(); st.Failures != 2 || st.Backoff != 2*time.Second {
+		t.Fatalf("after two failures: failures=%d backoff=%v, want 2 and 2s", st.Failures, st.Backoff)
 	}
+	for i := 0; i < 100; i++ {
+		if w := p.nextWait(); w < 1800*time.Millisecond || w > 2200*time.Millisecond {
+			t.Fatalf("next wait %v outside 2s ±10%%", w)
+		}
+	}
+
 	if acked, err := p.PushOnce(); err != nil || !acked {
-		t.Fatalf("push: acked=%v err=%v", acked, err)
+		t.Fatalf("recovery push: acked=%v err=%v", acked, err)
 	}
-	if got := root.counts("keep", 0); len(got) == 0 || got[0] != 1 {
-		t.Fatalf("kept stream not shipped: %v", got)
+	if st := p.Status(); st.Failures != 0 || st.Backoff != 0 {
+		t.Fatalf("after success: failures=%d backoff=%v", st.Failures, st.Backoff)
 	}
-	if got := root.counts("skip", 0); len(got) != 0 {
-		t.Fatalf("filtered stream shipped: %v", got)
+	for i := 0; i < 100; i++ {
+		if w := p.nextWait(); w < 54*time.Minute || w > 66*time.Minute {
+			t.Fatalf("next wait %v outside the 1h interval ±10%%", w)
+		}
+	}
+
+	for n, want := range map[int]time.Duration{
+		0: 0, 1: time.Second, 2: 2 * time.Second, 9: 256 * time.Second,
+		10: maxBackoff, 1000: maxBackoff,
+	} {
+		if got := backoffFor(n); got != want {
+			t.Errorf("backoffFor(%d) = %v, want %v", n, got, want)
+		}
 	}
 }

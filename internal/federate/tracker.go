@@ -95,22 +95,13 @@ func (t *Tracker) fresh() bool {
 	return t.seq == 0 && len(t.streams) == 0
 }
 
-// Prepare returns the payload to transmit in the JSON codec: the existing
-// pending push if one is in flight, otherwise a freshly frozen delta of
-// states against the acked basis (seq = acked+1). It returns nil when there
-// is nothing to ship. As a side effect it prunes acked state for epochs
-// that aged out of states and for streams no longer present — their deltas
-// can never be shipped again.
+// Prepare returns the payload to transmit: the existing pending push if one
+// is in flight, whatever codec it was frozen in, otherwise a freshly frozen
+// LDPB frame (EncodePushBinary) of states' delta against the acked basis
+// (seq = acked+1). It returns nil when there is nothing to ship. As a side
+// effect it prunes acked state for epochs that aged out of states and for
+// streams no longer present — their deltas can never be shipped again.
 func (t *Tracker) Prepare(edge string, states []StreamState) (*Pending, error) {
-	return t.PrepareFormat(edge, states, false)
-}
-
-// PrepareFormat is Prepare with an explicit codec: binary selects the LDPB
-// frame (EncodePushBinary), false the JSON envelope. An already-frozen
-// pending payload is returned as-is whatever codec it carries — the codec
-// choice applies to the next freeze, never retroactively, so a pusher
-// reconfigured across a restart still replays the persisted bytes verbatim.
-func (t *Tracker) PrepareFormat(edge string, states []StreamState, binary bool) (*Pending, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.pending != nil {
@@ -139,15 +130,11 @@ func (t *Tracker) PrepareFormat(edge string, states []StreamState, binary bool) 
 		return nil, nil
 	}
 	sort.Slice(deltas, func(i, j int) bool { return deltas[i].Stream < deltas[j].Stream })
-	encode := EncodePush
-	if binary {
-		encode = EncodePushBinary
-	}
-	body, err := encode(edge, t.seq+1, deltas)
+	body, err := EncodePushBinary(edge, t.seq+1, deltas)
 	if err != nil {
 		return nil, err
 	}
-	push, err := DecodePushAuto(body) // recover the CRC the frame carries
+	push, err := DecodePushBinary(body) // recover the CRC the frame carries
 	if err != nil {
 		return nil, err
 	}

@@ -27,7 +27,7 @@ func mustPrepare(t *testing.T, tr *Tracker, states ...StreamState) *Pending {
 // stream/epoch (nil if absent).
 func deltaOf(t *testing.T, p *Pending, stream string, epoch, buckets int) []uint64 {
 	t.Helper()
-	push, err := DecodePush(p.Body)
+	push, err := DecodePushAuto(p.Body)
 	if err != nil {
 		t.Fatal(err)
 	}

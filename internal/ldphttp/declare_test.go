@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -48,6 +49,39 @@ func TestCreateStreamRejectsNonFinite(t *testing.T) {
 	}
 	if err := s.SaveSnapshot(filepath.Join(t.TempDir(), "s.snap")); err != nil {
 		t.Errorf("save: %v", err)
+	}
+}
+
+// TestCreateStreamRejectsOversize declares streams whose stripe count or
+// retention lies past the declaration bounds (engine.MaxShards,
+// window.MaxRetain): each answers 400 bad_request and declares nothing.
+// The buckets stay small, so no case makes a large allocation even where
+// the bound is missing.
+func TestCreateStreamRejectsOversize(t *testing.T) {
+	s := NewServer(Config{Epsilon: 1, Buckets: 16, RefreshInterval: time.Hour})
+	t.Cleanup(s.Close)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	for _, body := range []string{
+		`{"name":"wide","epsilon":1,"buckets":2,"shards":257}`,
+		`{"name":"long","epsilon":1,"buckets":2,"epoch":"1m","retain":65537}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/streams", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env struct {
+			Error ErrorBody `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || env.Error.Code != CodeBadRequest {
+			t.Errorf("POST /v1/streams %s = %d code %q (%v), want 400 %q",
+				body, resp.StatusCode, env.Error.Code, err, CodeBadRequest)
+		}
+	}
+	if got := len(s.Streams()); got != 1 {
+		t.Errorf("%d streams declared, want only the default", got)
 	}
 }
 

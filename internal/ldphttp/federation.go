@@ -465,19 +465,22 @@ type PushOptions struct {
 	// re-ships from scratch, which the root's replay cursor still keeps
 	// exact.
 	Persist func() error
-	// Binary freezes push payloads in the compact binary codec
-	// (Content-Type application/x-ldp-binary) instead of JSON. A pending
-	// payload restored from a snapshot keeps its original codec.
+	// Binary is ignored: an edge always freezes its pushes in the binary
+	// codec (Content-Type application/x-ldp-binary), and a pending payload
+	// restored from an older snapshot replays in the codec it was frozen in.
+	//
+	// Deprecated: it chose between the JSON and binary codecs, and remains
+	// only so existing callers compile.
 	Binary bool
 	// Logf receives push-loop diagnostics (nil = silent).
 	Logf func(format string, args ...any)
 }
 
 // EnablePush starts the edge side: a federate.Pusher shipping this server's
-// streams to the root at opts.URL until Close. A cursor restored by an
+// streams to the root at opts.URL until Close. The push cursor of an
 // earlier LoadSnapshot is adopted, so the boot order "declare streams →
-// restore snapshot → enable push" resumes the sequence exactly. EnablePush
-// can be called at most once.
+// restore snapshot → enable push" resumes the sequence exactly; after
+// EnablePush, LoadSnapshot refuses. EnablePush can be called at most once.
 func (s *Server) EnablePush(opts PushOptions) error {
 	if !snapshot.ValidName(opts.Edge) {
 		return fmt.Errorf("ldphttp: invalid edge id %q (want 1-64 chars of [A-Za-z0-9._-])", opts.Edge)
@@ -502,7 +505,6 @@ func (s *Server) EnablePush(opts PushOptions) error {
 		HTTPClient: opts.HTTPClient,
 		Gather:     s.federationStates,
 		Persist:    opts.Persist,
-		Binary:     opts.Binary,
 		Logf:       opts.Logf,
 		Tracer:     s.tracer,
 		TraceLinks: s.links.drain,
@@ -511,7 +513,6 @@ func (s *Server) EnablePush(opts PushOptions) error {
 		s.fedMu.Unlock()
 		return err
 	}
-	s.tracker = tracker
 	s.pusher = pusher
 	s.fedMu.Unlock()
 	s.wg.Add(1)
@@ -573,8 +574,8 @@ func (s *Server) federationRecordLocked() *snapshot.Federation {
 		}
 		fed.Peers = append(fed.Peers, rec)
 	}
-	if s.tracker != nil {
-		cs := s.tracker.State()
+	if s.pusher != nil {
+		cs := s.pusher.Tracker().State()
 		fed.Push = &cs
 	} else if s.restoredCursor != nil {
 		// Loaded but never enabled: carry the cursor forward unchanged.
@@ -587,32 +588,11 @@ func (s *Server) federationRecordLocked() *snapshot.Federation {
 	return &fed
 }
 
-// restorePushCursorLocked installs a snapshot's edge push cursor into the
-// tracker (or stashes it for a later EnablePush). Caller holds fedMu. It
-// fails only against a tracker that has already acked pushes — LoadSnapshot
-// runs it before merging any histogram precisely so that failure aborts the
-// whole restore cleanly.
-func (s *Server) restorePushCursorLocked(fed *snapshot.Federation) error {
-	if fed == nil || fed.Push == nil {
-		return nil
-	}
-	if s.tracker != nil {
-		return s.tracker.Restore(*fed.Push)
-	}
-	cs := *fed.Push
-	s.restoredCursor = &cs
-	return nil
-}
-
 // restorePeersLocked installs a snapshot's root-side peer cursors. Caller
-// holds fedMu (and the registry lock, per LoadSnapshot). The peer cursors
-// replace any same-named live ones — the snapshot's histograms already
-// include those peers' contributions, so keeping a newer in-memory cursor
-// would desynchronize the two.
+// holds fedMu. The peer cursors replace any same-named live ones — the
+// snapshot's histograms already include those peers' contributions, so
+// keeping a newer in-memory cursor would desynchronize the two.
 func (s *Server) restorePeersLocked(fed *snapshot.Federation) {
-	if fed == nil {
-		return
-	}
 	for _, rec := range fed.Peers {
 		p := &peerState{
 			edge:     rec.Edge,

@@ -158,17 +158,11 @@ func TestFederationEndToEndBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-server federation round in -short mode")
 	}
-	// The exactness guarantee is codec-independent: the same scenario runs
-	// with every edge on JSON, every edge on the binary push codec, and a
-	// mixed fleet where only the crashing edge speaks binary — and is then
-	// restarted as a JSON pusher, so its frozen binary pending must replay
-	// by body sniffing, not by configuration.
-	t.Run("json", func(t *testing.T) { runFederationE2E(t, [3]bool{}, false) })
-	t.Run("binary", func(t *testing.T) { runFederationE2E(t, [3]bool{true, true, true}, true) })
-	t.Run("mixed", func(t *testing.T) { runFederationE2E(t, [3]bool{false, true, false}, false) })
+	// Every edge pushes the binary codec, so binary is the one scenario.
+	t.Run("binary", runFederationE2E)
 }
 
-func runFederationE2E(t *testing.T, edgeBinary [3]bool, restartBinary bool) {
+func runFederationE2E(t *testing.T) {
 	dir := t.TempDir()
 	const perEdge = 400
 	const extra = 150
@@ -210,8 +204,7 @@ func runFederationE2E(t *testing.T, edgeBinary [3]bool, restartBinary bool) {
 
 	// Edge 0 and 2 push normally.
 	for _, i := range []int{0, 2} {
-		if err := edges[i].EnablePush(PushOptions{URL: rootTS.URL, Edge: edgeNames[i], Interval: time.Hour,
-			Binary: edgeBinary[i]}); err != nil {
+		if err := edges[i].EnablePush(PushOptions{URL: rootTS.URL, Edge: edgeNames[i], Interval: time.Hour}); err != nil {
 			t.Fatal(err)
 		}
 		if acked, err := edges[i].PushNow(); err != nil || !acked {
@@ -225,7 +218,7 @@ func runFederationE2E(t *testing.T, edgeBinary [3]bool, restartBinary bool) {
 	snapPath := filepath.Join(dir, "edge1.snap")
 	drop := &dropResponseTransport{inner: http.DefaultTransport, drops: 1}
 	if err := edges[1].EnablePush(PushOptions{
-		URL: rootTS.URL, Edge: edgeNames[1], Interval: time.Hour, Binary: edgeBinary[1],
+		URL: rootTS.URL, Edge: edgeNames[1], Interval: time.Hour,
 		HTTPClient: &http.Client{Transport: drop},
 		Persist:    func() error { return edges[1].SaveSnapshot(snapPath) },
 	}); err != nil {
@@ -245,8 +238,7 @@ func runFederationE2E(t *testing.T, edgeBinary [3]bool, restartBinary bool) {
 	if err := edge1b.LoadSnapshot(snapPath); err != nil {
 		t.Fatal(err)
 	}
-	if err := edge1b.EnablePush(PushOptions{URL: rootTS.URL, Edge: edgeNames[1], Interval: time.Hour,
-		Binary: restartBinary}); err != nil {
+	if err := edge1b.EnablePush(PushOptions{URL: rootTS.URL, Edge: edgeNames[1], Interval: time.Hour}); err != nil {
 		t.Fatal(err)
 	}
 	edge1bTS := httptest.NewServer(edge1b.Handler())

@@ -8,14 +8,18 @@ package ldphttp
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/federate"
+	"repro/internal/snapshot"
 	"repro/internal/window"
+	"repro/internal/wire"
 )
 
 // newRoot builds an accepting root server (auto-declare per flag).
@@ -459,6 +463,93 @@ func TestFederationEdgeSnapshotCursorStash(t *testing.T) {
 	}
 }
 
+// TestFederationEdgeReplaysJSONPendingFromSnapshot: an older edge froze its
+// in-flight push as a JSON envelope and persisted it in a v4 snapshot. A
+// current edge restores that snapshot, replays the payload verbatim as
+// application/json (the root applies it), and freezes its next delta as
+// the binary frame.
+func TestFederationEdgeReplaysJSONPendingFromSnapshot(t *testing.T) {
+	root, rootTS := newRoot(t, true)
+	var mu sync.Mutex
+	var types []string
+	var bodies [][]byte
+	capture := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		types, bodies = append(types, r.Header.Get("Content-Type")), append(bodies, body)
+		mu.Unlock()
+		resp, err := http.Post(rootTS.URL+r.URL.Path, r.Header.Get("Content-Type"), bytes.NewReader(body))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
+		w.WriteHeader(resp.StatusCode)
+		io.Copy(w, resp.Body)
+	}))
+	t.Cleanup(capture.Close)
+
+	// The older edge: one report, frozen as a JSON push (seq 1) and
+	// written ahead into its snapshot.
+	old := NewServer(Config{Epsilon: 1, Buckets: 32, RefreshInterval: time.Hour})
+	t.Cleanup(old.Close)
+	report := func(s *Server, v float64) {
+		st := s.lookup(DefaultStream)
+		st.Add([]int{st.Bucket(v)}, 1)
+	}
+	report(old, 0.25)
+	st := old.federationStates()[0]
+	d, ok := federate.NewEpochDelta(0, st.Epochs[0].Counts)
+	if !ok {
+		t.Fatal("no delta to freeze")
+	}
+	jsonBody, err := federate.EncodePush("e1", 1, []federate.StreamDelta{{
+		Stream: st.Name, Fingerprint: st.Fingerprint, Epochs: []federate.EpochDelta{d}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsonPush, err := federate.DecodePush(jsonBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "edge.snap")
+	if err := snapshot.SaveFile(path, &snapshot.File{Streams: old.reg.Capture(), Federation: &snapshot.Federation{
+		Push: &federate.CursorState{Pending: &federate.Pending{Seq: 1, CRC: jsonPush.CRC, Body: jsonBody}},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+
+	edge := NewServer(Config{Epsilon: 1, Buckets: 32, RefreshInterval: time.Hour})
+	t.Cleanup(edge.Close)
+	if err := edge.LoadSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := edge.EnablePush(PushOptions{URL: capture.URL, Edge: "e1", Interval: time.Hour}); err != nil {
+		t.Fatal(err)
+	}
+	if acked, err := edge.PushNow(); err != nil || !acked {
+		t.Fatalf("replay of the JSON pending: acked=%v err=%v", acked, err)
+	}
+	report(edge, 0.75)
+	if acked, err := edge.PushNow(); err != nil || !acked {
+		t.Fatalf("push after the replay: acked=%v err=%v", acked, err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(types) != 2 || types[0] != "application/json" || !bytes.Equal(bodies[0], jsonBody) {
+		t.Fatalf("first push %q (verbatim %v), want the frozen JSON bytes as application/json",
+			types, len(bodies) > 0 && bytes.Equal(bodies[0], jsonBody))
+	}
+	if types[1] != wire.ContentType || !federate.IsBinaryPush(bodies[1]) {
+		t.Fatalf("next push sent as %q, want the binary frame", types[1])
+	}
+	if got := root.StreamN(DefaultStream); got != 2 {
+		t.Fatalf("root holds %d reports, want 2", got)
+	}
+}
+
 func TestFederationWindowedOriginMismatch(t *testing.T) {
 	// Two windowed streams whose epoch indexes name different wall-clock
 	// intervals must not merge: the origin is part of the fingerprint, so
@@ -552,11 +643,11 @@ func swBOpt1(t *testing.T) float64 {
 func TestLoadSnapshotAbortsBeforeMergeOnCursorConflict(t *testing.T) {
 	// A v4 snapshot carrying an edge push cursor must not half-apply when
 	// the live tracker already acked pushes: the load fails before any
-	// histogram merge, so a later retry cannot double-count.
+	// histogram merge, so a later retry cannot double-count. Once push is
+	// enabled every load is refused, a snapshot without a push cursor too.
 	dir := t.TempDir()
 	path := filepath.Join(dir, "edge.snap")
 	root, rootTS := newRoot(t, true)
-	_ = root
 
 	edge := NewServer(Config{Epsilon: 1, Buckets: 32, RefreshInterval: time.Hour})
 	t.Cleanup(edge.Close)
@@ -584,5 +675,27 @@ func TestLoadSnapshotAbortsBeforeMergeOnCursorConflict(t *testing.T) {
 	}
 	if got := edge.StreamN(DefaultStream); got != before {
 		t.Fatalf("failed load still merged: %d -> %d reports", before, got)
+	}
+
+	// The root's snapshot carries histograms and a peer cursor but no push
+	// cursor; it is refused all the same, and nothing on the edge moves.
+	rootPath := filepath.Join(dir, "root.snap")
+	if err := root.SaveSnapshot(rootPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := edge.LoadSnapshot(rootPath); err == nil {
+		t.Fatal("load after EnablePush succeeded")
+	}
+	if got := edge.StreamN(DefaultStream); got != before {
+		t.Fatalf("refused load still merged: %d -> %d reports", before, got)
+	}
+	if peers := edge.Peers(); len(peers) != 0 {
+		t.Fatalf("refused load installed peer cursors %+v", peers)
+	}
+	if st := edge.PushStatus(); st.AckedSeq != 1 {
+		t.Fatalf("refused load moved the push cursor to seq %d", st.AckedSeq)
+	}
+	if acked, err := edge.PushNow(); err != nil || acked {
+		t.Fatalf("push after the refused load: acked=%v err=%v, want nothing to ship", acked, err)
 	}
 }

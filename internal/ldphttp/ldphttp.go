@@ -94,10 +94,10 @@
 // estimate through package snapshot (atomic temp-file rename, checksummed),
 // so a restarted collector resumes warm; windowed streams additionally
 // persist rotation clock, sealed epochs and window estimates, so restarts
-// resume mid-epoch with bit-identical window answers. The capture, the
-// restore rule and the two-phase restore are the engine's, the same the
-// library's Streams registry saves and loads through, so either loads the
-// other's files; cmd/ldpserver wires this to the -snapshot flag.
+// resume mid-epoch with bit-identical window answers. The capture and the
+// restore are the engine's, the same the library's Streams registry saves
+// and loads through, so either loads the other's files; cmd/ldpserver
+// wires this to the -snapshot flag.
 //
 // # Ops
 //
@@ -124,7 +124,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/diagnose"
 	"repro/internal/engine"
 	"repro/internal/federate"
 	"repro/internal/mechanism"
@@ -210,15 +209,6 @@ type OpsConfig struct {
 	// not_ready until LoadSnapshot succeeds or MarkReady is called.
 	// cmd/ldpserver sets it when a -snapshot path is configured.
 	AwaitRestore bool
-	// MaxSeriesPerFamily caps the label-set count of every metric family,
-	// so a stream-declaration storm cannot grow /metrics memory and
-	// scrape latency without bound; over-cap series fold into a
-	// "~overflow" bucket (see telemetry.Options). 0 = the default of
-	// 1024; negative = unbounded.
-	MaxSeriesPerFamily int
-	// Drift tunes the per-stream drift-alert state machine (zero value =
-	// the diagnose package defaults).
-	Drift diagnose.DriftConfig
 	// Trace configures the tracing subsystem (on by default; see
 	// TraceConfig).
 	Trace TraceConfig
@@ -288,13 +278,12 @@ type Server struct {
 	// Federation state. fedMu serializes push application against snapshot
 	// capture, so a snapshot's histograms and peer watermarks are always
 	// mutually consistent (lock order: snapMu → fedMu → registry).
-	fedMu   sync.Mutex
-	peers   map[string]*peerState
-	tracker *federate.Tracker
-	pusher  *federate.Pusher
-	// restoredCursor stashes an edge push cursor loaded from a snapshot
-	// before EnablePush was called (boot order is declare → restore →
-	// enable, but both orders work).
+	fedMu  sync.Mutex
+	peers  map[string]*peerState
+	pusher *federate.Pusher
+	// restoredCursor stashes the edge push cursor LoadSnapshot read for
+	// EnablePush to adopt (boot order is declare → restore → enable;
+	// LoadSnapshot refuses once the pusher runs).
 	restoredCursor *federate.CursorState
 	// links holds recent sampled ingest trace IDs for the federation
 	// pusher to forward (X-LDP-Trace-Link), so a Reporter-stamped trace
@@ -341,7 +330,7 @@ func NewServer(cfg Config) *Server {
 	if lim := cfg.Ops.EdgeRateLimit; lim > 0 {
 		s.edgeLim = ratelimit.NewKeyed(lim, admissionBurst(lim, cfg.Ops.EdgeRateBurst))
 	}
-	opts := engine.Options{Clock: cfg.Clock, Drift: cfg.Ops.Drift}
+	opts := engine.Options{Clock: cfg.Clock}
 	if !cfg.Ops.DisableTelemetry {
 		s.metrics = newServerMetrics(s)
 		opts.Metrics = &s.metrics.engine

@@ -115,7 +115,7 @@ func TestPlainStreamWireCompat(t *testing.T) {
 		if err != nil {
 			t.Error(err)
 		}
-		if push, err := federate.DecodePush(body); err == nil {
+		if push, err := federate.DecodePushAuto(body); err == nil {
 			pushes = append(pushes, push)
 		} else {
 			t.Errorf("decode pushed payload: %v", err)

@@ -1,7 +1,7 @@
 package ldphttp
 
 // Durability: SaveSnapshot/LoadSnapshot persist every stream through the
-// engine's capture and two-phase restore (package engine) into package
+// engine's capture and restore (package engine) into package
 // snapshot's file format, so a restarted collector resumes where the last
 // one stopped: restored estimates — window estimates and the rotation clock
 // of windowed streams included — serve immediately and bit-identically, and
@@ -54,10 +54,13 @@ func (s *Server) saveSnapshot(path string) error {
 // boot) by the engine's restore rule — a windowed record only into a stream
 // that has not rotated yet (the boot-time shape: declare flags, then
 // restore). A stream that had no reports takes the persisted estimates.
-// Corrupt, truncated, or incompatible files return an error and change
-// nothing: validation, construction and merge run under the registry lock,
-// so no declaration or rotation slips in between and no error path leaves
-// a partial merge behind.
+// The root side's peer cursors are installed, and the edge push cursor is
+// kept for EnablePush to adopt. Corrupt, truncated, or incompatible files
+// return an error and change nothing: validation, construction and merge
+// run under one hold of the registry lock, so no declaration or rotation
+// slips in between and no error path leaves a partial merge behind. Once
+// EnablePush has run, LoadSnapshot refuses and changes nothing: the running
+// pusher's cursor counts pushes this process made, which no snapshot knows.
 func (s *Server) LoadSnapshot(path string) error {
 	sp := s.tracer.NewTrace("snapshot/load")
 	start := time.Now()
@@ -85,29 +88,22 @@ func (s *Server) loadSnapshot(path string) error {
 	// the histogram merge and the peer-cursor install would be forgotten.
 	s.fedMu.Lock()
 	defer s.fedMu.Unlock()
-	// Phase 1 validates every record and builds the missing streams; it
-	// holds the registry until Commit or Abort.
-	restore, err := s.reg.Prepare(file.Streams)
-	if err != nil {
+	if s.pusher != nil {
+		return fmt.Errorf("ldphttp: cannot load a snapshot once push is enabled")
+	}
+	// The engine validates, builds and merges, then wakes the refresh
+	// workers to re-estimate any stream whose counts moved past its
+	// estimate.
+	if err := s.reg.Restore(file.Streams); err != nil {
 		return fmt.Errorf("ldphttp: %w", err)
 	}
-	// The edge push cursor restores between validation and the merges: its
-	// one failure mode — a tracker that already acked pushes this process
-	// made, state the snapshot cannot know about — must abort the load
-	// while nothing has merged yet, or a retry would double-merge. The
-	// cursor installed here agrees with the histograms only once phase 2
-	// lands, which it now cannot fail to do.
-	if err := s.restorePushCursorLocked(file.Federation); err != nil {
-		restore.Abort()
-		return fmt.Errorf("ldphttp: restore federation state: %w", err)
+	// Both cursors were validated in LoadFile; installing them cannot fail.
+	if fed := file.Federation; fed != nil {
+		if fed.Push != nil {
+			cs := *fed.Push
+			s.restoredCursor = &cs
+		}
+		s.restorePeersLocked(fed)
 	}
-	// Phase 2 registers and merges, then wakes the engine to re-estimate
-	// any stream whose counts moved past its estimate.
-	if err := restore.Commit(); err != nil {
-		return fmt.Errorf("ldphttp: %w", err)
-	}
-	// Phase 3 — root-side peer cursors (validated in LoadFile, install
-	// cannot fail).
-	s.restorePeersLocked(file.Federation)
 	return nil
 }

@@ -24,10 +24,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// defaultMaxSeries is the per-family series cap applied when OpsConfig
-// leaves MaxSeriesPerFamily at zero. 1024 label-sets per family comfortably
-// covers hundreds of streams while bounding a declaration storm.
-const defaultMaxSeries = 1024
+// maxSeries caps the label-set count of every metric family, so a
+// stream-declaration storm cannot grow /metrics memory and scrape latency
+// without bound; over-cap series fold into a "~overflow" bucket (see
+// telemetry.Options). 1024 label-sets per family comfortably covers
+// hundreds of streams.
+const maxSeries = 1024
 
 // serverMetrics holds every metric family the collector exports.
 type serverMetrics struct {
@@ -80,14 +82,7 @@ type serverMetrics struct {
 // newServerMetrics registers every family and installs the scrape hook.
 // Called once from NewServer, before any stream exists.
 func newServerMetrics(s *Server) *serverMetrics {
-	limit := s.cfg.Ops.MaxSeriesPerFamily
-	switch {
-	case limit == 0:
-		limit = defaultMaxSeries
-	case limit < 0:
-		limit = 0 // explicit opt-out: unbounded
-	}
-	r := telemetry.NewWithOptions(telemetry.Options{MaxSeriesPerFamily: limit})
+	r := telemetry.NewWithOptions(telemetry.Options{MaxSeriesPerFamily: maxSeries})
 	m := &serverMetrics{
 		reg: r,
 		requests: r.Counter("ldp_requests_total",

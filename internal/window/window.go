@@ -60,6 +60,10 @@ type Config struct {
 // DefaultRetain is the sealed-epoch retention used when Config.Retain is 0.
 const DefaultRetain = 8
 
+// MaxRetain bounds Config.Retain: a ring holds, and one Advance may
+// gap-fill, up to Retain sealed epochs.
+const MaxRetain = 65536
+
 // Validate fills defaults and rejects unusable configurations of a rotating
 // ring. It rejects the zero Config too, which New takes as a plain ring.
 func (c Config) Validate() (Config, error) {
@@ -69,8 +73,8 @@ func (c Config) Validate() (Config, error) {
 	if c.Retain == 0 {
 		c.Retain = DefaultRetain
 	}
-	if c.Retain < 1 {
-		return c, fmt.Errorf("window: retain must be at least 1, got %d", c.Retain)
+	if c.Retain < 1 || c.Retain > MaxRetain {
+		return c, fmt.Errorf("window: retain must be in [1, %d], got %d", MaxRetain, c.Retain)
 	}
 	return c, nil
 }

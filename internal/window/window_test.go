@@ -35,6 +35,12 @@ func TestConfigValidate(t *testing.T) {
 	if _, err := (Config{Epoch: time.Second, Retain: -1}).Validate(); err == nil {
 		t.Error("negative retain accepted")
 	}
+	if _, err := (Config{Epoch: time.Second, Retain: MaxRetain + 1}).Validate(); err == nil {
+		t.Error("retain above MaxRetain accepted")
+	}
+	if _, err := (Config{Epoch: time.Second, Retain: MaxRetain}).Validate(); err != nil {
+		t.Errorf("retain MaxRetain rejected: %v", err)
+	}
 	cfg, err := (Config{Epoch: time.Second}).Validate()
 	if err != nil || cfg.Retain != DefaultRetain {
 		t.Errorf("default retain: got %d, %v", cfg.Retain, err)

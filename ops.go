@@ -9,6 +9,7 @@ package repro
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -156,8 +157,14 @@ func CheckServerHealth(baseURL string, hc *http.Client) (ServerHealth, error) {
 	return h, nil
 }
 
+// transportError is a probe that got no HTTP answer (connection refused,
+// reset, timeout) — the one probe error AwaitServerReady retries.
+type transportError struct{ error }
+
+func (e transportError) Unwrap() error { return e.error }
+
 // opsProbe hits one probe endpoint: 200 → ok, 503 → probe failure with the
-// envelope's message, anything else → error.
+// envelope's message, no answer → transportError, anything else → error.
 func opsProbe(baseURL, path string, hc *http.Client) (ok bool, detail string, extra map[string]any, err error) {
 	u, err := url.Parse(baseURL)
 	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
@@ -168,12 +175,12 @@ func opsProbe(baseURL, path string, hc *http.Client) (ok bool, detail string, ex
 	}
 	resp, err := hc.Get(strings.TrimSuffix(baseURL, "/") + path)
 	if err != nil {
-		return false, "", nil, err
+		return false, "", nil, transportError{err}
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if err != nil {
-		return false, "", nil, err
+		return false, "", nil, transportError{err}
 	}
 	switch resp.StatusCode {
 	case http.StatusOK:
@@ -318,18 +325,24 @@ func FetchTraces(baseURL string, q TraceQuery, hc *http.Client) (*Traces, error)
 
 // AwaitServerReady polls GET {baseURL}/readyz until it answers 200 or the
 // deadline passes — the programmatic version of "wait for the snapshot
-// restore before pointing traffic at it".
+// restore before pointing traffic at it". A collector that does not answer
+// yet (connection refused, say, because it is not listening) is polled like
+// one answering 503, and the last transport error is returned at the
+// deadline; a non-http(s) URL or an unexpected status fails at once.
 func AwaitServerReady(baseURL string, hc *http.Client, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
 		ok, detail, _, err := opsProbe(baseURL, "/readyz", hc)
-		if err != nil {
+		if err != nil && !errors.As(err, new(transportError)) {
 			return fmt.Errorf("repro: await ready: %w", err)
 		}
 		if ok {
 			return nil
 		}
 		if time.Now().After(deadline) {
+			if err != nil {
+				return fmt.Errorf("repro: await ready: no answer after %v: %w", timeout, err)
+			}
 			return fmt.Errorf("repro: await ready: not ready after %v (%s)", timeout, detail)
 		}
 		time.Sleep(25 * time.Millisecond)

@@ -1,9 +1,11 @@
 package repro
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -126,5 +128,57 @@ func TestAwaitServerReady(t *testing.T) {
 	}()
 	if err := AwaitServerReady(ts.URL, nil, 5*time.Second); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refusingTransport fails its first n round trips at the transport layer,
+// as a collector that is not listening yet does.
+type refusingTransport struct {
+	mu sync.Mutex
+	n  int
+}
+
+func (rt *refusingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	rt.mu.Lock()
+	refuse := rt.n > 0
+	if refuse {
+		rt.n--
+	}
+	rt.mu.Unlock()
+	if refuse {
+		return nil, errors.New("connection refused")
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+func TestAwaitServerReadyRetriesTransportErrors(t *testing.T) {
+	_, ts := newOpsServer(t, ldphttp.OpsConfig{})
+	rt := &refusingTransport{n: 2}
+	if err := AwaitServerReady(ts.URL, &http.Client{Transport: rt}, 5*time.Second); err != nil {
+		t.Fatalf("AwaitServerReady gave up on a collector that answers on the third try: %v", err)
+	}
+	if rt.n != 0 {
+		t.Errorf("%d refusals left unconsumed", rt.n)
+	}
+
+	// A collector that never answers: the last transport error at the
+	// deadline.
+	err := AwaitServerReady(ts.URL, &http.Client{Transport: &refusingTransport{n: 1 << 30}}, 100*time.Millisecond)
+	if err == nil || !strings.Contains(err.Error(), "connection refused") {
+		t.Errorf("never-answering collector: %v, want the last transport error", err)
+	}
+
+	// A non-http(s) URL and an unexpected status stay immediate errors.
+	broken := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, "boom", http.StatusInternalServerError)
+	}))
+	t.Cleanup(broken.Close)
+	for _, base := range []string{"ftp://x", broken.URL} {
+		start := time.Now()
+		if err := AwaitServerReady(base, nil, 5*time.Second); err == nil {
+			t.Errorf("AwaitServerReady(%s) succeeded", base)
+		} else if waited := time.Since(start); waited > time.Second {
+			t.Errorf("AwaitServerReady(%s) retried for %v before failing: %v", base, waited, err)
+		}
 	}
 }

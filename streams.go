@@ -5,8 +5,8 @@ package repro
 // embedding the library directly. A Streams registry is the collector's own
 // stream registry (package engine) without the background refresh: the
 // same declaration and redeclare rules, the same Aggregator-per-stream
-// ingest, and the same snapshot capture and two-phase restore, so either
-// loads the other's files. Query evaluates range/CDF/quantile/mean/
+// ingest, and the same snapshot capture and restore, so either loads the
+// other's files. Query evaluates range/CDF/quantile/mean/
 // variance/top-k analytics against a reconstruction.
 
 import (
@@ -228,11 +228,7 @@ func (s *Streams) Load(path string) error {
 	if err != nil {
 		return err
 	}
-	restore, err := s.reg.Prepare(records)
-	if err != nil {
-		return fmt.Errorf("repro: %w", err)
-	}
-	if err := restore.Commit(); err != nil {
+	if err := s.reg.Restore(records); err != nil {
 		return fmt.Errorf("repro: %w", err)
 	}
 	return nil
