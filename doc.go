@@ -237,18 +237,20 @@
 // effectiveness, and, on windowed streams, distribution drift: every epoch
 // rotation scores the just-sealed epoch against its predecessor with
 // normalized Wasserstein-1 and Kolmogorov–Smirnov distances through a
-// hysteresis alerter (fire at 0.08/0.2 by default, clear after three
-// consecutive quiet epochs at half that). The record is served per stream
-// at GET /v1/streams/{name}/diagnostics and fleet-wide at GET
-// /v1/diagnostics (filter with stream=, mechanism=, alerting=), fetchable
-// with FetchDiagnostics and FetchFleetDiagnostics, and mirrored into the
-// exposition as ldp_estimate_loglik, ldp_estimate_ci_halfwidth,
-// ldp_em_converged, ldp_drift_score{metric="w1"|"ks"} and
-// ldp_drift_alerts_total. The cmd/ldptop dashboard renders all of it live
-// in a terminal. The telemetry registry caps per-family label cardinality
-// (overflow folds into a "~overflow" series, self-reported by
-// ldp_telemetry_series and ldp_telemetry_dropped_series_total), and
-// /metrics serves gzip when the scraper accepts it.
+// hysteresis alerter (fire at 0.08/0.2, clear after three consecutive
+// quiet epochs at half that; the thresholds are fixed). The record is
+// served per stream at GET /v1/streams/{name}/diagnostics and fleet-wide
+// at GET /v1/diagnostics (filter with stream=, mechanism=, alerting=),
+// fetchable with FetchDiagnostics and FetchFleetDiagnostics, and mirrored
+// into the exposition at scrape time as ldp_estimate_loglik (EM streams),
+// ldp_estimate_ci_halfwidth, ldp_em_converged and
+// ldp_drift_score{metric="w1"|"ks"} (windowed streams), next to the
+// ldp_drift_alerts_total event counter. The cmd/ldptop dashboard renders
+// all of it live in a terminal. The telemetry registry caps per-family
+// label cardinality (overflow folds into a "~overflow" series,
+// self-reported by ldp_telemetry_series and
+// ldp_telemetry_dropped_series_total), and /metrics serves gzip when the
+// scraper accepts it.
 //
 // # Wire formats and the batching Reporter
 //

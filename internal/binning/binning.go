@@ -43,10 +43,6 @@ func (m *Method) Bins() int { return m.c }
 // Epsilon returns the privacy budget.
 func (m *Method) Epsilon() float64 { return m.eps }
 
-// OracleName reports the wire name of the CFO the method selected ("grr"
-// or "olh").
-func (m *Method) OracleName() string { return m.oracle.Name() }
-
 // Collect runs a full round over private values in [0,1] and returns an
 // estimated distribution over d buckets (d must be a multiple of c). The
 // result is a valid probability distribution.

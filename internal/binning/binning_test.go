@@ -55,10 +55,10 @@ func TestCollectPanicsOnBadGranularity(t *testing.T) {
 
 func TestOracleSelection(t *testing.T) {
 	// c=16 at eps=2.5: 14 < 3e^2.5 → GRR. c=64 at eps=0.5: OLH.
-	if got := New(16, 2.5).OracleName(); got != "grr" {
+	if got := New(16, 2.5).oracle.Name(); got != "grr" {
 		t.Errorf("c=16 eps=2.5 oracle = %s, want grr", got)
 	}
-	if got := New(64, 0.5).OracleName(); got != "olh" {
+	if got := New(64, 0.5).oracle.Name(); got != "olh" {
 		t.Errorf("c=64 eps=0.5 oracle = %s, want olh", got)
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"repro/internal/mechanism"
 	"repro/internal/postprocess"
 	"repro/internal/randx"
-	"repro/internal/sw"
 )
 
 // Config parameterizes a collection round. The zero Mechanism is the
@@ -265,9 +264,11 @@ type Estimator interface {
 	Estimate(values []float64, d int, eps float64, rng *randx.Rand) []float64
 }
 
-// swEstimator covers SW/GW with EM or EMS reconstruction.
+// swEstimator covers the Square Wave family with EM or EMS reconstruction:
+// SW/GW (report-then-bucketize) and the discrete SW (bucketize-then-report).
 type swEstimator struct {
 	name      string
+	mechanism string // "" → sw
 	smoothing bool
 	rho       float64
 	explicit  bool
@@ -296,6 +297,12 @@ func GeneralWaveEMS(rho, b float64) Estimator {
 	return swEstimator{name: name, smoothing: true, rho: rho, explicit: true, bandwidth: b}
 }
 
+// SWDiscreteEMS returns the discrete (B-R) Square Wave with EMS
+// (Section 5.4): the collector's sw-discrete mechanism.
+func SWDiscreteEMS() Estimator {
+	return swEstimator{name: "SW-BR-EMS", mechanism: mechanism.SWDiscrete, smoothing: true}
+}
+
 func (s swEstimator) Name() string            { return s.name }
 func (s swEstimator) ValidDistribution() bool { return true }
 
@@ -307,28 +314,9 @@ func (s swEstimator) Estimate(values []float64, d int, eps float64, rng *randx.R
 		PlateauRatio:  s.rho,
 		ExplicitShape: s.explicit,
 		Smoothing:     s.smoothing,
+		Mechanism:     s.mechanism,
 	}
 	return Run(cfg, values, rng)
-}
-
-// swDiscreteEstimator is the bucketize-before-randomize variant.
-type swDiscreteEstimator struct{ smoothing bool }
-
-// SWDiscreteEMS returns the discrete (B-R) Square Wave with EMS
-// (Section 5.4).
-func SWDiscreteEMS() Estimator { return swDiscreteEstimator{smoothing: true} }
-
-func (s swDiscreteEstimator) Name() string            { return "SW-BR-EMS" }
-func (s swDiscreteEstimator) ValidDistribution() bool { return true }
-
-func (s swDiscreteEstimator) Estimate(values []float64, d int, eps float64, rng *randx.Rand) []float64 {
-	mech := sw.NewDiscrete(d, eps)
-	counts := mech.Collect(discretize(values, d), rng)
-	opts := em.EMSOptions()
-	if !s.smoothing {
-		opts = em.EMOptions(eps)
-	}
-	return em.Reconstruct(mech.Channel(), counts, opts).Estimate
 }
 
 // discretize maps values ∈ [0,1] (clamped) to their buckets in a d-bucket

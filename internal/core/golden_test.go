@@ -11,8 +11,9 @@ import (
 )
 
 // TestGoldenBatchEstimates pins the paper's batch baselines bit for bit on
-// configurations whose frequency oracles are GRR or HRR only: a fixed
-// population and seed must always produce the same estimate digest. OLH-
+// configurations whose frequency oracles are GRR or HRR only, and the
+// bucketize-before-randomize Square Wave: a fixed population and seed must
+// always produce the same estimate digest. OLH-
 // backed configurations (large bin counts or hierarchy levels at small ε)
 // are deliberately not pinned: their hash seeds are 53-bit draws shared
 // with the collector's wire format, so their estimates are covered by the
@@ -28,6 +29,8 @@ func TestGoldenBatchEstimates(t *testing.T) {
 		{HaarHRR(), 64, 2.5, 0x2c1776bc4d636ffa},
 		{Binning(16), 64, 2.5, 0x8032b1004a32b395}, // 14 < 3e^2.5: GRR
 		{HH(4), 64, 4, 0x15bda764e4b9203d},         // 62 < 3e^4: GRR at every level
+		{SWDiscreteEMS(), 64, 1, 0x54ba595bb09fc4eb},
+		{SWDiscreteEMS(), 256, 2.5, 0xd59468ca12e76506},
 	}
 	for _, g := range golden {
 		est := g.est.Estimate(values, g.d, g.eps, randx.New(0x601DE7))

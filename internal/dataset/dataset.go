@@ -39,22 +39,10 @@ type Dataset struct {
 	Buckets int
 }
 
-// TrueDistribution returns the exact bucketized distribution of the values
-// at the dataset's default granularity.
-func (d *Dataset) TrueDistribution() []float64 {
-	return d.TrueDistributionAt(d.Buckets)
-}
-
 // TrueDistributionAt returns the exact bucketized distribution at an
 // explicit granularity.
 func (d *Dataset) TrueDistributionAt(buckets int) []float64 {
 	return histogram.FromSamples(d.Values, buckets).Distribution()
-}
-
-// DiscreteValues returns the values bucketized at the dataset's granularity,
-// for protocols over discrete domains (HH, HaarHRR, discrete SW).
-func (d *Dataset) DiscreteValues() []int {
-	return d.DiscreteValuesAt(d.Buckets)
 }
 
 // DiscreteValuesAt bucketizes at an explicit granularity.

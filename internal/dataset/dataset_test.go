@@ -23,12 +23,12 @@ func TestAllGeneratorsBasicInvariants(t *testing.T) {
 				t.Fatalf("%s: value[%d] = %v outside [0,1]", name, i, v)
 			}
 		}
-		dist := ds.TrueDistribution()
+		dist := ds.TrueDistributionAt(ds.Buckets)
 		if len(dist) != ds.Buckets {
 			t.Errorf("%s: distribution has %d buckets, want %d", name, len(dist), ds.Buckets)
 		}
 		if !mathx.IsDistribution(dist, 1e-9) {
-			t.Errorf("%s: TrueDistribution is not a distribution", name)
+			t.Errorf("%s: TrueDistributionAt(Buckets) is not a distribution", name)
 		}
 	}
 }
@@ -63,7 +63,7 @@ func TestBucketsMatchPaper(t *testing.T) {
 
 func TestBeta52Moments(t *testing.T) {
 	ds := Beta52(200000, 7)
-	dist := ds.TrueDistribution()
+	dist := ds.TrueDistributionAt(ds.Buckets)
 	if got := histogram.Mean(dist); math.Abs(got-5.0/7.0) > 0.01 {
 		t.Errorf("Beta(5,2) mean = %v, want %v", got, 5.0/7.0)
 	}
@@ -93,7 +93,7 @@ func TestTaxiShape(t *testing.T) {
 
 func TestIncomeIsSpiky(t *testing.T) {
 	const n = 300000
-	income := Income(n, 9).TrueDistribution()
+	income := Income(n, 9).TrueDistributionAt(1024)
 	taxi := Taxi(n, 9).TrueDistributionAt(1024)
 	beta := Beta52(n, 9).TrueDistributionAt(1024)
 	si, st, sb := Spikiness(income), Spikiness(taxi), Spikiness(beta)
@@ -142,7 +142,7 @@ func TestRetirementShape(t *testing.T) {
 
 func TestDiscreteValuesConsistentWithDistribution(t *testing.T) {
 	ds := Beta52(50000, 12)
-	disc := ds.DiscreteValues()
+	disc := ds.DiscreteValuesAt(ds.Buckets)
 	counts := make([]float64, ds.Buckets)
 	for _, v := range disc {
 		if v < 0 || v >= ds.Buckets {
@@ -151,8 +151,8 @@ func TestDiscreteValuesConsistentWithDistribution(t *testing.T) {
 		counts[v]++
 	}
 	mathx.Normalize(counts)
-	if got := mathx.L1(counts, ds.TrueDistribution()); got > 1e-9 {
-		t.Errorf("discrete values disagree with TrueDistribution: L1 = %v", got)
+	if got := mathx.L1(counts, ds.TrueDistributionAt(ds.Buckets)); got > 1e-9 {
+		t.Errorf("discrete values disagree with TrueDistributionAt(Buckets): L1 = %v", got)
 	}
 }
 

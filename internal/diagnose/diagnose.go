@@ -45,44 +45,19 @@ func HalfWidth(variance float64) float64 {
 	return z95 * math.Sqrt(variance)
 }
 
-// DriftConfig tunes the drift-alert state machine. The hysteresis lives in
-// the threshold pair: an alert raises when either score of one sealed epoch
-// reaches the fire threshold, and clears only after ClearCount consecutive
-// epochs with both scores at or below the (lower) clear thresholds — scores
+// The drift alert's thresholds. The hysteresis lives in the threshold
+// pair: an alert raises when either score of one sealed epoch reaches its
+// fire threshold, and clears only after driftClearCount consecutive epochs
+// with both scores at or below the (half-height) clear thresholds — scores
 // in the dead band between the two keep the current state and reset the
-// clear streak. The zero value selects the defaults.
-type DriftConfig struct {
-	// FireW1 / FireKS raise the alert when one sealed epoch's score
-	// reaches either (defaults 0.08 / 0.2).
-	FireW1 float64
-	FireKS float64
-	// ClearW1 / ClearKS are the quiet thresholds (defaults: half the fire
-	// thresholds).
-	ClearW1 float64
-	ClearKS float64
-	// ClearCount is how many consecutive quiet epochs clear a raised
-	// alert (default 3).
-	ClearCount int
-}
-
-func (c DriftConfig) withDefaults() DriftConfig {
-	if c.FireW1 <= 0 {
-		c.FireW1 = 0.08
-	}
-	if c.FireKS <= 0 {
-		c.FireKS = 0.2
-	}
-	if c.ClearW1 <= 0 {
-		c.ClearW1 = c.FireW1 / 2
-	}
-	if c.ClearKS <= 0 {
-		c.ClearKS = c.FireKS / 2
-	}
-	if c.ClearCount <= 0 {
-		c.ClearCount = 3
-	}
-	return c
-}
+// clear streak.
+const (
+	driftFireW1     = 0.08
+	driftFireKS     = 0.2
+	driftClearW1    = driftFireW1 / 2
+	driftClearKS    = driftFireKS / 2
+	driftClearCount = 3
+)
 
 // TrackerConfig describes the stream a Tracker watches.
 type TrackerConfig struct {
@@ -96,7 +71,6 @@ type TrackerConfig struct {
 	// Windowed enables the drift block: only epoch-rotated streams have
 	// consecutive sealed estimates to difference.
 	Windowed bool
-	Drift    DriftConfig
 }
 
 // Refresh is one published reconstruction as observed by the engine.
@@ -217,7 +191,6 @@ type Tracker struct {
 
 // NewTracker builds a tracker for one stream.
 func NewTracker(cfg TrackerConfig) *Tracker {
-	cfg.Drift = cfg.Drift.withDefaults()
 	return &Tracker{cfg: cfg, lastEpoch: -1, sinceEpoch: -1}
 }
 
@@ -246,25 +219,23 @@ func (t *Tracker) ObserveRefresh(r Refresh) {
 }
 
 // ObserveEpoch scores one just-sealed epoch's lone estimate against the
-// previous sealed epoch's and advances the alert state machine. It returns
-// the scores and whether this observation raised the alert (the caller's
-// cue to bump its alert counter). The first sealed estimate only primes the
-// comparison baseline; scored stays false.
-func (t *Tracker) ObserveEpoch(epoch int, est []float64) (w1, ks float64, scored, raised bool) {
+// previous sealed epoch's and advances the alert state machine. It reports
+// whether this observation raised the alert (the caller's cue to bump its
+// alert counter); the scores themselves are read through Snapshot. The
+// first sealed estimate only primes the comparison baseline.
+func (t *Tracker) ObserveEpoch(epoch int, est []float64) (raised bool) {
 	if !t.cfg.Windowed || len(est) == 0 {
-		return 0, 0, false, false
+		return false
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.prevEst != nil && len(t.prevEst) == len(est) {
-		w1 = metrics.Wasserstein(t.prevEst, est)
-		ks = metrics.KS(t.prevEst, est)
+		w1 := metrics.Wasserstein(t.prevEst, est)
+		ks := metrics.KS(t.prevEst, est)
 		t.w1, t.ks = w1, ks
 		t.epochsScored++
-		scored = true
-		d := t.cfg.Drift
 		switch {
-		case w1 >= d.FireW1 || ks >= d.FireKS:
+		case w1 >= driftFireW1 || ks >= driftFireKS:
 			t.clearStreak = 0
 			if !t.alerting {
 				t.alerting = true
@@ -272,10 +243,10 @@ func (t *Tracker) ObserveEpoch(epoch int, est []float64) (w1, ks float64, scored
 				t.sinceEpoch = epoch
 				raised = true
 			}
-		case w1 <= d.ClearW1 && ks <= d.ClearKS:
+		case w1 <= driftClearW1 && ks <= driftClearKS:
 			if t.alerting {
 				t.clearStreak++
-				if t.clearStreak >= d.ClearCount {
+				if t.clearStreak >= driftClearCount {
 					t.alerting = false
 					t.clearStreak = 0
 					t.sinceEpoch = epoch
@@ -288,7 +259,7 @@ func (t *Tracker) ObserveEpoch(epoch int, est []float64) (w1, ks float64, scored
 	}
 	t.lastEpoch = epoch
 	t.prevEst = append(t.prevEst[:0], est...)
-	return w1, ks, scored, raised
+	return raised
 }
 
 // LastEpochEstimate returns the tracker's copy of the most recent sealed

@@ -38,24 +38,25 @@ func noisy(dist []float64, amp float64, rng *rand.Rand) []float64 {
 	return out
 }
 
-func windowedTracker(cfg DriftConfig) *Tracker {
+func windowedTracker() *Tracker {
 	return NewTracker(TrackerConfig{
 		Mechanism: "sw", Epsilon: 1, Buckets: 64,
-		EMBased: true, Windowed: true, Drift: cfg,
+		EMBased: true, Windowed: true,
 	})
 }
 
 func TestStationaryCohortNeverAlerts(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	tr := windowedTracker(DriftConfig{})
+	tr := windowedTracker()
 	base := betaDist(5, 2, 64)
 	for epoch := 0; epoch < 50; epoch++ {
-		w1, ks, scored, raised := tr.ObserveEpoch(epoch, noisy(base, 0.15, rng))
+		raised := tr.ObserveEpoch(epoch, noisy(base, 0.15, rng))
+		dr := tr.Snapshot(0).Drift
 		if raised {
-			t.Fatalf("epoch %d: stationary cohort raised an alert (w1=%v ks=%v)", epoch, w1, ks)
+			t.Fatalf("epoch %d: stationary cohort raised an alert (w1=%v ks=%v)", epoch, dr.W1, dr.KS)
 		}
-		if epoch > 0 && !scored {
-			t.Fatalf("epoch %d: not scored", epoch)
+		if dr.EpochsScored != epoch {
+			t.Fatalf("epoch %d: %d epochs scored, want %d", epoch, dr.EpochsScored, epoch)
 		}
 	}
 	rec := tr.Snapshot(0)
@@ -72,25 +73,24 @@ func TestStationaryCohortNeverAlerts(t *testing.T) {
 
 func TestStepChangeFiresAndClearsWithHysteresis(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	tr := windowedTracker(DriftConfig{})
+	tr := windowedTracker()
 	old := betaDist(5, 2, 64)
 	new_ := betaDist(2, 5, 64)
 	for epoch := 0; epoch < 10; epoch++ {
-		if _, _, _, raised := tr.ObserveEpoch(epoch, noisy(old, 0.1, rng)); raised {
+		if tr.ObserveEpoch(epoch, noisy(old, 0.1, rng)) {
 			t.Fatalf("epoch %d: pre-shift alert", epoch)
 		}
 	}
 	// The step: epoch 10 is the first drawn from the shifted cohort. The
 	// old-vs-new score is large, so the alert must raise immediately.
-	_, _, _, raised := tr.ObserveEpoch(10, noisy(new_, 0.1, rng))
-	if !raised {
+	if !tr.ObserveEpoch(10, noisy(new_, 0.1, rng)) {
 		t.Fatal("step change did not raise the drift alert")
 	}
 	if !tr.Alerting() {
 		t.Fatal("tracker not alerting after raise")
 	}
 	// New-vs-new epochs are quiet again, but the alert must survive until
-	// ClearCount (default 3) consecutive quiet epochs have passed.
+	// three consecutive quiet epochs have passed.
 	clearedAt := -1
 	for epoch := 11; epoch < 20; epoch++ {
 		tr.ObserveEpoch(epoch, noisy(new_, 0.1, rng))
@@ -113,7 +113,7 @@ func TestStepChangeFiresAndClearsWithHysteresis(t *testing.T) {
 
 func TestSlowRampFiresAndClears(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	tr := windowedTracker(DriftConfig{})
+	tr := windowedTracker()
 	// A ramp: the cohort mean slides a little every epoch for 6 epochs,
 	// each consecutive pair differing by more than the fire threshold,
 	// then parks at the final shape.
@@ -122,8 +122,7 @@ func TestSlowRampFiresAndClears(t *testing.T) {
 	}
 	var everRaised bool
 	for epoch, s := range shapes {
-		_, _, _, raised := tr.ObserveEpoch(epoch, noisy(betaDist(s.a, s.b, 64), 0.1, rng))
-		everRaised = everRaised || raised
+		everRaised = tr.ObserveEpoch(epoch, noisy(betaDist(s.a, s.b, 64), 0.1, rng)) || everRaised
 	}
 	if !everRaised {
 		t.Fatal("slow ramp never raised the drift alert")
@@ -138,13 +137,13 @@ func TestSlowRampFiresAndClears(t *testing.T) {
 }
 
 func TestDeadBandHoldsStateAndResetsClearStreak(t *testing.T) {
-	tr := windowedTracker(DriftConfig{FireW1: 0.1, ClearW1: 0.02, FireKS: 10, ClearKS: 10, ClearCount: 2})
+	tr := windowedTracker()
 	flat := make([]float64, 10)
 	for i := range flat {
 		flat[i] = 0.1
 	}
 	// shifted(mass) moves `mass` probability from bucket 0 to bucket 9:
-	// W1 = mass * 9/10... in this package's normalized form, mass·(d−1)/d.
+	// KS = mass and, in this package's normalized form, W1 = mass·(d−1)/d.
 	shifted := func(mass float64) []float64 {
 		out := append([]float64(nil), flat...)
 		out[0] -= mass
@@ -152,40 +151,43 @@ func TestDeadBandHoldsStateAndResetsClearStreak(t *testing.T) {
 		return out
 	}
 	tr.ObserveEpoch(0, flat)
-	if _, _, _, raised := tr.ObserveEpoch(1, shifted(0.2)); !raised { // W1 = 0.18 ≥ 0.1
+	if !tr.ObserveEpoch(1, shifted(0.2)) { // W1 = 0.18 ≥ 0.08
 		t.Fatal("large shift did not raise")
 	}
-	// Back to near-flat: the score vs the shifted epoch is large again —
-	// still firing territory, no state change.
+	// Back to flat: the score vs the shifted epoch is large again — still
+	// firing territory, no state change.
 	tr.ObserveEpoch(2, flat)
 	if !tr.Alerting() {
 		t.Fatal("alert dropped while scores still high")
 	}
-	// One quiet epoch, then a dead-band epoch (0.02 < W1 < 0.1): the
-	// clear streak must reset, so two more quiet epochs are needed.
+	// One quiet epoch, then a dead-band epoch (0.04 < W1 < 0.08, KS below
+	// both thresholds): the clear streak must reset, so three more quiet
+	// epochs are needed.
 	tr.ObserveEpoch(3, flat)          // quiet (W1 = 0): streak 1
-	tr.ObserveEpoch(4, shifted(0.06)) // dead band (W1 ≈ 0.054): streak resets
+	tr.ObserveEpoch(4, shifted(0.06)) // dead band (W1 = 0.054): streak resets
 	tr.ObserveEpoch(5, shifted(0.06)) // quiet vs identical epoch: streak 1
+	tr.ObserveEpoch(6, shifted(0.06)) // quiet: streak 2
 	if !tr.Alerting() {
 		t.Fatal("alert cleared through the dead band")
 	}
-	tr.ObserveEpoch(6, shifted(0.06)) // quiet: streak 2 → clears
+	tr.ObserveEpoch(7, shifted(0.06)) // quiet: streak 3 → clears
 	if tr.Alerting() {
-		t.Fatal("alert did not clear after ClearCount quiet epochs")
+		t.Fatal("alert did not clear after three quiet epochs")
 	}
 }
 
 func TestObserveEpochIgnoresNonWindowedAndEmpty(t *testing.T) {
 	plain := NewTracker(TrackerConfig{Mechanism: "grr", Epsilon: 1, Buckets: 32})
-	if _, _, scored, raised := plain.ObserveEpoch(0, []float64{1}); scored || raised {
-		t.Fatal("non-windowed tracker scored an epoch")
+	if plain.ObserveEpoch(0, []float64{1}) {
+		t.Fatal("non-windowed tracker raised an alert")
 	}
 	if plain.Snapshot(0).Drift != nil {
 		t.Fatal("non-windowed snapshot carries a drift block")
 	}
-	win := windowedTracker(DriftConfig{})
-	if _, _, scored, _ := win.ObserveEpoch(0, nil); scored {
-		t.Fatal("empty estimate scored")
+	win := windowedTracker()
+	win.ObserveEpoch(0, nil)
+	if dr := win.Snapshot(0).Drift; dr.EpochsScored != 0 || dr.LastEpoch != -1 {
+		t.Fatalf("empty estimate was observed: %+v", dr)
 	}
 	if win.LastEpochEstimate() != nil {
 		t.Fatal("empty estimate primed the baseline")
@@ -246,7 +248,7 @@ func TestHalfWidth(t *testing.T) {
 }
 
 func TestSnapshotAlwaysMarshals(t *testing.T) {
-	tr := windowedTracker(DriftConfig{})
+	tr := windowedTracker()
 	// Non-finite observations (a MaxIters=1 run reports LastDelta 0, but
 	// defend against any future +Inf leaking through) must not poison the
 	// JSON surface; n=0 yields +Inf variance, also sanitized.

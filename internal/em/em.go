@@ -366,34 +366,6 @@ func (w *Workspace) plainStep(m matrixx.Channel, counts, x []float64, opts *Opti
 	return res.Converged || res.Iterations >= opts.MaxIters
 }
 
-// Residuals compares the observed report histogram against the one the
-// fitted estimate implies (n·M·x̂), returning the per-bucket Pearson
-// residuals (obs − fit)/√fit and the total χ² statistic. Large structured
-// residuals indicate the channel matrix does not match the mechanism that
-// produced the reports (wrong ε, wrong bandwidth, corrupted aggregation) —
-// the aggregator-side sanity check a deployment should run after every
-// reconstruction.
-func Residuals(m matrixx.Channel, counts, estimate []float64) (residuals []float64, chi2 float64) {
-	dt := m.Rows()
-	if len(counts) != dt || len(estimate) != m.Cols() {
-		panic("em: Residuals dimension mismatch")
-	}
-	n := mathx.Sum(counts)
-	fit := make([]float64, dt)
-	m.MulVec(fit, estimate)
-	residuals = make([]float64, dt)
-	for j := range fit {
-		expected := fit[j] * n
-		if expected < 1e-12 {
-			continue
-		}
-		r := (counts[j] - expected) / math.Sqrt(expected)
-		residuals[j] = r
-		chi2 += r * r
-	}
-	return residuals, chi2
-}
-
 // LogLikelihood evaluates L(x) = Σ_j n_j·ln((M·x)_j) for an arbitrary
 // candidate distribution x; used by tests and diagnostics.
 func LogLikelihood(m matrixx.Channel, counts, x []float64) float64 {

@@ -292,62 +292,6 @@ func BenchmarkReconstructEMS256(b *testing.B) {
 	}
 }
 
-func TestResidualsWellSpecifiedModel(t *testing.T) {
-	// When the channel matches the mechanism, Pearson residuals behave
-	// like unit-variance noise: chi2 ≈ dt (within a generous factor).
-	const d = 64
-	w := sw.NewSquare(1)
-	m := w.TransitionMatrix(d, d)
-	rng := randx.New(30)
-	values := make([]float64, 40000)
-	for i := range values {
-		values[i] = rng.Beta(5, 2)
-	}
-	counts := w.Collect(values, d, rng)
-	res := Reconstruct(m, counts, EMSOptions())
-	_, chi2 := Residuals(m, counts, res.Estimate)
-	if chi2 > 4*float64(d) {
-		t.Errorf("well-specified chi2 = %v, want ~%d", chi2, d)
-	}
-}
-
-func TestResidualsDetectWrongChannel(t *testing.T) {
-	// Reports produced at ε=1 but inverted with the ε=3 channel: the
-	// mismatch must blow up the chi-square statistic.
-	const d = 64
-	wTrue := sw.NewSquare(1)
-	rng := randx.New(31)
-	values := make([]float64, 40000)
-	for i := range values {
-		values[i] = rng.Beta(5, 2)
-	}
-	counts := wTrue.Collect(values, d, rng)
-
-	right := wTrue.TransitionMatrix(d, d)
-	resRight := Reconstruct(right, counts, EMSOptions())
-	_, chiRight := Residuals(right, counts, resRight.Estimate)
-
-	// Wrong channel: same output-domain size requires matching b, so use
-	// the same b but a wrong plateau ratio (a triangle wave channel).
-	wrong := sw.NewWave(1, wTrue.B(), 0).TransitionMatrix(d, d)
-	resWrong := Reconstruct(wrong, counts, EMSOptions())
-	_, chiWrong := Residuals(wrong, counts, resWrong.Estimate)
-
-	if chiWrong < 3*chiRight {
-		t.Errorf("misspecified chi2 %v should dwarf well-specified %v", chiWrong, chiRight)
-	}
-}
-
-func TestResidualsPanics(t *testing.T) {
-	m := identity(4)
-	defer func() {
-		if recover() == nil {
-			t.Error("dimension mismatch should panic")
-		}
-	}()
-	Residuals(m, []float64{1, 2}, []float64{1, 0, 0, 0})
-}
-
 // swCounts returns the Square Wave at eps with the optimal bandwidth and a
 // plausible aggregated report histogram over d output buckets.
 func swCounts(d int, eps float64, seed uint64) (sw.Wave, []float64) {

@@ -191,19 +191,14 @@ type Stream struct {
 }
 
 // streamMetrics are one stream's telemetry handles, resolved at
-// construction (all nil without Registry metrics; loglik only for EM
-// streams, the drift handles only for windowed ones).
+// construction (all nil without Registry metrics; the drift alert counter
+// only for windowed streams).
 type streamMetrics struct {
 	reports     *telemetry.Counter
 	refresh     *telemetry.Histogram
 	iters       *telemetry.Histogram
 	rotations   *telemetry.Counter
 	refreshes   [3]*telemetry.Counter // indexed by refreshGrowth...refreshForced
-	loglik      *telemetry.Gauge
-	ciHalf      *telemetry.Gauge
-	converged   *telemetry.Gauge
-	driftW1     *telemetry.Gauge
-	driftKS     *telemetry.Gauge
 	driftAlerts *telemetry.Counter
 }
 
@@ -237,18 +232,11 @@ func (r *Registry) newStream(name string, cfg Config) *Stream {
 			refresh:   m.Refresh.With(name),
 			iters:     m.Iterations.With(name),
 			rotations: m.Rotations.With(name),
-			ciHalf:    m.CIHalfWidth.With(name),
-			converged: m.Converged.With(name),
 		}
 		for i, reason := range refreshReasons {
 			st.m.refreshes[i] = m.Refreshes.With(name, reason)
 		}
-		if agg.Channel() != nil {
-			st.m.loglik = m.LogLik.With(name)
-		}
 		if cfg.Windowed() {
-			st.m.driftW1 = m.DriftScore.With(name, "w1")
-			st.m.driftKS = m.DriftScore.With(name, "ks")
 			st.m.driftAlerts = m.DriftAlerts.With(name)
 		}
 	}

@@ -27,10 +27,6 @@ func collectorOptions() (Options, *telemetry.Registry) {
 			Iterations:  reg.Histogram("iters", "", telemetry.DefBuckets, "stream"),
 			Rotations:   reg.Counter("rotations", "", "stream"),
 			Refreshes:   reg.Counter("refreshes", "", "stream", "reason"),
-			LogLik:      reg.Gauge("loglik", "", "stream"),
-			CIHalfWidth: reg.Gauge("ci", "", "stream"),
-			Converged:   reg.Gauge("converged", "", "stream"),
-			DriftScore:  reg.Gauge("drift", "", "stream", "metric"),
 			DriftAlerts: reg.Counter("alerts", "", "stream"),
 		},
 		Tracer: trace.New(trace.Config{}),

@@ -14,7 +14,6 @@ import (
 	"repro/internal/diagnose"
 	"repro/internal/em"
 	"repro/internal/histogram"
-	"repro/internal/mechanism"
 	"repro/internal/window"
 )
 
@@ -122,20 +121,6 @@ func (r *Registry) refresh(st *Stream) {
 		Warm:          est.WarmStart,
 		Users:         est.N,
 	})
-	if g := st.m.loglik; g != nil {
-		g.Set(res.LogLikelihood)
-	}
-	if g := st.m.ciHalf; g != nil {
-		v, _ := mechanism.Variance(st.cfg.Mechanism, st.cfg.Epsilon, st.cfg.Buckets, est.N)
-		g.Set(diagnose.HalfWidth(v))
-	}
-	if g := st.m.converged; g != nil {
-		conv := 0.0
-		if res.Converged {
-			conv = 1
-		}
-		g.Set(conv)
-	}
 }
 
 // scoreSealedEpoch feeds the drift tracker the estimate of the epoch a
@@ -158,13 +143,9 @@ func (st *Stream) scoreSealedEpoch(rotated int) {
 		init = nil
 	}
 	res := st.reconstruct(st.driftScratch, init)
-	w1, ks, scored, raised := st.diag.ObserveEpoch(sealed.Lo, res.Estimate)
+	raised := st.diag.ObserveEpoch(sealed.Lo, res.Estimate)
 	if c := st.m.driftAlerts; raised && c != nil {
 		c.Inc()
-	}
-	if scored && st.m.driftW1 != nil {
-		st.m.driftW1.Set(w1)
-		st.m.driftKS.Set(ks)
 	}
 }
 

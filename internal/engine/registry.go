@@ -30,10 +30,6 @@ type Metrics struct {
 	Iterations  *telemetry.HistogramVec // stream
 	Rotations   *telemetry.CounterVec   // stream
 	Refreshes   *telemetry.CounterVec   // stream, reason (growth|rotation|forced)
-	LogLik      *telemetry.GaugeVec     // stream
-	CIHalfWidth *telemetry.GaugeVec     // stream
-	Converged   *telemetry.GaugeVec     // stream
-	DriftScore  *telemetry.GaugeVec     // stream, metric (w1|ks)
 	DriftAlerts *telemetry.CounterVec   // stream
 }
 

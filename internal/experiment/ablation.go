@@ -53,17 +53,13 @@ func Ablations(cfg Config) []Row {
 	addW1("order/B-R", runEst(core.SWDiscreteEMS(), rowKey(90, 2)))
 
 	// Smoothing kernel width.
-	w := sw.NewSquare(eps)
-	ch := w.Channel(d, d)
 	for wi, width := range []int{1, 3, 5, 7} {
+		kcfg := core.Config{Epsilon: eps, Buckets: d, Smoothing: true, EM: em.EMSOptions()}
+		kcfg.EM.SmoothWidth = width
 		var w1s []float64
 		for rep := 0; rep < cfg.Reps; rep++ {
-			rng := base.Split(rowKey(91, wi, rep))
-			counts := w.Collect(ds.Values, d, rng)
-			opts := em.EMSOptions()
-			opts.SmoothWidth = width
-			res := em.Reconstruct(ch, counts, opts)
-			w1s = append(w1s, metrics.Wasserstein(truth, res.Estimate))
+			est := core.Run(kcfg, ds.Values, base.Split(rowKey(91, wi, rep)))
+			w1s = append(w1s, metrics.Wasserstein(truth, est))
 		}
 		addW1(map[int]string{1: "kernel/1", 3: "kernel/3", 5: "kernel/5", 7: "kernel/7"}[width], w1s)
 	}

@@ -203,32 +203,29 @@ func DecodePushBinary(body []byte) (Push, error) {
 	if seq < 1 || seq > math.MaxInt64 {
 		return Push{}, fmt.Errorf("federate: push seq %d must be positive", seq)
 	}
-	if crc32.ChecksumIEEE(inner) != binary.LittleEndian.Uint32(body[len(body)-4:]) {
+	crc := frameCRC(body)
+	if crc32.ChecksumIEEE(inner) != crc {
 		return Push{}, fmt.Errorf("federate: push payload checksum mismatch (corrupt in flight?)")
 	}
 	streams, err := decodeStreamDeltas(inner)
 	if err != nil {
 		return Push{}, fmt.Errorf("federate: decode binary push streams: %w", err)
 	}
-	seen := make(map[string]bool, len(streams))
-	for _, sd := range streams {
-		if sd.Stream == "" {
-			return Push{}, fmt.Errorf("federate: push carries a nameless stream delta")
-		}
-		if seen[sd.Stream] {
-			return Push{}, fmt.Errorf("federate: push carries stream %q twice", sd.Stream)
-		}
-		seen[sd.Stream] = true
-		if len(sd.Epochs) == 0 {
-			return Push{}, fmt.Errorf("federate: push stream %q carries no epochs", sd.Stream)
-		}
+	if err := checkStreamShapes(streams); err != nil {
+		return Push{}, err
 	}
 	return Push{
 		Edge:    edge,
 		Seq:     int64(seq),
-		CRC:     fmt.Sprintf("%08x", crc32.ChecksumIEEE(inner)),
+		CRC:     fmt.Sprintf("%08x", crc),
 		Streams: streams,
 	}, nil
+}
+
+// frameCRC reads the crc32 of the inner payload from a binary push frame's
+// 4-byte trailer.
+func frameCRC(body []byte) uint32 {
+	return binary.LittleEndian.Uint32(body[len(body)-4:])
 }
 
 func decodeStreamDeltas(inner []byte) ([]StreamDelta, error) {
@@ -335,8 +332,8 @@ func decodeEpochDelta(r *wire.Reader) (EpochDelta, error) {
 // DecodePushAuto decodes a push payload in whichever codec its bytes carry
 // — the binary magic selects DecodePushBinary, anything else is treated as
 // the JSON envelope. Replay paths (Tracker.Ack, CursorState.Validate) use
-// this so a pending payload frozen under one codec restores and replays
-// correctly even if the pusher was since reconfigured to the other.
+// this so a JSON pending payload that an older edge froze restores and
+// replays correctly.
 func DecodePushAuto(body []byte) (Push, error) {
 	if IsBinaryPush(body) {
 		return DecodePushBinary(body)

@@ -271,20 +271,29 @@ func DecodePush(body []byte) (Push, error) {
 	if err := json.Unmarshal(env.Streams, &streams); err != nil {
 		return Push{}, fmt.Errorf("federate: decode push streams: %v", err)
 	}
+	if err := checkStreamShapes(streams); err != nil {
+		return Push{}, err
+	}
+	return Push{Edge: env.Edge, Seq: env.Seq, CRC: env.CRC, Streams: streams}, nil
+}
+
+// checkStreamShapes enforces the shape rules both push codecs share: stream
+// deltas are named, unique and carry at least one epoch.
+func checkStreamShapes(streams []StreamDelta) error {
 	seen := make(map[string]bool, len(streams))
 	for _, sd := range streams {
 		if sd.Stream == "" {
-			return Push{}, fmt.Errorf("federate: push carries a nameless stream delta")
+			return fmt.Errorf("federate: push carries a nameless stream delta")
 		}
 		if seen[sd.Stream] {
-			return Push{}, fmt.Errorf("federate: push carries stream %q twice", sd.Stream)
+			return fmt.Errorf("federate: push carries stream %q twice", sd.Stream)
 		}
 		seen[sd.Stream] = true
 		if len(sd.Epochs) == 0 {
-			return Push{}, fmt.Errorf("federate: push stream %q carries no epochs", sd.Stream)
+			return fmt.Errorf("federate: push stream %q carries no epochs", sd.Stream)
 		}
 	}
-	return Push{Edge: env.Edge, Seq: env.Seq, CRC: env.CRC, Streams: streams}, nil
+	return nil
 }
 
 // Machine-readable reasons carried by PushResponse on failure, so the pusher

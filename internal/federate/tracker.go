@@ -134,11 +134,7 @@ func (t *Tracker) Prepare(edge string, states []StreamState) (*Pending, error) {
 	if err != nil {
 		return nil, err
 	}
-	push, err := DecodePushBinary(body) // recover the CRC the frame carries
-	if err != nil {
-		return nil, err
-	}
-	t.pending = &Pending{Seq: push.Seq, CRC: push.CRC, Body: body}
+	t.pending = &Pending{Seq: t.seq + 1, CRC: fmt.Sprintf("%08x", frameCRC(body)), Body: body}
 	return t.pending, nil
 }
 

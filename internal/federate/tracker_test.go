@@ -20,6 +20,17 @@ func mustPrepare(t *testing.T, tr *Tracker, states ...StreamState) *Pending {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if p != nil {
+		// The CRC and seq read off the fresh frame are the ones a
+		// receiver decodes from it.
+		push, err := DecodePushBinary(p.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.CRC != push.CRC || p.Seq != push.Seq {
+			t.Fatalf("pending (seq %d, crc %s), frame decodes to (seq %d, crc %s)", p.Seq, p.CRC, push.Seq, push.CRC)
+		}
+	}
 	return p
 }
 

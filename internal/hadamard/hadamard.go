@@ -39,14 +39,6 @@ func NextPow2(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
-// Log2 returns log2(n) for a positive power of two and panics otherwise.
-func Log2(n int) int {
-	if !IsPow2(n) {
-		panic("hadamard: Log2 of non-power-of-two")
-	}
-	return bits.TrailingZeros(uint(n))
-}
-
 // Transform applies the unnormalized Walsh–Hadamard transform to xs in
 // place: xs ← H·xs. The length of xs must be a power of two. Applying
 // Transform twice multiplies the vector by its length (H² = N·I); Inverse

@@ -76,18 +76,6 @@ func TestIsPow2NextPow2(t *testing.T) {
 	}
 }
 
-func TestLog2(t *testing.T) {
-	if got := Log2(1024); got != 10 {
-		t.Errorf("Log2(1024) = %d", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Log2(3) should panic")
-		}
-	}()
-	Log2(3)
-}
-
 func TestTransformMatchesMatrix(t *testing.T) {
 	// FWHT must equal explicit matrix multiplication.
 	const n = 16

@@ -10,17 +10,11 @@
 // paper's treatment of continuous domains reconstructed on a grid.
 package histogram
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/mathx"
-)
+import "repro/internal/mathx"
 
 // Histogram accumulates counts of values in [0,1] into d equal-width buckets.
 type Histogram struct {
 	counts []float64
-	total  float64
 }
 
 // New returns an empty histogram with d buckets. It panics if d < 1.
@@ -40,22 +34,6 @@ func FromSamples(samples []float64, d int) *Histogram {
 	return h
 }
 
-// FromCounts wraps an existing count vector. The slice is copied.
-func FromCounts(counts []float64) *Histogram {
-	h := &Histogram{counts: append([]float64(nil), counts...)}
-	h.total = mathx.Sum(h.counts)
-	return h
-}
-
-// D returns the number of buckets.
-func (h *Histogram) D() int { return len(h.counts) }
-
-// Total returns the accumulated total weight.
-func (h *Histogram) Total() float64 { return h.total }
-
-// Count returns the weight in bucket i.
-func (h *Histogram) Count(i int) float64 { return h.counts[i] }
-
 // Counts returns a copy of the raw count vector.
 func (h *Histogram) Counts() []float64 {
 	return append([]float64(nil), h.counts...)
@@ -67,7 +45,6 @@ func (h *Histogram) Add(v float64) { h.AddWeighted(v, 1) }
 // AddWeighted records an observation of v with the given weight.
 func (h *Histogram) AddWeighted(v, weight float64) {
 	h.counts[BucketOf(v, len(h.counts))] += weight
-	h.total += weight
 }
 
 // Distribution returns the normalized counts as a fresh slice. An empty
@@ -98,10 +75,6 @@ func BucketBounds(i, d int) (lo, hi float64) {
 func BucketCenter(i, d int) float64 {
 	return (float64(i) + 0.5) / float64(d)
 }
-
-// CDF returns the cumulative sums of the distribution x:
-// out[i] = x[0] + ... + x[i]. For a valid distribution out[d-1] ≈ 1.
-func CDF(x []float64) []float64 { return mathx.CumSum(x) }
 
 // CDFAt evaluates the piecewise-linear CDF of distribution x at point
 // v ∈ [0,1], interpolating within the bucket containing v (mass is uniform
@@ -182,40 +155,6 @@ func RangeProb(x []float64, lo, hi float64) float64 {
 		lo, hi = hi, lo
 	}
 	return CDFAt(x, hi) - CDFAt(x, lo)
-}
-
-// Rescale maps raw values from the source interval [lo, hi] into [0,1],
-// dropping values outside the interval. It returns the mapped values and the
-// number dropped. This mirrors the paper's dataset preprocessing (e.g.
-// incomes restricted to [0, 2^19) then mapped to [0,1]).
-func Rescale(values []float64, lo, hi float64) (mapped []float64, dropped int) {
-	if hi <= lo {
-		panic(fmt.Sprintf("histogram: Rescale with empty interval [%v, %v]", lo, hi))
-	}
-	mapped = make([]float64, 0, len(values))
-	span := hi - lo
-	for _, v := range values {
-		if v < lo || v > hi || math.IsNaN(v) {
-			dropped++
-			continue
-		}
-		mapped = append(mapped, (v-lo)/span)
-	}
-	return mapped, dropped
-}
-
-// Downsample reduces distribution x over d buckets to d/k buckets by summing
-// groups of k adjacent buckets. It panics unless k divides d.
-func Downsample(x []float64, k int) []float64 {
-	d := len(x)
-	if k < 1 || d%k != 0 {
-		panic("histogram: Downsample factor must divide the length")
-	}
-	out := make([]float64, d/k)
-	for i, p := range x {
-		out[i/k] += p
-	}
-	return out
 }
 
 // Upsample expands distribution x to len(x)*k buckets, spreading each

@@ -43,30 +43,15 @@ func TestBucketBoundsAndCenter(t *testing.T) {
 }
 
 func TestFromSamples(t *testing.T) {
-	h := FromSamples([]float64{0.1, 0.1, 0.6, 0.9, 1.0}, 4)
+	counts := FromSamples([]float64{0.1, 0.1, 0.6, 0.9, 1.0}, 4).Counts()
 	want := []float64{2, 0, 1, 2}
+	if len(counts) != len(want) {
+		t.Fatalf("%d buckets, want %d", len(counts), len(want))
+	}
 	for i, w := range want {
-		if h.Count(i) != w {
-			t.Errorf("Count(%d) = %v, want %v", i, h.Count(i), w)
+		if counts[i] != w {
+			t.Errorf("count %d = %v, want %v", i, counts[i], w)
 		}
-	}
-	if h.Total() != 5 {
-		t.Errorf("Total = %v", h.Total())
-	}
-	if h.D() != 4 {
-		t.Errorf("D = %d", h.D())
-	}
-}
-
-func TestFromCountsCopies(t *testing.T) {
-	src := []float64{1, 2, 3}
-	h := FromCounts(src)
-	src[0] = 99
-	if h.Count(0) != 1 {
-		t.Error("FromCounts did not copy the slice")
-	}
-	if h.Total() != 6 {
-		t.Errorf("Total = %v, want 6", h.Total())
 	}
 }
 
@@ -187,34 +172,12 @@ func TestRangeProb(t *testing.T) {
 	}
 }
 
-func TestRescale(t *testing.T) {
-	vals := []float64{0, 5, 10, -1, 11, math.NaN()}
-	mapped, dropped := Rescale(vals, 0, 10)
-	if dropped != 3 {
-		t.Errorf("dropped = %d, want 3", dropped)
-	}
-	want := []float64{0, 0.5, 1}
-	for i := range want {
-		if !mathx.AlmostEqual(mapped[i], want[i], 1e-12) {
-			t.Errorf("mapped[%d] = %v, want %v", i, mapped[i], want[i])
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Rescale with empty interval should panic")
-		}
-	}()
-	Rescale(vals, 5, 5)
-}
-
-func TestDownsampleUpsample(t *testing.T) {
-	x := []float64{0.1, 0.2, 0.3, 0.4}
-	down := Downsample(x, 2)
-	if !mathx.AlmostEqual(down[0], 0.3, 1e-12) || !mathx.AlmostEqual(down[1], 0.7, 1e-12) {
-		t.Errorf("Downsample = %v", down)
-	}
-	up := Upsample(down, 2)
+func TestUpsample(t *testing.T) {
+	up := Upsample([]float64{0.3, 0.7}, 2)
 	want := []float64{0.15, 0.15, 0.35, 0.35}
+	if len(up) != len(want) {
+		t.Fatalf("Upsample length %d, want %d", len(up), len(want))
+	}
 	for i := range want {
 		if !mathx.AlmostEqual(up[i], want[i], 1e-12) {
 			t.Errorf("Upsample[%d] = %v, want %v", i, up[i], want[i])
@@ -225,8 +188,10 @@ func TestDownsampleUpsample(t *testing.T) {
 	}
 }
 
-func TestDownsampleUpsampleProperty(t *testing.T) {
-	// Property: Downsample(Upsample(x, k), k) == x for any distribution.
+func TestUpsampleProperty(t *testing.T) {
+	// Property: Upsample(x, k) preserves the total mass, and each group of
+	// k children sums back to its parent bucket.
+	const k = 4
 	rng := randx.New(5)
 	err := quick.Check(func(seed uint64) bool {
 		r := rng.Split(seed)
@@ -235,8 +200,16 @@ func TestDownsampleUpsampleProperty(t *testing.T) {
 			x[i] = r.Float64()
 		}
 		mathx.Normalize(x)
-		round := Downsample(Upsample(x, 4), 4)
-		return mathx.L1(round, x) < 1e-9
+		up := Upsample(x, k)
+		if len(up) != len(x)*k || !mathx.AlmostEqual(mathx.Sum(up), mathx.Sum(x), 1e-12) {
+			return false
+		}
+		for i, p := range x {
+			if !mathx.AlmostEqual(mathx.Sum(up[i*k:(i+1)*k]), p, 1e-12) {
+				return false
+			}
+		}
+		return true
 	}, &quick.Config{MaxCount: 100})
 	if err != nil {
 		t.Error(err)

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -264,11 +265,92 @@ func waitDrift(t *testing.T, baseURL, stream, what string, cond func(*diagnose.D
 	}
 }
 
+// TestQualityGaugesMirrorDiagnostics pins the one writer of the estimate
+// quality gauges: at scrape time each equals the matching field of the
+// stream's diagnostics record, log-likelihood is exposed only for EM
+// streams and drift scores only for windowed ones.
+func TestQualityGaugesMirrorDiagnostics(t *testing.T) {
+	clock := newMockClock()
+	s := NewServer(Config{Epsilon: 1, Buckets: 32, RefreshInterval: 5 * time.Millisecond, Clock: clock.Now})
+	t.Cleanup(s.Close)
+	if err := s.CreateStream("age", StreamConfig{Epsilon: 1, Buckets: 32, Mechanism: "oue"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreateStream("lat", StreamConfig{Epsilon: 1, Buckets: 32, Epoch: Duration(time.Minute), Retain: 4}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	postShapedReports(t, ts.URL, "default", 1, 600, 5, 2)
+	oue := core.NewClient(core.Config{Epsilon: 1, Buckets: 32, Mechanism: "oue"})
+	rng := randx.New(2)
+	reports := make([]any, 600)
+	for i := range reports {
+		reports[i] = oue.Perturb(rng.Beta(5, 2), rng)
+	}
+	blob, _ := json.Marshal(map[string]any{"reports": reports})
+	if resp, _ := doReq(t, ts.URL, "POST", "/v1/streams/age/batch", string(blob)); resp.StatusCode != 200 {
+		t.Fatalf("oue batch status %d", resp.StatusCode)
+	}
+	for e := 0; e < 2; e++ {
+		postShapedReports(t, ts.URL, "lat", uint64(3+e), 600, 5, 2)
+		clock.Advance(time.Minute)
+		waitRotation(t, s, "lat", e+1)
+	}
+	waitDrift(t, ts.URL, "lat", "a first score", func(dr *diagnose.Drift) bool { return dr.EpochsScored >= 1 })
+
+	for _, name := range []string{"default", "age", "lat"} {
+		// Compare against a record that held still across the scrape, so
+		// a refresh landing in between cannot split the two reads.
+		var d StreamDiagnostics
+		var sc *telemetry.Scrape
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			before := getDiagnostics(t, ts.URL, name)
+			sc = scrape(t, ts.URL)
+			d = getDiagnostics(t, ts.URL, name)
+			if d.Refreshes > 0 && d.PendingReports == 0 && reflect.DeepEqual(before.Record, d.Record) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: diagnostics never settled (last %+v)", name, d)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		label := "stream=" + name
+		if v, ok := sc.Value("ldp_estimate_loglik", label); ok != d.EMBased || v != d.Convergence.LogLikelihood {
+			t.Errorf("%s: ldp_estimate_loglik = %v (present %v), diagnostics log_likelihood %v (em_based %v)",
+				name, v, ok, d.Convergence.LogLikelihood, d.EMBased)
+		}
+		if v, ok := sc.Value("ldp_estimate_ci_halfwidth", label); !ok || v != d.Confidence.HalfWidth {
+			t.Errorf("%s: ldp_estimate_ci_halfwidth = %v (present %v), diagnostics half_width %v",
+				name, v, ok, d.Confidence.HalfWidth)
+		}
+		conv := 0.0
+		if d.Convergence.Converged {
+			conv = 1
+		}
+		if v, ok := sc.Value("ldp_em_converged", label); !ok || v != conv {
+			t.Errorf("%s: ldp_em_converged = %v (present %v), diagnostics converged %v",
+				name, v, ok, d.Convergence.Converged)
+		}
+		w1, ok := sc.Value("ldp_drift_score", label, "metric=w1")
+		ks, _ := sc.Value("ldp_drift_score", label, "metric=ks")
+		switch {
+		case ok != (d.Drift != nil):
+			t.Errorf("%s: ldp_drift_score present %v, diagnostics drift block %+v", name, ok, d.Drift)
+		case ok && (w1 != d.Drift.W1 || ks != d.Drift.KS):
+			t.Errorf("%s: ldp_drift_score w1/ks = %v/%v, diagnostics %v/%v", name, w1, ks, d.Drift.W1, d.Drift.KS)
+		}
+	}
+}
+
 // TestDriftAlertEndToEnd is the acceptance story: a seeded cohort shift on
 // one windowed stream fires a drift alert observable in /metrics, in the
 // diagnostics endpoint and through the fleet filter, while a stationary
 // control stream ingesting the same volume stays quiet; once the shifted
-// cohort stabilizes, the alert clears after ClearCount quiet epochs.
+// cohort stabilizes, the alert clears after three quiet epochs.
 func TestDriftAlertEndToEnd(t *testing.T) {
 	clock := newMockClock()
 	s := NewServer(Config{Epsilon: 1, Buckets: 32, RefreshInterval: 5 * time.Millisecond, Clock: clock.Now})

@@ -49,6 +49,14 @@ type serverMetrics struct {
 	queueDepth   *telemetry.GaugeVec // refresh queue depth
 	streams      *telemetry.GaugeVec
 
+	// Estimate quality, scrape-derived from each stream's diagnostics
+	// record (log-likelihood only for EM streams, drift only for windowed
+	// ones).
+	estLogLik   *telemetry.GaugeVec // stream
+	estCIHalf   *telemetry.GaugeVec // stream
+	emConverged *telemetry.GaugeVec // stream
+	driftScore  *telemetry.GaugeVec // stream, metric (w1|ks)
+
 	// Snapshots.
 	snapshots *telemetry.CounterVec   // op (save|load), status (ok|error)
 	snapDur   *telemetry.HistogramVec // op
@@ -111,17 +119,17 @@ func newServerMetrics(s *Server) *serverMetrics {
 			Refreshes: r.Counter("ldp_em_refreshes_total",
 				"Published estimate refreshes, by stream and trigger (growth|rotation|forced).",
 				"stream", "reason"),
-			LogLik: r.Gauge("ldp_estimate_loglik",
-				"Count-weighted log-likelihood of the published EM reconstruction.", "stream"),
-			CIHalfWidth: r.Gauge("ldp_estimate_ci_halfwidth",
-				"Analytic 95% CI half-width per probability cell at the current user count.", "stream"),
-			Converged: r.Gauge("ldp_em_converged",
-				"1 when the published reconstruction met the EM convergence tolerance.", "stream"),
-			DriftScore: r.Gauge("ldp_drift_score",
-				"Epoch-over-epoch distribution drift, by metric (w1|ks).", "stream", "metric"),
 			DriftAlerts: r.Counter("ldp_drift_alerts_total",
 				"Drift alerts raised by the hysteresis state machine.", "stream"),
 		},
+		estLogLik: r.Gauge("ldp_estimate_loglik",
+			"Count-weighted log-likelihood of the published EM reconstruction.", "stream"),
+		estCIHalf: r.Gauge("ldp_estimate_ci_halfwidth",
+			"Analytic 95% CI half-width per probability cell at the current user count.", "stream"),
+		emConverged: r.Gauge("ldp_em_converged",
+			"1 when the published reconstruction met the EM convergence tolerance.", "stream"),
+		driftScore: r.Gauge("ldp_drift_score",
+			"Epoch-over-epoch distribution drift, by metric (w1|ks).", "stream", "metric"),
 		emStaleness: r.Gauge("ldp_em_staleness_reports",
 			"Histogram increments ingested after the published estimate.", "stream"),
 		emRefreshAge: r.Gauge("ldp_em_refresh_age_seconds",
@@ -177,10 +185,21 @@ func (s *Server) scrapeRefresh(m *serverMetrics) {
 	m.streams.With().Set(float64(len(list)))
 	m.queueDepth.With().Set(float64(s.reg.QueueDepth()))
 	for _, st := range list {
-		m.emStaleness.With(st.Name()).Set(float64(st.Pending()))
-		age := m.emRefreshAge.With(st.Name())
+		name := st.Name()
+		m.emStaleness.With(name).Set(float64(st.Pending()))
+		age := m.emRefreshAge.With(name)
 		if lr := st.LastRefresh(); !lr.IsZero() {
 			age.Set(now.Sub(lr).Seconds())
+		}
+		rec := st.Diagnostics().Snapshot(0)
+		if rec.EMBased {
+			m.estLogLik.With(name).Set(rec.Convergence.LogLikelihood)
+		}
+		m.estCIHalf.With(name).Set(rec.Confidence.HalfWidth)
+		boolGauge(m.emConverged.With(name), rec.Convergence.Converged)
+		if rec.Drift != nil {
+			m.driftScore.With(name, "w1").Set(rec.Drift.W1)
+			m.driftScore.With(name, "ks").Set(rec.Drift.KS)
 		}
 	}
 	s.fedMu.Lock()

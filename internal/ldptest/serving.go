@@ -1,15 +1,12 @@
+// Package ldptest is the serving-path acceptance harness that ldphttp's
+// tests run against a live collector: CheckServing for one static
+// population and CheckWindowServing for cohorts that shift across epoch
+// rotations. Both randomize synthetic clients, POST their reports to
+// /v1/streams/{name}/batch, poll the served estimate and check that it
+// lands within Wasserstein/KS bounds of the true distribution — end to end
+// through the transport, the striped accumulator, the background EMS
+// engine and the response cache.
 package ldptest
-
-// Serving-path acceptance checking: CheckServing drives a population of
-// synthetic clients through a full HTTP collection round against a live
-// collector — randomize on the client, POST /v1/streams/{name}/batch, poll
-// GET /v1/streams/{name}/estimate — and verifies that the served
-// reconstruction lands within paper-level Wasserstein/KS distance of the
-// true distribution. It is the statistical complement of
-// CheckDiscrete/CheckContinuous: those verify the privacy side of a
-// mechanism, this verifies the utility side of a deployment, end to end
-// through the transport, the striped accumulator, the background EMS engine
-// and the response cache.
 
 import (
 	"bytes"

@@ -7,13 +7,7 @@
 // helpers millions of times per experiment.
 package mathx
 
-import (
-	"errors"
-	"math"
-)
-
-// ErrEmpty is returned by reductions over empty slices.
-var ErrEmpty = errors.New("mathx: empty input")
+import "math"
 
 // Sum returns the Neumaier (compensated) sum of xs. For the vector sizes used
 // in this library (up to a few thousand) plain summation is usually fine, but
@@ -162,61 +156,6 @@ func Dot(a, b []float64) float64 {
 	return acc
 }
 
-// MaxAbs returns the largest absolute entry of xs, or 0 for an empty slice.
-func MaxAbs(xs []float64) float64 {
-	var m float64
-	for _, x := range xs {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// Linspace returns n points evenly spaced over [lo, hi] inclusive.
-// n must be at least 2.
-func Linspace(lo, hi float64, n int) []float64 {
-	if n < 2 {
-		panic("mathx: Linspace needs n >= 2")
-	}
-	out := make([]float64, n)
-	step := (hi - lo) / float64(n-1)
-	for i := range out {
-		out[i] = lo + float64(i)*step
-	}
-	out[n-1] = hi
-	return out
-}
-
-// CumSum returns the running sums of xs: out[i] = xs[0]+...+xs[i].
-func CumSum(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	var acc float64
-	for i, x := range xs {
-		acc += x
-		out[i] = acc
-	}
-	return out
-}
-
-// SearchCDF returns the smallest index i such that cdf[i] >= p, or len(cdf)-1
-// if no such index exists. cdf must be non-decreasing.
-func SearchCDF(cdf []float64, p float64) int {
-	lo, hi := 0, len(cdf)-1
-	if hi < 0 {
-		return -1
-	}
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cdf[mid] < p {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // IntervalOverlap returns the length of the intersection of the intervals
 // [a0, a1] and [b0, b1]. Degenerate (reversed) intervals contribute 0.
 func IntervalOverlap(a0, a1, b0, b1 float64) float64 {
@@ -268,28 +207,6 @@ func BandRectOverlapIntegral(vlo, vhi, ulo, uhi, b float64) float64 {
 		area += (f(a0) + f(a1)) / 2 * (a1 - a0)
 	}
 	return area
-}
-
-// LogSumExp returns log(Σ exp(x_i)) computed stably. Returns -Inf for an
-// empty slice.
-func LogSumExp(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.Inf(-1)
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	if math.IsInf(m, -1) {
-		return m
-	}
-	var acc float64
-	for _, x := range xs {
-		acc += math.Exp(x - m)
-	}
-	return m + math.Log(acc)
 }
 
 // BinomialKernel returns the width-w binomial smoothing kernel, i.e. row w-1
@@ -378,30 +295,6 @@ func SmoothBinomialK(dst, xs []float64, width int) {
 			dst[j] += k * x
 		}
 	}
-}
-
-// Quantile returns the p-quantile (0 <= p <= 1) of sorted xs using linear
-// interpolation between order statistics. It panics if xs is empty or p is
-// outside [0,1]. xs must already be sorted ascending.
-func Quantile(sorted []float64, p float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		panic("mathx: Quantile of empty slice")
-	}
-	if p < 0 || p > 1 {
-		panic("mathx: Quantile p outside [0,1]")
-	}
-	if n == 1 {
-		return sorted[0]
-	}
-	pos := p * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // AlmostEqual reports whether a and b differ by at most tol in absolute

@@ -3,7 +3,6 @@ package mathx
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -134,52 +133,6 @@ func TestDistances(t *testing.T) {
 	}
 }
 
-func TestMaxAbs(t *testing.T) {
-	if got := MaxAbs([]float64{1, -5, 3}); got != 5 {
-		t.Errorf("MaxAbs = %v, want 5", got)
-	}
-	if got := MaxAbs(nil); got != 0 {
-		t.Errorf("MaxAbs(nil) = %v", got)
-	}
-}
-
-func TestLinspace(t *testing.T) {
-	got := Linspace(0, 1, 5)
-	want := []float64{0, 0.25, 0.5, 0.75, 1}
-	for i := range want {
-		if !AlmostEqual(got[i], want[i], 1e-12) {
-			t.Errorf("Linspace[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if got[len(got)-1] != 1 {
-		t.Error("Linspace endpoint not exact")
-	}
-}
-
-func TestCumSumAndSearchCDF(t *testing.T) {
-	cdf := CumSum([]float64{0.1, 0.2, 0.3, 0.4})
-	want := []float64{0.1, 0.3, 0.6, 1.0}
-	for i := range want {
-		if !AlmostEqual(cdf[i], want[i], 1e-12) {
-			t.Errorf("CumSum[%d] = %v, want %v", i, cdf[i], want[i])
-		}
-	}
-	tests := []struct {
-		p    float64
-		want int
-	}{
-		{0, 0}, {0.1, 0}, {0.11, 1}, {0.3, 1}, {0.9, 3}, {1, 3}, {2, 3},
-	}
-	for _, tc := range tests {
-		if got := SearchCDF(cdf, tc.p); got != tc.want {
-			t.Errorf("SearchCDF(%v) = %d, want %d", tc.p, got, tc.want)
-		}
-	}
-	if got := SearchCDF(nil, 0.5); got != -1 {
-		t.Errorf("SearchCDF(nil) = %d, want -1", got)
-	}
-}
-
 func TestIntervalOverlap(t *testing.T) {
 	tests := []struct {
 		a0, a1, b0, b1, want float64
@@ -238,21 +191,6 @@ func TestBandRectOverlapIntegralEdgeCases(t *testing.T) {
 	got := BandRectOverlapIntegral(0, 1, 0.4, 0.6, 10)
 	if !AlmostEqual(got, 0.2, 1e-12) {
 		t.Errorf("full cover integral = %v, want 0.2", got)
-	}
-}
-
-func TestLogSumExp(t *testing.T) {
-	if got := LogSumExp(nil); !math.IsInf(got, -1) {
-		t.Errorf("LogSumExp(nil) = %v, want -Inf", got)
-	}
-	got := LogSumExp([]float64{math.Log(1), math.Log(2), math.Log(3)})
-	if !AlmostEqual(got, math.Log(6), 1e-12) {
-		t.Errorf("LogSumExp = %v, want log 6", got)
-	}
-	// Stability: huge values must not overflow.
-	got = LogSumExp([]float64{1000, 1000})
-	if !AlmostEqual(got, 1000+math.Log(2), 1e-9) {
-		t.Errorf("LogSumExp(1000,1000) = %v", got)
 	}
 }
 
@@ -330,40 +268,6 @@ func TestSmoothBinomialFixedPointUniform(t *testing.T) {
 	for i := range dst {
 		if !AlmostEqual(dst[i], 1/float64(d), 1e-12) {
 			t.Fatalf("uniform not fixed point at %d: %v", i, dst[i])
-		}
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	tests := []struct {
-		p, want float64
-	}{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5}, {0.1, 1.4},
-	}
-	for _, tc := range tests {
-		if got := Quantile(xs, tc.p); !AlmostEqual(got, tc.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", tc.p, got, tc.want)
-		}
-	}
-	if got := Quantile([]float64{7}, 0.9); got != 7 {
-		t.Errorf("single-element quantile = %v", got)
-	}
-}
-
-func TestQuantileMatchesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	xs := make([]float64, 1001)
-	for i := range xs {
-		xs[i] = rng.Float64()
-	}
-	sort.Float64s(xs)
-	// With 1001 points the p-quantile lands exactly on an order statistic
-	// for p in multiples of 1/1000.
-	for _, p := range []float64{0.1, 0.5, 0.9} {
-		want := xs[int(p*1000)]
-		if got := Quantile(xs, p); !AlmostEqual(got, want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", p, got, want)
 		}
 	}
 }

@@ -107,9 +107,6 @@ func (p PM) Name() string { return "PM" }
 // Epsilon implements Mechanism.
 func (p PM) Epsilon() float64 { return p.eps }
 
-// S returns the output half-range s.
-func (p PM) S() float64 { return p.s }
-
 // Window returns the high-probability output window [ℓ(t), r(t)] for
 // input t.
 func (p PM) Window(t float64) (l, r float64) {

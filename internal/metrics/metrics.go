@@ -9,7 +9,6 @@ import (
 	"math"
 
 	"repro/internal/histogram"
-	"repro/internal/mathx"
 	"repro/internal/randx"
 )
 
@@ -117,59 +116,4 @@ func RangeQueryMAE(x, xhat []float64, alpha float64, nQueries int, rng *randx.Ra
 		acc += math.Abs(truth - est)
 	}
 	return acc / float64(nQueries)
-}
-
-// L1 and L2 point-wise distances are provided for completeness (the paper
-// argues they are the wrong metrics for ordered domains; Section 3.1) and are
-// used in tests to demonstrate exactly that.
-
-// L1 returns the point-wise L1 distance between the distributions.
-func L1(x, xhat []float64) float64 { return mathx.L1(x, xhat) }
-
-// L2 returns the point-wise L2 distance between the distributions.
-func L2(x, xhat []float64) float64 { return mathx.L2(x, xhat) }
-
-// KL returns the Kullback–Leibler divergence D(x ‖ xhat) in nats, treating
-// 0·log(0/·) as 0. Buckets where xhat is 0 but x is positive contribute +Inf.
-func KL(x, xhat []float64) float64 {
-	if len(x) != len(xhat) {
-		panic("metrics: KL length mismatch")
-	}
-	var acc float64
-	for i := range x {
-		if x[i] <= 0 {
-			continue
-		}
-		if xhat[i] <= 0 {
-			return math.Inf(1)
-		}
-		acc += x[i] * math.Log(x[i]/xhat[i])
-	}
-	return acc
-}
-
-// Report bundles every §3 metric for one (truth, estimate) pair. Produce it
-// with Evaluate.
-type Report struct {
-	Wasserstein   float64
-	KS            float64
-	RangeMAE01    float64 // α = 0.1
-	RangeMAE04    float64 // α = 0.4
-	MeanError     float64
-	VarianceError float64
-	QuantileMAE   float64 // deciles
-}
-
-// Evaluate computes the full metric suite for an estimated distribution.
-// nQueries controls the number of random range queries per width.
-func Evaluate(x, xhat []float64, nQueries int, rng *randx.Rand) Report {
-	return Report{
-		Wasserstein:   Wasserstein(x, xhat),
-		KS:            KS(x, xhat),
-		RangeMAE01:    RangeQueryMAE(x, xhat, 0.1, nQueries, rng),
-		RangeMAE04:    RangeQueryMAE(x, xhat, 0.4, nQueries, rng),
-		MeanError:     MeanError(x, xhat),
-		VarianceError: VarianceError(x, xhat),
-		QuantileMAE:   QuantileMAE(x, xhat, DecileBetas),
-	}
 }

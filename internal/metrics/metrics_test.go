@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -18,17 +17,14 @@ func TestWassersteinIdentical(t *testing.T) {
 
 func TestWassersteinOrderSensitivity(t *testing.T) {
 	// The paper's motivating example (Section 3.1): moving mass one bucket
-	// must cost less than moving it three buckets, even though L1/L2/KL
-	// are identical for both estimates.
+	// must cost less than moving it three buckets, even though point-wise
+	// distances such as L1 are identical for both estimates.
 	x := []float64{0.7, 0.1, 0.1, 0.1}
 	near := []float64{0.1, 0.7, 0.1, 0.1}
 	far := []float64{0.1, 0.1, 0.1, 0.7}
 
-	if L1(x, near) != L1(x, far) {
+	if mathx.L1(x, near) != mathx.L1(x, far) {
 		t.Fatal("setup broken: L1 should not distinguish the estimates")
-	}
-	if KL(x, near) != KL(x, far) {
-		t.Fatal("setup broken: KL should not distinguish the estimates")
 	}
 	wNear, wFar := Wasserstein(x, near), Wasserstein(x, far)
 	if wNear >= wFar {
@@ -191,41 +187,6 @@ func TestRangeQueryMAEPanics(t *testing.T) {
 		}
 	}()
 	RangeQueryMAE(x, x, 0.5, 0, rng)
-}
-
-func TestKL(t *testing.T) {
-	x := []float64{0.5, 0.5}
-	if got := KL(x, x); got != 0 {
-		t.Errorf("KL(x,x) = %v", got)
-	}
-	y := []float64{0.9, 0.1}
-	if got := KL(x, y); got <= 0 {
-		t.Errorf("KL should be positive, got %v", got)
-	}
-	z := []float64{1, 0}
-	if got := KL(x, z); !math.IsInf(got, 1) {
-		t.Errorf("KL with zero support should be +Inf, got %v", got)
-	}
-	// 0 log 0 treated as 0.
-	if got := KL(z, x); math.IsInf(got, 0) || math.IsNaN(got) {
-		t.Errorf("KL with zero numerator mass should be finite, got %v", got)
-	}
-}
-
-func TestEvaluate(t *testing.T) {
-	rng := randx.New(5)
-	x := []float64{0.25, 0.25, 0.25, 0.25}
-	rep := Evaluate(x, x, 50, rng)
-	if rep.Wasserstein != 0 || rep.KS != 0 || rep.MeanError != 0 ||
-		rep.VarianceError != 0 || rep.QuantileMAE != 0 ||
-		rep.RangeMAE01 != 0 || rep.RangeMAE04 != 0 {
-		t.Errorf("Evaluate(x,x) should be all zeros: %+v", rep)
-	}
-	y := []float64{0.7, 0.1, 0.1, 0.1}
-	rep = Evaluate(x, y, 50, rng)
-	if rep.Wasserstein <= 0 || rep.KS <= 0 {
-		t.Errorf("Evaluate should report positive distances: %+v", rep)
-	}
 }
 
 func BenchmarkWasserstein1024(b *testing.B) {

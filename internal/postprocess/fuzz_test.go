@@ -38,23 +38,3 @@ func FuzzNormSub(f *testing.F) {
 		}
 	})
 }
-
-// FuzzNormCut checks that the cut normalization always returns a valid
-// distribution regardless of input sign pattern.
-func FuzzNormCut(f *testing.F) {
-	f.Add(0.9, 0.4, 0.05, -0.3)
-	f.Add(-1.0, -2.0, -3.0, -4.0)
-	f.Add(0.0, 0.0, 0.0, 0.0)
-	f.Fuzz(func(t *testing.T, a, b, c, d float64) {
-		in := []float64{a, b, c, d}
-		for _, v := range in {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e12 {
-				t.Skip()
-			}
-		}
-		out := NormCut(in)
-		if !mathx.IsDistribution(out, 1e-6) {
-			t.Fatalf("NormCut(%v) = %v is not a distribution", in, out)
-		}
-	})
-}

@@ -89,44 +89,6 @@ func NormSubInPlace(est, scratch []float64) []float64 {
 	return est
 }
 
-// NormSubTo applies Norm-Sub with a target total other than 1 (used per
-// hierarchy level where each level must sum to the level total). target must
-// be positive.
-func NormSubTo(est []float64, target float64) []float64 {
-	if target <= 0 {
-		panic("postprocess: NormSubTo target must be positive")
-	}
-	scaled := make([]float64, len(est))
-	inv := 1 / target
-	for i, v := range est {
-		scaled[i] = v * inv
-	}
-	out := NormSub(scaled)
-	for i := range out {
-		out[i] *= target
-	}
-	return out
-}
-
-// ClipRenorm is the naive baseline projection: clip negatives to zero and
-// rescale to sum 1. It keeps more spurious support than Norm-Sub and is
-// provided for comparison and tests.
-func ClipRenorm(est []float64) []float64 {
-	out := make([]float64, len(est))
-	for i, v := range est {
-		if v > 0 {
-			out[i] = v
-		}
-	}
-	mathx.Normalize(out)
-	return out
-}
-
-// SimplexProject is an alias for NormSub kept for call sites that care about
-// the geometric interpretation (Euclidean projection onto the probability
-// simplex) rather than the paper's name for it.
-func SimplexProject(est []float64) []float64 { return NormSub(est) }
-
 // Norm applies the additive normalization of Wang et al. [35]: a single
 // constant is added to every entry so the total becomes 1, keeping negative
 // entries. The result is NOT a valid distribution, but it is the estimator
@@ -143,48 +105,5 @@ func Norm(est []float64) []float64 {
 	for i, v := range est {
 		out[i] = v + delta
 	}
-	return out
-}
-
-// NormCut applies the cut normalization of Wang et al. [35]: negative
-// entries are zeroed, then — if the positive mass exceeds 1 — the smallest
-// positive entries are cut to zero until the remaining mass is at most 1,
-// and the survivors are rescaled to sum to exactly 1. NormCut preserves
-// large spikes even more aggressively than Norm-Sub (everything below the
-// cut threshold becomes exactly zero) at the cost of bias on the tail.
-func NormCut(est []float64) []float64 {
-	d := len(est)
-	out := make([]float64, d)
-	if d == 0 {
-		return out
-	}
-	type entry struct {
-		idx int
-		v   float64
-	}
-	positives := make([]entry, 0, d)
-	for i, v := range est {
-		if v > 0 {
-			positives = append(positives, entry{i, v})
-		}
-	}
-	if len(positives) == 0 {
-		return NormSub(est) // degenerate: fall back to the projection
-	}
-	sort.Slice(positives, func(i, j int) bool { return positives[i].v > positives[j].v })
-	// Keep the largest entries until their mass reaches 1.
-	var mass float64
-	kept := 0
-	for _, e := range positives {
-		if mass >= 1 {
-			break
-		}
-		mass += e.v
-		kept++
-	}
-	for _, e := range positives[:kept] {
-		out[e.idx] = e.v
-	}
-	mathx.Normalize(out)
 	return out
 }

@@ -57,6 +57,42 @@ func TestNormSubAllNegative(t *testing.T) {
 	}
 }
 
+func TestNormSubInPlaceMatchesNormSub(t *testing.T) {
+	// The collector's oracle refresh projects through NormSubInPlace; it
+	// must reproduce NormSub bit for bit and leave its answer in est.
+	rng := randx.New(9)
+	noisy := make([]float64, 64)
+	for i := range noisy {
+		noisy[i] = rng.Normal(1.0/64, 0.05)
+	}
+	for name, in := range map[string][]float64{
+		"already valid":   {0.25, 0.25, 0.5},
+		"partly negative": {-0.2, 0.6, 0.6},
+		"all negative":    {-3, -1, -2, -4},
+		"iterative case":  {0.05, 1.2, -0.25},
+		"noisy oracle":    noisy,
+		"empty":           {},
+	} {
+		want := NormSub(in)
+		est := append([]float64(nil), in...)
+		got := NormSubInPlace(est, make([]float64, len(in)))
+		if len(got) != len(want) || (len(got) > 0 && &got[0] != &est[0]) {
+			t.Fatalf("%s: NormSubInPlace did not project into est", name)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Errorf("%s: NormSubInPlace[%d] = %v, NormSub = %v", name, i, got[i], want[i])
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NormSubInPlace with a short scratch should panic")
+		}
+	}()
+	NormSubInPlace([]float64{1, 2}, make([]float64, 1))
+}
+
 func TestNormSubEmpty(t *testing.T) {
 	if got := NormSub(nil); len(got) != 0 {
 		t.Errorf("NormSub(nil) = %v", got)
@@ -123,42 +159,10 @@ func TestNormSubIsEuclideanProjection(t *testing.T) {
 	}
 }
 
-func TestNormSubTo(t *testing.T) {
-	got := NormSubTo([]float64{-0.4, 1.2, 1.2}, 2)
-	if !mathx.AlmostEqual(mathx.Sum(got), 2, 1e-9) {
-		t.Errorf("NormSubTo sum = %v, want 2", mathx.Sum(got))
-	}
-	for _, v := range got {
-		if v < 0 {
-			t.Errorf("NormSubTo produced negative entry %v", v)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("NormSubTo(_, 0) should panic")
-		}
-	}()
-	NormSubTo([]float64{1}, 0)
-}
-
-func TestClipRenorm(t *testing.T) {
-	got := ClipRenorm([]float64{-1, 1, 3})
-	want := []float64{0, 0.25, 0.75}
-	for i := range want {
-		if !mathx.AlmostEqual(got[i], want[i], 1e-9) {
-			t.Errorf("ClipRenorm[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	// All-zero input → uniform fallback via Normalize.
-	got = ClipRenorm([]float64{-1, -1})
-	if !mathx.AlmostEqual(got[0], 0.5, 1e-12) {
-		t.Errorf("ClipRenorm fallback = %v", got)
-	}
-}
-
 func TestNormSubKeepsLessSupportThanClipRenorm(t *testing.T) {
 	// The motivating property: on noise-dominated estimates Norm-Sub
-	// zeroes more spurious entries than clip-and-renormalize.
+	// zeroes more spurious entries than clip-and-renormalize, whose
+	// support is every positive entry of the estimate.
 	rng := randx.New(3)
 	est := make([]float64, 100)
 	est[0] = 0.9
@@ -166,29 +170,18 @@ func TestNormSubKeepsLessSupportThanClipRenorm(t *testing.T) {
 		est[i] = rng.Normal(0.001, 0.05)
 	}
 	ns := NormSub(est)
-	cr := ClipRenorm(est)
 	nsSupport, crSupport := 0, 0
 	for i := range est {
 		if ns[i] > 0 {
 			nsSupport++
 		}
-		if cr[i] > 0 {
+		if est[i] > 0 {
 			crSupport++
 		}
 	}
 	if nsSupport >= crSupport {
-		t.Errorf("NormSub support %d should be smaller than ClipRenorm support %d",
+		t.Errorf("NormSub support %d should be smaller than clip-and-renormalize support %d",
 			nsSupport, crSupport)
-	}
-}
-
-func TestSimplexProjectAlias(t *testing.T) {
-	in := []float64{0.2, -0.1, 0.9}
-	a, b := SimplexProject(in), NormSub(in)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Error("SimplexProject differs from NormSub")
-		}
 	}
 }
 
@@ -273,72 +266,5 @@ func TestNormKeepsRangeSumsUnbiasedInExpectation(t *testing.T) {
 				t.Fatalf("range [%d,%d): %v, want %v", lo, hi, b, want)
 			}
 		}
-	}
-}
-
-func TestNormCut(t *testing.T) {
-	// Mass exceeds 1: smallest positives are cut, survivors rescaled.
-	got := NormCut([]float64{0.9, 0.4, 0.05, -0.3})
-	if !mathx.IsDistribution(got, 1e-9) {
-		t.Errorf("NormCut output invalid: %v", got)
-	}
-	if got[2] != 0 || got[3] != 0 {
-		t.Errorf("NormCut should cut the smallest positive and the negative: %v", got)
-	}
-	// The two largest survive with their ratio preserved.
-	if !mathx.AlmostEqual(got[0]/got[1], 0.9/0.4, 1e-9) {
-		t.Errorf("NormCut distorted the kept ratio: %v", got)
-	}
-}
-
-func TestNormCutUnderfullMass(t *testing.T) {
-	// Positive mass below 1: everything positive is kept and rescaled.
-	got := NormCut([]float64{0.3, 0.2, -0.1})
-	want := []float64{0.6, 0.4, 0}
-	for i := range want {
-		if !mathx.AlmostEqual(got[i], want[i], 1e-9) {
-			t.Errorf("NormCut[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestNormCutAllNegativeFallsBack(t *testing.T) {
-	got := NormCut([]float64{-1, -2})
-	if !mathx.IsDistribution(got, 1e-9) {
-		t.Errorf("fallback output invalid: %v", got)
-	}
-}
-
-func TestNormCutZeroesTheNoiseTail(t *testing.T) {
-	// A dominant spike among noisy small estimates: NormCut keeps a
-	// strictly smaller support than the set of positive entries (the
-	// smallest positives are cut once the mass budget is reached).
-	est := make([]float64, 50)
-	est[7] = 0.9
-	rng := randx.New(11)
-	for i := range est {
-		if i != 7 {
-			est[i] = rng.Normal(0.01, 0.05)
-		}
-	}
-	positives := 0
-	for _, v := range est {
-		if v > 0 {
-			positives++
-		}
-	}
-	cut := NormCut(est)
-	support := 0
-	for _, v := range cut {
-		if v > 0 {
-			support++
-		}
-	}
-	if support >= positives {
-		t.Errorf("NormCut support %d should be below positive count %d", support, positives)
-	}
-	// The spike keeps the dominant share.
-	if cut[7] < 0.7 {
-		t.Errorf("spike share = %v, want ≥ 0.7", cut[7])
 	}
 }

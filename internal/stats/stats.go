@@ -102,17 +102,3 @@ func SignTest(a, b []float64) SignTestResult {
 	res.PValue = math.Min(1, 2*BinomialTail(k, n, 0.5))
 	return res
 }
-
-// MeanDiff returns mean(a) − mean(b), a convenience when reporting effect
-// direction next to the sign test.
-func MeanDiff(a, b []float64) float64 {
-	if len(a) != len(b) || len(a) == 0 {
-		panic("stats: MeanDiff needs equal non-empty samples")
-	}
-	var da, db float64
-	for i := range a {
-		da += a[i]
-		db += b[i]
-	}
-	return (da - db) / float64(len(a))
-}

@@ -123,18 +123,6 @@ func TestSignTestFalsePositiveRate(t *testing.T) {
 	}
 }
 
-func TestMeanDiff(t *testing.T) {
-	if got := MeanDiff([]float64{1, 2}, []float64{3, 6}); got != -3 {
-		t.Errorf("MeanDiff = %v, want -3", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched MeanDiff should panic")
-		}
-	}()
-	MeanDiff([]float64{1}, []float64{1, 2})
-}
-
 func TestPanics(t *testing.T) {
 	cases := []func(){
 		func() { BinomialTail(-1, 5, 0.5) },

@@ -71,9 +71,6 @@ func NewSquare(eps float64) Wave { return NewSquareWithB(eps, BOpt(eps)) }
 // bandwidth (used by the Figure 6 sweep).
 func NewSquareWithB(eps, b float64) Wave { return NewWave(eps, b, 1) }
 
-// NewTriangle returns the triangle-shaped General Wave mechanism.
-func NewTriangle(eps, b float64) Wave { return NewWave(eps, b, 0) }
-
 // NewWave returns a General Wave mechanism with plateau ratio rho ∈ [0,1].
 func NewWave(eps, b, rho float64) Wave {
 	if eps <= 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
@@ -444,16 +441,6 @@ func (s Discrete) Channel() *matrixx.Plateau {
 		ch.AddColumn(i, i+2*s.b+1, nil, nil)
 	}
 	return ch
-}
-
-// Collect perturbs every discrete value and returns output counts of length
-// d+2b for the EM reconstruction.
-func (s Discrete) Collect(values []int, rng *randx.Rand) []float64 {
-	counts := make([]float64, s.Dt())
-	for _, v := range values {
-		counts[s.Perturb(v, rng)]++
-	}
-	return counts
 }
 
 func abs(x int) int {

@@ -388,22 +388,6 @@ func TestDiscreteTransitionMatrix(t *testing.T) {
 	}
 }
 
-func TestDiscreteCollect(t *testing.T) {
-	s := NewDiscrete(64, 1)
-	rng := randx.New(13)
-	values := make([]int, 10000)
-	for i := range values {
-		values[i] = rng.IntN(64)
-	}
-	counts := s.Collect(values, rng)
-	if len(counts) != s.Dt() {
-		t.Fatalf("len(counts) = %d, want %d", len(counts), s.Dt())
-	}
-	if got := mathx.Sum(counts); got != 10000 {
-		t.Errorf("counts sum = %v", got)
-	}
-}
-
 func TestDiscreteZeroBandwidthIsGRRLike(t *testing.T) {
 	// With b = 0 the discrete SW degenerates to GRR (same p and q).
 	s := NewDiscreteWithB(16, 1, 0)

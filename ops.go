@@ -8,6 +8,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -136,7 +137,7 @@ type ServerHealth struct {
 // failures and unexpected statuses.
 func CheckServerHealth(baseURL string, hc *http.Client) (ServerHealth, error) {
 	var h ServerHealth
-	ok, detail, extra, err := opsProbe(baseURL, "/healthz", hc)
+	ok, detail, extra, err := opsProbe(context.TODO(), baseURL, "/healthz", hc)
 	if err != nil {
 		return h, fmt.Errorf("repro: health: %w", err)
 	}
@@ -146,7 +147,7 @@ func CheckServerHealth(baseURL string, hc *http.Client) (ServerHealth, error) {
 	} else {
 		h.Detail = detail
 	}
-	ok, detail, _, err = opsProbe(baseURL, "/readyz", hc)
+	ok, detail, _, err = opsProbe(context.TODO(), baseURL, "/readyz", hc)
 	if err != nil {
 		return h, fmt.Errorf("repro: health: %w", err)
 	}
@@ -164,8 +165,9 @@ type transportError struct{ error }
 func (e transportError) Unwrap() error { return e.error }
 
 // opsProbe hits one probe endpoint: 200 → ok, 503 → probe failure with the
-// envelope's message, no answer → transportError, anything else → error.
-func opsProbe(baseURL, path string, hc *http.Client) (ok bool, detail string, extra map[string]any, err error) {
+// envelope's message, no answer (before ctx ends) → transportError,
+// anything else → error.
+func opsProbe(ctx context.Context, baseURL, path string, hc *http.Client) (ok bool, detail string, extra map[string]any, err error) {
 	u, err := url.Parse(baseURL)
 	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
 		return false, "", nil, fmt.Errorf("%q is not an http(s) URL", baseURL)
@@ -173,7 +175,11 @@ func opsProbe(baseURL, path string, hc *http.Client) (ok bool, detail string, ex
 	if hc == nil {
 		hc = http.DefaultClient
 	}
-	resp, err := hc.Get(strings.TrimSuffix(baseURL, "/") + path)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, strings.TrimSuffix(baseURL, "/")+path, nil)
+	if err != nil {
+		return false, "", nil, err
+	}
+	resp, err := hc.Do(req)
 	if err != nil {
 		return false, "", nil, transportError{err}
 	}
@@ -328,11 +334,16 @@ func FetchTraces(baseURL string, q TraceQuery, hc *http.Client) (*Traces, error)
 // restore before pointing traffic at it". A collector that does not answer
 // yet (connection refused, say, because it is not listening) is polled like
 // one answering 503, and the last transport error is returned at the
-// deadline; a non-http(s) URL or an unexpected status fails at once.
+// deadline; a non-http(s) URL or an unexpected status fails at once. Each
+// probe is bounded by the time left, so a collector that accepts the
+// connection but answers slowly, or never, cannot hold the caller past the
+// deadline.
 func AwaitServerReady(baseURL string, hc *http.Client, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
+	ctx, cancel := context.WithDeadline(context.TODO(), deadline)
+	defer cancel()
 	for {
-		ok, detail, _, err := opsProbe(baseURL, "/readyz", hc)
+		ok, detail, _, err := opsProbe(ctx, baseURL, "/readyz", hc)
 		if err != nil && !errors.As(err, new(transportError)) {
 			return fmt.Errorf("repro: await ready: %w", err)
 		}

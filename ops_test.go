@@ -131,6 +131,30 @@ func TestAwaitServerReady(t *testing.T) {
 	}
 }
 
+// TestAwaitServerReadyBoundsEachProbe pins the deadline to the whole call:
+// a /readyz that takes 2 s to answer, or never answers, must not hold
+// AwaitServerReady past its timeout.
+func TestAwaitServerReadyBoundsEachProbe(t *testing.T) {
+	for name, delay := range map[string]time.Duration{"slow": 2 * time.Second, "silent": time.Hour} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			select {
+			case <-time.After(delay):
+			case <-r.Context().Done():
+			}
+		}))
+		start := time.Now()
+		err := AwaitServerReady(ts.URL, nil, 100*time.Millisecond)
+		waited := time.Since(start)
+		ts.Close()
+		if err == nil {
+			t.Errorf("%s: AwaitServerReady succeeded against a collector that never answered", name)
+		}
+		if waited > time.Second {
+			t.Errorf("%s: AwaitServerReady(timeout 100ms) returned after %v", name, waited)
+		}
+	}
+}
+
 // refusingTransport fails its first n round trips at the transport layer,
 // as a collector that is not listening yet does.
 type refusingTransport struct {
