@@ -79,15 +79,16 @@ func (c *Config) newMechanism() mechanism.Mechanism {
 	if err != nil {
 		panic(fmt.Sprintf("core: %v", err))
 	}
+	// A zero Tau takes the paper's default for the mode; every other EM
+	// field is the caller's.
 	if c.EM.Tau == 0 {
 		if c.Smoothing {
-			c.EM = em.EMSOptions()
+			c.EM.Tau = em.EMSOptions().Tau
 		} else {
-			c.EM = em.EMOptions(c.Epsilon)
+			c.EM.Tau = em.EMOptions(c.Epsilon).Tau
 		}
-	} else {
-		c.EM.Smoothing = c.Smoothing
 	}
+	c.EM.Smoothing = c.Smoothing
 	return m
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/em"
 	"repro/internal/mathx"
 	"repro/internal/metrics"
 	"repro/internal/randx"
@@ -24,6 +25,24 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if p.PlateauRatio != 1 {
 		t.Errorf("default plateau ratio = %v, want 1 (square)", p.PlateauRatio)
+	}
+}
+
+// TestConfigKeepsEMOptions: a zero Tau takes the mode's default τ and
+// nothing else — the caller's other EM fields survive, and Smoothing always
+// follows the Config.
+func TestConfigKeepsEMOptions(t *testing.T) {
+	ems := NewAggregator(Config{Epsilon: 1, Buckets: 64, Smoothing: true, EM: em.Options{SmoothWidth: 7, MaxIters: 40}}).em
+	if ems.SmoothWidth != 7 || ems.MaxIters != 40 || ems.Tau != em.EMSOptions().Tau || !ems.Smoothing {
+		t.Errorf("EMS options = %+v, want SmoothWidth 7, MaxIters 40, τ = %v, smoothing", ems, em.EMSOptions().Tau)
+	}
+	plain := NewAggregator(Config{Epsilon: 2, Buckets: 64, EM: em.Options{MaxIters: 40}}).em
+	if plain.MaxIters != 40 || plain.Tau != em.EMOptions(2).Tau || plain.Smoothing {
+		t.Errorf("EM options = %+v, want MaxIters 40, τ = %v, no smoothing", plain, em.EMOptions(2).Tau)
+	}
+	set := NewAggregator(Config{Epsilon: 1, Buckets: 64, EM: em.Options{Tau: 1e-6, Smoothing: true}}).em
+	if set.Tau != 1e-6 || set.Smoothing {
+		t.Errorf("explicit options = %+v, want τ = 1e-6 and Smoothing from the Config (off)", set)
 	}
 }
 

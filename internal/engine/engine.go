@@ -190,9 +190,9 @@ type Stream struct {
 	m    streamMetrics
 }
 
-// streamMetrics are one stream's telemetry handles, resolved at
-// construction (all nil without Registry metrics; the drift alert counter
-// only for windowed streams).
+// streamMetrics are one stream's telemetry handles, resolved when it joins
+// the registry (all nil without Registry metrics, and for a stream that
+// never joins; the drift alert counter only for windowed streams).
 type streamMetrics struct {
 	reports     *telemetry.Counter
 	refresh     *telemetry.Histogram
@@ -226,21 +226,26 @@ func (r *Registry) newStream(name string, cfg Config) *Stream {
 		EMBased:   agg.Channel() != nil,
 		Windowed:  cfg.Windowed(),
 	})
-	if m := r.opts.Metrics; m != nil {
-		st.m = streamMetrics{
-			reports:   m.Reports.With(name, cfg.Mechanism),
-			refresh:   m.Refresh.With(name),
-			iters:     m.Iterations.With(name),
-			rotations: m.Rotations.With(name),
-		}
-		for i, reason := range refreshReasons {
-			st.m.refreshes[i] = m.Refreshes.With(name, reason)
-		}
-		if cfg.Windowed() {
-			st.m.driftAlerts = m.DriftAlerts.With(name)
-		}
-	}
 	return st
+}
+
+// resolveMetrics resolves the stream's series in m (none when m is nil).
+func (st *Stream) resolveMetrics(m *Metrics) {
+	if m == nil {
+		return
+	}
+	st.m = streamMetrics{
+		reports:   m.Reports.With(st.name, st.cfg.Mechanism),
+		refresh:   m.Refresh.With(st.name),
+		iters:     m.Iterations.With(st.name),
+		rotations: m.Rotations.With(st.name),
+	}
+	for i, reason := range refreshReasons {
+		st.m.refreshes[i] = m.Refreshes.With(st.name, reason)
+	}
+	if st.cfg.Windowed() {
+		st.m.driftAlerts = m.DriftAlerts.With(st.name)
+	}
 }
 
 // Name returns the stream's name.

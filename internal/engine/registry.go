@@ -23,8 +23,16 @@ type Options struct {
 }
 
 // Metrics are the per-stream families the engine writes, each stream
-// resolving its series once. The HTTP collector registers every one.
+// resolving its series once, when it joins the registry. The HTTP collector
+// registers every one.
 type Metrics struct {
+	// Telemetry is the registry the families live in. Drop deletes from it
+	// every series whose stream label names the dropped stream (so the
+	// collector's scrape-derived per-stream gauges go too), under the same
+	// hold of the registry lock that joins a redeclared stream of the same
+	// name, which therefore counts from zero. Nil deletes nothing.
+	Telemetry *telemetry.Registry
+
 	Reports     *telemetry.CounterVec   // stream, mechanism
 	Refresh     *telemetry.HistogramVec // stream: refresh reconstruction seconds
 	Iterations  *telemetry.HistogramVec // stream
@@ -147,6 +155,7 @@ func (r *Registry) Register(cands []*Stream) ([]*Stream, error) {
 }
 
 func (r *Registry) addLocked(st *Stream) {
+	st.resolveMetrics(r.opts.Metrics)
 	r.streams[st.name] = st
 	r.order = append(r.order, st)
 }
@@ -166,6 +175,9 @@ func (r *Registry) Drop(name string) error {
 			r.order = append(r.order[:i], r.order[i+1:]...)
 			break
 		}
+	}
+	if m := r.opts.Metrics; m != nil && m.Telemetry != nil {
+		m.Telemetry.DeleteSeries("stream", name)
 	}
 	return nil
 }

@@ -54,8 +54,7 @@ func Ablations(cfg Config) []Row {
 
 	// Smoothing kernel width.
 	for wi, width := range []int{1, 3, 5, 7} {
-		kcfg := core.Config{Epsilon: eps, Buckets: d, Smoothing: true, EM: em.EMSOptions()}
-		kcfg.EM.SmoothWidth = width
+		kcfg := core.Config{Epsilon: eps, Buckets: d, Smoothing: true, EM: em.Options{SmoothWidth: width}}
 		var w1s []float64
 		for rep := 0; rep < cfg.Reps; rep++ {
 			est := core.Run(kcfg, ds.Values, base.Split(rowKey(91, wi, rep)))

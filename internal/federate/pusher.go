@@ -154,33 +154,48 @@ func (p *Pusher) Status() PusherStatus {
 }
 
 // Run pushes on the jittered interval until done closes, backing off
-// exponentially while the root is unreachable or rejecting. It never
-// returns an error: transient failure is this loop's normal weather, and
-// permanent divergence parks the loop with Status().Diverged set.
+// exponentially while the root is unreachable or rejecting. Each interval
+// runs from the start of the previous attempt, so healthy attempts start
+// Interval apart (back to back when one takes longer). It never returns an
+// error: transient failure is this loop's normal weather, and permanent
+// divergence parks the loop with Status().Diverged set.
 func (p *Pusher) Run(done <-chan struct{}) {
+	var spent time.Duration // how long the last attempt took
 	for {
 		select {
 		case <-done:
 			return
-		case <-time.After(p.nextWait()):
+		case <-time.After(p.nextWait(spent)):
 		}
 		if p.Status().Diverged {
 			return
 		}
+		start := time.Now()
 		if _, err := p.PushOnce(); err != nil {
 			p.cfg.Logf("federate: push to %s: %v", p.cfg.URL, err)
 		}
+		spent = time.Since(start)
 	}
 }
 
-// nextWait is Run's sleep before its next attempt: Status().Backoff while
-// attempts fail, the push interval otherwise, jittered by ±pushJitter.
-func (p *Pusher) nextWait() time.Duration {
-	d := p.cfg.Interval
-	if b := p.Status().Backoff; b > 0 {
-		d = b
+// nextWait is Run's sleep before its next attempt, the last one having
+// taken spent (see pushWait).
+func (p *Pusher) nextWait(spent time.Duration) time.Duration {
+	return pushWait(p.cfg.Interval, p.Status().Backoff, spent, rand.Float64())
+}
+
+// pushWait is the sleep before the next push attempt, jittered by
+// ±pushJitter with u uniform in [0, 1). While attempts fail it is the
+// failure backoff, counted from the end of the failed attempt. Otherwise it
+// is the push interval counted from the start of the last attempt: the
+// interval less spent, the time that attempt took, and no sleep at all once
+// the attempt took longer.
+func pushWait(interval, backoff, spent time.Duration, u float64) time.Duration {
+	jitter := 1 + pushJitter*(2*u-1)
+	if backoff > 0 {
+		return time.Duration(float64(backoff) * jitter)
 	}
-	return time.Duration(float64(d) * (1 + pushJitter*(2*rand.Float64()-1)))
+	return max(0, time.Duration(float64(interval)*jitter)-spent)
 }
 
 // backoffFor is the exponential failure backoff after n consecutive

@@ -421,6 +421,33 @@ func TestPusherConfigValidation(t *testing.T) {
 // TestPusherBackoffPacesRun: two failed attempts leave Status().Backoff at
 // 2s (minBackoff doubled once) and Run's next sleep within ±10% of it; a
 // success puts the loop back on its interval.
+// TestPushWait: a healthy loop's sleep is the jittered interval less the
+// time the last attempt took, never negative, so attempts start Interval
+// apart; a failing loop sleeps its whole jittered backoff.
+func TestPushWait(t *testing.T) {
+	const iv = 10 * time.Second
+	for _, tc := range []struct {
+		name                    string
+		interval, backoff, took time.Duration
+		u                       float64
+		want                    time.Duration
+	}{
+		{"idle attempt", iv, 0, 0, 0.5, iv},
+		{"attempt cost", iv, 0, 4 * time.Millisecond, 0.5, iv - 4*time.Millisecond},
+		{"jitter low", iv, 0, time.Second, 0, 9*time.Second - time.Second},
+		{"jitter high", iv, 0, time.Second, 1, 11*time.Second - time.Second},
+		{"attempt as long as the interval", iv, 0, iv, 0.5, 0},
+		{"attempt longer than the interval", iv, 0, 3 * iv, 0.5, 0},
+		{"backoff ignores attempt cost", iv, 4 * time.Second, 3 * time.Second, 0.5, 4 * time.Second},
+		{"backoff jitter", iv, 4 * time.Second, 0, 0, 3600 * time.Millisecond},
+	} {
+		if got := pushWait(tc.interval, tc.backoff, tc.took, tc.u); got != tc.want {
+			t.Errorf("%s: pushWait(%v, %v, %v, %v) = %v, want %v",
+				tc.name, tc.interval, tc.backoff, tc.took, tc.u, got, tc.want)
+		}
+	}
+}
+
 func TestPusherBackoffPacesRun(t *testing.T) {
 	root := newStubRoot()
 	ts := httptest.NewServer(http.HandlerFunc(root.handler))
@@ -440,7 +467,7 @@ func TestPusherBackoffPacesRun(t *testing.T) {
 		t.Fatalf("after two failures: failures=%d backoff=%v, want 2 and 2s", st.Failures, st.Backoff)
 	}
 	for i := 0; i < 100; i++ {
-		if w := p.nextWait(); w < 1800*time.Millisecond || w > 2200*time.Millisecond {
+		if w := p.nextWait(0); w < 1800*time.Millisecond || w > 2200*time.Millisecond {
 			t.Fatalf("next wait %v outside 2s ±10%%", w)
 		}
 	}
@@ -452,7 +479,7 @@ func TestPusherBackoffPacesRun(t *testing.T) {
 		t.Fatalf("after success: failures=%d backoff=%v", st.Failures, st.Backoff)
 	}
 	for i := 0; i < 100; i++ {
-		if w := p.nextWait(); w < 54*time.Minute || w > 66*time.Minute {
+		if w := p.nextWait(0); w < 54*time.Minute || w > 66*time.Minute {
 			t.Fatalf("next wait %v outside the 1h interval ±10%%", w)
 		}
 	}

@@ -274,6 +274,9 @@ type Server struct {
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 	snapMu    sync.Mutex // serializes SaveSnapshot
+	// dropMu serializes DropStream with the scrape hook's per-stream gauge
+	// writes (lock order: dropMu → fedMu → registry).
+	dropMu sync.Mutex
 
 	// Federation state. fedMu serializes push application against snapshot
 	// capture, so a snapshot's histograms and peer watermarks are always
@@ -391,12 +394,15 @@ func (s *Server) createStream(name string, cfg StreamConfig) (*engine.Stream, bo
 }
 
 // DropStream retires a named stream: it disappears from the registry, the
-// engine's rotation and future snapshots, and its reports are discarded.
+// engine's rotation, future snapshots and /metrics (every series labeled
+// with it), and its reports are discarded.
 // Dropping the default stream is allowed (it then answers 404 like any
 // unknown stream) — an operator who never uses it can reclaim it.
 // In-flight requests that already resolved the stream finish against its
 // final state.
 func (s *Server) DropStream(name string) error {
+	s.dropMu.Lock()
+	defer s.dropMu.Unlock()
 	if err := s.reg.Drop(name); err != nil {
 		return fmt.Errorf("ldphttp: %w", err)
 	}

@@ -219,6 +219,9 @@ func TestDeclareRaces(t *testing.T) {
 	})
 }
 
+// TestMethodNotAllowedMatrix sends every endpoint a method it does not
+// serve: each answers 405 with its Allow list and the envelope, and counts
+// the request under its route template.
 func TestMethodNotAllowedMatrix(t *testing.T) {
 	s := NewServer(Config{Epsilon: 1, Buckets: 16, RefreshInterval: time.Hour,
 		Federation: FederationConfig{Accept: true}})
@@ -230,27 +233,31 @@ func TestMethodNotAllowedMatrix(t *testing.T) {
 		path   string
 		method string
 		allow  string
+		label  string
 	}{
-		{"/v1/streams", http.MethodDelete, "GET, POST"},
-		{"/v1/streams", http.MethodPut, "GET, POST"},
-		{"/v1/streams/age", http.MethodPost, "GET, DELETE"},
-		{"/v1/streams/age", http.MethodPut, "GET, DELETE"},
-		{"/v1/streams/age/report", http.MethodGet, "POST"},
-		{"/v1/streams/age/report", http.MethodDelete, "POST"},
-		{"/v1/streams/age/batch", http.MethodGet, "POST"},
-		{"/v1/streams/age/estimate", http.MethodPost, "GET"},
-		{"/v1/streams/age/estimate", http.MethodDelete, "GET"},
-		{"/v1/streams/age/query", http.MethodDelete, "GET, POST"},
-		{"/v1/streams/age/config", http.MethodPost, "GET"},
-		{"/v1/streams/age/diagnostics", http.MethodPost, "GET"},
-		{"/v1/diagnostics", http.MethodPost, "GET"},
-		{"/federation/push", http.MethodGet, "POST"},
-		{"/federation/peers", http.MethodPost, "GET"},
-		{"/metrics", http.MethodPost, "GET"},
-		{"/healthz", http.MethodPost, "GET"},
-		{"/readyz", http.MethodDelete, "GET"},
+		{"/v1/streams", http.MethodDelete, "GET, POST", "/v1/streams"},
+		{"/v1/streams", http.MethodPut, "GET, POST", "/v1/streams"},
+		{"/v1/%73treams", http.MethodPatch, "GET, POST", "/v1/streams"},
+		{"/v1/streams/age", http.MethodPost, "GET, DELETE", "/v1/streams/{name}"},
+		{"/v1/streams/age", http.MethodPut, "GET, DELETE", "/v1/streams/{name}"},
+		{"/v1/streams/age/report", http.MethodGet, "POST", "/v1/streams/{name}/report"},
+		{"/v1/streams/age/report", http.MethodDelete, "POST", "/v1/streams/{name}/report"},
+		{"/v1/streams/age/batch", http.MethodGet, "POST", "/v1/streams/{name}/batch"},
+		{"/v1/streams/age/estimate", http.MethodPost, "GET", "/v1/streams/{name}/estimate"},
+		{"/v1/streams/age/estimate", http.MethodDelete, "GET", "/v1/streams/{name}/estimate"},
+		{"/v1/streams/age/query", http.MethodDelete, "GET, POST", "/v1/streams/{name}/query"},
+		{"/v1/streams/age/config", http.MethodPost, "GET", "/v1/streams/{name}/config"},
+		{"/v1/streams/age/diagnostics", http.MethodPost, "GET", "/v1/streams/{name}/diagnostics"},
+		{"/v1/diagnostics", http.MethodPost, "GET", "/v1/diagnostics"},
+		{"/federation/push", http.MethodGet, "POST", "/federation/push"},
+		{"/federation/peers", http.MethodPost, "GET", "/federation/peers"},
+		{"/metrics", http.MethodPost, "GET", "/metrics"},
+		{"/healthz", http.MethodPost, "GET", "/healthz"},
+		{"/readyz", http.MethodDelete, "GET", "/readyz"},
 	}
+	want := make(map[[2]string]float64)
 	for _, tc := range cases {
+		want[[2]string{tc.label, tc.method}]++
 		req, err := http.NewRequest(tc.method, ts.URL+tc.path, bytes.NewReader(nil))
 		if err != nil {
 			t.Fatal(err)
@@ -281,5 +288,72 @@ func TestMethodNotAllowedMatrix(t *testing.T) {
 			t.Errorf("%s %s: error code %q, want %q", tc.method, tc.path, body.Error.Code, CodeMethodNotAllowed)
 		}
 		resp.Body.Close()
+	}
+	sc := scrape(t, ts.URL)
+	for key, n := range want {
+		if v, _ := sc.Value("ldp_requests_total", "endpoint="+key[0], "method="+key[1], "code=405"); v != n {
+			t.Errorf("ldp_requests_total{endpoint=%q,method=%q,code=\"405\"} = %v, want %v", key[0], key[1], v, n)
+		}
+	}
+}
+
+// TestNonCanonicalPaths404: a path with an empty, "." or ".." segment, or
+// an escaped slash where a fixed route has a separator, is no route — it
+// answers the 404 envelope under the catch-all label, never a redirect.
+func TestNonCanonicalPaths404(t *testing.T) {
+	s := NewServer(Config{Epsilon: 1, Buckets: 16, RefreshInterval: time.Hour})
+	t.Cleanup(s.Close)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
+		return http.ErrUseLastResponse
+	}}
+	paths := []string{
+		"//v1/streams",
+		"/v1/./metrics",
+		"/v1/../metrics",
+		"/metrics/.",
+		"/v1/streams/../metrics",
+		"/v1/streams/./estimate",
+		"/v1/streams/default/./estimate",
+		"/v1/streams/default/../default/estimate",
+		"/v1/streams//report",
+		"/v1//streams/default",
+		"/healthz//",
+		"/v1%2Fstreams",
+		"/v1/streams%2Fdefault",
+	}
+	for _, p := range paths {
+		for _, verb := range []string{http.MethodGet, http.MethodPost} {
+			req, err := http.NewRequest(verb, ts.URL+p, strings.NewReader(`{"report": 0.5}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Content-Type", "application/json")
+			resp, err := client.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var env struct {
+				Error struct {
+					Code string `json:"code"`
+				} `json:"error"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&env)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound || err != nil || env.Error.Code != CodeNotFound {
+				t.Errorf("%s %s: %d %q (%v), want the 404 envelope", verb, p, resp.StatusCode, env.Error.Code, err)
+			}
+		}
+	}
+	sc := scrape(t, ts.URL)
+	for _, verb := range []string{http.MethodGet, http.MethodPost} {
+		if v, _ := sc.Value("ldp_requests_total", "endpoint=/", "method="+verb, "code=404"); v != float64(len(paths)) {
+			t.Errorf("ldp_requests_total{endpoint=\"/\",method=%q,code=\"404\"} = %v, want %d", verb, v, len(paths))
+		}
+	}
+	// Escaped letters in a fixed route still match it, segment by segment.
+	if resp, _ := doReq(t, ts.URL, http.MethodGet, "/v1/%73treams", ""); resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /v1/%%73treams: %d, want 200", resp.StatusCode)
 	}
 }

@@ -6,16 +6,18 @@ package ldphttp
 // engine, bounds bodies, answers unlisted methods with 405, counts and
 // times the request, and writes the access log line.
 //
-// The /v1/streams/{name} tree is dispatched by hand rather than with
-// ServeMux method patterns so unsupported methods keep answering 405 with an
-// Allow header and the JSON envelope (a mux pattern miss would produce a
-// bare text 404).
+// Dispatch is one switch rather than an http.ServeMux: the fixed endpoints
+// are an exact-path map, the /v1/streams/{name} tree is parsed by hand, and
+// everything else — non-canonical paths included, which a ServeMux would
+// answer with a text/html 301 — gets the JSON envelope's 404. Unsupported
+// methods answer 405 with an Allow header and the envelope on every route.
 
 import (
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
+	"path"
 	"strings"
 	"time"
 
@@ -93,7 +95,7 @@ func (s *Server) route(endpoint string, opts routeOpts, methods ...method) handl
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
 		if t := s.tracer; t != nil && opts.trace != traceOff {
-			if parent, ok := trace.ParseTraceparent(r.Header.Get("traceparent")); ok {
+			if parent, ok := trace.ParseTraceparent(r.Header.Get("Traceparent")); ok {
 				sw.span = t.StartSpan(parent, "http "+endpoint)
 			} else if opts.trace == traceAlways || t.SampleReport() {
 				sw.span = t.NewTrace("http " + endpoint)
@@ -211,25 +213,12 @@ func (s *Server) Handler() http.Handler {
 	ingest := routeOpts{admit: true, capBody: true, trace: traceSampled}
 	ops := routeOpts{}
 
-	mux := http.NewServeMux()
+	fixed := make(map[string]handler)
 	handle := func(endpoint string, opts routeOpts, methods ...method) {
-		h := s.route(endpoint, opts, methods...)
-		mux.HandleFunc(endpoint, func(w http.ResponseWriter, r *http.Request) { h(w, r, "") })
+		fixed[endpoint] = s.route(endpoint, opts, methods...)
 	}
 	handle("/v1/streams", engine,
 		method{http.MethodGet, s.handleStreamList}, method{http.MethodPost, s.handleStreamCreate})
-	// The ingest hot paths (report, batch) sample; the rest trace always-on.
-	mux.HandleFunc("/v1/streams/", s.streamRoutes(map[string]handler{
-		"": s.route("/v1/streams/{name}", engine,
-			method{http.MethodGet, s.handleStreamInfo}, method{http.MethodDelete, s.handleStreamDelete}),
-		"report":   s.route("/v1/streams/{name}/report", ingest, method{http.MethodPost, s.handleReport}),
-		"batch":    s.route("/v1/streams/{name}/batch", ingest, method{http.MethodPost, s.handleBatch}),
-		"estimate": s.route("/v1/streams/{name}/estimate", engine, method{http.MethodGet, s.handleEstimate}),
-		"query": s.route("/v1/streams/{name}/query", engine,
-			method{http.MethodGet, s.handleQueryGet}, method{http.MethodPost, s.handleQueryPost}),
-		"config":      s.route("/v1/streams/{name}/config", engine, method{http.MethodGet, s.handleConfig}),
-		"diagnostics": s.route("/v1/streams/{name}/diagnostics", engine, method{http.MethodGet, s.handleStreamDiagnostics}),
-	}))
 	handle("/v1/diagnostics", engine, method{http.MethodGet, s.handleFleetDiagnostics})
 
 	// Federation: push carries its own body cap and the per-edge tier.
@@ -241,9 +230,52 @@ func (s *Server) Handler() http.Handler {
 	handle("/healthz", ops, method{http.MethodGet, s.handleHealthz})
 	handle("/readyz", ops, method{http.MethodGet, s.handleReadyz})
 
-	// Everything else 404s with the envelope, not the mux's text body.
-	handle("/", ops, method{anyMethod, notFound})
-	return mux
+	// The ingest hot paths (report, batch) sample; the rest trace always-on.
+	streams := s.streamRoutes(map[string]handler{
+		"": s.route("/v1/streams/{name}", engine,
+			method{http.MethodGet, s.handleStreamInfo}, method{http.MethodDelete, s.handleStreamDelete}),
+		"report":   s.route("/v1/streams/{name}/report", ingest, method{http.MethodPost, s.handleReport}),
+		"batch":    s.route("/v1/streams/{name}/batch", ingest, method{http.MethodPost, s.handleBatch}),
+		"estimate": s.route("/v1/streams/{name}/estimate", engine, method{http.MethodGet, s.handleEstimate}),
+		"query": s.route("/v1/streams/{name}/query", engine,
+			method{http.MethodGet, s.handleQueryGet}, method{http.MethodPost, s.handleQueryPost}),
+		"config":      s.route("/v1/streams/{name}/config", engine, method{http.MethodGet, s.handleConfig}),
+		"diagnostics": s.route("/v1/streams/{name}/diagnostics", engine, method{http.MethodGet, s.handleStreamDiagnostics}),
+	})
+
+	// Everything else 404s with the envelope.
+	missing := s.route("/", ops, method{anyMethod, notFound})
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		escaped := r.URL.EscapedPath()
+		h, ok := fixed[r.URL.Path]
+		switch {
+		case !canonicalPath(escaped):
+			missing(w, r, "")
+		// A fixed path matches segment by segment, each segment unescaped
+		// (so /v1/%73treams is /v1/streams), but an escaped slash inside a
+		// segment is not a separator.
+		case ok && strings.Count(escaped, "/") == strings.Count(r.URL.Path, "/"):
+			h(w, r, "")
+		case strings.HasPrefix(escaped, "/v1/streams/"):
+			streams(w, r)
+		default:
+			missing(w, r, "")
+		}
+	})
+}
+
+// canonicalPath reports whether an escaped request path is one a ServeMux
+// would serve without redirecting: rooted, with no empty, "." or ".."
+// segment, a trailing slash allowed.
+func canonicalPath(p string) bool {
+	if p == "" || p[0] != '/' {
+		return false
+	}
+	clean := path.Clean(p)
+	if p[len(p)-1] == '/' && clean != "/" {
+		return len(p) == len(clean)+1 && strings.HasPrefix(p, clean)
+	}
+	return clean == p
 }
 
 // streamRoutes dispatches /v1/streams/{name}[/{action}] to the endpoint

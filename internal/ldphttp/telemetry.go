@@ -105,6 +105,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Ingest requests by negotiated wire codec (json or binary).",
 			"endpoint", "codec"),
 		engine: engine.Metrics{
+			Telemetry: r,
 			Reports: r.Counter("ldp_reports_total",
 				"Randomized reports ingested, by stream and mechanism.",
 				"stream", "mechanism"),
@@ -178,8 +179,12 @@ func newServerMetrics(s *Server) *serverMetrics {
 	return m
 }
 
-// scrapeRefresh recomputes every derived gauge at exposition time.
+// scrapeRefresh recomputes every derived gauge at exposition time. It holds
+// dropMu, so the per-stream gauges it writes belong to streams still
+// declared when DropStream deletes a stream's series.
 func (s *Server) scrapeRefresh(m *serverMetrics) {
+	s.dropMu.Lock()
+	defer s.dropMu.Unlock()
 	now := time.Now()
 	list := s.reg.List()
 	m.streams.With().Set(float64(len(list)))

@@ -9,15 +9,19 @@ package ldphttp
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/randx"
+	"repro/internal/telemetry"
 )
 
 // mockClock is a thread-safe manual clock for Config.Clock.
@@ -254,6 +258,130 @@ func TestWindowQueries(t *testing.T) {
 	if br.N != 800 || br.Window != "epochs:0..1" || len(br.Results) != 2 {
 		t.Fatalf("batch windowed query: N=%d window=%q results=%d", br.N, br.Window, len(br.Results))
 	}
+}
+
+// TestDropStreamDeletesSeries: dropping a stream removes every series
+// labeled with it from /metrics, the series count falls back to its value
+// before the declaration, and a redeclared stream of the same name counts
+// from zero.
+func TestDropStreamDeletesSeries(t *testing.T) {
+	s := NewServer(Config{Epsilon: 1, Buckets: 16, RefreshInterval: 5 * time.Millisecond})
+	t.Cleanup(s.Close)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	drop := func(name string) {
+		t.Helper()
+		if resp, env := doReq(t, ts.URL, http.MethodDelete, "/v1/streams/"+name, ""); resp.StatusCode != http.StatusOK {
+			t.Fatalf("DELETE %s: %d %+v", name, resp.StatusCode, env)
+		}
+	}
+	seriesOf := func(sc *telemetry.Scrape, name string) []string {
+		var out []string
+		for _, fam := range sc.Families {
+			for _, smp := range fam.Samples {
+				if smp.Label("stream") == name {
+					out = append(out, smp.Name)
+				}
+			}
+		}
+		return out
+	}
+	// One full round on another stream first, so every route and scrape
+	// series the round below touches already exists.
+	round := func(name string) {
+		t.Helper()
+		if err := s.CreateStream(name, StreamConfig{Epsilon: 1, Buckets: 16}); err != nil {
+			t.Fatal(err)
+		}
+		postReports(t, ts.URL, name, 5, 50)
+		if got := seriesOf(scrape(t, ts.URL), name); len(got) == 0 {
+			t.Fatalf("stream %s has no series after a scrape", name)
+		}
+		drop(name)
+	}
+	round("warmup")
+	scrape(t, ts.URL)
+	before, _ := scrape(t, ts.URL).Value("ldp_telemetry_series")
+
+	round("gone")
+	sc := scrape(t, ts.URL)
+	if got := seriesOf(sc, "gone"); len(got) != 0 {
+		t.Errorf("dropped stream keeps series %v", got)
+	}
+	if after, _ := sc.Value("ldp_telemetry_series"); after != before {
+		t.Errorf("ldp_telemetry_series = %v after the drop, want %v as before the declaration", after, before)
+	}
+
+	if err := s.CreateStream("gone", StreamConfig{Epsilon: 1, Buckets: 16}); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := scrape(t, ts.URL).Value("ldp_reports_total", "stream=gone"); !ok || v != 0 {
+		t.Errorf("redeclared stream's report counter = %v (present %v), want 0", v, ok)
+	}
+	postReports(t, ts.URL, "gone", 6, 7)
+	if v, _ := scrape(t, ts.URL).Value("ldp_reports_total", "stream=gone"); v != 7 {
+		t.Errorf("redeclared stream's report counter = %v after 7 reports, want 7", v)
+	}
+}
+
+// TestDropStreamRacesScrapes drops and redeclares a stream while /metrics
+// is scraped: a scrape that listed the stream before a drop must not write
+// its gauges back after the drop deleted them, so whenever DropStream has
+// returned, no series names the stream.
+func TestDropStreamRacesScrapes(t *testing.T) {
+	s := NewServer(Config{Epsilon: 1, Buckets: 16, RefreshInterval: time.Hour})
+	t.Cleanup(s.Close)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	// Streams declared before the churning one make every scrape spend a
+	// while on them between listing the streams and writing its gauges.
+	for i := 0; i < 32; i++ {
+		if err := s.CreateStream(fmt.Sprintf("bystander-%d", i), StreamConfig{Epsilon: 1, Buckets: 16}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	render := func() string {
+		t.Helper()
+		var b strings.Builder
+		if err := s.metrics.reg.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	stop := make(chan struct{})
+	var scraper sync.WaitGroup
+	scraper.Add(1)
+	go func() {
+		defer scraper.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			resp, err := http.Get(ts.URL + "/metrics")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		if err := s.CreateStream("churn", StreamConfig{Epsilon: 1, Buckets: 16}); err != nil {
+			t.Fatal(err)
+		}
+		render() // the stream lives for a scrape's length
+		if err := s.DropStream("churn"); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(render(), `stream="churn"`) {
+			t.Fatalf("drop %d: a dropped stream's series survive", i)
+		}
+	}
+	close(stop)
+	scraper.Wait()
 }
 
 func TestDropStream(t *testing.T) {

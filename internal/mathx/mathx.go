@@ -158,9 +158,17 @@ func Dot(a, b []float64) float64 {
 
 // IntervalOverlap returns the length of the intersection of the intervals
 // [a0, a1] and [b0, b1]. Degenerate (reversed) intervals contribute 0.
+// Inputs must be finite: the bounds are compared directly, which for finite
+// values picks the same ones math.Max and math.Min would at a fraction of
+// their cost (the Square Wave channel builder calls this in its inner loop).
 func IntervalOverlap(a0, a1, b0, b1 float64) float64 {
-	lo := math.Max(a0, b0)
-	hi := math.Min(a1, b1)
+	lo, hi := a0, a1
+	if b0 > lo {
+		lo = b0
+	}
+	if b1 < hi {
+		hi = b1
+	}
 	if hi <= lo {
 		return 0
 	}
@@ -175,6 +183,7 @@ func IntervalOverlap(a0, a1, b0, b1 float64) float64 {
 // the axis-aligned rectangle [vlo,vhi] × [ulo,uhi]. The integrand is
 // piecewise linear in v with breakpoints where v±b crosses ulo or uhi, so the
 // integral is computed exactly by the trapezoid rule between breakpoints.
+// Inputs must be finite.
 //
 // This is the core quantity for the Square Wave transition matrix: the
 // probability mass the mechanism sends from an input bucket to an output
@@ -183,28 +192,30 @@ func BandRectOverlapIntegral(vlo, vhi, ulo, uhi, b float64) float64 {
 	if vhi <= vlo || uhi <= ulo || b <= 0 {
 		return 0
 	}
-	// Candidate breakpoints: where the moving window edges v−b, v+b cross
-	// the rectangle edges ulo, uhi.
-	pts := []float64{vlo, vhi, ulo - b, ulo + b, uhi - b, uhi + b}
-	// Sort the small fixed-size slice (insertion sort keeps this
-	// allocation-free and branch-predictable).
-	for i := 1; i < len(pts); i++ {
-		for j := i; j > 0 && pts[j] < pts[j-1]; j-- {
-			pts[j], pts[j-1] = pts[j-1], pts[j]
-		}
+	// The integrand f(v) = len([v−b, v+b] ∩ [ulo, uhi]) is linear between
+	// the breakpoints where v−b or v+b crosses ulo or uhi, so the trapezoid
+	// rule is exact on each piece of [vlo, vhi] they cut. In increasing
+	// order the breakpoints are ulo−b, then ulo+b and uhi−b in either
+	// order, then uhi+b (rounding keeps that order); only those strictly
+	// inside (vlo, vhi) cut it, and f is evaluated once at each cut.
+	f := func(v float64) float64 { return IntervalOverlap(v-b, v+b, ulo, uhi) }
+	cuts := [5]float64{ulo - b, ulo + b, uhi - b, uhi + b, vhi}
+	if cuts[2] < cuts[1] {
+		cuts[1], cuts[2] = cuts[2], cuts[1]
 	}
-	f := func(v float64) float64 {
-		return IntervalOverlap(v-b, v+b, ulo, uhi)
-	}
+	a0, f0 := vlo, f(vlo)
 	var area float64
-	for i := 0; i+1 < len(pts); i++ {
-		a0 := math.Max(pts[i], vlo)
-		a1 := math.Min(pts[i+1], vhi)
+	for _, a1 := range cuts {
 		if a1 <= a0 {
 			continue
 		}
-		// f is linear on [a0, a1]; the trapezoid rule is exact.
-		area += (f(a0) + f(a1)) / 2 * (a1 - a0)
+		a1 = min(a1, vhi)
+		f1 := f(a1)
+		area += (f0 + f1) / 2 * (a1 - a0)
+		if a1 == vhi {
+			break
+		}
+		a0, f0 = a1, f1
 	}
 	return area
 }

@@ -280,44 +280,40 @@ func (w Wave) Channel(d, dt int) matrixx.Channel {
 	}
 	outW := (1 + 2*w.b) / float64(dt)
 	inW := 1 / float64(d)
-	lower := func(j int) float64 { return w.OutLo() + float64(j)*outW } // as TransitionMatrix
-	// cell returns the first j in [0, dt] with lower(j) ≥ t, or with
-	// lower(j)+outW > t when upper is set: cells are monotone in j, so the
-	// answer is within a step or two of the cell t falls in.
-	cell := func(t float64, upper bool) int {
-		above := func(j int) bool {
-			if upper {
-				return lower(j)+outW > t
-			}
-			return lower(j) >= t
-		}
-		j := mathx.ClampInt(int((t-w.OutLo())/outW), 0, dt)
-		for j > 0 && above(j-1) {
-			j--
-		}
-		for j < dt && !above(j) {
-			j++
-		}
-		return j
-	}
-	ch := matrixx.NewPlateau(dt, d, w.q*outW, (w.p-w.q)*outW)
+	b, outLo, excess := w.b, w.OutLo(), w.p-w.q
+	ch := matrixx.NewPlateau(dt, d, w.q*outW, excess*outW)
 	var left, right [2]float64
+	// Column i's cells below lo or from hi on miss the band [v−b, v+b] for
+	// every v in the bucket; cells in [a, max(a, c)) lie inside it for every
+	// v; the rest meet a ramp and are integrated as in TransitionMatrix. Each
+	// bound is the first cell whose lower edge (upper edge, for lo and c)
+	// passes a threshold, or dt when none does. The thresholds never
+	// decrease with i, so each bound walks on from the previous column's.
+	lower := func(j int) float64 { return outLo + float64(j)*outW } // as TransitionMatrix
+	edges := func(e []float64, vlo, vhi float64, from, to int) []float64 {
+		for j := from; j < to; j++ {
+			e = append(e, excess*(mathx.BandRectOverlapIntegral(vlo, vhi, lower(j), lower(j)+outW, b)/inW))
+		}
+		return e
+	}
+	var lo, a, c, hi int
 	for i := 0; i < d; i++ {
 		vlo := float64(i) * inW
 		vhi := vlo + inW
-		// Cells below lo or from hi on miss the band [v−b, v+b] for every
-		// v in the bucket; cells in [a, c) lie inside it for every v; the
-		// rest meet a ramp and are integrated as in TransitionMatrix.
-		lo, a := cell(vlo-w.b, true), cell(vhi-w.b, false)
-		c, hi := max(a, cell(vlo+w.b, true)), cell(vhi+w.b, false)
-		excess := func(e []float64, from, to int) []float64 {
-			for j := from; j < to; j++ {
-				overlap := mathx.BandRectOverlapIntegral(vlo, vhi, lower(j), lower(j)+outW, w.b) / inW
-				e = append(e, (w.p-w.q)*overlap)
-			}
-			return e
+		for lo < dt && lower(lo)+outW <= vlo-b {
+			lo++
 		}
-		ch.AddColumn(a, c, excess(left[:0], lo, a), excess(right[:0], c, hi))
+		for a < dt && lower(a) < vhi-b {
+			a++
+		}
+		for c < dt && lower(c)+outW <= vlo+b {
+			c++
+		}
+		for hi < dt && lower(hi) < vhi+b {
+			hi++
+		}
+		run := max(a, c)
+		ch.AddColumn(a, run, edges(left[:0], vlo, vhi, lo, a), edges(right[:0], vlo, vhi, run, hi))
 	}
 	ch.NormalizeCols()
 	return ch

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -153,6 +154,36 @@ func (r *Registry) SeriesCount() int {
 	for _, f := range fams {
 		f.mu.Lock()
 		n += len(f.series)
+		f.mu.Unlock()
+	}
+	return n
+}
+
+// DeleteSeries removes, from every family with a label called label, each
+// series whose value for it is value, and returns how many it removed — how
+// a retired label value (a dropped stream) leaves the exposition. A handle
+// to a removed series still accepts updates but no longer renders, and the
+// next With of the same label values starts a new series at zero.
+func (r *Registry) DeleteSeries(label, value string) int {
+	r.mu.Lock()
+	fams := make([]*family, 0, len(r.families))
+	for _, f := range r.families {
+		fams = append(fams, f)
+	}
+	r.mu.Unlock()
+	n := 0
+	for _, f := range fams {
+		at := slices.Index(f.labels, label)
+		if at < 0 {
+			continue
+		}
+		f.mu.Lock()
+		for key, s := range f.series {
+			if s.labelValues[at] == value {
+				delete(f.series, key)
+				n++
+			}
+		}
 		f.mu.Unlock()
 	}
 	return n

@@ -39,6 +39,59 @@ ldp_streams 2
 	}
 }
 
+// TestDeleteSeries retires one label value from every family that carries
+// the label, whatever its position and the family's kind, and leaves the
+// other families and values alone.
+func TestDeleteSeries(t *testing.T) {
+	r := New()
+	reports := r.Counter("ldp_reports_total", "Reports ingested.", "stream", "mechanism")
+	drift := r.Gauge("ldp_drift_score", "Drift.", "metric", "stream")
+	refresh := r.Histogram("ldp_em_refresh_seconds", "Refresh latency.", []float64{1}, "stream")
+	edges := r.Counter("ldp_federation_absorbed_total", "Absorbed.", "edge")
+	gone := reports.With("gone", "sw")
+	gone.Add(5)
+	reports.With("kept", "sw").Add(3)
+	drift.With("w1", "gone").Set(0.5)
+	drift.With("w1", "kept").Set(0.25)
+	refresh.With("gone").Observe(0.5)
+	edges.With("gone").Inc() // an edge called "gone" is not a stream
+
+	if n := r.DeleteSeries("stream", "gone"); n != 3 {
+		t.Fatalf("DeleteSeries removed %d series, want 3", n)
+	}
+	gone.Inc() // a stale handle still works, but renders nowhere
+	var b strings.Builder
+	if err := r.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := ParseText(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fam := range sc.Families {
+		for _, smp := range fam.Samples {
+			if smp.Label("stream") == "gone" {
+				t.Errorf("%s{stream=\"gone\"} still renders", smp.Name)
+			}
+		}
+	}
+	if v := sc.Counter("ldp_reports_total", "stream=kept"); v != 3 {
+		t.Errorf("kept stream's counter = %v, want 3", v)
+	}
+	if v, ok := sc.Value("ldp_drift_score", "stream=kept"); !ok || v != 0.25 {
+		t.Errorf("kept stream's gauge = %v (present %v), want 0.25", v, ok)
+	}
+	if v := sc.Counter("ldp_federation_absorbed_total", "edge=gone"); v != 1 {
+		t.Errorf("edge series = %v, want 1", v)
+	}
+	if v := reports.With("gone", "sw").Value(); v != 0 {
+		t.Errorf("a re-resolved series starts at %d, want 0", v)
+	}
+	if n := r.DeleteSeries("stream", "never"); n != 0 {
+		t.Errorf("deleting an unknown value removed %d series", n)
+	}
+}
+
 func TestHistogramExposition(t *testing.T) {
 	r := New()
 	h := r.Histogram("ldp_request_duration_seconds", "Request latency.", []float64{0.1, 1}, "endpoint")

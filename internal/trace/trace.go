@@ -12,18 +12,18 @@
 // method is nil-safe, so instrumented code calls Child/Attr/End
 // unconditionally with no branches of its own. Only sampled spans allocate.
 //
-// Recording is lock-cheap: finishing a span reserves a slot with one atomic
-// increment and writes it under that slot's own mutex, so concurrent
-// writers only ever contend when the recorder wraps a full lap onto the
-// same slot — readers (the /v1/debug/traces handler) take the slot mutexes
-// one at a time and never block writers globally.
+// Recording is lock-free: the recorder is a ring of span pointers, and
+// finishing a span takes the next sequence number with one atomic increment
+// and publishes the span itself into that sequence's slot with one atomic
+// store. A finished span never changes again, so readers (the
+// /v1/debug/traces handler) copy records out of the ring without blocking
+// any writer.
 package trace
 
 import (
 	"encoding/hex"
 	"math/rand/v2"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -156,7 +156,7 @@ type Record struct {
 	// is not stream-scoped).
 	Stream string `json:"stream,omitempty"`
 	// Start is the wall-clock start; Duration is measured on the monotonic
-	// clock between Start and End.
+	// clock between Start and End (Start carries the monotonic reading).
 	Start    time.Time     `json:"start"`
 	Duration time.Duration `json:"duration_ns"`
 	Attrs    []Attr        `json:"attrs,omitempty"`
@@ -166,10 +166,12 @@ type Record struct {
 
 // Span is one in-flight operation. A nil *Span is the unsampled case and
 // every method on it is a no-op, so instrumentation sites never branch.
+// Once ended, a span is the flight recorder's record and never changes:
+// SetStream, Attr and Fail become no-ops.
 type Span struct {
 	tracer *Tracer
 	rec    Record
-	start  time.Time // carries the monotonic reading
+	seq    uint64 // 1-based recorder sequence, assigned by End
 	ended  atomic.Bool
 }
 
@@ -201,17 +203,21 @@ func (sp *Span) Child(stage string) *Span {
 	return child
 }
 
+// live reports whether the span can still be changed: sampled and not
+// ended.
+func (sp *Span) live() bool { return sp != nil && !sp.ended.Load() }
+
 // SetStream scopes the span (and the children created after this call) to a
 // stream.
 func (sp *Span) SetStream(name string) {
-	if sp != nil {
+	if sp.live() {
 		sp.rec.Stream = name
 	}
 }
 
 // Attr appends one key/value attribute; chainable.
 func (sp *Span) Attr(key, value string) *Span {
-	if sp != nil {
+	if sp.live() {
 		sp.rec.Attrs = append(sp.rec.Attrs, Attr{Key: key, Value: value})
 	}
 	return sp
@@ -219,7 +225,7 @@ func (sp *Span) Attr(key, value string) *Span {
 
 // Fail marks the span as ended-in-error with a machine-readable code.
 func (sp *Span) Fail(code string) *Span {
-	if sp != nil {
+	if sp.live() {
 		sp.rec.Err = code
 	}
 	return sp
@@ -231,8 +237,8 @@ func (sp *Span) End() {
 	if sp == nil || !sp.ended.CompareAndSwap(false, true) {
 		return
 	}
-	sp.rec.Duration = time.Since(sp.start)
-	sp.tracer.record(sp.rec)
+	sp.rec.Duration = time.Since(sp.rec.Start)
+	sp.tracer.record(sp)
 }
 
 // Config parameterizes a Tracer. The zero value is usable: a 4096-span
@@ -262,27 +268,21 @@ func (c Config) filled() Config {
 	return c
 }
 
-// slot is one recorder cell: its own mutex keeps writer/writer and
-// writer/reader races off the global path.
-type slot struct {
-	mu  sync.Mutex
-	rec Record
-	seq uint64 // 1-based global sequence of the stored record (0 = empty)
-}
-
 // Tracer samples traces and records finished spans. A nil *Tracer is the
 // disabled subsystem: every method is a no-op returning nil spans.
 type Tracer struct {
-	cfg   Config
-	slots []slot
-	head  atomic.Uint64 // next global sequence to assign (0-based)
-	tick  atomic.Uint64 // sampling counter
+	cfg Config
+	// ring holds the most recent finished spans: the span of sequence
+	// number seq is published into ring[(seq−1) mod Capacity].
+	ring []atomic.Pointer[Span]
+	head atomic.Uint64 // last sequence number assigned (0 = none)
+	tick atomic.Uint64 // sampling counter
 }
 
 // New builds a tracer with its flight recorder.
 func New(cfg Config) *Tracer {
 	cfg = cfg.filled()
-	return &Tracer{cfg: cfg, slots: make([]slot, cfg.Capacity)}
+	return &Tracer{cfg: cfg, ring: make([]atomic.Pointer[Span], cfg.Capacity)}
 }
 
 // Capacity reports the flight recorder's span capacity (0 for nil tracers).
@@ -315,11 +315,7 @@ func (t *Tracer) SampleReport() bool {
 }
 
 func (t *Tracer) newSpan(stage string) *Span {
-	return &Span{
-		tracer: t,
-		start:  time.Now(),
-		rec:    Record{SpanID: newSpanID(), Stage: stage, Start: time.Now()},
-	}
+	return &Span{tracer: t, rec: Record{SpanID: newSpanID(), Stage: stage, Start: time.Now()}}
 }
 
 // NewTrace starts a recorded root span in a fresh trace — the always-on
@@ -359,47 +355,30 @@ func (t *Tracer) Link(traceID, stage string) *Span {
 	return sp
 }
 
-// record stores one finished span: reserve a slot with one atomic add,
-// write it under that slot's mutex.
-func (t *Tracer) record(rec Record) {
-	seq := t.head.Add(1) // 1-based
-	s := &t.slots[(seq-1)%uint64(len(t.slots))]
-	s.mu.Lock()
-	s.rec = rec
-	s.seq = seq
-	s.mu.Unlock()
+// record publishes one finished span: take the next sequence number with
+// one atomic add, store the span into its slot with one atomic store.
+func (t *Tracer) record(sp *Span) {
+	sp.seq = t.head.Add(1)
+	t.ring[(sp.seq-1)%uint64(len(t.ring))].Store(sp)
 }
 
-// Snapshot copies the recorder's current contents, oldest first. The copy
-// is taken slot by slot, so it is consistent per span but not a frozen
-// global moment — exactly what a diagnostics endpoint needs.
+// Snapshot copies the recorder's current contents, oldest first: it walks
+// the sequence numbers the ring holds, from the oldest up to the last one
+// assigned, in order. A slot whose span carries another sequence number is
+// skipped — its span was not published yet, or a newer lap overwrote it
+// during the walk — so the copy is consistent per span but not a frozen
+// global moment, which is exactly what a diagnostics endpoint needs.
 func (t *Tracer) Snapshot() []Record {
 	if t == nil {
 		return nil
 	}
-	type seqRec struct {
-		seq uint64
-		rec Record
-	}
-	out := make([]seqRec, 0, len(t.slots))
-	for i := range t.slots {
-		s := &t.slots[i]
-		s.mu.Lock()
-		if s.seq != 0 {
-			out = append(out, seqRec{s.seq, s.rec})
-		}
-		s.mu.Unlock()
-	}
-	// Slot order is insertion order modulo capacity; sort by sequence so
-	// callers see oldest → newest.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].seq > out[j].seq; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
+	n := uint64(len(t.ring))
+	head := t.head.Load()
+	out := make([]Record, 0, min(head, n))
+	for seq := head - min(head, n) + 1; seq <= head; seq++ {
+		if sp := t.ring[(seq-1)%n].Load(); sp != nil && sp.seq == seq {
+			out = append(out, sp.rec)
 		}
 	}
-	recs := make([]Record, len(out))
-	for i, sr := range out {
-		recs[i] = sr.rec
-	}
-	return recs
+	return out
 }

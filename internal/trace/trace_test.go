@@ -2,10 +2,13 @@ package trace
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestTraceparentRoundTrip(t *testing.T) {
@@ -206,23 +209,63 @@ func TestSampleReport(t *testing.T) {
 	}
 }
 
+// TestRingWraps fills a 64-span ring past capacity, with the newest span
+// at the end of the ring and at its midpoint: the snapshot is the last 64
+// spans, oldest first.
 func TestRingWraps(t *testing.T) {
+	for _, total := range []int{200, 64 + 32} {
+		t.Run(fmt.Sprint(total), func(t *testing.T) {
+			tr := New(Config{Capacity: 64})
+			for i := 0; i < total; i++ {
+				tr.NewTrace(fmt.Sprintf("stage-%d", i)).End()
+			}
+			recs := tr.Snapshot()
+			if len(recs) != 64 {
+				t.Fatalf("snapshot len = %d, want capacity 64", len(recs))
+			}
+			for k, rec := range recs {
+				if want := fmt.Sprintf("stage-%d", total-64+k); rec.Stage != want {
+					t.Fatalf("record %d is %q, want %q", k, rec.Stage, want)
+				}
+			}
+		})
+	}
+}
+
+// TestEndedSpanIsFrozen: once a span is recorded, the recorder's copy is
+// the record; later SetStream, Attr and Fail calls change nothing.
+func TestEndedSpanIsFrozen(t *testing.T) {
 	tr := New(Config{Capacity: 64})
-	for i := 0; i < 200; i++ {
-		sp := tr.NewTrace(fmt.Sprintf("stage-%d", i))
-		sp.End()
-	}
+	sp := tr.NewTrace("frozen")
+	sp.SetStream("a")
+	sp.Attr("k", "v")
+	sp.End()
+	sp.SetStream("b")
+	sp.Attr("late", "x").Fail("late")
 	recs := tr.Snapshot()
-	if len(recs) != 64 {
-		t.Fatalf("snapshot len = %d, want capacity 64", len(recs))
+	if len(recs) != 1 || recs[0].Stream != "a" || len(recs[0].Attrs) != 1 || recs[0].Err != "" {
+		t.Fatalf("ended span changed: %+v", recs)
 	}
-	if recs[0].Stage != "stage-136" || recs[63].Stage != "stage-199" {
-		t.Fatalf("window wrong: first=%q last=%q", recs[0].Stage, recs[63].Stage)
-	}
-	for i := 1; i < len(recs); i++ {
-		if recs[i-1].Start.After(recs[i].Start) && recs[i-1].Stage > recs[i].Stage {
-			t.Fatal("snapshot not oldest-first")
+}
+
+// TestRecorderFootprint bounds what the recorder costs: an empty default
+// recorder allocates its 4096 span pointers and little else, and a
+// recorded span costs its own struct plus one pointer.
+func TestRecorderFootprint(t *testing.T) {
+	const builds = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < builds; i++ {
+		if New(Config{}).Capacity() != 4096 {
+			t.Fatal("default capacity changed")
 		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / builds; per > 64<<10 {
+		t.Errorf("New(Config{}) allocates %d bytes, want ≤ 64 KiB", per)
+	}
+	if per := unsafe.Sizeof(Span{}) + unsafe.Sizeof(atomic.Pointer[Span]{}); per > 168+16 {
+		t.Errorf("a recorded span retains %d bytes, want ≤ 184", per)
 	}
 }
 
@@ -287,5 +330,88 @@ func TestConcurrentRecordAndSnapshot(t *testing.T) {
 	reader.Wait()
 	if tr.Recorded() != 8*500*2 {
 		t.Fatalf("Recorded = %d, want %d", tr.Recorded(), 8*500*2)
+	}
+}
+
+// TestSnapshotDuringWrap ends spans from several writers while a reader
+// snapshots, lapping a small ring many times: every snapshot holds at most
+// Capacity complete records, and each writer's spans appear in the order
+// that writer ended them.
+func TestSnapshotDuringWrap(t *testing.T) {
+	const writers, spans = 4, 2000
+	tr := New(Config{Capacity: 64})
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < spans; i++ {
+				tr.NewTrace(fmt.Sprintf("%d/%06d", w, i)).Attr("w", fmt.Sprint(w)).End()
+			}
+		}(w)
+	}
+	go func() { wg.Wait(); close(done) }()
+	for snaps := 0; ; snaps++ {
+		select {
+		case <-done:
+			if tr.Recorded() != writers*spans {
+				t.Fatalf("Recorded = %d, want %d", tr.Recorded(), writers*spans)
+			}
+			if recs := tr.Snapshot(); len(recs) != 64 {
+				t.Fatalf("final snapshot holds %d records, want 64", len(recs))
+			}
+			t.Logf("%d snapshots", snaps)
+			return
+		default:
+		}
+		recs := tr.Snapshot()
+		if len(recs) > 64 {
+			t.Fatalf("snapshot holds %d records, capacity 64", len(recs))
+		}
+		last := make(map[string]string)
+		for _, r := range recs {
+			if r.TraceID == "" || r.SpanID == "" || len(r.Attrs) != 1 {
+				t.Fatalf("torn record %+v", r)
+			}
+			w := r.Attrs[0].Value
+			if prev, ok := last[w]; ok && prev >= r.Stage {
+				t.Fatalf("writer %s: %q after %q", w, r.Stage, prev)
+			}
+			last[w] = r.Stage
+		}
+	}
+}
+
+// BenchmarkTracerSnapshot copies a full default recorder, exactly full and
+// after 1.5× its capacity was recorded (the ring has wrapped to its
+// midpoint).
+func BenchmarkTracerSnapshot(b *testing.B) {
+	for _, fill := range []struct {
+		name  string
+		spans int
+	}{{"full", 4096}, {"wrapped1.5x", 6144}} {
+		b.Run(fill.name, func(b *testing.B) {
+			tr := New(Config{})
+			for i := 0; i < fill.spans; i++ {
+				tr.NewTrace("bench").End()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if len(tr.Snapshot()) != 4096 {
+					b.Fatal("snapshot is not the whole recorder")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkTracerNew measures building the default recorder — part of
+// every collector's start-up.
+func BenchmarkTracerNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		New(Config{})
 	}
 }
