@@ -9,10 +9,7 @@ package repro
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"net/url"
-	"strings"
 	"time"
 )
 
@@ -75,25 +72,9 @@ type wirePeer struct {
 // server's order). An http.Client can be supplied for timeouts and
 // transports; nil uses http.DefaultClient.
 func FederationPeers(baseURL string, hc *http.Client) ([]FederationPeer, error) {
-	u, err := url.Parse(baseURL)
-	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-		return nil, fmt.Errorf("repro: federation peers: %q is not an http(s) URL", baseURL)
-	}
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Get(strings.TrimSuffix(baseURL, "/") + "/federation/peers")
+	body, err := opsGet(baseURL, "/federation/peers", hc)
 	if err != nil {
 		return nil, fmt.Errorf("repro: federation peers: %w", err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		return nil, fmt.Errorf("repro: federation peers: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("repro: federation peers: status %d: %s",
-			resp.StatusCode, strings.TrimSpace(string(body)))
 	}
 	var wire struct {
 		Peers []wirePeer `json:"peers"`

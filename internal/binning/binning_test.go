@@ -69,13 +69,10 @@ func TestCollectRecoverseDistribution(t *testing.T) {
 	const d = 256
 	rng := randx.New(3)
 	values := make([]float64, 100000)
-	truthHist := histogram.New(d)
 	for i := range values {
-		v := rng.Beta(5, 2)
-		values[i] = v
-		truthHist.Add(v)
+		values[i] = rng.Beta(5, 2)
 	}
-	truth := truthHist.Distribution()
+	truth := histogram.Distribution(values, d)
 	m := New(32, 2.5)
 	dist := m.Collect(values, d, rng)
 	if got := metrics.Wasserstein(truth, dist); got > 0.02 {
@@ -96,13 +93,10 @@ func TestBiasNoiseTradeoff(t *testing.T) {
 		for run := 0; run < runs; run++ {
 			rng := randx.New(uint64(100*run + 7))
 			values := make([]float64, 20000)
-			truthHist := histogram.New(d)
 			for i := range values {
-				v := sample(rng)
-				values[i] = v
-				truthHist.Add(v)
+				values[i] = sample(rng)
 			}
-			truth := truthHist.Distribution()
+			truth := histogram.Distribution(values, d)
 			acc += metrics.Wasserstein(truth, New(c, eps).Collect(values, d, rng))
 		}
 		return acc / runs

@@ -42,7 +42,7 @@ type Dataset struct {
 // TrueDistributionAt returns the exact bucketized distribution at an
 // explicit granularity.
 func (d *Dataset) TrueDistributionAt(buckets int) []float64 {
-	return histogram.FromSamples(d.Values, buckets).Distribution()
+	return histogram.Distribution(d.Values, buckets)
 }
 
 // DiscreteValuesAt bucketizes at an explicit granularity.

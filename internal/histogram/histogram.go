@@ -1,4 +1,4 @@
-// Package histogram provides the discretization substrate: histograms of
+// Package histogram provides the discretization substrate: distributions of
 // values over the unit interval and statistics computed from bucketed
 // probability distributions (CDF, mean, variance, quantiles, range
 // probabilities).
@@ -12,45 +12,17 @@ package histogram
 
 import "repro/internal/mathx"
 
-// Histogram accumulates counts of values in [0,1] into d equal-width buckets.
-type Histogram struct {
-	counts []float64
-}
-
-// New returns an empty histogram with d buckets. It panics if d < 1.
-func New(d int) *Histogram {
+// Distribution bucketizes the samples (each clamped to [0,1]) into d
+// buckets and normalizes the counts. No samples yield the uniform
+// distribution. It panics if d < 1.
+func Distribution(samples []float64, d int) []float64 {
 	if d < 1 {
-		panic("histogram: New needs d >= 1")
+		panic("histogram: Distribution needs d >= 1")
 	}
-	return &Histogram{counts: make([]float64, d)}
-}
-
-// FromSamples bucketizes the samples (each clamped to [0,1]) into d buckets.
-func FromSamples(samples []float64, d int) *Histogram {
-	h := New(d)
+	out := make([]float64, d)
 	for _, v := range samples {
-		h.Add(v)
+		out[BucketOf(v, d)]++
 	}
-	return h
-}
-
-// Counts returns a copy of the raw count vector.
-func (h *Histogram) Counts() []float64 {
-	return append([]float64(nil), h.counts...)
-}
-
-// Add records one observation of v, clamped to [0,1].
-func (h *Histogram) Add(v float64) { h.AddWeighted(v, 1) }
-
-// AddWeighted records an observation of v with the given weight.
-func (h *Histogram) AddWeighted(v, weight float64) {
-	h.counts[BucketOf(v, len(h.counts))] += weight
-}
-
-// Distribution returns the normalized counts as a fresh slice. An empty
-// histogram yields the uniform distribution.
-func (h *Histogram) Distribution() []float64 {
-	out := h.Counts()
 	mathx.Normalize(out)
 	return out
 }

@@ -43,31 +43,28 @@ func TestBucketBoundsAndCenter(t *testing.T) {
 }
 
 func TestFromSamples(t *testing.T) {
-	counts := FromSamples([]float64{0.1, 0.1, 0.6, 0.9, 1.0}, 4).Counts()
-	want := []float64{2, 0, 1, 2}
-	if len(counts) != len(want) {
-		t.Fatalf("%d buckets, want %d", len(counts), len(want))
+	dist := Distribution([]float64{0.1, 0.1, 0.6, 0.9, 1.0, -0.5, 1.5}, 4)
+	want := []float64{3.0 / 7, 0, 1.0 / 7, 3.0 / 7} // -0.5 and 1.5 clamp
+	if len(dist) != len(want) {
+		t.Fatalf("%d buckets, want %d", len(dist), len(want))
 	}
 	for i, w := range want {
-		if counts[i] != w {
-			t.Errorf("count %d = %v, want %v", i, counts[i], w)
+		if !mathx.AlmostEqual(dist[i], w, 1e-12) {
+			t.Errorf("dist[%d] = %v, want %v", i, dist[i], w)
 		}
 	}
 }
 
 func TestDistribution(t *testing.T) {
-	h := New(4)
-	h.AddWeighted(0.1, 3)
-	h.Add(0.9)
-	dist := h.Distribution()
+	dist := Distribution([]float64{0.1, 0.2, 0.05, 0.9}, 4)
 	want := []float64{0.75, 0, 0, 0.25}
 	for i := range want {
 		if !mathx.AlmostEqual(dist[i], want[i], 1e-12) {
 			t.Errorf("dist[%d] = %v, want %v", i, dist[i], want[i])
 		}
 	}
-	// Empty histogram → uniform.
-	empty := New(2).Distribution()
+	// No samples → uniform.
+	empty := Distribution(nil, 2)
 	if empty[0] != 0.5 || empty[1] != 0.5 {
 		t.Errorf("empty distribution = %v, want uniform", empty)
 	}
@@ -220,21 +217,13 @@ func TestHistogramLargeSampleConvergence(t *testing.T) {
 	// Bucketizing many Beta(5,2) samples should converge to a distribution
 	// whose mean matches the analytic mean 5/7.
 	r := randx.New(6)
-	h := New(128)
-	for i := 0; i < 200000; i++ {
-		h.Add(r.Beta(5, 2))
+	samples := make([]float64, 200000)
+	for i := range samples {
+		samples[i] = r.Beta(5, 2)
 	}
-	dist := h.Distribution()
+	dist := Distribution(samples, 128)
 	if got := Mean(dist); math.Abs(got-5.0/7.0) > 0.01 {
 		t.Errorf("empirical Beta(5,2) mean = %v, want %v", got, 5.0/7.0)
-	}
-}
-
-func BenchmarkAdd(b *testing.B) {
-	h := New(1024)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Add(float64(i%1000) / 1000)
 	}
 }
 

@@ -1,10 +1,11 @@
 package ldphttp
 
 // Ingest-path benchmarks for the wire codecs: one report per request
-// (unbatched) against 128- and 1024-report batches, each as JSON and as the
-// binary frame. time/op divided by the batch size is the amortized
-// per-report cost the client-side Batcher buys. Results recorded in
-// BENCH_wire.json.
+// (unbatched) against 128- and 1024-report batches, each as JSON arrays
+// ([0.5]), as JSON bare numbers (0.5, the shape repro.Reporter sends for
+// scalar mechanisms) and as the binary frame. time/op divided by the batch
+// size is the amortized per-report cost the client-side Batcher buys.
+// Results recorded in BENCH_wire.json.
 
 import (
 	"bytes"
@@ -64,6 +65,14 @@ func BenchmarkIngestBatched(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		scalars := make([]float64, n)
+		for i, rep := range reports {
+			scalars[i] = rep[0]
+		}
+		scalarBody, err := json.Marshal(map[string]any{"reports": scalars})
+		if err != nil {
+			b.Fatal(err)
+		}
 		binBody := wire.EncodeReports(reports)
 		run := func(b *testing.B, contentType string, body []byte) {
 			h := benchIngestServer(b)
@@ -81,6 +90,7 @@ func BenchmarkIngestBatched(b *testing.B) {
 			}
 		}
 		b.Run(fmt.Sprintf("json/n=%d", n), func(b *testing.B) { run(b, "application/json", jsonBody) })
+		b.Run(fmt.Sprintf("json-scalar/n=%d", n), func(b *testing.B) { run(b, "application/json", scalarBody) })
 		b.Run(fmt.Sprintf("binary/n=%d", n), func(b *testing.B) { run(b, wire.ContentType, binBody) })
 	}
 }

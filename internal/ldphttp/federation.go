@@ -138,7 +138,7 @@ func (s *Server) handleFederationPush(w http.ResponseWriter, r *http.Request, _ 
 		})
 		return
 	}
-	codec, ok := s.negotiateCodec(w, r, "/federation/push")
+	codec, ok := s.negotiateCodec(w, r)
 	if !ok {
 		return
 	}

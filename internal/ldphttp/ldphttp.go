@@ -113,6 +113,7 @@
 package ldphttp
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"errors"
@@ -120,6 +121,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -535,27 +537,27 @@ func (s *Server) wake() { s.reg.Wake() }
 // hrr: [row, ±1]; oue/sue: the set-bit indices, possibly empty).
 type WireReport mechanism.Report
 
-// UnmarshalJSON accepts a JSON number or an array of numbers.
+// UnmarshalJSON decodes a report once, choosing the decoder by the value's
+// first byte: an array of numbers for '[', a number otherwise. Like any
+// json.Unmarshaler it is handed one valid JSON value. A null report, or a
+// null element, is rejected: encoding/json would leave the number at 0.
 func (r *WireReport) UnmarshalJSON(b []byte) error {
-	var f float64
-	if err := json.Unmarshal(b, &f); err == nil {
-		*r = WireReport{f}
-		return nil
-	}
-	var v []float64
-	if err := json.Unmarshal(b, &v); err == nil {
-		*r = v
-		return nil
+	if len(b) > 0 && b[0] == '[' {
+		// Once the elements decode as numbers, an 'n' can only be a null.
+		var v []float64
+		if json.Unmarshal(b, &v) == nil && bytes.IndexByte(b, 'n') < 0 {
+			*r = v
+			return nil
+		}
+	} else if len(b) > 0 && (b[0] == '-' || '0' <= b[0] && b[0] <= '9') {
+		// A valid JSON value starting so is a number, parsed as
+		// encoding/json parses one.
+		if f, err := strconv.ParseFloat(string(b), 64); err == nil {
+			*r = WireReport{f}
+			return nil
+		}
 	}
 	return fmt.Errorf("ldphttp: bad report %s (want a number or an array of numbers)", b)
-}
-
-// MarshalJSON renders scalar reports as bare numbers.
-func (r WireReport) MarshalJSON() ([]byte, error) {
-	if len(r) == 1 {
-		return json.Marshal(r[0])
-	}
-	return json.Marshal([]float64(r))
 }
 
 // reportRequest and batchRequest are the JSON bodies of the report and
@@ -633,9 +635,9 @@ var cellPool = sync.Pool{New: func() any { b := make([]int, 0, 256); return &b }
 // negotiates the codec, then decodes a binary frame into the returned
 // reports, or the JSON body into req and checks req's stream against the
 // path. frame is nil exactly when the body was JSON.
-func (s *Server) decodeIngest(w http.ResponseWriter, r *http.Request, endpoint, name string,
+func (s *Server) decodeIngest(w http.ResponseWriter, r *http.Request, name string,
 	req interface{ stream() string }) (frame []WireReport, ok bool) {
-	codec, ok := s.negotiateCodec(w, r, endpoint)
+	codec, ok := s.negotiateCodec(w, r)
 	if !ok {
 		return nil, false
 	}
@@ -645,70 +647,42 @@ func (s *Server) decodeIngest(w http.ResponseWriter, r *http.Request, endpoint, 
 	return nil, decodeJSON(w, r, req) && streamMatches(w, name, req.stream())
 }
 
-// handleReport serves POST /v1/streams/{name}/report. A binary frame must
-// carry exactly one report.
+// handleReport serves POST /v1/streams/{name}/report as a batch of one. A
+// binary frame must carry exactly one report.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request, name string) {
 	var req reportRequest
-	frame, ok := s.decodeIngest(w, r, "/v1/streams/{name}/report", name, &req)
+	frame, ok := s.decodeIngest(w, r, name, &req)
 	if !ok {
 		return
 	}
-	if frame != nil {
-		if len(frame) != 1 {
-			errorJSON(w, http.StatusBadRequest, CodeBadRequest,
-				"binary report frame carries %d reports; POST the frame to the batch endpoint", len(frame))
-			return
-		}
-		req.Report = frame[0]
+	reports := frame
+	if frame == nil {
+		reports = []WireReport{req.Report}
+	} else if len(frame) != 1 {
+		errorJSON(w, http.StatusBadRequest, CodeBadRequest,
+			"binary report frame carries %d reports; POST the frame to the batch endpoint", len(frame))
+		return
 	}
-	s.serveReport(w, name, req.Report)
+	s.serveBatch(w, name, reports, true)
 }
 
 // handleBatch serves POST /v1/streams/{name}/batch.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, name string) {
 	var req batchRequest
-	frame, ok := s.decodeIngest(w, r, "/v1/streams/{name}/batch", name, &req)
+	frame, ok := s.decodeIngest(w, r, name, &req)
 	if !ok {
 		return
 	}
 	if frame != nil {
 		req.Reports = frame
 	}
-	s.serveBatch(w, name, req.Reports)
-}
-
-// serveReport bucketizes one report and lands it in the stream's histogram.
-func (s *Server) serveReport(w http.ResponseWriter, name string, rep WireReport) {
-	st := s.resolveStream(w, name)
-	if st == nil {
-		return
-	}
-	sp := spanOf(w)
-	sp.SetStream(st.Name())
-	bsp := sp.Child("bucketize")
-	bufp := cellPool.Get().(*[]int)
-	cells, err := st.Bucketize((*bufp)[:0], mechanism.Report(rep))
-	*bufp = cells[:0]
-	bsp.End()
-	if err != nil {
-		cellPool.Put(bufp)
-		sp.Fail(CodeBadRequest)
-		errorJSON(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
-		return
-	}
-	isp := sp.Child("ingest")
-	st.Add(cells, 1)
-	isp.End()
-	cellPool.Put(bufp)
-	if sp != nil {
-		s.links.add(sp.TraceID())
-	}
-	writeJSON(w, map[string]any{"accepted": true, "stream": st.Name(), "n": st.Users()})
+	s.serveBatch(w, name, req.Reports, false)
 }
 
 // serveBatch validates a whole batch, then lands it in the stream's
-// histogram.
-func (s *Server) serveBatch(w http.ResponseWriter, name string, reports []WireReport) {
+// histogram. single marks the report endpoint's batch of one, which answers
+// "accepted": true and names no report index in its errors.
+func (s *Server) serveBatch(w http.ResponseWriter, name string, reports []WireReport, single bool) {
 	if len(reports) == 0 {
 		errorJSON(w, http.StatusBadRequest, CodeBadRequest, "empty batch")
 		return
@@ -721,7 +695,10 @@ func (s *Server) serveBatch(w http.ResponseWriter, name string, reports []WireRe
 	sp.SetStream(st.Name())
 	// Validate the whole batch before ingesting anything, so a bad report
 	// in the middle cannot leave a half-applied batch behind.
-	bsp := sp.Child("bucketize").Attr("reports", fmt.Sprintf("%d", len(reports)))
+	bsp := sp.Child("bucketize")
+	if bsp != nil {
+		bsp.Attr("reports", strconv.Itoa(len(reports)))
+	}
 	bufp := cellPool.Get().(*[]int)
 	buckets := (*bufp)[:0]
 	defer func() {
@@ -732,7 +709,10 @@ func (s *Server) serveBatch(w http.ResponseWriter, name string, reports []WireRe
 	for i, rep := range reports {
 		if buckets, err = st.Bucketize(buckets, mechanism.Report(rep)); err != nil {
 			bsp.Fail(CodeBadRequest).End()
-			errorJSON(w, http.StatusBadRequest, CodeBadRequest, "report %d: %v", i, err)
+			if !single {
+				err = fmt.Errorf("report %d: %w", i, err)
+			}
+			errorJSON(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 			return
 		}
 	}
@@ -743,7 +723,11 @@ func (s *Server) serveBatch(w http.ResponseWriter, name string, reports []WireRe
 	if sp != nil {
 		s.links.add(sp.TraceID())
 	}
-	writeJSON(w, map[string]any{"accepted": len(reports), "stream": st.Name(), "n": st.Users()})
+	var accepted any = len(reports)
+	if single {
+		accepted = true
+	}
+	writeJSON(w, map[string]any{"accepted": accepted, "stream": st.Name(), "n": st.Users()})
 }
 
 // loadEstimate fetches a stream's cached reconstruction for serving — the

@@ -27,9 +27,9 @@ const (
 
 // negotiateCodec classifies the request's Content-Type for an ingest
 // endpoint, answering 415 (and returning ok=false) for media types the
-// endpoint does not speak. endpoint is the stable route template, the
-// metrics label.
-func (s *Server) negotiateCodec(w http.ResponseWriter, r *http.Request, endpoint string) (codec string, ok bool) {
+// endpoint does not speak. The route middleware counts the codec it
+// records on the request's writer.
+func (s *Server) negotiateCodec(w http.ResponseWriter, r *http.Request) (codec string, ok bool) {
 	codec = codecJSON
 	if ct := r.Header.Get("Content-Type"); ct != "" {
 		mt, _, err := mime.ParseMediaType(ct)
@@ -47,9 +47,6 @@ func (s *Server) negotiateCodec(w http.ResponseWriter, r *http.Request, endpoint
 				"unsupported Content-Type %q (speak application/json or %s)", mt, wire.ContentType)
 			return "", false
 		}
-	}
-	if m := s.metrics; m != nil {
-		m.codecSel.With(endpoint, codec).Inc()
 	}
 	if sw, isSW := w.(*statusWriter); isSW {
 		sw.codec = codec

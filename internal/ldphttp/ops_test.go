@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -626,32 +627,69 @@ func (sw *syncWriter) Write(b []byte) (int, error) {
 // both telemetry (instrumented vs disabled) and tracing at the default
 // sampling rate (traced vs untraced). traced-always is the worst case —
 // every request allocating and recording spans — and is informational.
+// traced and instrumented are the same configuration, an A/A check: they
+// should read the same.
+//
+// All five servers are built and warmed before timing, then timed in
+// round-robin chunks, so no configuration pays for running first; each
+// reports its own <name>-ns/op, and its <name>-allocs/op and <name>-B/op
+// from the warm-up.
 func BenchmarkTelemetryOverhead(b *testing.B) {
-	run := func(b *testing.B, ops OpsConfig) {
-		s := NewServer(Config{Epsilon: 1, Buckets: 64, RefreshInterval: time.Hour,
-			Ops: ops})
-		defer s.Close()
-		h := s.Handler()
-		body := []byte(`{"report": 0.5}`)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			req := httptest.NewRequest(http.MethodPost, "/v1/streams/default/report", bytes.NewReader(body))
-			req.Header.Set("Content-Type", "application/json")
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, req)
-			if rec.Code != http.StatusOK {
-				b.Fatalf("report answered %d", rec.Code)
-			}
+	configs := []struct {
+		name string
+		ops  OpsConfig
+	}{
+		// traced: telemetry plus tracing at the default 1-in-128 sampling —
+		// the shipped configuration. untraced: telemetry on, tracing off.
+		{"traced", OpsConfig{}},
+		{"untraced", OpsConfig{Trace: TraceConfig{Disable: true}}},
+		{"traced-always", OpsConfig{Trace: TraceConfig{SampleEvery: 1}}},
+		{"instrumented", OpsConfig{}},
+		{"disabled", OpsConfig{DisableTelemetry: true, Trace: TraceConfig{Disable: true}}},
+	}
+	body := []byte(`{"report": 0.5}`)
+	serve := func(h http.Handler) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/streams/default/report", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("report answered %d", rec.Code)
 		}
 	}
-	// traced: telemetry plus tracing at the default 1-in-128 sampling — the
-	// shipped configuration. untraced: telemetry on, tracing fully off.
-	b.Run("traced", func(b *testing.B) { run(b, OpsConfig{}) })
-	b.Run("untraced", func(b *testing.B) { run(b, OpsConfig{Trace: TraceConfig{Disable: true}}) })
-	b.Run("traced-always", func(b *testing.B) { run(b, OpsConfig{Trace: TraceConfig{SampleEvery: 1}}) })
-	b.Run("instrumented", func(b *testing.B) { run(b, OpsConfig{}) })
-	b.Run("disabled", func(b *testing.B) {
-		run(b, OpsConfig{DisableTelemetry: true, Trace: TraceConfig{Disable: true}})
-	})
+	const warm, chunk = 2048, 64
+	handlers := make([]http.Handler, len(configs))
+	allocs, allocBytes := make([]float64, len(configs)), make([]float64, len(configs))
+	for i, c := range configs {
+		s := NewServer(Config{Epsilon: 1, Buckets: 64, RefreshInterval: time.Hour, Ops: c.ops})
+		defer s.Close()
+		handlers[i] = s.Handler()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range warm {
+			serve(handlers[i])
+		}
+		runtime.ReadMemStats(&after)
+		allocs[i] = float64(after.Mallocs-before.Mallocs) / warm
+		allocBytes[i] = float64(after.TotalAlloc-before.TotalAlloc) / warm
+	}
+	elapsed := make([]time.Duration, len(configs))
+	b.ResetTimer()
+	for done := 0; done < b.N; done += chunk {
+		n := min(chunk, b.N-done)
+		for i, h := range handlers {
+			start := time.Now()
+			for range n {
+				serve(h)
+			}
+			elapsed[i] += time.Since(start)
+		}
+	}
+	b.StopTimer()
+	for i, c := range configs {
+		b.ReportMetric(float64(elapsed[i].Nanoseconds())/float64(b.N), c.name+"-ns/op")
+		b.ReportMetric(allocs[i], c.name+"-allocs/op")
+		b.ReportMetric(allocBytes[i], c.name+"-B/op")
+	}
+	b.ReportMetric(0, "ns/op") // one op serves all five; the per-configuration rows say more
 }

@@ -18,9 +18,12 @@ import (
 	"net/http"
 	"net/url"
 	"path"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -91,6 +94,12 @@ func (s *Server) route(endpoint string, opts routeOpts, methods ...method) handl
 		verbs[i] = m.verb
 	}
 	allow := strings.Join(verbs, ", ")
+	// Metric handles are resolved on first use and kept, so a series still
+	// appears only once something counted on it. A method the route does
+	// not list resolves per request, which keeps the cache bounded.
+	duration := sync.OnceValue(func() *telemetry.Histogram { return s.metrics.reqDur.With(endpoint) })
+	var codecs handles[string, *telemetry.Counter]
+	var requests handles[[2]int, *telemetry.Counter] // listed method, status
 	return func(w http.ResponseWriter, r *http.Request, name string) {
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
@@ -99,6 +108,17 @@ func (s *Server) route(endpoint string, opts routeOpts, methods ...method) handl
 				sw.span = t.StartSpan(parent, "http "+endpoint)
 			} else if opts.trace == traceAlways || t.SampleReport() {
 				sw.span = t.NewTrace("http " + endpoint)
+			}
+		}
+		var serve handler
+		listed := -1 // the index of r.Method in methods
+		for i, m := range methods {
+			if m.verb == r.Method || m.verb == anyMethod {
+				serve = m.serve
+				if m.verb == r.Method {
+					listed = i
+				}
+				break
 			}
 		}
 		shed := false
@@ -116,13 +136,6 @@ func (s *Server) route(endpoint string, opts routeOpts, methods ...method) handl
 			if opts.capBody && s.maxBody > 0 && r.Body != nil {
 				r.Body = http.MaxBytesReader(sw, r.Body, s.maxBody)
 			}
-			var serve handler
-			for _, m := range methods {
-				if m.verb == r.Method || m.verb == anyMethod {
-					serve = m.serve
-					break
-				}
-			}
 			if serve != nil {
 				serve(sw, r, name)
 			} else {
@@ -134,15 +147,25 @@ func (s *Server) route(endpoint string, opts routeOpts, methods ...method) handl
 		}
 		dur := time.Since(start)
 		if m := s.metrics; m != nil {
-			m.requests.With(endpoint, r.Method, fmt.Sprintf("%d", sw.status)).Inc()
-			if sw.span != nil {
-				m.reqDur.With(endpoint).ObserveExemplar(dur.Seconds(), sw.span.TraceID())
+			count := func() *telemetry.Counter {
+				return m.requests.With(endpoint, r.Method, strconv.Itoa(sw.status))
+			}
+			if listed >= 0 {
+				requests.get([2]int{listed, sw.status}, count).Inc()
 			} else {
-				m.reqDur.With(endpoint).Observe(dur.Seconds())
+				count().Inc()
+			}
+			if sw.span != nil {
+				duration().ObserveExemplar(dur.Seconds(), sw.span.TraceID())
+			} else {
+				duration().Observe(dur.Seconds())
+			}
+			if sw.codec != "" {
+				codecs.get(sw.codec, func() *telemetry.Counter { return m.codecSel.With(endpoint, sw.codec) }).Inc()
 			}
 		}
 		if sp := sw.span; sp != nil {
-			sp.Attr("status", fmt.Sprintf("%d", sw.status))
+			sp.Attr("status", strconv.Itoa(sw.status))
 			if sw.codec != "" {
 				sp.Attr("codec", sw.codec)
 			}
@@ -158,6 +181,26 @@ func (s *Server) route(endpoint string, opts routeOpts, methods ...method) handl
 		}
 		s.logRequest(r, sw, dur)
 	}
+}
+
+// handles keeps metric handles by key, each resolved on its first use.
+type handles[K comparable, H any] struct {
+	mu sync.Mutex
+	m  map[K]H
+}
+
+func (c *handles[K, H]) get(key K, resolve func() H) H {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	h, ok := c.m[key]
+	if !ok {
+		if c.m == nil {
+			c.m = make(map[K]H)
+		}
+		h = resolve()
+		c.m[key] = h
+	}
+	return h
 }
 
 // logRequest writes one structured access-log line (key=value or JSON).

@@ -3,8 +3,8 @@ package ldphttp
 // Operational telemetry: the serverMetrics bundle registers every collector
 // metric in one zero-dependency telemetry.Registry and GET /metrics renders
 // it in Prometheus text format. Counters and histograms are written on the
-// hot paths through handles resolved once (stream creation, route
-// registration); derived gauges — staleness, refresh age, federation lag,
+// hot paths through handles resolved once (stream creation, a route's first
+// request of each kind); derived gauges — staleness, refresh age, federation lag,
 // the edge pusher's cursor — are recomputed by an OnScrape hook so the
 // exposition is always current without any background work. GET /healthz
 // and GET /readyz are the probe surface: liveness is "the estimation engine

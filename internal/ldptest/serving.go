@@ -145,7 +145,7 @@ func CheckServing(baseURL string, sample func(*randx.Rand) float64, opts Serving
 		return ServingReport{}, err
 	}
 
-	truth := histogram.FromSamples(values, len(est.Distribution)).Distribution()
+	truth := histogram.Distribution(values, len(est.Distribution))
 	rep := ServingReport{
 		N:        est.N,
 		W1:       metrics.Wasserstein(truth, est.Distribution),

@@ -133,7 +133,7 @@ func CheckWindowServing(baseURL string, cohorts []func(*randx.Rand) float64, opt
 		if err != nil {
 			return reports, fmt.Errorf("ldptest: epoch %d: %w", e, err)
 		}
-		truths[e] = histogram.FromSamples(values, len(est.Distribution)).Distribution()
+		truths[e] = histogram.Distribution(values, len(est.Distribution))
 		reports[e] = WindowServingReport{Epoch: e, Live: measure(truths[e], est)}
 		if err := checkBounds(reports[e].Live, opts.MaxW1, opts.MaxKS); err != nil {
 			return reports, fmt.Errorf("ldptest: live window of epoch %d: %w", e, err)

@@ -147,7 +147,7 @@ func postBatch(client *http.Client, endpoint string, reports []mechanism.Report,
 		contentType = wire.ContentType
 	} else {
 		var err error
-		if body, err = json.Marshal(map[string]any{"reports": reports}); err != nil {
+		if body, err = json.Marshal(map[string]any{"reports": jsonReports(reports)}); err != nil {
 			return fmt.Errorf("repro: encode batch: %w", err)
 		}
 	}
@@ -171,4 +171,18 @@ func postBatch(client *http.Client, endpoint string, reports []mechanism.Report,
 	}
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
 	return nil
+}
+
+// jsonReports sends a batch of one-component reports as a plain []float64:
+// bare numbers, the shape the collector documents for scalar mechanisms, on
+// encoding/json's native float path. Any other batch keeps its arrays.
+func jsonReports(reports []mechanism.Report) any {
+	scalars := make([]float64, len(reports))
+	for i, rep := range reports {
+		if len(rep) != 1 {
+			return reports
+		}
+		scalars[i] = rep[0]
+	}
+	return scalars
 }

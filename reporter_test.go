@@ -1,9 +1,13 @@
 package repro_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -73,6 +77,84 @@ func TestReporterShipsBatches(t *testing.T) {
 			}
 			if err := rep.Report(0.5); err == nil {
 				t.Fatal("Report after Close succeeded")
+			}
+		})
+	}
+}
+
+// TestReporterJSONShapes captures what the Reporter sends: an sw batch is
+// {"reports": [...]} of bare numbers, an oue batch keeps its arrays, and
+// both decode, as the collector decodes them, to the reports a client with
+// the same seed perturbs.
+func TestReporterJSONShapes(t *testing.T) {
+	for _, mech := range []string{"sw", "oue"} {
+		t.Run(mech, func(t *testing.T) {
+			var mu sync.Mutex
+			var bodies [][]byte
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				body, _ := io.ReadAll(r.Body)
+				mu.Lock()
+				bodies = append(bodies, body)
+				mu.Unlock()
+				w.Write([]byte(`{"accepted": 1}`))
+			}))
+			t.Cleanup(ts.Close)
+			opts := repro.Options{Epsilon: 1, Buckets: 16, Seed: 11, Mechanism: mech}
+			rep, err := repro.NewReporter(repro.ReporterOptions{URL: ts.URL, Options: opts,
+				MaxBatch: 5, MaxDelay: time.Hour, DisableTracing: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			client, err := repro.NewClient(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want [][]float64
+			for i := 0; i < 10; i++ {
+				v := float64(i) / 10
+				want = append(want, client.Perturb(v))
+				if err := rep.Report(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := rep.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var got [][]float64
+			for _, body := range bodies {
+				var shape struct {
+					Reports []json.RawMessage `json:"reports"`
+				}
+				if err := json.Unmarshal(body, &shape); err != nil {
+					t.Fatalf("body %s: %v", body, err)
+				}
+				for _, raw := range shape.Reports {
+					if bare := !bytes.HasPrefix(raw, []byte("[")); bare != (mech == "sw") {
+						t.Errorf("%s report sent as %s", mech, raw)
+					}
+				}
+				var batch struct {
+					Reports []ldphttp.WireReport `json:"reports"`
+				}
+				if err := json.Unmarshal(body, &batch); err != nil {
+					t.Fatalf("body %s does not decode: %v", body, err)
+				}
+				for _, r := range batch.Reports {
+					got = append(got, r)
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%d reports arrived, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if len(got[i]) != len(want[i]) {
+					t.Fatalf("report %d: got %v, want %v", i, got[i], want[i])
+				}
+				for j := range want[i] {
+					if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+						t.Fatalf("report %d: got %v, want %v", i, got[i], want[i])
+					}
+				}
 			}
 		})
 	}
