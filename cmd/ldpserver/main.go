@@ -6,8 +6,9 @@
 // demo of both halves).
 //
 // Ingestion is lock-free (striped atomic counters per stream, one stripe per
-// CPU by default) and estimation runs on a shared background goroutine that
-// round-robins warm-started EMS refreshes across the streams, so GET
+// CPU by default) and estimation runs on a shared pool of background refresh
+// workers: a stream being read refreshes within ~10ms of new reports, every
+// stream at least once per -refresh sweep, always warm-started EMS, so GET
 // .../estimate and GET .../query serve cached reconstructions instead of
 // blocking on the EM loop. Streams declared with an epoch duration are
 // windowed: the live histogram rotates into sealed epochs on that period and
@@ -220,7 +221,7 @@ func parseArgs(args []string) (serverConfig, error) {
 		band           = fs.Float64("bandwidth", 0, "wave half-width override (0 = optimal)")
 		shards         = fs.Int("shards", 0, "ingestion stripe count (0 = one per CPU)")
 		refreshWorkers = fs.Int("refresh-workers", 0, "concurrent background refresh workers (0 = GOMAXPROCS, negative = 1)")
-		refresh        = fs.Duration("refresh", 500*time.Millisecond, "background re-estimation cadence")
+		refresh        = fs.Duration("refresh", 500*time.Millisecond, "backstop re-estimation sweep; a stream being read also refreshes within ~10ms of new reports")
 		epoch          = fs.Duration("epoch", 0, "window the default stream: rotate its histogram every epoch (0 = no windowing)")
 		retain         = fs.Int("retain", 0, "sealed epochs kept on the default stream (0 = 8; needs -epoch)")
 

@@ -192,12 +192,20 @@ func (b *Batcher) run() {
 // A background caller (the timer goroutine discards the return value) sets
 // background so the failure parks in lastErr and surfaces on the next
 // synchronous Flush/Close; a synchronous caller gets it returned directly
-// and exactly once.
+// and exactly once. A background caller also stops at a partial batch that
+// is not yet due, so the reports that arrive while a full batch is in
+// flight wait to fill the next one instead of following it at once as a
+// small request of their own.
 func (b *Batcher) flushNow(background bool) error {
 	b.flushMu.Lock()
 	defer b.flushMu.Unlock()
 	for {
 		b.mu.Lock()
+		if background && len(b.queue) > 0 && len(b.queue) < b.cfg.MaxBatch &&
+			time.Since(b.oldest) < b.cfg.MaxDelay {
+			b.mu.Unlock()
+			return nil
+		}
 		if len(b.queue) == 0 {
 			err := b.lastErr
 			b.lastErr = nil
@@ -221,6 +229,9 @@ func (b *Batcher) flushNow(background bool) error {
 			}
 			b.mu.Unlock()
 			return err
+		}
+		if background {
+			b.lastErr = nil // a failed batch stays first in the queue, so it just shipped
 		}
 		// Drop the shipped prefix; Adds that ran during the Flush appended
 		// behind it and survive for the next iteration.

@@ -76,6 +76,45 @@ func TestBatcherSizeFlush(t *testing.T) {
 	}
 }
 
+// TestBatcherSizeFlushLeavesPartialBatch: reports added while a full batch
+// is in flight wait to fill the next batch, or for MaxDelay, instead of
+// following it at once as a small batch of their own.
+func TestBatcherSizeFlushLeavesPartialBatch(t *testing.T) {
+	hook := &collectingHook{}
+	var b *Batcher
+	inFlight := func(reports []mechanism.Report) error {
+		if hook.total() == 0 {
+			b.Add(rep(4)) // arrives while the first batch is in flight
+		}
+		return hook.flush(reports)
+	}
+	const delay = 100 * time.Millisecond
+	var err error
+	b, err = NewBatcher(BatcherConfig{MaxBatch: 4, MaxDelay: delay, Flush: inFlight})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	start := time.Now()
+	for i := 0; i < 4; i++ {
+		b.Add(rep(float64(i)))
+	}
+	for hook.total() < 5 {
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("shipped %d/5 reports", hook.total())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	hook.mu.Lock()
+	defer hook.mu.Unlock()
+	if len(hook.batches) != 2 || len(hook.batches[0]) != 4 || len(hook.batches[1]) != 1 {
+		t.Fatalf("batches = %v, want a batch of 4, then one of 1", hook.batches)
+	}
+	if waited := time.Since(start); waited < delay {
+		t.Fatalf("the partial batch shipped after %v, before its MaxDelay of %v", waited, delay)
+	}
+}
+
 func TestBatcherTimedFlush(t *testing.T) {
 	hook := &collectingHook{}
 	b, err := NewBatcher(BatcherConfig{MaxBatch: 1000, MaxDelay: 20 * time.Millisecond, Flush: hook.flush})

@@ -43,6 +43,13 @@ const DefaultBuckets = 1024
 // holds a whole report histogram.
 const MaxShards = 256
 
+// minRefreshGap is an armed stream's duty cycle: its next refresh starts at
+// least this long after its previous one started. A stream its readers
+// keep watched therefore publishes about every minRefreshGap while a refresh
+// is cheaper than that, and back to back while it is not — as a reader
+// polling it that often made it do.
+const minRefreshGap = 10 * time.Millisecond
+
 // Config is one stream's declaration: the mechanism's wire name ("" = sw,
 // "auto" = the Section 4.1 rule), ε, the granularity (0 = DefaultBuckets)
 // and the sw family's bandwidth (0 = the optimum) define what the histogram
@@ -174,9 +181,20 @@ type Stream struct {
 	// refreshes per stream (and publishes the scratch below between
 	// workers); rerun records a request that found the stream busy;
 	// mustRefresh forces the next refresh (age-out can change the
-	// population without changing its size).
-	queued, busy, rerun, mustRefresh atomic.Bool
-	lastRefresh                      atomic.Int64 // wall-clock nanos
+	// population without changing its size); armed records that a read or
+	// ingest asked for a refresh since the last one started, so every later
+	// request rides on the timer or queue entry the first one set.
+	queued, busy, rerun, mustRefresh, armed atomic.Bool
+	// Wall-clock nanos: the last publish; the last refresh's start (the duty
+	// cycle); the oldest report no refresh has merged yet (0 = none); and
+	// the last read that found reports (the stream is watched for one sweep
+	// interval after it; 0 = unread, or the watch lapsed).
+	lastRefresh, ranAt, dirtyAt, readAt atomic.Int64
+	// The refresh timer, created by the first arming that must wait and
+	// reused; dropped stops arming for good.
+	timerMu sync.Mutex
+	timer   *time.Timer
+	dropped atomic.Bool
 
 	// Worker-owned scratch (busy held): a warm refresh allocates only the
 	// published estimate's copy.
@@ -185,6 +203,7 @@ type Stream struct {
 	winScratch   []float64
 	driftScratch []float64
 	ws           em.Workspace
+	freshness    *telemetry.Histogram // resolved at the first publish (Registry.freshness)
 
 	diag *diagnose.Tracker
 	m    streamMetrics
@@ -283,7 +302,11 @@ func (st *Stream) Bucketize(dst []int, rep mechanism.Report) ([]int, error) {
 // Bucket maps one scalar report to its cell (core.Aggregator.Bucket).
 func (st *Stream) Bucket(report float64) int { return st.agg.Bucket(report) }
 
-// Add lands the Bucketize cells of reports reports in the live epoch.
+// Add lands the Bucketize cells of reports reports in the live epoch and
+// marks the stream dirty; on a watched stream it also arms a refresh
+// (Registry.arm). Once the stream is marked dirty, ingest into a stream
+// that is unwatched or already armed reads no clock and writes no shared
+// word here.
 func (st *Stream) Add(cells []int, reports int) {
 	if len(cells) == 1 {
 		st.ring.Add(cells[0])
@@ -293,6 +316,41 @@ func (st *Stream) Add(cells []int, reports int) {
 	if c := st.m.reports; c != nil {
 		c.Add(uint64(reports))
 	}
+	if st.dirtyAt.Load() == 0 {
+		st.dirtyAt.CompareAndSwap(0, time.Now().UnixNano())
+	}
+	if read := st.readAt.Load(); read != 0 && !st.armed.Load() && st.watched(read) {
+		st.reg.arm(st)
+	}
+}
+
+// watched reports whether the read at read (wall-clock nanos) is within the
+// last sweep interval while the engine runs. It forgets a lapsed read, so
+// ingest into a stream nobody reads any more reads no clock.
+func (st *Stream) watched(read int64) bool {
+	if sweep := st.reg.sweep.Load(); sweep != 0 && time.Now().UnixNano()-read < sweep {
+		return true
+	}
+	st.readAt.CompareAndSwap(read, 0)
+	return false
+}
+
+// Served records a read that found reports on the stream, which keeps the
+// stream watched for one sweep interval; stale (what it served lags the
+// histogram) arms a refresh under the same rule as Add, so a stream its
+// reads already keep fresh gets no extra refresh.
+func (st *Stream) Served(stale bool) {
+	st.readAt.Store(time.Now().UnixNano())
+	if stale {
+		st.reg.arm(st)
+	}
+}
+
+// Absorbed marks counts merged into the ring outside Add (a federation
+// push, a restore) and queues the stream's refresh now.
+func (st *Stream) Absorbed() {
+	st.dirtyAt.CompareAndSwap(0, time.Now().UnixNano())
+	st.reg.enqueue(st)
 }
 
 // Users returns the report (user) count visible to estimates in O(shards):

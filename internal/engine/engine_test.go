@@ -24,6 +24,7 @@ func collectorOptions() (Options, *telemetry.Registry) {
 		Metrics: &Metrics{
 			Reports:     reg.Counter("reports", "", "stream", "mechanism"),
 			Refresh:     reg.Histogram("refresh", "", telemetry.DefBuckets, "stream"),
+			Freshness:   reg.Histogram("freshness", "", telemetry.DefBuckets, "stream"),
 			Iterations:  reg.Histogram("iters", "", telemetry.DefBuckets, "stream"),
 			Rotations:   reg.Counter("rotations", "", "stream"),
 			Refreshes:   reg.Counter("refreshes", "", "stream", "reason"),
@@ -324,7 +325,7 @@ func TestRefreshPublishes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{`rotations{stream="lat"} 1`, `refreshes{stream="lat",reason="rotation"} 1`,
-		`reports{stream="lat",mechanism="sw"} 1`} {
+		`reports{stream="lat",mechanism="sw"} 1`, `freshness_count{stream="lat"} 1`} {
 		if !strings.Contains(text.String(), want) {
 			t.Errorf("metrics lack %s:\n%s", want, text.String())
 		}
@@ -401,7 +402,15 @@ func TestCaptureRestore(t *testing.T) {
 	badName.Name = "bad\x00"
 	fresh := records[1]
 	fresh.Name = "fresh"
-	for _, recs := range [][]snapshot.Stream{{mismatch}, {short}, {badName}, {records[1]}, {fresh, mismatch}} {
+	// A sealed epoch whose size disagrees with its histogram: the ring's
+	// count would never match the estimate it publishes.
+	lying := fresh
+	lying.Name = "lying"
+	lyingWin := *fresh.Window
+	lyingWin.Sealed = slices.Clone(lyingWin.Sealed)
+	lyingWin.Sealed[0].N++
+	lying.Window = &lyingWin
+	for _, recs := range [][]snapshot.Stream{{mismatch}, {short}, {badName}, {records[1]}, {fresh, mismatch}, {lying}} {
 		if err := dst.Restore(recs); err == nil {
 			t.Errorf("restore of %q accepted", recs[0].Name)
 		}

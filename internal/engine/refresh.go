@@ -1,8 +1,8 @@
 package engine
 
 // The refresh: under a stream's busy flag a worker advances its rotation
-// clock, scores a newly sealed epoch for drift, re-reconstructs the full
-// range when it changed and refreshes the requested windows — all warm,
+// clock, re-reconstructs the full range when it changed, refreshes the
+// requested windows and scores a newly sealed epoch for drift — all warm,
 // through the one range→merge→reconstruct path and the one workspace.
 
 import (
@@ -63,29 +63,47 @@ func newEstimate(dist []float64, n, raw, iters int, converged, warm, restored bo
 	}
 }
 
-// refresh runs one stream's refresh; busy held.
+// refresh runs one stream's refresh; busy held. The full range publishes
+// first, and again before each window reconstruction and the drift score
+// when reports arrived meanwhile: on a contended host one of those can take
+// tens of milliseconds, and the full range never waits behind more than
+// one of them.
 func (r *Registry) refresh(st *Stream) {
-	reason := refreshGrowth
+	reason, sealed := refreshGrowth, -1
 	if rotated := st.Advance(r.now()); rotated > 0 {
 		reason = refreshRotation
 		if c := st.m.rotations; c != nil {
 			c.Add(uint64(rotated))
 		}
 		epoch, _ := st.ring.Current()
+		sealed = epoch - rotated
 		rsp := r.opts.Tracer.NewTrace("epoch/rotate")
 		rsp.SetStream(st.name)
 		rsp.Attr("rotated", fmt.Sprintf("%d", rotated)).
 			Attr("epoch", fmt.Sprintf("%d", epoch)).End()
-		st.scoreSealedEpoch(rotated)
 	}
-	defer r.refreshWindows(st)
-	var n int
-	st.scratch, n, _ = st.merge(nil, st.scratch)
+	r.refreshFull(st, reason)
+	r.refreshWindows(st)
+	if sealed >= 0 {
+		r.refreshFull(st, refreshGrowth)
+		st.scoreSealedEpoch(sealed)
+	}
+}
+
+// refreshFull re-reconstructs and publishes the full range when it changed;
+// busy held.
+func (r *Registry) refreshFull(st *Stream, reason int) {
+	dirtyAt := st.dirtyAt.Swap(0) // before the merge: later reports re-mark it
 	prev := st.est.Load()
 	forced := st.mustRefresh.Load()
-	if n == 0 || (prev != nil && n == prev.Raw && !forced) {
+	// Counts only grow, age-out (a rotation) forces a refresh, and a
+	// restored sealed epoch's N is its histogram's total, so an equal N
+	// means equal counts: nothing to merge.
+	if n := st.ring.N(); n == 0 || (prev != nil && n == prev.Raw && !forced) {
 		return
 	}
+	var n int
+	st.scratch, n, _ = st.merge(nil, st.scratch)
 	if forced && reason == refreshGrowth {
 		reason = refreshForced
 	}
@@ -109,10 +127,16 @@ func (r *Registry) refresh(st *Stream) {
 	if c := st.m.refreshes[reason]; c != nil {
 		c.Inc()
 	}
-	st.lastRefresh.Store(time.Now().UnixNano())
+	now := time.Now()
+	st.lastRefresh.Store(now.UnixNano())
 	st.init = append(st.init[:0], res.Estimate...)
 	est := st.publish(res, n, st.scratch, init != nil)
 	st.est.Store(est)
+	if dirtyAt != 0 {
+		if h := r.freshness(st); h != nil {
+			h.Observe(now.Sub(time.Unix(0, dirtyAt)).Seconds())
+		}
+	}
 	st.diag.ObserveRefresh(diagnose.Refresh{
 		Iterations:    res.Iterations,
 		LogLikelihood: res.LogLikelihood,
@@ -123,12 +147,11 @@ func (r *Registry) refresh(st *Stream) {
 	})
 }
 
-// scoreSealedEpoch feeds the drift tracker the estimate of the epoch a
-// rotation just sealed, warm from the previous sealed estimate or the
-// stream's warm start. Busy held.
-func (st *Stream) scoreSealedEpoch(rotated int) {
-	cur, _ := st.ring.Current()
-	sealed := window.Range{Lo: cur - rotated, Hi: cur - rotated}
+// scoreSealedEpoch feeds the drift tracker the estimate of the sealed
+// epoch idx a rotation just sealed, warm from the previous sealed estimate
+// or the stream's warm start. Busy held.
+func (st *Stream) scoreSealedEpoch(idx int) {
+	sealed := window.Range{Lo: idx, Hi: idx}
 	var n int
 	var err error
 	st.driftScratch, n, err = st.merge(&sealed, st.driftScratch)
@@ -180,6 +203,7 @@ func (r *Registry) refreshWindows(st *Stream) {
 				init = full.Distribution // the stream's full-range estimate
 			}
 		}
+		r.refreshFull(st, refreshGrowth)
 		res := st.reconstruct(st.winScratch, init)
 		wc.init = append(wc.init[:0], res.Estimate...)
 		wc.est.Store(st.publish(res, n, st.winScratch, init != nil))

@@ -227,6 +227,31 @@ func BenchmarkRefreshWithDiagnostics(b *testing.B) {
 	}
 }
 
+// BenchmarkNoopRefresh is a refresh with nothing to do — what a backstop
+// sweep costs per idle stream: a published stream whose histogram has not
+// moved since, at the stream's default stripe count.
+func BenchmarkNoopRefresh(b *testing.B) {
+	for _, buckets := range []int{256, 1024, 4096} {
+		b.Run(fmt.Sprintf("B=%d", buckets), func(b *testing.B) {
+			r := NewRegistry(Options{})
+			st, _, err := r.Declare("s", Config{Epsilon: 1, Buckets: buckets})
+			if err != nil {
+				b.Fatal(err)
+			}
+			fill(st, 2000, 0)
+			r.refresh(st) // the publish, outside the timer
+			if st.Pending() != 0 {
+				b.Fatal("the first refresh left reports unpublished")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.refresh(st)
+			}
+		})
+	}
+}
+
 // BenchmarkDiagnosticsBookkeeping is the per-refresh diagnostics cost alone:
 // one ObserveRefresh plus the Snapshot a diagnostics poll would take.
 func BenchmarkDiagnosticsBookkeeping(b *testing.B) {
@@ -241,5 +266,37 @@ func BenchmarkDiagnosticsBookkeeping(b *testing.B) {
 			Converged: true, Warm: true, Users: 2000,
 		})
 		_ = tr.Snapshot(0)
+	}
+}
+
+// BenchmarkAdd is one report's Add from every CPU at once, on a library
+// stream (no refresh engine) and on a collector stream nobody reads (the
+// engine runs, a sweep an hour away): the ingest cost the refresh scheduler
+// adds to streams it never arms.
+func BenchmarkAdd(b *testing.B) {
+	for _, started := range []bool{false, true} {
+		name := "library"
+		if started {
+			name = "unread"
+		}
+		b.Run(name, func(b *testing.B) {
+			r := NewRegistry(Options{})
+			st, _, err := r.Declare("s", Config{Epsilon: 1, Buckets: 256})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if started {
+				r.Start(1, time.Hour)
+				b.Cleanup(r.Close)
+			}
+			b.ReportAllocs()
+			b.RunParallel(func(pb *testing.PB) {
+				cells := []int{0}
+				for i := 0; pb.Next(); i++ {
+					cells[0] = i % 256
+					st.Add(cells, 1)
+				}
+			})
+		})
 	}
 }

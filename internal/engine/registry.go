@@ -35,6 +35,7 @@ type Metrics struct {
 
 	Reports     *telemetry.CounterVec   // stream, mechanism
 	Refresh     *telemetry.HistogramVec // stream: refresh reconstruction seconds
+	Freshness   *telemetry.HistogramVec // stream: age of the oldest report a full-range publish newly covers
 	Iterations  *telemetry.HistogramVec // stream
 	Rotations   *telemetry.CounterVec   // stream
 	Refreshes   *telemetry.CounterVec   // stream, reason (growth|rotation|forced)
@@ -54,11 +55,11 @@ type Registry struct {
 	order   []*Stream
 
 	rq        refreshQueue // staleness-ordered dirty-stream queue
-	kick      chan struct{}
 	done      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 	lastTick  atomic.Int64 // wall-clock nanos of the scheduler's last pass
+	sweep     atomic.Int64 // the sweep interval in nanos while the engine runs, else 0
 }
 
 // NewRegistry returns an empty registry with an idle refresh engine.
@@ -67,7 +68,6 @@ func NewRegistry(opts Options) *Registry {
 		opts:    opts,
 		now:     opts.Clock,
 		streams: make(map[string]*Stream),
-		kick:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
 	if r.now == nil {
@@ -176,6 +176,8 @@ func (r *Registry) Drop(name string) error {
 			break
 		}
 	}
+	st.dropped.Store(true)
+	st.stopTimer()
 	if m := r.opts.Metrics; m != nil && m.Telemetry != nil {
 		m.Telemetry.DeleteSeries("stream", name)
 	}
@@ -196,14 +198,16 @@ func (r *Registry) List() []*Stream {
 	return append([]*Stream(nil), r.order...)
 }
 
-// Start runs the refresh engine once: a scheduler queueing every stream
-// each interval (or Wake), and workers workers (0 = GOMAXPROCS, negative
-// = 1) draining the queue. Close stops it.
+// Start runs the refresh engine once: workers workers (0 = GOMAXPROCS,
+// negative = 1) draining the queue that reads, ingest, pushes and restores
+// fill stream by stream, and a scheduler sweeping every stream into it each
+// interval — the backstop for streams nobody reads. Close stops it.
 func (r *Registry) Start(workers int, interval time.Duration) {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = max(workers, 1)
+	r.sweep.Store(int64(interval))
 	r.wg.Add(1 + workers)
 	go r.scheduler(interval)
 	for i := 0; i < workers; i++ {
@@ -211,20 +215,72 @@ func (r *Registry) Start(workers int, interval time.Duration) {
 	}
 }
 
-// Close stops the refresh engine and waits for it; ingest continues.
+// Close stops the refresh engine, its timers included, and waits for it;
+// ingest continues.
 func (r *Registry) Close() {
 	r.closeOnce.Do(func() {
+		r.sweep.Store(0)
+		r.mu.RLock()
+		for _, st := range r.order {
+			st.stopTimer()
+		}
+		r.mu.RUnlock()
 		close(r.done)
 		r.rq.close()
 	})
 	r.wg.Wait()
 }
 
-// Wake nudges the refresh scheduler without blocking.
+// Wake queues every stream now, as a sweep does.
 func (r *Registry) Wake() {
-	select {
-	case r.kick <- struct{}{}:
+	for _, st := range r.List() {
+		r.enqueue(st)
+	}
+}
+
+// enqueue queues a stream's refresh now, once.
+func (r *Registry) enqueue(st *Stream) {
+	if st.queued.CompareAndSwap(false, true) {
+		r.rq.push(st)
+	}
+}
+
+// arm is the one arming rule of reads and ingest: the first request since
+// the stream's last refresh started schedules the next one; later requests
+// ride on it.
+func (r *Registry) arm(st *Stream) {
+	if !st.armed.Load() && st.armed.CompareAndSwap(false, true) {
+		r.schedule(st)
+	}
+}
+
+// schedule queues an armed stream's refresh when its duty cycle allows
+// (minRefreshGap after the previous refresh started): now, or on the
+// stream's timer. A stream mid-refresh is left to its worker, which
+// schedules it on finishing.
+func (r *Registry) schedule(st *Stream) {
+	st.timerMu.Lock()
+	defer st.timerMu.Unlock()
+	if st.dropped.Load() || r.sweep.Load() == 0 || st.busy.Load() {
+		return
+	}
+	wait := time.Until(time.Unix(0, st.ranAt.Load()).Add(minRefreshGap))
+	switch {
+	case wait <= 0:
+		r.enqueue(st)
+	case st.timer == nil:
+		st.timer = time.AfterFunc(wait, func() { r.enqueue(st) })
 	default:
+		st.timer.Reset(wait)
+	}
+}
+
+// stopTimer stops the stream's refresh timer, if it has one.
+func (st *Stream) stopTimer() {
+	st.timerMu.Lock()
+	defer st.timerMu.Unlock()
+	if st.timer != nil {
+		st.timer.Stop()
 	}
 }
 
@@ -234,9 +290,9 @@ func (r *Registry) LastTick() time.Time { return time.Unix(0, r.lastTick.Load())
 // QueueDepth returns the number of streams waiting for a refresh worker.
 func (r *Registry) QueueDepth() int { return r.rq.depth() }
 
-// scheduler stamps the liveness clock and enqueues every stream not already
-// queued on each tick or wake — every one, because rotations and window
-// caches advance inside the refresh itself.
+// scheduler stamps the liveness clock and sweeps every stream into the
+// queue each tick — every one, because rotations and window caches advance
+// inside the refresh itself; a refresh with nothing to do merges nothing.
 func (r *Registry) scheduler(interval time.Duration) {
 	defer r.wg.Done()
 	ticker := time.NewTicker(interval)
@@ -245,15 +301,10 @@ func (r *Registry) scheduler(interval time.Duration) {
 		select {
 		case <-r.done:
 			return
-		case <-r.kick:
 		case <-ticker.C:
 		}
 		r.lastTick.Store(time.Now().UnixNano())
-		for _, st := range r.List() {
-			if st.queued.CompareAndSwap(false, true) {
-				r.rq.push(st)
-			}
-		}
+		r.Wake()
 	}
 }
 
@@ -261,6 +312,7 @@ func (r *Registry) scheduler(interval time.Duration) {
 // within one by busy. A pop that finds the stream busy is not dropped: it
 // sets rerun, which the holder re-checks after releasing busy, so reports
 // that landed after the running refresh merged publish right after it.
+// Every refresh restarts the stream's duty cycle.
 func (r *Registry) refreshWorker() {
 	defer r.wg.Done()
 	for {
@@ -272,10 +324,30 @@ func (r *Registry) refreshWorker() {
 		st.rerun.Store(true)
 		for st.rerun.Load() && st.busy.CompareAndSwap(false, true) {
 			st.rerun.Store(false)
+			st.armed.Store(false)
+			st.ranAt.Store(time.Now().UnixNano())
 			r.refresh(st)
 			st.busy.Store(false)
 		}
+		if st.armed.Load() {
+			r.schedule(st) // armed while it ran
+		}
 	}
+}
+
+// freshness resolves the stream's freshness series at its first publish
+// (busy held) rather than when it joins, so a declaration allocates nothing
+// for it; a stream dropped meanwhile resolves none, and so never brings a
+// deleted series back.
+func (r *Registry) freshness(st *Stream) *telemetry.Histogram {
+	if st.freshness == nil && r.opts.Metrics != nil {
+		r.mu.RLock()
+		if r.streams[st.name] == st {
+			st.freshness = r.opts.Metrics.Freshness.With(st.name)
+		}
+		r.mu.RUnlock()
+	}
+	return st.freshness
 }
 
 // refreshQueue is the scheduler→workers queue, deduped by Stream.queued.

@@ -99,8 +99,8 @@ func ringState(rec *snapshot.Stream) window.State {
 // merges into the live epoch. Only then does it register the built streams
 // and merge every record — a windowed one adopts its clock and epochs — and
 // a stream empty before the merge takes the record's estimates, serving
-// bit-identically at once. On error nothing changed. It wakes the refresh
-// engine.
+// bit-identically at once. On error nothing changed. It queues the refresh
+// of every stream it restored into.
 func (r *Registry) Restore(records []snapshot.Stream) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -134,7 +134,6 @@ func (r *Registry) Restore(records []snapshot.Stream) error {
 		}
 		targets[i] = st
 	}
-	defer r.Wake()
 	for i := range records {
 		rec, st := &records[i], targets[i]
 		wasEmpty := st.ring.N() == 0
@@ -163,6 +162,9 @@ func (r *Registry) Restore(records []snapshot.Stream) error {
 		if rec.Window != nil {
 			st.restoreWindowEstimates(rec.Window.Estimates)
 		}
+	}
+	for _, st := range targets {
+		st.Absorbed()
 	}
 	return nil
 }

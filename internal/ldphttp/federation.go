@@ -200,7 +200,6 @@ func (s *Server) handleFederationPush(w http.ResponseWriter, r *http.Request, _ 
 		for _, id := range parseTraceLinks(r.Header.Get("X-LDP-Trace-Link")) {
 			s.tracer.Link(id, "federation/absorb-link").Attr("edge", push.Edge).End()
 		}
-		s.wake() // the engine re-estimates the touched streams
 	}
 	if m := s.metrics; m != nil {
 		switch {
@@ -342,6 +341,7 @@ func (s *Server) applyPush(push federate.Push) (federate.PushResponse, int) {
 		peer.reports += result.N
 		resp.Streams = append(resp.Streams, result)
 		s.pruneWatermarksLocked(st)
+		st.Absorbed() // the engine re-estimates the touched stream
 	}
 	peer.lastSeq = push.Seq
 	peer.lastCRC = push.CRC

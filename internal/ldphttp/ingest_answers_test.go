@@ -178,7 +178,7 @@ func TestReportAllocs(t *testing.T) {
 			t.Fatalf("report answered %d", w.status)
 		}
 	})
-	const pinned = 23
+	const pinned = 14
 	if allocs > pinned {
 		t.Errorf("an untraced JSON report request allocates %v times, want at most %d", allocs, pinned)
 	}

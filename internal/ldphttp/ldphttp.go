@@ -85,10 +85,11 @@
 // window=epochs:i..j on the estimate and query endpoints. A plain stream
 // answers such selectors with 400 not_windowed. Window reconstructions are
 // also engine-computed and cached — the first request for a range answers
-// 503 and wakes the engine, which merges the range's epochs and runs EMS
-// warm-started from that window's previous estimate (or its one-epoch-back
-// neighbor after a rotation, or the stream's full-range estimate). A
-// fully-sealed range is immutable, so its cached estimate never recomputes.
+// 503 and arms the stream's refresh, which merges the range's epochs and
+// runs EMS warm-started from that window's previous estimate (or its
+// one-epoch-back neighbor after a rotation, or the stream's full-range
+// estimate). A fully-sealed range is immutable, so its cached estimate never
+// recomputes.
 //
 // SaveSnapshot/LoadSnapshot persist every stream's histogram and cached
 // estimate through package snapshot (atomic temp-file rename, checksummed),
@@ -159,9 +160,15 @@ type Config struct {
 	// in parallel, each stream still strictly serialized. 0 uses
 	// runtime.GOMAXPROCS(0); negative forces a single worker.
 	RefreshWorkers int `json:"-"`
-	// RefreshInterval is the cadence at which the background estimator
-	// re-checks every stream for new reports (0 = 500ms). Estimate and
-	// query requests that find a cache missing also wake it immediately.
+	// RefreshInterval is the backstop sweep at which the background
+	// estimator re-checks every stream for new reports and due rotations
+	// (0 = 500ms); the health probe reads its liveness from it. A stream an
+	// estimate or query read found reports on within the last interval is
+	// watched: its new reports, and its stale reads, refresh that stream
+	// alone at least 10ms after its previous refresh started (at once when
+	// that has passed). Streams nobody reads, such as an edge's, refresh
+	// only on the sweep; federation pushes and snapshot restores queue the
+	// streams they touch at once.
 	RefreshInterval time.Duration `json:"-"`
 	// Epoch and Retain window the default stream (see StreamConfig). They
 	// apply to the default stream only; other streams opt into windowing
@@ -528,9 +535,6 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// wake nudges the refresh scheduler without blocking.
-func (s *Server) wake() { s.reg.Wake() }
-
 // WireReport is one randomized report as it travels in JSON: either a bare
 // number (scalar mechanisms — sw, sw-discrete, grr — and backward-compatible
 // with every pre-mechanism client) or an array of numbers (olh: [seed, y];
@@ -727,7 +731,15 @@ func (s *Server) serveBatch(w http.ResponseWriter, name string, reports []WireRe
 	if single {
 		accepted = true
 	}
-	writeJSON(w, map[string]any{"accepted": accepted, "stream": st.Name(), "n": st.Users()})
+	writeJSON(w, acceptedBody{Accepted: accepted, N: st.Users(), Stream: st.Name()})
+}
+
+// acceptedBody is the body of an accepted report or batch. Its fields are
+// in encoding/json's sorted-key order, so it writes the bytes a map would.
+type acceptedBody struct {
+	Accepted any    `json:"accepted"` // true for /report, the count for /batch
+	N        int    `json:"n"`
+	Stream   string `json:"stream"`
 }
 
 // loadEstimate fetches a stream's cached reconstruction for serving — the
@@ -777,10 +789,13 @@ func (s *Server) loadEstimate(w http.ResponseWriter, st *engine.Stream, rawSel s
 	default:
 		est = st.WindowEstimate(*g)
 	}
+	// Staleness is tracked in raw histogram increments, not the user count
+	// the response carries — for fan-out mechanisms the two differ. A stale
+	// read arms the stream's refresh; the cache is served now.
+	st.Served(est == nil || est.Raw != n)
 	if est == nil {
 		// The first estimate is still pending: tell the client instead of
-		// hanging, and make sure the engine is on it.
-		s.wake()
+		// hanging.
 		body, msg := map[string]any{"stream": st.Name(), "pending_reports": n},
 			"estimate pending: first reconstruction in progress"
 		if g != nil {
@@ -789,11 +804,6 @@ func (s *Server) loadEstimate(w http.ResponseWriter, st *engine.Stream, rawSel s
 		}
 		retryJSON(w, http.StatusServiceUnavailable, CodeEstimatePending, time.Second, body, "%s", msg)
 		return EstimateResponse{}, false
-	}
-	// Staleness is tracked in raw histogram increments, not the user count
-	// the response carries — for fan-out mechanisms the two differ.
-	if est.Raw != n {
-		s.wake() // refresh in the background; serve the cache now
 	}
 	cfg := st.Config()
 	out := EstimateResponse{

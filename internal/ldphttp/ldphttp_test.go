@@ -27,6 +27,9 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// wake queues every stream's refresh now, as the backstop sweep does.
+func (s *Server) wake() { s.reg.Wake() }
+
 // getFreshEstimate polls the default stream's estimate until the served
 // reconstruction covers every ingested report (the background engine refreshes
 // asynchronously, so a bounded number of responses may be stale and the very
@@ -577,6 +580,45 @@ func TestQueryBeforeReports(t *testing.T) {
 		t.Errorf("query with pending estimate status = %d, want 503", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestReadsArmTheirStream pins the refresh scheduler end to end: an estimate
+// read refreshes its own stream only, and a stream read once publishes
+// steady ingest with no further read, wake or sweep (an hour away here).
+func TestReadsArmTheirStream(t *testing.T) {
+	s := NewServer(Config{Epsilon: 1, Buckets: 32, RefreshInterval: time.Hour})
+	t.Cleanup(s.Close)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	if err := s.CreateStream("other", StreamConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	batch := map[string]any{"reports": []float64{0.1, 0.5, 0.9}}
+	for _, name := range []string{DefaultStream, "other"} {
+		postJSON(t, ts.URL+streamPath(name)+"/batch", batch).Body.Close()
+	}
+	getFreshEstimate(t, ts.URL, 3)
+	published := func(name string) int {
+		for _, info := range s.Streams() { // the listing arms nothing
+			if info.Name == name {
+				return info.EstimateN
+			}
+		}
+		return -1
+	}
+	for want := 6; want <= 12; want += 3 {
+		postJSON(t, ts.URL+streamPath(DefaultStream)+"/batch", batch).Body.Close()
+		deadline := time.Now().Add(10 * time.Second)
+		for published(DefaultStream) != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("the read stream publishes %d reports, want %d", published(DefaultStream), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if n := published("other"); n != 0 {
+		t.Errorf("reading the default stream refreshed %q (estimate_n %d)", "other", n)
+	}
 }
 
 func TestConcurrentIngestion(t *testing.T) {

@@ -241,6 +241,7 @@ func TestMetricsExposition(t *testing.T) {
 		"ldp_shed_total":                     telemetry.KindCounter,
 		"ldp_reports_total":                  telemetry.KindCounter,
 		"ldp_em_refresh_seconds":             telemetry.KindHistogram,
+		"ldp_estimate_freshness_seconds":     telemetry.KindHistogram,
 		"ldp_em_iterations":                  telemetry.KindHistogram,
 		"ldp_em_refreshes_total":             telemetry.KindCounter,
 		"ldp_em_refresh_queue_depth":         telemetry.KindGauge,
@@ -297,6 +298,10 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if v, _ := sc.Value("ldp_em_iterations_count", "stream=default"); v < 1 {
 		t.Errorf("ldp_em_iterations_count{stream=default} = %v, want >= 1", v)
+	}
+	// The publish covering the three reports observed how long they waited.
+	if v, _ := sc.Value("ldp_estimate_freshness_seconds_count", "stream=default"); v < 1 {
+		t.Errorf("ldp_estimate_freshness_seconds_count{stream=default} = %v, want >= 1", v)
 	}
 	if v, _ := sc.Value("ldp_em_refreshes_total", "stream=default", "reason=growth"); v < 1 {
 		t.Errorf("ldp_em_refreshes_total{stream=default,reason=growth} = %v, want >= 1", v)

@@ -91,8 +91,8 @@ func (s *Server) loadSnapshot(path string) error {
 	if s.pusher != nil {
 		return fmt.Errorf("ldphttp: cannot load a snapshot once push is enabled")
 	}
-	// The engine validates, builds and merges, then wakes the refresh
-	// workers to re-estimate any stream whose counts moved past its
+	// The engine validates, builds and merges, then queues the refresh of
+	// every restored stream, re-estimating any whose counts moved past its
 	// estimate.
 	if err := s.reg.Restore(file.Streams); err != nil {
 		return fmt.Errorf("ldphttp: %w", err)

@@ -112,6 +112,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 			Refresh: r.Histogram("ldp_em_refresh_seconds",
 				"Background EM/EMS reconstruction latency per refresh.",
 				telemetry.DefBuckets, "stream"),
+			Freshness: r.Histogram("ldp_estimate_freshness_seconds",
+				"Age, at each full-range publish, of the oldest report it covers that the previous publish did not.",
+				telemetry.DefBuckets, "stream"),
 			Iterations: r.Histogram("ldp_em_iterations",
 				"EM/EMS iterations per published refresh; warm (SQUAREM) refreshes count EMS map evaluations and converge in few.",
 				[]float64{1, 2, 5, 10, 20, 50, 100, 200}, "stream"),

@@ -572,6 +572,16 @@ func (st State) validate(buckets int) error {
 			return fmt.Errorf("window: restore: sealed epoch %d has %d buckets, want %d",
 				ep.Index, len(ep.Counts), buckets)
 		}
+		// N is what the ring reports as the epoch's size without merging
+		// it, so it must be its histogram's total.
+		var sum uint64
+		for _, c := range ep.Counts {
+			sum += c
+		}
+		if ep.N < 0 || uint64(ep.N) != sum {
+			return fmt.Errorf("window: restore: sealed epoch %d claims %d reports, its histogram holds %d",
+				ep.Index, ep.N, sum)
+		}
 	}
 	if st.Live != nil && len(st.Live) != buckets {
 		return fmt.Errorf("window: restore: live histogram has %d buckets, want %d",

@@ -310,6 +310,16 @@ func TestRestoreRejectsBadState(t *testing.T) {
 			return s
 		},
 		"live wrong buckets": func(s State) State { s.Live = []uint64{1, 2}; return s },
+		"sealed N above its counts": func(s State) State {
+			s.Current = 1
+			s.Sealed = []Epoch{{Index: 0, Counts: []uint64{1, 0, 2, 0}, N: 4}}
+			return s
+		},
+		"sealed N without counts": func(s State) State {
+			s.Current = 1
+			s.Sealed = []Epoch{{Index: 0, N: 1}}
+			return s
+		},
 	}
 	for name, mutate := range cases {
 		r := New(4, 1, cfg, t0)
