@@ -7,19 +7,20 @@
 //
 // Ingestion is lock-free (striped atomic counters per stream, one stripe per
 // CPU by default) and estimation runs on a shared pool of background refresh
-// workers: a stream being read refreshes within ~10ms of new reports, every
-// stream at least once per -refresh sweep, always warm-started EMS, so GET
-// .../estimate and GET .../query serve cached reconstructions instead of
-// blocking on the EM loop. Streams declared with an epoch duration are
-// windowed: the live histogram rotates into sealed epochs on that period and
-// sliding windows are addressable with window=last:K / window=epochs:i..j on
-// .../estimate and .../query. With -snapshot, every stream's histogram, cached
-// estimates, and (for windowed streams) rotation clock plus sealed epochs
-// are persisted atomically on an interval and at shutdown, and restored at
-// boot — a restarted collector resumes warm, mid-epoch, with bit-identical
-// window estimates. SIGINT/SIGTERM drain in-flight requests, stop the
-// estimator, and save a final snapshot, so a clean shutdown never loses the
-// last partial epoch.
+// workers: a stream being read refreshes soon after new reports arrive (ten
+// times its last refresh's wall time after that refresh started, never more
+// than 10ms after), every stream at least once per -refresh sweep, always
+// warm-started EMS, so GET .../estimate and GET .../query serve cached
+// reconstructions instead of blocking on the EM loop. Streams declared with
+// an epoch duration are windowed: the live histogram rotates into sealed
+// epochs on that period and sliding windows are addressable with
+// window=last:K / window=epochs:i..j on .../estimate and .../query. With
+// -snapshot, every stream's histogram, cached estimates, and (for windowed
+// streams) rotation clock plus sealed epochs are persisted atomically on an
+// interval and at shutdown, and restored at boot — a restarted collector
+// resumes warm, mid-epoch, with bit-identical window estimates.
+// SIGINT/SIGTERM drain in-flight requests, stop the estimator, and save a
+// final snapshot, so a clean shutdown never loses the last partial epoch.
 //
 // Usage:
 //
@@ -221,7 +222,7 @@ func parseArgs(args []string) (serverConfig, error) {
 		band           = fs.Float64("bandwidth", 0, "wave half-width override (0 = optimal)")
 		shards         = fs.Int("shards", 0, "ingestion stripe count (0 = one per CPU)")
 		refreshWorkers = fs.Int("refresh-workers", 0, "concurrent background refresh workers (0 = GOMAXPROCS, negative = 1)")
-		refresh        = fs.Duration("refresh", 500*time.Millisecond, "backstop re-estimation sweep; a stream being read also refreshes within ~10ms of new reports")
+		refresh        = fs.Duration("refresh", 500*time.Millisecond, "backstop re-estimation sweep; a stream being read also refreshes within 10x its last refresh's time of new reports, at most 10ms")
 		epoch          = fs.Duration("epoch", 0, "window the default stream: rotate its histogram every epoch (0 = no windowing)")
 		retain         = fs.Int("retain", 0, "sealed epochs kept on the default stream (0 = 8; needs -epoch)")
 

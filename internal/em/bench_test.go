@@ -80,16 +80,22 @@ func BenchmarkReconstructWorkspace(b *testing.B) {
 	}
 }
 
-// warmStep and warmMaxN shape BenchmarkWarmRefresh's trajectory: a refresh
-// every 20,000 reports up to 10⁷, about the cadence and length of a
-// 30-second run of ldpbench's ingest workload (closed-loop writers, one
-// 20/s reader).
-const warmStep, warmMaxN = 20000, 10000000
+// warmMaxN and warmTrajectories shape BenchmarkWarmRefresh: each trajectory
+// refreshes every step reports from the first multiple of step at or past
+// from, up to warmMaxN. A refresh every 20,000 reports from the start is
+// about the cadence and length of a 30-second run of ldpbench's ingest
+// workload when its one 20/s reader set the refreshes; one every 2,000
+// reports is about the cadence of that stream's refreshes spaced by their
+// own cost (~3 ms at ~0.9M reports/s), kept to the last 10⁶ reports so it
+// too is 500 refreshes long.
+const warmMaxN = 10000000
 
-// warmSequence returns the sw mechanism's channel at granularity d (ε = 1)
-// and the report histogram of one stream of Beta(5,2) values after every
-// warmStep reports, up to warmMaxN.
-func warmSequence(b *testing.B, d int) (matrixx.Channel, [][]float64) {
+var warmTrajectories = []struct{ step, from int }{{20000, 0}, {2000, warmMaxN - 1000000}}
+
+// warmSequences returns the sw mechanism's channel at granularity d (ε = 1)
+// and, for each of warmTrajectories, the report histograms of one stream of
+// Beta(5,2) values at each of its refreshes.
+func warmSequences(b *testing.B, d int) (matrixx.Channel, [][][]float64) {
 	mech, err := mechanism.New(mechanism.Params{Name: mechanism.SW, Epsilon: 1, Buckets: d})
 	if err != nil {
 		b.Fatal(err)
@@ -97,53 +103,57 @@ func warmSequence(b *testing.B, d int) (matrixx.Channel, [][]float64) {
 	wave := sw.NewSquare(1)
 	rng := randx.New(uint64(d))
 	counts := make([]float64, mech.OutputBuckets())
-	var seq [][]float64
+	seqs := make([][][]float64, len(warmTrajectories))
 	for n := 1; n <= warmMaxN; n++ {
 		j, err := mech.BucketOf(wave.Sample(rng.Beta(5, 2), rng))
 		if err != nil {
 			b.Fatal(err)
 		}
 		counts[j]++
-		if n%warmStep == 0 {
-			seq = append(seq, append([]float64(nil), counts...))
+		for k, tr := range warmTrajectories {
+			if n >= tr.from && n%tr.step == 0 {
+				seqs[k] = append(seqs[k], append([]float64(nil), counts...))
+			}
 		}
 	}
-	return mech.Channel(), seq
+	return mech.Channel(), seqs
 }
 
-// BenchmarkWarmRefresh replays the refresh engine's steady state along an
-// ingest-like trajectory (warmSequence): after the one cold reconstruction
-// at 20,000 reports, every refresh is warm-started from the previous one's
-// estimate through one reused Workspace, with the textbook EMS loop or with
-// Options.AccelerateWarm. One op is the whole trajectory; evals/refresh is
-// the mean number of F evaluations (EMS iterations) per warm refresh and
-// ns/refresh its mean wall time.
+// BenchmarkWarmRefresh replays the refresh engine's steady state along
+// ingest-like trajectories (warmSequences): after one cold reconstruction
+// of a trajectory's first histogram, every refresh is warm-started from the
+// previous one's estimate through one reused Workspace, with the textbook
+// EMS loop or with Options.AccelerateWarm. One op is a whole trajectory;
+// evals/refresh is the mean number of F evaluations (EMS iterations) per
+// warm refresh and ns/refresh its mean wall time.
 func BenchmarkWarmRefresh(b *testing.B) {
 	for _, d := range []int{256, 1024} {
-		ch, seq := warmSequence(b, d)
-		first := Reconstruct(ch, seq[0], EMSOptions()).Estimate
-		for _, mode := range []string{"textbook", "accelerated"} {
-			b.Run(fmt.Sprintf("B=%d/%s", d, mode), func(b *testing.B) {
-				opts := EMSOptions()
-				opts.AccelerateWarm = mode == "accelerated"
-				var ws Workspace
-				init := make([]float64, d)
-				evals := 0
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					copy(init, first)
-					opts.Init = init
-					for _, counts := range seq[1:] {
-						res := ws.Reconstruct(ch, counts, opts)
-						evals += res.Iterations
-						copy(init, res.Estimate)
+		ch, seqs := warmSequences(b, d)
+		for k, seq := range seqs {
+			first := Reconstruct(ch, seq[0], EMSOptions()).Estimate
+			for _, mode := range []string{"textbook", "accelerated"} {
+				b.Run(fmt.Sprintf("B=%d/step=%d/%s", d, warmTrajectories[k].step, mode), func(b *testing.B) {
+					opts := EMSOptions()
+					opts.AccelerateWarm = mode == "accelerated"
+					var ws Workspace
+					init := make([]float64, d)
+					evals := 0
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						copy(init, first)
+						opts.Init = init
+						for _, counts := range seq[1:] {
+							res := ws.Reconstruct(ch, counts, opts)
+							evals += res.Iterations
+							copy(init, res.Estimate)
+						}
 					}
-				}
-				refreshes := float64(b.N * (len(seq) - 1))
-				b.ReportMetric(float64(evals)/refreshes, "evals/refresh")
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/refreshes, "ns/refresh")
-			})
+					refreshes := float64(b.N * (len(seq) - 1))
+					b.ReportMetric(float64(evals)/refreshes, "evals/refresh")
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/refreshes, "ns/refresh")
+				})
+			}
 		}
 	}
 }

@@ -43,12 +43,17 @@ const DefaultBuckets = 1024
 // holds a whole report histogram.
 const MaxShards = 256
 
-// minRefreshGap is an armed stream's duty cycle: its next refresh starts at
-// least this long after its previous one started. A stream its readers
-// keep watched therefore publishes about every minRefreshGap while a refresh
-// is cheaper than that, and back to back while it is not — as a reader
-// polling it that often made it do.
-const minRefreshGap = 10 * time.Millisecond
+// An armed stream's refreshes are spaced by their own cost: the next one
+// starts refreshDuty times the last one's wall time after that one started
+// (so EM takes at most 1/refreshDuty of a core per stream), and never later
+// than maxRefreshGap after it (refreshGap). A stream its readers keep watched
+// therefore publishes as often as that duty cycle allows while a refresh is
+// cheaper than maxRefreshGap/refreshDuty, about every maxRefreshGap while it
+// is not, and back to back once a refresh takes maxRefreshGap or more.
+const (
+	maxRefreshGap = 10 * time.Millisecond
+	refreshDuty   = 10
+)
 
 // Config is one stream's declaration: the mechanism's wire name ("" = sw,
 // "auto" = the Section 4.1 rule), ε, the granularity (0 = DefaultBuckets)
@@ -185,11 +190,12 @@ type Stream struct {
 	// ingest asked for a refresh since the last one started, so every later
 	// request rides on the timer or queue entry the first one set.
 	queued, busy, rerun, mustRefresh, armed atomic.Bool
-	// Wall-clock nanos: the last publish; the last refresh's start (the duty
-	// cycle); the oldest report no refresh has merged yet (0 = none); and
-	// the last read that found reports (the stream is watched for one sweep
-	// interval after it; 0 = unread, or the watch lapsed).
-	lastRefresh, ranAt, dirtyAt, readAt atomic.Int64
+	// Wall-clock nanos: the last publish; the last refresh's start and its
+	// wall time (the duty cycle); the oldest report no refresh has merged
+	// yet (0 = none); and the last read that found reports (the stream is
+	// watched for one sweep interval after it; 0 = unread, or the watch
+	// lapsed).
+	lastRefresh, ranAt, ranFor, dirtyAt, readAt atomic.Int64
 	// The refresh timer, created by the first arming that must wait and
 	// reused; dropped stops arming for good.
 	timerMu sync.Mutex
@@ -410,7 +416,7 @@ func (st *Stream) Rotate() {
 }
 
 func (st *Stream) rotated() {
-	st.evictAgedWindows()
+	st.sealWindows()
 	st.mustRefresh.Store(true)
 }
 

@@ -26,11 +26,14 @@ const (
 
 var refreshReasons = [3]string{"growth", "rotation", "forced"}
 
-// windowCache is one cached window reconstruction; workers own init.
+// windowCache is one cached window reconstruction; workers own init. A
+// published window that a rotation sealed is parked: no refresh
+// reconstructs it until a read resolves to it again (WindowEstimate).
 type windowCache struct {
-	rng  window.Range
-	est  atomic.Pointer[Estimate]
-	init []float64 // worker-owned warm start
+	rng    window.Range
+	est    atomic.Pointer[Estimate]
+	init   []float64 // worker-owned warm start
+	parked atomic.Bool
 }
 
 // reconstruct is every refresh's reconstruct step, warm from a non-nil
@@ -173,7 +176,9 @@ func (st *Stream) scoreSealedEpoch(idx int) {
 }
 
 // refreshWindows re-reconstructs every requested window whose count moved
-// (a fully-sealed one therefore once).
+// (a fully-sealed one therefore once), skipping parked ones. A window that
+// holds every report the ring holds publishes the full-range estimate
+// instead of reconstructing the same counts again.
 func (r *Registry) refreshWindows(st *Stream) {
 	for _, wc := range st.windowCaches() {
 		select {
@@ -181,12 +186,24 @@ func (r *Registry) refreshWindows(st *Stream) {
 			return
 		default:
 		}
+		if wc.parked.Load() {
+			continue
+		}
 		n, err := st.ring.RangeN(wc.rng)
 		if err != nil {
 			continue // aged out under us; the next rotation evicts it
 		}
 		prev := wc.est.Load()
 		if n == 0 || (prev != nil && n == prev.Raw) {
+			continue
+		}
+		r.refreshFull(st, refreshGrowth)
+		// Counts only grow between rotations, so a window count read before
+		// the ring's, equal to it and to the published full range's, means
+		// the window's counts are the ones that estimate reconstructed.
+		if full := st.est.Load(); full != nil && full.Raw == n && st.ring.N() == n {
+			wc.init = append(wc.init[:0], full.Distribution...)
+			wc.est.Store(full)
 			continue
 		}
 		st.winScratch, n, err = st.merge(&wc.rng, st.winScratch)
@@ -203,7 +220,6 @@ func (r *Registry) refreshWindows(st *Stream) {
 				init = full.Distribution // the stream's full-range estimate
 			}
 		}
-		r.refreshFull(st, refreshGrowth)
 		res := st.reconstruct(st.winScratch, init)
 		wc.init = append(wc.init[:0], res.Estimate...)
 		wc.est.Store(st.publish(res, n, st.winScratch, init != nil))
@@ -211,7 +227,8 @@ func (r *Registry) refreshWindows(st *Stream) {
 }
 
 // WindowEstimate returns a range's published estimate (nil while pending),
-// registering the range with the refresh engine on first use.
+// registering the range with the refresh engine on first use and unparking
+// it: it is a read's.
 func (st *Stream) WindowEstimate(g window.Range) *Estimate {
 	st.winMu.Lock()
 	defer st.winMu.Unlock()
@@ -220,17 +237,25 @@ func (st *Stream) WindowEstimate(g window.Range) *Estimate {
 		wc = &windowCache{rng: g}
 		st.wins[g] = wc
 	}
+	wc.parked.Store(false)
 	return wc.est.Load()
 }
 
-// evictAgedWindows drops cache entries whose range fell out of retention.
-func (st *Stream) evictAgedWindows() {
+// sealWindows runs at each rotation: it drops cache entries whose range fell
+// out of retention and parks the published ones the ring has sealed. A
+// last:K reader resolves to a new range after a rotation, so the one it
+// read before gets no reconstruction nobody asks for.
+func (st *Stream) sealWindows() {
 	oldest := st.ring.Oldest()
+	cur, _ := st.ring.Current()
 	st.winMu.Lock()
 	defer st.winMu.Unlock()
-	for g := range st.wins {
-		if g.Lo < oldest {
+	for g, wc := range st.wins {
+		switch {
+		case g.Lo < oldest:
 			delete(st.wins, g)
+		case g.Hi < cur && wc.est.Load() != nil:
+			wc.parked.Store(true)
 		}
 	}
 }

@@ -2,12 +2,14 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/diagnose"
+	"repro/internal/window"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -47,6 +49,96 @@ func TestRefreshRequestDuringRefreshRuns(t *testing.T) {
 		est := st.Published()
 		return est != nil && est.Raw == 8000
 	})
+}
+
+// TestWholeWindowReusesFullRange: a window that holds every report the ring
+// holds (last:3 on a stream with two epochs) publishes the full-range
+// estimate the same refresh just published and reconstructs nothing of its
+// own; once an epoch falls outside it, it reconstructs its own range again.
+func TestWholeWindowReusesFullRange(t *testing.T) {
+	r := NewRegistry(Options{})
+	st, _, _ := r.Declare("w", Config{Epsilon: 1, Buckets: 32, Epoch: time.Hour})
+	ingest(st, 400)
+	st.Rotate()
+	ingest(st, 300)
+	g, err := st.Resolve("last:3")
+	if err != nil || g != (window.Range{Lo: 0, Hi: 1}) {
+		t.Fatalf("last:3 resolves to %v, %v", g, err)
+	}
+	st.WindowEstimate(g)
+	for _, more := range []int{0, 200} {
+		ingest(st, more)
+		r.refresh(st)
+		full, win := st.Published(), st.WindowEstimate(g)
+		if win == nil || win.Raw != full.Raw || win.Raw != st.Ring().N() ||
+			!slices.Equal(win.Distribution, full.Distribution) {
+			t.Fatalf("window %v publishes %+v, want the full range's %+v", g, win, full)
+		}
+		if st.winScratch != nil {
+			t.Fatal("the window reconstructed the full range's counts again")
+		}
+	}
+	st.Rotate()
+	st.Rotate()
+	ingest(st, 100)
+	if g, _ = st.Resolve("last:3"); g != (window.Range{Lo: 1, Hi: 3}) {
+		t.Fatalf("last:3 resolves to %v", g)
+	}
+	st.WindowEstimate(g)
+	r.refresh(st)
+	if win, n := st.WindowEstimate(g), st.Ring().N(); win == nil || win.Raw != 600 || st.Published().Raw != n {
+		t.Fatalf("window %v publishes %+v of the ring's %d reports, want its own 600", g, win, n)
+	}
+}
+
+// TestSealedWindowWaitsForARead: a rotation parks the window it sealed — the
+// next refresh leaves it as it was, though reports landed in it — until a
+// read resolves to it. That read is one refresh stale and arms a refresh, so
+// the read after it is fresh (pending_reports 0).
+func TestSealedWindowWaitsForARead(t *testing.T) {
+	r := NewRegistry(Options{})
+	st, _, _ := r.Declare("w", Config{Epsilon: 1, Buckets: 32, Epoch: time.Hour})
+	for range 2 {
+		ingest(st, 400)
+		st.Rotate()
+	}
+	ingest(st, 300)
+	g, _ := st.Resolve("last:2")
+	if g != (window.Range{Lo: 1, Hi: 2}) {
+		t.Fatalf("last:2 resolves to %v", g)
+	}
+	st.WindowEstimate(g)
+	r.refresh(st)
+	before := st.WindowEstimate(g)
+	if before == nil || before.Raw != 700 {
+		t.Fatalf("window %v publishes %+v, want 700 reports", g, before)
+	}
+	ingest(st, 200)
+	st.Rotate() // seals epoch 2 with 500 reports; last:2 is now epochs 2..3
+	st.winScratch = nil
+	r.refresh(st)
+	if est := st.wins[g].est.Load(); est != before || st.winScratch != nil {
+		t.Fatalf("a refresh reconstructed the sealed window %v before any read: %+v", g, est)
+	}
+	if st.Pending() != 0 {
+		t.Fatalf("the full range left %d reports unpublished", st.Pending())
+	}
+
+	r.Start(1, time.Hour)
+	t.Cleanup(r.Close)
+	read := func() int { // what loadEstimate does
+		est := st.WindowEstimate(g)
+		n, _ := st.Ring().RangeN(g)
+		st.Served(est.Raw != n)
+		return n - est.Raw
+	}
+	if pending := read(); pending != 200 {
+		t.Fatalf("the first read after the rotation is %d reports stale, want 200", pending)
+	}
+	waitFor(t, 10*time.Second, "the read's refresh", func() bool { return st.wins[g].est.Load() != before })
+	if pending := read(); pending != 0 {
+		t.Fatalf("the read after the refresh is %d reports stale", pending)
+	}
 }
 
 // TestStressRegistry runs everything at once under the refresh pool:

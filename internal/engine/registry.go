@@ -255,16 +255,17 @@ func (r *Registry) arm(st *Stream) {
 }
 
 // schedule queues an armed stream's refresh when its duty cycle allows
-// (minRefreshGap after the previous refresh started): now, or on the
-// stream's timer. A stream mid-refresh is left to its worker, which
-// schedules it on finishing.
+// (refreshGap after the previous refresh started): now, or on the stream's
+// timer. A stream mid-refresh is left to its worker, which schedules it on
+// finishing.
 func (r *Registry) schedule(st *Stream) {
 	st.timerMu.Lock()
 	defer st.timerMu.Unlock()
 	if st.dropped.Load() || r.sweep.Load() == 0 || st.busy.Load() {
 		return
 	}
-	wait := time.Until(time.Unix(0, st.ranAt.Load()).Add(minRefreshGap))
+	gap := refreshGap(time.Duration(st.ranFor.Load()))
+	wait := time.Until(time.Unix(0, st.ranAt.Load()).Add(gap))
 	switch {
 	case wait <= 0:
 		r.enqueue(st)
@@ -273,6 +274,13 @@ func (r *Registry) schedule(st *Stream) {
 	default:
 		st.timer.Reset(wait)
 	}
+}
+
+// refreshGap is how long after a refresh that took cost started the next
+// one of an armed stream may start: refreshDuty times cost, at most
+// maxRefreshGap.
+func refreshGap(cost time.Duration) time.Duration {
+	return min(refreshDuty*cost, maxRefreshGap)
 }
 
 // stopTimer stops the stream's refresh timer, if it has one.
@@ -312,7 +320,7 @@ func (r *Registry) scheduler(interval time.Duration) {
 // within one by busy. A pop that finds the stream busy is not dropped: it
 // sets rerun, which the holder re-checks after releasing busy, so reports
 // that landed after the running refresh merged publish right after it.
-// Every refresh restarts the stream's duty cycle.
+// Every refresh restarts the stream's duty cycle and records its own cost.
 func (r *Registry) refreshWorker() {
 	defer r.wg.Done()
 	for {
@@ -325,8 +333,10 @@ func (r *Registry) refreshWorker() {
 		for st.rerun.Load() && st.busy.CompareAndSwap(false, true) {
 			st.rerun.Store(false)
 			st.armed.Store(false)
-			st.ranAt.Store(time.Now().UnixNano())
+			start := time.Now()
+			st.ranAt.Store(start.UnixNano())
 			r.refresh(st)
+			st.ranFor.Store(int64(time.Since(start)))
 			st.busy.Store(false)
 		}
 		if st.armed.Load() {

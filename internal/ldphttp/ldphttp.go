@@ -165,10 +165,11 @@ type Config struct {
 	// (0 = 500ms); the health probe reads its liveness from it. A stream an
 	// estimate or query read found reports on within the last interval is
 	// watched: its new reports, and its stale reads, refresh that stream
-	// alone at least 10ms after its previous refresh started (at once when
-	// that has passed). Streams nobody reads, such as an edge's, refresh
-	// only on the sweep; federation pushes and snapshot restores queue the
-	// streams they touch at once.
+	// alone ten times its previous refresh's wall time after that refresh
+	// started, never more than 10ms after (at once when that has passed).
+	// Streams nobody reads, such as an edge's, refresh only on the sweep;
+	// federation pushes and snapshot restores queue the streams they touch
+	// at once.
 	RefreshInterval time.Duration `json:"-"`
 	// Epoch and Retain window the default stream (see StreamConfig). They
 	// apply to the default stream only; other streams opt into windowing
