@@ -80,43 +80,56 @@ func BenchmarkReconstructWorkspace(b *testing.B) {
 	}
 }
 
-// warmMaxN and warmTrajectories shape BenchmarkWarmRefresh: each trajectory
-// refreshes every step reports from the first multiple of step at or past
-// from, up to warmMaxN. A refresh every 20,000 reports from the start is
-// about the cadence and length of a 30-second run of ldpbench's ingest
-// workload when its one 20/s reader set the refreshes; one every 2,000
-// reports is about the cadence of that stream's refreshes spaced by their
-// own cost (~3 ms at ~0.9M reports/s), kept to the last 10⁶ reports so it
-// too is 500 refreshes long.
+// warmTrajectory is one of BenchmarkWarmRefresh's trajectories: at
+// granularity d, a refresh every step reports from the first multiple of
+// step at or past from, up to warmMaxN. A refresh every 20,000 reports from
+// the start is about the cadence and length of a 30-second run of
+// ldpbench's ingest workload when its one 20/s reader set the refreshes.
+// One every 4,500 reports is the measured cadence of that workload's B = 256
+// stream once its refreshes are spaced by their own cost (its 13.5M reports
+// over the ~3,000 full-range refreshes ldp_em_refresh_seconds_count counts),
+// kept to its last 500 refreshes up to warmMaxN. No workload refreshes a
+// B = 1024 stream this large (ldpbench's windowed stream never holds more
+// than ~150,000 reports), so B = 1024 keeps only the first trajectory.
+type warmTrajectory struct{ d, step, from int }
+
 const warmMaxN = 10000000
 
-var warmTrajectories = []struct{ step, from int }{{20000, 0}, {2000, warmMaxN - 1000000}}
+var warmTrajectories = []warmTrajectory{
+	{256, 20000, 0}, {256, 4500, warmMaxN - 500*4500}, {1024, 20000, 0},
+}
 
-// warmSequences returns the sw mechanism's channel at granularity d (ε = 1)
-// and, for each of warmTrajectories, the report histograms of one stream of
-// Beta(5,2) values at each of its refreshes.
-func warmSequences(b *testing.B, d int) (matrixx.Channel, [][][]float64) {
+// warmSequences returns the sw mechanism's channel at granularity d (ε = 1),
+// the warmTrajectories at d and, for each of them, the report histograms of
+// one stream of Beta(5,2) values at each of its refreshes.
+func warmSequences(b *testing.B, d int) (matrixx.Channel, []warmTrajectory, [][][]float64) {
 	mech, err := mechanism.New(mechanism.Params{Name: mechanism.SW, Epsilon: 1, Buckets: d})
 	if err != nil {
 		b.Fatal(err)
 	}
+	var trs []warmTrajectory
+	for _, tr := range warmTrajectories {
+		if tr.d == d {
+			trs = append(trs, tr)
+		}
+	}
 	wave := sw.NewSquare(1)
 	rng := randx.New(uint64(d))
 	counts := make([]float64, mech.OutputBuckets())
-	seqs := make([][][]float64, len(warmTrajectories))
+	seqs := make([][][]float64, len(trs))
 	for n := 1; n <= warmMaxN; n++ {
 		j, err := mech.BucketOf(wave.Sample(rng.Beta(5, 2), rng))
 		if err != nil {
 			b.Fatal(err)
 		}
 		counts[j]++
-		for k, tr := range warmTrajectories {
+		for k, tr := range trs {
 			if n >= tr.from && n%tr.step == 0 {
 				seqs[k] = append(seqs[k], append([]float64(nil), counts...))
 			}
 		}
 	}
-	return mech.Channel(), seqs
+	return mech.Channel(), trs, seqs
 }
 
 // BenchmarkWarmRefresh replays the refresh engine's steady state along
@@ -128,11 +141,11 @@ func warmSequences(b *testing.B, d int) (matrixx.Channel, [][][]float64) {
 // warm refresh and ns/refresh its mean wall time.
 func BenchmarkWarmRefresh(b *testing.B) {
 	for _, d := range []int{256, 1024} {
-		ch, seqs := warmSequences(b, d)
+		ch, trs, seqs := warmSequences(b, d)
 		for k, seq := range seqs {
 			first := Reconstruct(ch, seq[0], EMSOptions()).Estimate
 			for _, mode := range []string{"textbook", "accelerated"} {
-				b.Run(fmt.Sprintf("B=%d/step=%d/%s", d, warmTrajectories[k].step, mode), func(b *testing.B) {
+				b.Run(fmt.Sprintf("B=%d/step=%d/%s", d, trs[k].step, mode), func(b *testing.B) {
 					opts := EMSOptions()
 					opts.AccelerateWarm = mode == "accelerated"
 					var ws Workspace
