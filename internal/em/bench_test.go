@@ -80,6 +80,40 @@ func BenchmarkReconstructWorkspace(b *testing.B) {
 	}
 }
 
+// BenchmarkEMSEvaluation measures one EMS map evaluation — E, M and S steps
+// — on the sw plateau at ε = 1 through a reused Workspace, each from the EMS
+// estimate of its histogram (copied in first, so every op evaluates the same
+// point whatever b.N): with its log-likelihood (loglik: an evaluation the τ
+// test reads) and without (nolog: one of the evaluations before
+// min(MinIters, MaxIters) − 2).
+func BenchmarkEMSEvaluation(b *testing.B) {
+	for _, d := range []int{256, 1024} {
+		w, counts := swCounts(d, 1.0, uint64(d))
+		ch := w.Channel(d, d)
+		for _, mode := range []string{"loglik", "nolog"} {
+			b.Run(fmt.Sprintf("B=%d/%s", d, mode), func(b *testing.B) {
+				opts := EMSOptions()
+				opts.fillDefaults()
+				var ws Workspace
+				est := append([]float64(nil), ws.Reconstruct(ch, counts, opts).Estimate...)
+				x := make([]float64, d)
+				var res Result
+				before := 0 // res.Iterations before the evaluation
+				if mode == "loglik" {
+					before = opts.MinIters
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					copy(x, est)
+					res.Iterations = before
+					ws.step(ch, counts, x, &opts, &res)
+				}
+			})
+		}
+	}
+}
+
 // warmTrajectory is one of BenchmarkWarmRefresh's trajectories: at
 // granularity d, a refresh every step reports from the first multiple of
 // step at or past from, up to warmMaxN. A refresh every 20,000 reports from

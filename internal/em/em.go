@@ -38,7 +38,10 @@ type Options struct {
 	Tau float64
 	// MinIters forces at least this many iterations before the stopping
 	// rule may fire (smoothing can make the first steps nearly flat).
-	// Defaults to 10.
+	// Defaults to 10. Only evaluations from min(MinIters, MaxIters) − 2 on
+	// compute their log-likelihood (the τ test of an AccelerateWarm run can
+	// read two evaluations back); nothing can read the earlier ones, which
+	// skip their logarithms.
 	MinIters int
 	// Smoothing enables the EMS S-step: binomial (1,2,1)/4 averaging of
 	// the estimate after each M step.
@@ -57,7 +60,9 @@ type Options struct {
 	// as tracking estimation error against likelihood (the paper's EM
 	// overfitting observation, Section 5.5). On the AccelerateWarm path it
 	// is invoked once per EMS map evaluation, with that evaluation's output
-	// and the log-likelihood of its input.
+	// and the log-likelihood of its input. Setting it makes every
+	// evaluation compute its log-likelihood (see MinIters); the Result is
+	// the same either way.
 	OnIteration func(iter int, estimate []float64, ll float64)
 	// AccelerateWarm runs a warm-started reconstruction (Init set) as
 	// SQUAREM-S3 cycles (Varadhan & Roland, Scand. J. Statist. 35, 2008)
@@ -230,15 +235,21 @@ func (w *Workspace) Reconstruct(m matrixx.Channel, counts []float64, opts Option
 }
 
 // step applies one evaluation of the EMS map, x ← F(x) = S(M(E(x))), in
-// place out of the workspace buffers, and returns the count-weighted
-// log-likelihood of the input point.
-func (w *Workspace) step(m matrixx.Channel, counts, x []float64, opts *Options) float64 {
+// place out of the workspace buffers, counts it in res.Iterations, reports
+// it to OnIteration and returns the count-weighted log-likelihood of the
+// input point: 0 for an evaluation nothing can read it from (see
+// Options.MinIters), which skips its logarithms.
+func (w *Workspace) step(m matrixx.Channel, counts, x []float64, opts *Options, res *Result) float64 {
 	ratio, llv, back, scratch := w.ratio, w.llv, w.back, w.scratch
+	res.Iterations++
+	if opts.OnIteration == nil && res.Iterations < min(opts.MinIters, opts.MaxIters)-2 {
+		llv = nil
+	}
 
 	// E step: denom_j = Σ_i M[j][i]·x_i, then the expected count
 	// attribution P_i = x_i · Σ_j n_j·M[j][i]/denom_j. matrixx.EStep
-	// computes ratio_j = n_j/denom_j and the log-likelihood, in one fused
-	// sweep on the matrixx channels.
+	// computes ratio_j = n_j/denom_j and, with llv set, the
+	// log-likelihood.
 	ll := matrixx.EStep(m, ratio, llv, x, counts)
 	m.MulVecT(back, ratio)
 
@@ -257,6 +268,9 @@ func (w *Workspace) step(m matrixx.Channel, counts, x []float64, opts *Options) 
 			mathx.SmoothBinomialK(scratch, x, opts.SmoothWidth)
 		}
 		copy(x, scratch)
+	}
+	if opts.OnIteration != nil {
+		opts.OnIteration(res.Iterations, x, ll)
 	}
 	return ll
 }
@@ -320,11 +334,7 @@ func (w *Workspace) squarem(m matrixx.Channel, counts []float64, opts *Options) 
 			continue
 		}
 		copy(x1, x0)
-		ll := w.step(m, counts, x1, opts)
-		res.Iterations++
-		if opts.OnIteration != nil {
-			opts.OnIteration(res.Iterations, x1, ll)
-		}
+		ll := w.step(m, counts, x1, opts, &res)
 		var ee float64
 		for i := range x1 {
 			e := x1[i] - x0[i]
@@ -344,17 +354,12 @@ func (w *Workspace) squarem(m matrixx.Channel, counts []float64, opts *Options) 
 }
 
 // plainStep is one plain EM/EMS iteration x ← F(x) with the paper's
-// bookkeeping: it counts the iteration, reports it to OnIteration, applies
-// the τ test between *prevLL and the input point's log-likelihood, and
-// advances *prevLL. It reports whether the run stops here, converged or out
-// of iterations.
+// bookkeeping: it applies the τ test between *prevLL and the input point's
+// log-likelihood, and advances *prevLL. It reports whether the run stops
+// here, converged or out of iterations.
 func (w *Workspace) plainStep(m matrixx.Channel, counts, x []float64, opts *Options, res *Result, prevLL *float64) bool {
-	ll := w.step(m, counts, x, opts)
-	res.Iterations++
+	ll := w.step(m, counts, x, opts, res)
 	res.LogLikelihood = ll
-	if opts.OnIteration != nil {
-		opts.OnIteration(res.Iterations, x, ll)
-	}
 	delta := math.Abs(ll - *prevLL)
 	if !math.IsInf(*prevLL, -1) {
 		res.LastDelta = delta

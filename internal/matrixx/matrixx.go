@@ -1,6 +1,7 @@
 // Package matrixx provides the transition channels the EM reconstruction
-// runs on, behind one interface (Channel: M·x and Mᵀ·y, plus the fused
-// E-step of RatioChannel):
+// runs on, behind one interface (Channel: M·x and Mᵀ·y), and the E-step
+// every channel shares (EStep: M·x, then each row's ratio and, when asked
+// for, its log-likelihood term):
 //
 //   - Matrix, a dense row-major matrix: the reference every structured
 //     channel is tested against, and the production channel of the General

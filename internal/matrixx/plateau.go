@@ -2,6 +2,7 @@ package matrixx
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/mathx"
 )
@@ -40,48 +41,65 @@ type Channel interface {
 type Plateau struct {
 	rows, cols   int
 	floor, plat  float64
+	added        int // columns added so far
 	lo, a, c, hi []int
 	scale        []float64
 	// The edge excesses of column i, rows [lo_i, a_i) then [c_i, hi_i),
-	// are ev[eoff[i]:eoff[i+1]].
+	// are ev[eoff[i]:eoff[i+1]], on the rows erow[eoff[i]:eoff[i+1]].
 	eoff []int
 	ev   []float64
+	erow []int32
 }
 
 // NewPlateau returns a rows×cols plateau channel with the given floor and
 // plateau excess and no columns yet: add them in order with AddColumn before
 // using the channel.
 func NewPlateau(rows, cols int, floor, plat float64) *Plateau {
-	if rows < 1 || cols < 1 {
+	if rows < 1 || cols < 1 || rows > math.MaxInt32 {
 		panic(fmt.Sprintf("matrixx: invalid plateau shape %dx%d", rows, cols))
 	}
-	mk := func() []int { return make([]int, 0, cols) }
+	mk := func() []int { return make([]int, cols) }
 	return &Plateau{rows: rows, cols: cols, floor: floor, plat: plat,
-		lo: mk(), a: mk(), c: mk(), hi: mk(), scale: make([]float64, 0, cols),
-		eoff: append(make([]int, 0, cols+1), 0), ev: make([]float64, 0, 4*cols)}
+		lo: mk(), a: mk(), c: mk(), hi: mk(), scale: make([]float64, cols),
+		eoff: make([]int, cols+1), ev: make([]float64, 0, 4*cols)}
 }
 
 // AddColumn appends the next column, with scale 1: plateau run [a, c), and
 // edge excesses left for the rows just before a and right for the rows from
 // c on. Every bound must be monotone across columns.
 func (p *Plateau) AddColumn(a, c int, left, right []float64) {
-	n := len(p.a)
+	n := p.added
 	lo, hi := a-len(left), c+len(right)
 	if n == p.cols || lo < 0 || a > c || hi > p.rows ||
 		(n > 0 && (lo < p.lo[n-1] || a < p.a[n-1] || c < p.c[n-1] || hi < p.hi[n-1])) {
 		panic(fmt.Sprintf("matrixx: plateau column %d [%d,%d,%d,%d) is not monotone in %d rows",
 			n, lo, a, c, hi, p.rows))
 	}
-	p.lo, p.a, p.c, p.hi = append(p.lo, lo), append(p.a, a), append(p.c, c), append(p.hi, hi)
-	p.scale = append(p.scale, 1)
+	// The bounds are written by index and erow is built once, with the last
+	// column: storing a slice header in p runs a GC write barrier.
+	p.lo[n], p.a[n], p.c[n], p.hi[n] = lo, a, c, hi
+	p.scale[n] = 1
 	p.ev = append(append(p.ev, left...), right...)
-	p.eoff = append(p.eoff, len(p.ev))
+	p.eoff[n+1] = len(p.ev)
+	if p.added++; p.added < p.cols {
+		return
+	}
+	rows := make([]int32, 0, len(p.ev))
+	for i := range p.a {
+		for j := p.lo[i]; j < p.a[i]; j++ {
+			rows = append(rows, int32(j))
+		}
+		for j := p.c[i]; j < p.hi[i]; j++ {
+			rows = append(rows, int32(j))
+		}
+	}
+	p.erow = rows
 }
 
 // NormalizeCols scales each column to sum to 1, from its closed-form sum
 // rows·floor + (c−a)·plat + Σ edge excess: O(1 + edge cells) per column.
 func (p *Plateau) NormalizeCols() {
-	for i := range p.scale {
+	for i := range p.added {
 		sum := float64(p.rows)*p.floor + float64(p.c[i]-p.a[i])*p.plat
 		for _, e := range p.ev[p.eoff[i]:p.eoff[i+1]] {
 			sum += e
@@ -120,9 +138,9 @@ func (p *Plateau) MaxEdges() int {
 }
 
 func (p *Plateau) check(what string, dst, x, wantDst, wantX int) {
-	if len(p.a) != p.cols || dst != wantDst || x != wantX {
+	if p.added != p.cols || dst != wantDst || x != wantX {
 		panic(fmt.Sprintf("matrixx: Plateau.%s dimension mismatch (%d,%d) vs (%d,%d) with %d/%d columns",
-			what, dst, x, wantDst, wantX, len(p.a), p.cols))
+			what, dst, x, wantDst, wantX, p.added, p.cols))
 	}
 }
 
@@ -130,20 +148,8 @@ func (p *Plateau) check(what string, dst, x, wantDst, wantX int) {
 func (p *Plateau) MulVec(dst, x []float64) []float64 {
 	p.check("MulVec", len(dst), len(x), p.rows, p.cols)
 	p.scatterEdges(dst, x)
-	p.sweep(dst, nil, x, nil)
+	p.sweep(dst, x)
 	return dst
-}
-
-// MulVecRatio implements RatioChannel: the denominators are accumulated
-// exactly as MulVec accumulates them, in ratio itself, and each row's ratio
-// and log-likelihood term are finished in the same row sweep.
-func (p *Plateau) MulVecRatio(ratio, ll, x, counts []float64) {
-	p.check("MulVecRatio", len(ratio), len(x), p.rows, p.cols)
-	if len(ll) != p.rows || len(counts) != p.rows {
-		panic("matrixx: Plateau.MulVecRatio dimension mismatch")
-	}
-	p.scatterEdges(ratio, x)
-	p.sweep(ratio, ll, x, counts)
 }
 
 // scatterEdges sets dst to the edge-cell part of M·x. (Scattering per
@@ -153,23 +159,18 @@ func (p *Plateau) scatterEdges(dst, x []float64) {
 	clear(dst)
 	for i, xi := range x {
 		u := p.scale[i] * xi
-		ev := p.ev[p.eoff[i]:p.eoff[i+1]]
-		lo, a := p.lo[i], p.a[i]
-		for k, e := range ev[:a-lo] {
-			dst[lo+k] += e * u
-		}
-		c := p.c[i]
-		for k, e := range ev[a-lo:] {
-			dst[c+k] += e * u
+		k0, k1 := p.eoff[i], p.eoff[i+1]
+		rows := p.erow[k0:k1]
+		for k, e := range p.ev[k0:k1] {
+			dst[rows[k]] += e * u
 		}
 	}
 }
 
 // sweep completes M·x row by row: on entry dst holds the edge part, and row
 // j becomes floor·Σu + plat·W_j + dst[j], where u_i = s_i·x_i and W_j is the
-// sliding sum of u_i over the columns whose run covers j. With counts set,
-// row j's E-step ratio goes to dst[j] and its ll term to ll[j] instead.
-func (p *Plateau) sweep(dst, ll, x, counts []float64) {
+// sliding sum of u_i over the columns whose run covers j.
+func (p *Plateau) sweep(dst, x []float64) {
 	var sum, sc float64
 	for i, xi := range x {
 		sum, sc = mathx.AddCompensated(sum, sc, p.scale[i]*xi)
@@ -187,12 +188,7 @@ func (p *Plateau) sweep(dst, ll, x, counts []float64) {
 		if wlo == whi {
 			w, wc = 0, 0
 		}
-		den := floor + p.plat*(w+wc) + dst[j]
-		if counts == nil {
-			dst[j] = den
-		} else {
-			ratioRow(dst, ll, counts, j, den)
-		}
+		dst[j] = floor + p.plat*(w+wc) + dst[j]
 	}
 }
 
@@ -215,13 +211,10 @@ func (p *Plateau) MulVecT(dst, y []float64) []float64 {
 			w, wc = mathx.AddCompensated(w, wc, -y[wlo])
 		}
 		acc := floor + p.plat*(w+wc)
-		ev := p.ev[p.eoff[i]:p.eoff[i+1]]
-		for k, v := range y[p.lo[i]:a] {
-			acc += ev[k] * v
-		}
-		ev = ev[a-p.lo[i]:]
-		for k, v := range y[c:p.hi[i]] {
-			acc += ev[k] * v
+		k0, k1 := p.eoff[i], p.eoff[i+1]
+		rows := p.erow[k0:k1]
+		for k, e := range p.ev[k0:k1] {
+			acc += e * y[rows[k]]
 		}
 		dst[i] = p.scale[i] * acc
 	}
@@ -230,8 +223,6 @@ func (p *Plateau) MulVecT(dst, y []float64) []float64 {
 
 // Compile-time interface checks.
 var (
-	_ Channel      = (*Matrix)(nil)
-	_ Channel      = (*Plateau)(nil)
-	_ RatioChannel = (*Matrix)(nil)
-	_ RatioChannel = (*Plateau)(nil)
+	_ Channel = (*Matrix)(nil)
+	_ Channel = (*Plateau)(nil)
 )

@@ -138,7 +138,7 @@ func TestBandedDimensionPanics(t *testing.T) {
 	cases := []func(){
 		func() { p.MulVec(make([]float64, 7), make([]float64, 8)) },
 		func() { p.MulVecT(make([]float64, 7), make([]float64, 8)) },
-		func() { p.MulVecRatio(make([]float64, 8), make([]float64, 7), make([]float64, 8), make([]float64, 8)) },
+		func() { EStep(p, make([]float64, 8), make([]float64, 7), make([]float64, 8), make([]float64, 8)) },
 		func() { partial.MulVec(make([]float64, 8), make([]float64, 8)) }, // columns missing
 		func() { partial.AddColumn(2, 2, nil, nil) },                      // run end moves back
 		func() { partial.AddColumn(1, 4, nil, nil) },                      // edge start moves back

@@ -7,11 +7,11 @@ import (
 	"repro/internal/randx"
 )
 
-// plainChannel exposes only the Channel methods of the channel it wraps, so
-// EStep cannot see a fused kernel and takes its unfused path.
+// plainChannel exposes only the Channel methods of the channel it wraps, as
+// a channel defined outside this package (grr's) does.
 type plainChannel struct{ Channel }
 
-func TestFusedRatioMatchesUnfused(t *testing.T) {
+func TestEStepMatchesTwoPass(t *testing.T) {
 	rng := randx.New(10)
 	for _, shape := range [][2]int{{64, 64}, {200, 128}, {257, 255}} {
 		rows, cols := shape[0], shape[1]
@@ -24,10 +24,10 @@ func TestFusedRatioMatchesUnfused(t *testing.T) {
 		}
 		for _, tc := range []struct {
 			name string
-			ch   RatioChannel
+			ch   Channel
 		}{{"dense", dense}, {"plateau", plateau}} {
-			// Reference: the two-pass E-step package em used to run for
-			// channels without a fused kernel.
+			// Reference: the two-pass E-step, a product pass and then a
+			// pass over its result that sums the log-likelihood as it goes.
 			denom := tc.ch.MulVec(make([]float64, rows), x)
 			wantR, wantL := make([]float64, rows), make([]float64, rows)
 			var wantLL float64
@@ -43,19 +43,15 @@ func TestFusedRatioMatchesUnfused(t *testing.T) {
 				wantL[j] = counts[j] * math.Log(dj)
 				wantLL += counts[j] * math.Log(dj)
 			}
-			gotR, gotL := make([]float64, rows), make([]float64, rows)
-			tc.ch.MulVecRatio(gotR, gotL, x, counts)
-			bitsEqual(t, tc.name+" fused ratio", gotR, wantR)
-			bitsEqual(t, tc.name+" fused ll", gotL, wantL)
 
-			// EStep produces the fused kernel's bits whether it runs that
-			// kernel or, behind a wrapper that hides it, MulVec and then
-			// ratioRow per row; its serial fold of ll reproduces the
-			// two-pass accumulation.
+			// EStep produces the same bits on the channel itself and
+			// behind a wrapper that shows only its Channel methods; its
+			// serial fold of ll reproduces the two-pass accumulation, and
+			// without ll it leaves the same ratios and returns 0.
 			for _, ec := range []struct {
 				name string
 				ch   Channel
-			}{{"fused", tc.ch}, {"unfused", plainChannel{tc.ch}}} {
+			}{{"direct", tc.ch}, {"wrapped", plainChannel{tc.ch}}} {
 				label := tc.name + " EStep " + ec.name
 				r, l := make([]float64, rows), make([]float64, rows)
 				ll := EStep(ec.ch, r, l, x, counts)
@@ -64,6 +60,11 @@ func TestFusedRatioMatchesUnfused(t *testing.T) {
 				if math.Float64bits(ll) != math.Float64bits(wantLL) {
 					t.Fatalf("%s: log-likelihood %v vs %v", label, ll, wantLL)
 				}
+				r = make([]float64, rows)
+				if ll := EStep(ec.ch, r, nil, x, counts); ll != 0 {
+					t.Fatalf("%s without ll: returned %v, want 0", label, ll)
+				}
+				bitsEqual(t, label+" ratio without ll", r, wantR)
 			}
 		}
 	}
@@ -73,11 +74,13 @@ func TestEStepDimensionPanics(t *testing.T) {
 	m := waveMatrix(8, 6, 2)
 	vec := func(n int) []float64 { return make([]float64, n) }
 	cases := []func(){
-		func() { m.MulVecRatio(vec(8), vec(7), vec(6), vec(8)) },
-		func() { m.MulVecRatio(vec(8), vec(8), vec(5), vec(8)) },
+		func() { EStep(m, vec(8), vec(7), vec(6), vec(8)) },
+		func() { EStep(m, vec(8), vec(8), vec(5), vec(8)) },
+		func() { EStep(m, vec(8), nil, vec(5), vec(8)) },
 		func() { EStep(plainChannel{m}, vec(8), vec(7), vec(6), vec(8)) },
 		func() { EStep(plainChannel{m}, vec(8), vec(8), vec(6), vec(7)) },
 		func() { EStep(plainChannel{m}, vec(7), vec(7), vec(6), vec(7)) },
+		func() { EStep(plainChannel{m}, vec(8), nil, vec(6), vec(7)) },
 	}
 	for i, fn := range cases {
 		func() {

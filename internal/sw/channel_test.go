@@ -111,7 +111,7 @@ func checkChannel(t *testing.T, tc channelCase) {
 	checkProducts(t, ch, dense)
 }
 
-// checkProducts compares MulVec, MulVecT and MulVecRatio with the dense
+// checkProducts compares MulVec, MulVecT and EStep with the dense
 // products on a smooth x, a concentrated x and a y spanning 16 decades.
 func checkProducts(t *testing.T, ch *matrixx.Plateau, dense *matrixx.Matrix) {
 	t.Helper()
@@ -140,7 +140,7 @@ func checkProducts(t *testing.T, ch *matrixx.Plateau, dense *matrixx.Matrix) {
 		want := dense.MulVec(make([]float64, rows), x)
 		rel(ch.MulVec(make([]float64, rows), x), want)
 		ratio, ll := make([]float64, rows), make([]float64, rows)
-		ch.MulVecRatio(ratio, ll, x, counts)
+		matrixx.EStep(ch, ratio, ll, x, counts)
 		for j, c := range counts {
 			if c == 0 {
 				if ratio[j] != 0 || ll[j] != 0 {
